@@ -218,3 +218,54 @@ func TestFlushAllDeterministicAndComplete(t *testing.T) {
 		t.Fatal("dirty blocks after FlushAll")
 	}
 }
+
+// Two coroutines share one 4-block cache: A flushes an inode with two
+// non-adjacent dirty blocks, and B's fills evict A's second dirty block
+// while A sleeps between the two write-back runs. Both of A's writes
+// must reach the fs exactly once, nothing may stay dirty, and the
+// interleaving must end at the same cycle every run.
+func TestFlushRacesEviction(t *testing.T) {
+	fsys := fs.New()
+	fsys.MustMkdirAll("/gpfs")
+	if errno := fsys.WriteFile("/gpfs/a", nil, 0644, fs.Root); errno != kernel.OK {
+		t.Fatal(errno)
+	}
+	big := bytes.Repeat([]byte("x"), 8*BlockSize)
+	if errno := fsys.WriteFile("/gpfs/b", big, 0644, fs.Root); errno != kernel.OK {
+		t.Fatal(errno)
+	}
+	stA, _ := fsys.Stat("/", "/gpfs/a", fs.Root)
+	stB, _ := fsys.Stat("/", "/gpfs/b", fs.Root)
+
+	ca := NewCache(fsys, 4)
+	eng := sim.NewEngine()
+	eng.Go("A", func(c *sim.Coro) {
+		ca.Write(c, stA.Ino, 0, []byte("one"))             // block 0 dirty
+		ca.Write(c, stA.Ino, 2*BlockSize, []byte("three")) // block 2 dirty
+		ca.Flush(c, stA.Ino)                               // two runs; sleeps between them
+	})
+	eng.Go("B", func(c *sim.Coro) {
+		c.Sleep(1) // let A reach its first writeback sleep
+		for i := 0; i < 6; i++ {
+			ca.Read(c, stB.Ino, uint64(i)*BlockSize, 1) // fills force evictions
+		}
+	})
+	eng.RunUntilIdle()
+
+	data, _ := fsys.ReadFile("/gpfs/a", fs.Root)
+	if len(data) != 2*BlockSize+5 {
+		t.Fatalf("/gpfs/a is %d bytes, want %d", len(data), 2*BlockSize+5)
+	}
+	if string(data[:3]) != "one" || string(data[2*BlockSize:]) != "three" {
+		t.Fatalf("/gpfs/a holds %q at 0 and %q at 2*BlockSize", data[:3], data[2*BlockSize:])
+	}
+	if !bytes.Equal(data[3:2*BlockSize], make([]byte, 2*BlockSize-3)) {
+		t.Fatal("/gpfs/a: the gap between the two writes is not zero-filled")
+	}
+	if n := ca.DirtyBlocks(); n != 0 {
+		t.Fatalf("%d dirty blocks remain", n)
+	}
+	if now := eng.Now(); now != 9001 {
+		t.Fatalf("engine ended at cycle %d, want 9001", now)
+	}
+}

@@ -86,3 +86,22 @@ func BenchmarkTraceRecord(b *testing.B) {
 		tr.Record(Cycles(i), "core0", "tracepoint")
 	}
 }
+
+// BenchmarkCoroSwitch times one coroutine round trip: Wake a parked
+// coroutine, and RunUntilIdle resumes it and runs it to its next
+// Park(Forever), which hands control back to the engine.
+func BenchmarkCoroSwitch(b *testing.B) {
+	e := NewEngine()
+	c := e.Go("ping", func(c *Coro) {
+		for {
+			c.Park(Forever)
+		}
+	})
+	e.RunUntilIdle()
+	b.ReportAllocs()
+	for b.Loop() {
+		c.Wake()
+		e.RunUntilIdle()
+	}
+	e.Shutdown()
+}

@@ -1,5 +1,7 @@
 package sim
 
+import "iter"
+
 // WakeReason tells a parked coroutine why it resumed.
 type WakeReason int
 
@@ -22,27 +24,36 @@ func (r WakeReason) String() string {
 // Engine.Shutdown.
 type coroKilled struct{}
 
-type resumeMsg struct {
-	reason WakeReason
-	kill   bool
-}
-
-// Coro is a cooperative simulated thread of execution. A coroutine runs on
-// its own goroutine, but the engine guarantees only one simulation
-// goroutine (event callback or coroutine) executes at a time: every resume
-// flows through the event queue and every yield hands control back to the
-// engine synchronously.
+// Coro is a cooperative simulated thread of execution, built on the Go
+// runtime's direct coroutine switch (iter.Pull). Resuming a coroutine
+// switches straight to it and parking switches straight back to the
+// engine, without going through the goroutine scheduler, so exactly one
+// simulation actor (event callback or coroutine) executes at a time and
+// every resume flows through the event queue.
+//
+// A panic inside a coroutine, other than the unwind Shutdown uses, ends
+// the coroutine and is re-raised with its original value from the
+// Engine.Step (or Run, RunUntilIdle) call that resumed it, on the
+// caller's goroutine. The engine is then in the state of any panicking
+// event callback and must not be driven further.
 //
 // Coro methods must only be called from simulation context.
 type Coro struct {
-	eng    *Engine
-	name   string
-	resume chan resumeMsg
-	yield  chan struct{}
+	eng  *Engine
+	name string
 
-	parked  bool   // currently parked awaiting resume
-	wakeGen uint64 // invalidates in-flight timeout events after a signal wake
-	pending bool   // a signal arrived while the coroutine was running
+	// The iter.Pull handles: next resumes the coroutine, yield (called
+	// on the coroutine) parks it, stop unwinds it. A finished or killed
+	// coroutine drops all three, so a *Coro kept by its owner does not
+	// keep the function's captures reachable.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+
+	reason  WakeReason // why the resume in flight woke the coroutine
+	parked  bool       // currently parked awaiting resume
+	wakeGen uint64     // invalidates in-flight resumes after a newer park or wake
+	pending bool       // a signal arrived while the coroutine was running
 	done    bool
 	dead    bool
 }
@@ -50,32 +61,21 @@ type Coro struct {
 // Go starts fn as a new coroutine named name. The coroutine begins running
 // at the current cycle, after already-queued events at this cycle.
 func (e *Engine) Go(name string, fn func(c *Coro)) *Coro {
-	c := &Coro{
-		eng:    e,
-		name:   name,
-		resume: make(chan resumeMsg),
-		yield:  make(chan struct{}),
-	}
-	e.coros = append(e.coros, c)
-	go func() {
-		msg := <-c.resume // initial dispatch
-		if !msg.kill {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(coroKilled); !ok {
-							panic(r)
-						}
-					}
-				}()
-				fn(c)
-			}()
-		}
-		c.done = true
-		c.yield <- struct{}{}
-	}()
-	c.parked = true
-	e.After(0, func() { c.dispatch(resumeMsg{reason: WakeSignal}) })
+	c := &Coro{eng: e, name: name, parked: true}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		defer func() {
+			c.finish()
+			if r := recover(); r != nil {
+				if _, ok := r.(coroKilled); !ok {
+					panic(r)
+				}
+			}
+		}()
+		fn(c)
+	})
+	e.track(c)
+	e.After(0, func() { c.dispatch(WakeSignal) })
 	return c
 }
 
@@ -91,27 +91,41 @@ func (c *Coro) Engine() *Engine { return c.eng }
 // Now returns the current simulation time.
 func (c *Coro) Now() Cycles { return c.eng.Now() }
 
-// dispatch hands control to the coroutine and blocks until it yields or
-// finishes. Must run on the engine goroutine (inside an event).
-func (c *Coro) dispatch(msg resumeMsg) {
+// dispatch switches to the coroutine and returns once it parks or
+// finishes. Must run on the engine's goroutine (inside an event).
+func (c *Coro) dispatch(reason WakeReason) {
 	if c.done || c.dead {
 		return
 	}
 	c.parked = false
-	c.resume <- msg
-	<-c.yield
+	c.reason = reason
+	c.next()
 }
 
-// park yields control to the engine and blocks until resumed. Returns the
-// resume message.
-func (c *Coro) park() resumeMsg {
+// resume is the event-carried wake: it dispatches the coroutine with
+// reason unless a newer park or wake has superseded generation gen.
+func (c *Coro) resume(gen uint64, reason WakeReason) {
+	if c.wakeGen != gen || !c.parked {
+		return // stale: the coroutine was woken or re-parked since
+	}
+	c.dispatch(reason)
+}
+
+// park switches back to the engine and returns the reason of the resume
+// that switches back in. A kill makes yield report false; the coroutine
+// then unwinds with coroKilled.
+func (c *Coro) park() WakeReason {
 	c.parked = true
-	c.yield <- struct{}{}
-	msg := <-c.resume
-	if msg.kill {
+	if !c.yield(struct{}{}) {
 		panic(coroKilled{})
 	}
-	return msg
+	return c.reason
+}
+
+// finish marks the coroutine done and drops its iter.Pull handles.
+func (c *Coro) finish() {
+	c.done = true
+	c.next, c.stop, c.yield = nil, nil, nil
 }
 
 // Sleep advances this coroutine's time by d cycles. Other simulation
@@ -142,11 +156,11 @@ func (c *Coro) Park(timeout Cycles) WakeReason {
 		c.pending = false
 		return WakeSignal
 	}
-	gen := c.bumpGen()
+	c.wakeGen++
 	if timeout < Forever {
-		c.eng.At(c.eng.Now()+timeout, func() { c.timeoutWake(gen) })
+		c.eng.resumeAt(c.eng.Now()+timeout, c, WakeTimeout)
 	}
-	return c.park().reason
+	return c.park()
 }
 
 // Wake delivers a signal to the coroutine. If it is parked it resumes (via
@@ -162,25 +176,8 @@ func (c *Coro) Wake() {
 		c.pending = true
 		return
 	}
-	gen := c.bumpGen() // invalidate any in-flight timeout
-	c.eng.After(0, func() {
-		if c.wakeGen != gen || !c.parked {
-			return // superseded
-		}
-		c.dispatch(resumeMsg{reason: WakeSignal})
-	})
-}
-
-func (c *Coro) bumpGen() uint64 {
-	c.wakeGen++
-	return c.wakeGen
-}
-
-func (c *Coro) timeoutWake(gen uint64) {
-	if c.wakeGen != gen || !c.parked {
-		return // stale: the coroutine was woken or re-parked since
-	}
-	c.dispatch(resumeMsg{reason: WakeTimeout})
+	c.wakeGen++ // invalidate any in-flight timeout
+	c.eng.resumeAt(c.eng.Now(), c, WakeSignal)
 }
 
 // kill unwinds the coroutine if it is still parked. Called only from
@@ -189,13 +186,15 @@ func (c *Coro) kill() {
 	if c.done || c.dead {
 		return
 	}
+	c.dead = true
 	if !c.parked {
 		// A non-parked, non-done coroutine outside simulation context
 		// cannot exist; nothing to do but mark it dead.
-		c.dead = true
 		return
 	}
-	c.dead = true
-	c.resume <- resumeMsg{kill: true}
-	<-c.yield
+	// Parked in yield, stop makes yield return false and waits for the
+	// unwind. Before the first dispatch, stop never starts fn at all, so
+	// the coroutine is marked done here rather than by its own unwind.
+	c.stop()
+	c.finish()
 }

@@ -180,6 +180,46 @@ func TestDifferentialSchedulers(t *testing.T) {
 	}
 }
 
+// pinnedCoros is runRandomCoros for seeds 1-12. Heap vs wheel only
+// compares two live runs with each other; this table holds both to a
+// fixed reference, so a Park/Wake change that shifts every scheduler
+// alike still fails.
+var pinnedCoros = []struct {
+	seed    uint64
+	hash    uint64
+	count   uint64
+	end     Cycles
+	nevents int
+}{
+	{1, 0x06dc2678d5acfafa, 406, 16235, 427},
+	{2, 0x1a74705043dde1f4, 411, 13874, 397},
+	{3, 0x4e8f3ecf224d11a1, 398, 15647, 435},
+	{4, 0x2b69bb720889a2ce, 401, 17100, 428},
+	{5, 0xbb164316957ac53b, 387, 16430, 422},
+	{6, 0xafd9e9b4d9faf4a0, 393, 14598, 452},
+	{7, 0xc06effec0b590bd6, 401, 14141, 406},
+	{8, 0x2e23107b78d2b492, 403, 16591, 426},
+	{9, 0xe932aa2e49e1fbec, 409, 19590, 423},
+	{10, 0x080ba6d6bdc38c50, 392, 17333, 416},
+	{11, 0x3f6a7917fa679abb, 399, 17943, 420},
+	{12, 0x7315d4cdf0edfef5, 412, 19397, 399},
+}
+
+// TestDifferentialCorosPinned replays the coroutine workload on both
+// schedulers and checks each run against pinnedCoros.
+func TestDifferentialCorosPinned(t *testing.T) {
+	for _, kind := range schedKinds {
+		for _, want := range pinnedCoros {
+			got := runRandomCoros(kind, want.seed)
+			if got.hash != want.hash || got.count != want.count || got.end != want.end || got.nevents != want.nevents {
+				t.Errorf("%v seed %d: hash %016x count %d end %d events %d; pinned %016x %d %d %d",
+					kind, want.seed, got.hash, got.count, got.end, got.nevents,
+					want.hash, want.count, want.end, want.nevents)
+			}
+		}
+	}
+}
+
 // TestDifferentialOverflowTieFIFO pins the subtlest ordering case: an
 // event scheduled beyond the wheel horizon (overflow-resident) and an
 // event scheduled later for the same cycle (wheel-resident) must run in

@@ -2,13 +2,20 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 )
 
-// event is a single scheduled callback.
+// event is a single scheduled callback, or, when co is set, a coroutine
+// resume: co.resume(gen, reason). Carrying the resume in the pooled
+// event keeps Park and Wake free of a closure allocation.
 type event struct {
 	at  Cycles
 	seq uint64 // tie-breaker: FIFO among events at the same cycle
 	fn  func()
+
+	co     *Coro
+	gen    uint64
+	reason WakeReason
 }
 
 // EngineConfig selects engine implementation details that must never
@@ -30,7 +37,7 @@ type Engine struct {
 	now   Cycles
 	seq   uint64
 	sched scheduler
-	coros []*Coro // all coroutines ever started, for shutdown
+	coros []*Coro // started coroutines in start order, for shutdown
 	trace *Trace
 
 	// free recycles event structs: the simulation's hot path schedules
@@ -77,6 +84,22 @@ func (e *Engine) Trace() *Trace { return e.trace }
 // At schedules fn to run at absolute cycle t. Scheduling in the past is an
 // error in simulation logic and panics.
 func (e *Engine) At(t Cycles, fn func()) {
+	ev := e.newEvent(t)
+	ev.fn = fn
+	e.sched.push(ev)
+}
+
+// resumeAt schedules a resume of c at cycle t, valid while c's wake
+// generation stays at its current value.
+func (e *Engine) resumeAt(t Cycles, c *Coro, reason WakeReason) {
+	ev := e.newEvent(t)
+	ev.co, ev.gen, ev.reason = c, c.wakeGen, reason
+	e.sched.push(ev)
+}
+
+// newEvent takes an event from the free list (or allocates one) and
+// gives it time t and the next sequence number.
+func (e *Engine) newEvent(t Cycles) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
@@ -89,8 +112,8 @@ func (e *Engine) At(t Cycles, fn func()) {
 	} else {
 		ev = new(event)
 	}
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
-	e.sched.push(ev)
+	ev.at, ev.seq = t, e.seq
+	return ev
 }
 
 // After schedules fn to run d cycles from now.
@@ -117,11 +140,15 @@ func (e *Engine) Step() bool {
 	} else {
 		e.now = ev.at
 	}
-	fn := ev.fn
-	ev.fn = nil
+	fn, co, gen, reason := ev.fn, ev.co, ev.gen, ev.reason
+	ev.fn, ev.co = nil, nil
 	e.free = append(e.free, ev)
 	e.stepping = true
-	fn()
+	if co != nil {
+		co.resume(gen, reason)
+	} else {
+		fn()
+	}
 	e.stepping = false
 	return true
 }
@@ -152,11 +179,23 @@ func (e *Engine) RunUntilIdle() int {
 	return n
 }
 
+// track records a started coroutine for Shutdown. When the slice is full
+// it first compacts finished and killed coroutines out, keeping start
+// order, and leaves at least as much free room as there are live entries,
+// so the scan is amortised over the appends that follow it.
+func (e *Engine) track(c *Coro) {
+	if len(e.coros) == cap(e.coros) {
+		live := slices.DeleteFunc(e.coros, func(c *Coro) bool { return c.done || c.dead })
+		e.coros = slices.Grow(live, len(live))
+	}
+	e.coros = append(e.coros, c)
+}
+
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return e.sched.len() }
 
-// Shutdown kills every live coroutine so their goroutines exit. The engine
-// must not be used afterwards.
+// Shutdown kills every live coroutine, in start order, unwinding each
+// through its deferred calls. The engine must not be used afterwards.
 //
 // Contract: Shutdown is only legal on an idle engine, from host code —
 // never from inside an event callback or coroutine. A coroutine cannot

@@ -93,6 +93,13 @@ go test -race -run 'TestDifferential' ./internal/sim/ ./internal/machine/
 go test -race -run 'TestReplicaWorkerInvariance' ./internal/sim/replica/
 go test -race -run 'TestRenderWorkerInvariance' ./internal/experiments/
 
+# Coroutine switch contracts: the iter.Pull handoff must keep kill/unwind,
+# shutdown order, the pinned runRandomCoros table and allocation-free
+# Park/Wake, repeated under -race; BenchmarkCoroSwitch must still run.
+echo "== coroutine switch: kill/unwind + pinned coros + alloc-free park/wake"
+go test -race -count=10 -run 'TestCoro|TestShutdown|TestEngineShutdown|TestDifferential|TestParkWake' ./internal/sim/
+go test -run '^$' -bench CoroSwitch -benchtime 1x ./internal/sim/
+
 # Observability contracts: arming the span/sampler layer must change
 # NOTHING (cycle-exact vs the unarmed machine, fault injector on), the
 # armed trace must be byte-identical across kernels x seeds x reruns and
