@@ -1,6 +1,8 @@
 package hw
 
 import (
+	"fmt"
+
 	"bgcnk/internal/ras"
 	"bgcnk/internal/sim"
 	"bgcnk/internal/upc"
@@ -39,58 +41,44 @@ const (
 	EvDDRUncorrectable
 )
 
-type cacheSet struct {
-	tags   []uint64
-	valid  []bool
-	victim int // round-robin, as on the real part — deterministic
+// MaxMemSize is the largest DDR size in bytes whose every L1 line number
+// fits a cache tag: tags are 32 bits wide and hold line+1, so zero can
+// mark an invalid way (~128 GiB; BG/P nodes carry 2-4 GB).
+const MaxMemSize = (1<<32 - 1) * L1LineSize
+
+// cacheArray is the tag store of one cache level: way w of set s holds
+// tags[s*ways+w], and victim[s] is set s's round-robin fill pointer, as
+// on the real part — deterministic.
+type cacheArray struct {
+	ways   uint64
+	tags   []uint32
+	victim []uint8
 }
 
-func newCacheArray(sets, ways int) []cacheSet {
-	a := make([]cacheSet, sets)
-	for i := range a {
-		a[i] = cacheSet{tags: make([]uint64, ways), valid: make([]bool, ways)}
-	}
-	return a
+func newCacheArray(sets, ways int) cacheArray {
+	return cacheArray{ways: uint64(ways), tags: make([]uint32, sets*ways), victim: make([]uint8, sets)}
 }
 
-// hit probes without filling.
-func (s *cacheSet) hit(tag uint64) bool {
-	for i, t := range s.tags {
-		if s.valid[i] && t == tag {
+// access probes set for line and reports a hit. On a miss with fill set
+// it installs line in the set's victim way and advances the pointer.
+func (a *cacheArray) access(set, line uint64, fill bool) bool {
+	tag, base := uint32(line+1), set*a.ways
+	for _, t := range a.tags[base : base+a.ways] {
+		if t == tag {
 			return true
 		}
 	}
+	if fill {
+		v := uint64(a.victim[set])
+		a.tags[base+v] = tag
+		if v++; v == a.ways {
+			v = 0
+		}
+		a.victim[set] = uint8(v)
+	}
 	return false
 }
 
-// access returns true on hit; on miss it fills the line.
-func (s *cacheSet) access(tag uint64) bool {
-	if s.hit(tag) {
-		return true
-	}
-	s.tags[s.victim] = tag
-	s.valid[s.victim] = true
-	s.victim = (s.victim + 1) % len(s.tags)
-	return false
-}
-
-func (s *cacheSet) invalidateAll() {
-	for i := range s.valid {
-		s.valid[i] = false
-	}
-	s.victim = 0
-}
-
-// CacheSim is the chip's memory-hierarchy cost model: private L1 per core,
-// a shared 8MB L3, and DDR with a refresh window. It is a deterministic
-// state machine: given the same access stream it produces the same costs,
-// which is a precondition for the paper's cycle-reproducibility claims.
-//
-// The model intentionally keeps a real tag array rather than a flat cost:
-// the residual "noise floor" CNK shows in FWQ (Fig 7, max variation
-// <0.006%) emerges from genuine L1 set conflicts between a benchmark's
-// working set and its results buffer, plus DDR refresh collisions — not
-// from a tunable jitter dial.
 // L3Mapping selects how physical lines map to L3 banks/sets. The BG/P
 // memory system exposed configuration parameters controlling "the mapping
 // of physical memory to cache controllers and to memory banks within the
@@ -108,9 +96,24 @@ const (
 	L3XorFoldMap
 )
 
+// CacheSim is the chip's memory-hierarchy cost model: private L1 per core,
+// a shared 8MB L3, and DDR with a refresh window. It is a deterministic
+// state machine: given the same access stream it produces the same costs,
+// which is a precondition for the paper's cycle-reproducibility claims.
+//
+// The model intentionally keeps a real tag array rather than a flat cost:
+// the residual "noise floor" CNK shows in FWQ (Fig 7, max variation
+// <0.006%) emerges from genuine L1 set conflicts between a benchmark's
+// working set and its results buffer, plus DDR refresh collisions — not
+// from a tunable jitter dial.
+//
+// Each level's tags live in one flat array allocated at construction; the
+// L1's holds all cores' sets, core c's from set c*L1Sets. A tag holds the
+// full line number plus one, so it does not depend on the L3 mapping and a
+// zeroed way is invalid: a new array is a cold cache, and a flush is one
+// clear.
 type CacheSim struct {
-	l1 [][]cacheSet // per core
-	l3 []cacheSet
+	l1, l3 cacheArray
 
 	// l3map is the configured bank mapping (a chip design parameter).
 	l3map L3Mapping
@@ -142,15 +145,12 @@ type CacheSim struct {
 // NewCacheSim builds the hierarchy for a chip with cores cores.
 func NewCacheSim(cores int) *CacheSim {
 	cs := &CacheSim{
-		l1:          make([][]cacheSet, cores),
+		l1:          newCacheArray(cores*L1Sets, L1Ways),
 		l3:          newCacheArray(L3Sets, L3Ways),
 		parityArm:   make([]bool, cores),
 		L1Hits:      make([]uint64, cores),
 		L1Misses:    make([]uint64, cores),
 		StoreMisses: make([]uint64, cores),
-	}
-	for i := range cs.l1 {
-		cs.l1[i] = newCacheArray(L1Sets, L1Ways)
 	}
 	return cs
 }
@@ -189,11 +189,14 @@ func (cs *CacheSim) Access(core int, pa PAddr, size uint32, write bool, now sim.
 	if size == 0 {
 		last = first
 	}
+	if last >= MaxMemSize/L1LineSize {
+		panic(fmt.Sprintf("hw: cache access [%#x,+%d) beyond tag range %#x", uint64(pa), size, uint64(MaxMemSize)))
+	}
 	u := cs.upc
 	for line := first; line <= last; line++ {
 		addr := line * L1LineSize
-		set := &cs.l1[core][line%L1Sets]
-		if set.hit(line) {
+		// Only a load miss allocates an L1 line (see the store path).
+		if cs.l1.access(uint64(core)*L1Sets+line%L1Sets, line, !write) {
 			cs.L1Hits[core]++
 			if u != nil {
 				u.Inc(core, upc.L1Hit)
@@ -210,7 +213,7 @@ func (cs *CacheSim) Access(core int, pa PAddr, size uint32, write bool, now sim.
 				u.Inc(core, upc.StoreMiss)
 			}
 			l3line := addr / L3LineSize
-			cs.l3[cs.l3index(l3line)].access(l3line)
+			cs.l3.access(cs.l3index(l3line), l3line, true)
 			cost += CostStoreMiss
 			continue
 		}
@@ -218,10 +221,8 @@ func (cs *CacheSim) Access(core int, pa PAddr, size uint32, write bool, now sim.
 		if u != nil {
 			u.Inc(core, upc.L1Miss)
 		}
-		set.access(line) // allocate on load miss
 		l3line := addr / L3LineSize
-		l3set := &cs.l3[cs.l3index(l3line)]
-		if l3set.access(l3line) {
+		if cs.l3.access(cs.l3index(l3line), l3line, true) {
 			cs.L3Hits++
 			if u != nil {
 				u.Inc(upc.ChipScope, upc.L3Hit)
@@ -276,21 +277,10 @@ func (cs *CacheSim) ResetRefreshPhase(now sim.Cycles) { cs.refreshBase = now }
 // FlushAll writes back and invalidates every level, as CNK does before
 // putting DDR in self-refresh for a reproducible reset.
 func (cs *CacheSim) FlushAll() {
-	for _, l1 := range cs.l1 {
-		for i := range l1 {
-			l1[i].invalidateAll()
-		}
-	}
-	for i := range cs.l3 {
-		cs.l3[i].invalidateAll()
-	}
-}
-
-// FlushCore invalidates one core's L1.
-func (cs *CacheSim) FlushCore(core int) {
-	for i := range cs.l1[core] {
-		cs.l1[core][i].invalidateAll()
-	}
+	clear(cs.l1.tags)
+	clear(cs.l1.victim)
+	clear(cs.l3.tags)
+	clear(cs.l3.victim)
 }
 
 func (cs *CacheSim) reset() {

@@ -2,6 +2,9 @@ package hw
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -204,18 +207,139 @@ func TestCachePrivateL1SharedL3(t *testing.T) {
 	}
 }
 
-func TestCacheDeterministicCosts(t *testing.T) {
-	run := func() sim.Cycles {
-		cs := NewCacheSim(4)
-		var total sim.Cycles
-		for i := 0; i < 1000; i++ {
-			c, _ := cs.Access(i%4, PAddr(i*37)%(1<<20), 64, i%2 == 0, sim.Cycles(i*13))
-			total += c
+// cacheStreamDigest drives a seeded CacheSim through an access stream
+// that exercises every path of the model and digests each (cost, event)
+// result plus every counter. The stream mixes random lines over 16 MB (L3
+// capacity misses), L1-set and L3-set conflict runs deeper than the 16
+// ways (round-robin eviction wraps), line-spanning sizes, stores, armed
+// parity, and a FlushAll and a reset mid-stream.
+func cacheStreamDigest(m L3Mapping, seed uint64) uint64 {
+	cs := NewCacheSim(CoresPerChip)
+	cs.SetL3Mapping(m)
+	rng := sim.NewRNG(seed)
+	h := fnv.New64a()
+	var buf []byte
+	put := func(vs ...uint64) {
+		buf = buf[:0]
+		for _, v := range vs {
+			buf = binary.LittleEndian.AppendUint64(buf, v)
 		}
-		return total
+		h.Write(buf)
 	}
-	if run() != run() {
-		t.Fatal("cache cost model is not deterministic")
+	counters := func() {
+		for c := range cs.L1Hits {
+			put(cs.L1Hits[c], cs.L1Misses[c], cs.StoreMisses[c])
+		}
+		put(cs.L3Hits, cs.L3Misses, cs.RefreshStalls, uint64(cs.RefreshStallCycles))
+	}
+	sizes := [...]uint32{0, 1, 8, 64, 100}
+	var now sim.Cycles
+	access := func(core int, pa PAddr, write bool) {
+		if rng.Intn(97) == 0 {
+			cs.ArmL1Parity(rng.Intn(CoresPerChip))
+		}
+		size := sizes[rng.Intn(len(sizes))]
+		cost, ev := cs.Access(core, pa, size, write, now)
+		put(uint64(cost), uint64(ev))
+		now += cost + sim.Cycles(1+rng.Intn(64))
+	}
+	random := func(n int) {
+		for i := 0; i < n; i++ {
+			access(rng.Intn(CoresPerChip), PAddr(rng.Intn(16<<20)), rng.Intn(4) == 0)
+		}
+	}
+	// conflict has one core touch depth lines that share one L1 set (or
+	// one L3 set), rounds times over in order, so the set's round-robin
+	// victim wraps, then as many times again in random order, so lines
+	// also hit in every way.
+	conflict := func(l3 bool, depth, rounds int) {
+		core := rng.Intn(CoresPerChip)
+		var lines []uint64
+		if l3 {
+			target := uint64(rng.Intn(L3Sets))
+			for l := uint64(rng.Intn(1 << 16)); len(lines) < depth; l++ {
+				if cs.l3index(l) == target {
+					lines = append(lines, l*L3LineSize)
+				}
+			}
+		} else {
+			base := uint64(rng.Intn(L1Sets)) * L1LineSize
+			for i := 0; i < depth; i++ {
+				lines = append(lines, base+uint64(i)*L1Sets*L1LineSize)
+			}
+		}
+		for r := 0; r < rounds; r++ {
+			for _, pa := range lines {
+				access(core, PAddr(pa), rng.Intn(8) == 0)
+			}
+		}
+		for i := 0; i < rounds*depth; i++ {
+			access(core, PAddr(lines[rng.Intn(depth)]), rng.Intn(8) == 0)
+		}
+	}
+	for phase := 0; phase < 3; phase++ {
+		random(4000)
+		conflict(false, L1Ways+5, 4)
+		conflict(true, L3Ways+7, 4)
+		random(2000)
+		switch phase {
+		case 0:
+			cs.FlushAll()
+		case 1:
+			counters()
+			cs.reset()
+		}
+	}
+	counters()
+	return h.Sum64()
+}
+
+// TestCacheDeterministicCosts pins the cache model to fixed reference
+// digests, so a change that shifts every run equally still fails here.
+// Only an intended change to the model's hits, victims or costs may
+// regenerate them.
+func TestCacheDeterministicCosts(t *testing.T) {
+	for _, tc := range []struct {
+		m    L3Mapping
+		seed uint64
+		want uint64
+	}{
+		{L3ModuloMap, 1, 0x94fae5abe5388cdc},
+		{L3ModuloMap, 2, 0x199373728271c6df},
+		{L3ModuloMap, 3, 0xd3a3bffbc0738a1d},
+		{L3XorFoldMap, 1, 0x6b8ebaf69f03ac73},
+		{L3XorFoldMap, 2, 0xb464c9e016ee4b79},
+		{L3XorFoldMap, 3, 0x7ff39172cbcfdb97},
+	} {
+		t.Run(fmt.Sprintf("map%d/seed%d", tc.m, tc.seed), func(t *testing.T) {
+			if got := cacheStreamDigest(tc.m, tc.seed); got != tc.want {
+				t.Fatalf("digest = %#016x, want %#016x", got, tc.want)
+			}
+		})
+	}
+}
+
+func TestCacheTagRangeLimit(t *testing.T) {
+	cs := NewCacheSim(1)
+	last := PAddr(MaxMemSize - L1LineSize)
+	if cost, _ := cs.Access(0, last, L1LineSize, false, RefreshLen); cost != CostDDR {
+		t.Fatalf("last in-range line cost %d, want a DDR fill (%d)", cost, CostDDR)
+	}
+	if cost, _ := cs.Access(0, last, 8, false, RefreshLen); cost != 0 {
+		t.Fatalf("last in-range line cost %d on reuse, want an L1 hit", cost)
+	}
+	for _, a := range []struct {
+		pa   PAddr
+		size uint32
+	}{{PAddr(MaxMemSize), 0}, {last, L1LineSize + 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Access(%#x, %d) beyond the tag range did not panic", uint64(a.pa), a.size)
+				}
+			}()
+			cs.Access(0, a.pa, a.size, false, 0)
+		}()
 	}
 }
 
@@ -257,6 +381,20 @@ func TestCacheFlushAllColdAfter(t *testing.T) {
 	cost, _ := cs.Access(0, 0x3000, 64, false, RefreshLen+1)
 	if cost < CostDDR {
 		t.Fatalf("post-flush access cost %d, want DDR miss", cost)
+	}
+}
+
+// TestNewChipAllocs guards the flat tag store: a chip builds in a few
+// dozen allocations (one per level's tag and victim array, not two per
+// cache set), and a reset with DDR in self-refresh allocates nothing.
+func TestNewChipAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { NewChip(ChipConfig{}) }); n > 32 {
+		t.Errorf("NewChip made %v allocations, want <= 32", n)
+	}
+	ch := NewChip(ChipConfig{})
+	ch.Mem.EnterSelfRefresh()
+	if n := testing.AllocsPerRun(10, ch.Reset); n != 0 {
+		t.Errorf("Chip.Reset with DDR in self-refresh made %v allocations, want 0", n)
 	}
 }
 

@@ -133,6 +133,9 @@ type Machine struct {
 
 // New builds and boots the machine.
 func New(cfg Config) (*Machine, error) {
+	if cfg.MemSize > hw.MaxMemSize {
+		return nil, fmt.Errorf("machine: MemSize %d exceeds the cache model's limit of %d bytes", cfg.MemSize, uint64(hw.MaxMemSize))
+	}
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
 	}

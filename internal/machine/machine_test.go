@@ -26,6 +26,14 @@ func TestSingleNodeCNKApp(t *testing.T) {
 	}
 }
 
+func TestMemSizeBeyondCacheTagsRejected(t *testing.T) {
+	m, err := New(Config{Nodes: 1, Kind: KindCNK, MemSize: hw.MaxMemSize + 1})
+	if err == nil {
+		m.Shutdown()
+		t.Fatal("New accepted MemSize beyond hw.MaxMemSize")
+	}
+}
+
 func TestMultiNodeRanksDistinct(t *testing.T) {
 	m, err := New(Config{Nodes: 4, Kind: KindCNK})
 	if err != nil {

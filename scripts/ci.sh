@@ -100,6 +100,14 @@ echo "== coroutine switch: kill/unwind + pinned coros + alloc-free park/wake"
 go test -race -count=10 -run 'TestCoro|TestShutdown|TestEngineShutdown|TestDifferential|TestParkWake' ./internal/sim/
 go test -run '^$' -bench CoroSwitch -benchtime 1x ./internal/sim/
 
+# Cache model contracts: the flat tag store must replay the pinned
+# CacheSim digests (both L3 mappings), reject lines beyond the tag width,
+# build a chip in a few dozen allocations and reset it with none, under
+# -race; the hw benchmarks must still run.
+echo "== hw cache model: pinned digests + tag range + chip allocations"
+go test -race -run 'TestCache|TestChip|TestNewChip' ./internal/hw/
+go test -run '^$' -bench 'NewChip|ChipReset|CacheAccess' -benchtime 1x ./internal/hw/
+
 # Observability contracts: arming the span/sampler layer must change
 # NOTHING (cycle-exact vs the unarmed machine, fault injector on), the
 # armed trace must be byte-identical across kernels x seeds x reruns and
