@@ -13,6 +13,9 @@
 // a seeded queue of job submissions on -workers parallel workers:
 //
 //	go run ./cmd/cnksim -kernel cnk -partitions 4 -nodes 2 -jobs 50 -workers 4
+//
+// A flag the chosen mode does not read is an error (exit 2), not a
+// silent no-op.
 package main
 
 import (
@@ -46,11 +49,13 @@ func main() {
 	jobs := flag.Int("jobs", 0, "control-system mode: drain this many queued jobs (0 = run -workload instead)")
 	workers := flag.Int("workers", 1, "control-system mode: parallel partition workers")
 	tracePath := flag.String("trace", "", "write the run's span trace to this file as Chrome trace-event JSON (load in ui.perfetto.dev)")
-	traceSample := flag.Int("tracesample", 0, "with -trace: also sample the UPC counters every N cycles (delta-encoded time-series)")
+	traceSample := flag.Int("tracesample", 0, "with -trace, without -jobs: also sample the UPC counters every N cycles (delta-encoded time-series)")
 	flag.Parse()
 
-	if *counters != "" && *counters != "text" && *counters != "json" {
-		fmt.Fprintf(os.Stderr, "-counters must be text or json, got %q\n", *counters)
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(set, *kernelName, *counters, *jobs > 0); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -183,6 +188,42 @@ func writeTrace(path string, data []byte, spans, samples int) {
 		spans, samples, len(data), path)
 }
 
+// machineOnly flags configure a single-machine run; controlOnly flags
+// configure a -jobs drain. Each mode ignores the other's flags.
+var (
+	machineOnly = []string{"workload", "samples", "counters", "linkfails", "nodefails", "noresilience", "ras", "tracesample"}
+	controlOnly = []string{"partitions", "workers"}
+)
+
+// checkFlags rejects a command line that would silently run something
+// other than what it asks for: an unknown kernel or counter format, a
+// flag the chosen mode never reads, or a flag whose companion is absent.
+// set holds the names of the flags given on the command line.
+func checkFlags(set map[string]bool, kernelName, counters string, control bool) error {
+	if kernelName != "cnk" && kernelName != "fwk" {
+		return fmt.Errorf("-kernel must be cnk or fwk, got %q", kernelName)
+	}
+	if counters != "" && counters != "text" && counters != "json" {
+		return fmt.Errorf("-counters must be text or json, got %q", counters)
+	}
+	ignored, mode := controlOnly, "only with -jobs"
+	if control {
+		ignored, mode = machineOnly, "only without -jobs"
+	}
+	for _, name := range ignored {
+		if set[name] {
+			return fmt.Errorf("-%s applies %s", name, mode)
+		}
+	}
+	if set["tracesample"] && !set["trace"] {
+		return fmt.Errorf("-tracesample applies only with -trace")
+	}
+	if set["noresilience"] && !set["linkfails"] && !set["nodefails"] {
+		return fmt.Errorf("-noresilience applies only with -linkfails or -nodefails")
+	}
+	return nil
+}
+
 func report(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -225,7 +266,7 @@ func runControl(kind bluegene.KernelKind, partitions, nodesPerMidplane, jobs, wo
 		len(d.Results), d.Sched.Makespan.Seconds(), d.JobsPerSecond(),
 		d.Sched.Backfilled, d.Sched.Utilization*100)
 	// No host wall-clock here: cnksim output is byte-identical across
-	// reruns (ctrlbench is the wall-clock reporting tool).
+	// reruns (BenchmarkDrainSerial/Parallel in internal/ctrlsys time it).
 	fmt.Printf("%d failures, %d RAS events, drain signature %016x\n",
 		d.Failures, d.RASEvents, d.Signature())
 	if tracePath != "" {

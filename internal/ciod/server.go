@@ -25,10 +25,6 @@ const (
 	costCoalescedWrite = sim.Cycles(400)
 )
 
-// Server is the Control and I/O Daemon running on an I/O node: it
-// retrieves messages from the collective network and directs them to
-// ioproxy threads; each ioproxy is associated with a specific compute-node
-// process and mirrors its filesystem state.
 // proxyKey identifies an ioproxy: compute-node endpoint plus process ID
 // (PIDs are only unique per node).
 type proxyKey struct {
@@ -36,6 +32,10 @@ type proxyKey struct {
 	pid  uint32
 }
 
+// Server is the Control and I/O Daemon running on an I/O node: it
+// retrieves messages from the collective network and directs them to
+// ioproxy threads; each ioproxy is associated with a specific compute-node
+// process and mirrors its filesystem state.
 type Server struct {
 	eng  *sim.Engine
 	ep   *collective.Endpoint

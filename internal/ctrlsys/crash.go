@@ -25,8 +25,8 @@ var ErrServiceNodeCrash = errors.New("ctrlsys: service node crashed")
 // Control-plane cost model, in simulated cycles on the service node's
 // clock: appending one journal record, noticing a dead service node, and
 // replaying a journal of a given size. These feed CrashStats and the
-// recovery-latency sweep in cmd/resbench; they never touch partition
-// simulations, so they cannot perturb job results.
+// recovery latency the crashes experiment reports; they never touch
+// partition simulations, so they cannot perturb job results.
 const (
 	journalAppendCost = sim.Cycles(2_000)
 	crashDetectCost   = sim.Cycles(1_000_000)

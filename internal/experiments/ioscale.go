@@ -28,8 +28,8 @@ import (
 const (
 	ioscaleChunk    = 1024 // bytes per write
 	ioscaleWrites   = 12   // writes per compute node
-	ioscaleQueue    = 16  // ingress credits per ION
-	ioscaleCacheBlk = 512 // cache blocks per ION (the ION runs Linux: a real page cache)
+	ioscaleQueue    = 16   // ingress credits per ION
+	ioscaleCacheBlk = 512  // cache blocks per ION (the ION runs Linux: a real page cache)
 )
 
 // ioscaleApp is the per-rank workload: stream chunks into a private file
@@ -101,48 +101,6 @@ func ioscaleRun(kind machine.KernelKind, ratio int) (ioscaleCell, error) {
 		hits:      s.CacheHits,
 		misses:    s.CacheMisses,
 		counters:  ctr,
-	}, nil
-}
-
-// IOScaleMeasurement is one (kernel, ratio) cell of the ioscale sweep
-// in report units, exported for cmd/ionbench's machine-readable output.
-type IOScaleMeasurement struct {
-	ElapsedMs float64
-	AggMBps   float64
-	PerCNMBps float64
-	StallKcyc float64
-	Admits    uint64
-	Coalesced uint64
-	HitRate   float64 // percent
-	Identical bool    // a rerun was bit-identical (counters and cycles)
-}
-
-// MeasureIOScale runs one (kernel, ratio) cell of the ioscale sweep
-// twice and reports the measured numbers plus whether the rerun came
-// out bit-identical. The experiment itself (RunIOScale) gates the
-// sweep's qualitative shape; this is the raw-number hook for benches.
-func MeasureIOScale(kind machine.KernelKind, ratio int) (IOScaleMeasurement, error) {
-	a, err := ioscaleRun(kind, ratio)
-	if err != nil {
-		return IOScaleMeasurement{}, err
-	}
-	b, err := ioscaleRun(kind, ratio)
-	if err != nil {
-		return IOScaleMeasurement{}, err
-	}
-	hitRate := 0.0
-	if a.hits+a.misses > 0 {
-		hitRate = 100 * float64(a.hits) / float64(a.hits+a.misses)
-	}
-	return IOScaleMeasurement{
-		ElapsedMs: a.elapsed.Seconds() * 1e3,
-		AggMBps:   a.mbps(ratio),
-		PerCNMBps: a.mbps(ratio) / float64(ratio),
-		StallKcyc: float64(a.stall) / 1e3,
-		Admits:    a.admits,
-		Coalesced: a.coalesced,
-		HitRate:   hitRate,
-		Identical: a.counters == b.counters && a.elapsed == b.elapsed,
 	}, nil
 }
 

@@ -95,42 +95,6 @@ func tracescaleRun(kind machine.KernelKind, nodes int) (tracescaleCell, error) {
 	}, nil
 }
 
-// TraceScaleMeasurement is one (kernel, nodes) cell of the tracescale
-// sweep, exported for cmd/tracebench's machine-readable output.
-type TraceScaleMeasurement struct {
-	Spans        int
-	Samples      int
-	SchedSpans   int
-	SyscallSpans int
-	JSONBytes    int
-	BinBytes     int
-	SpansPerNode float64
-	Identical    bool // a rerun's JSON export was byte-identical
-}
-
-// MeasureTraceScale runs one (kernel, nodes) cell twice and reports the
-// trace-volume numbers plus rerun byte-identity of the JSON export.
-func MeasureTraceScale(kind machine.KernelKind, nodes int) (TraceScaleMeasurement, error) {
-	a, err := tracescaleRun(kind, nodes)
-	if err != nil {
-		return TraceScaleMeasurement{}, err
-	}
-	b, err := tracescaleRun(kind, nodes)
-	if err != nil {
-		return TraceScaleMeasurement{}, err
-	}
-	return TraceScaleMeasurement{
-		Spans:        a.spans,
-		Samples:      a.samples,
-		SchedSpans:   a.cats[obs.CatSched],
-		SyscallSpans: a.cats[obs.CatSyscall],
-		JSONBytes:    a.jsonBytes,
-		BinBytes:     a.binBytes,
-		SpansPerNode: float64(a.spans) / float64(nodes),
-		Identical:    string(a.json) == string(b.json),
-	}, nil
-}
-
 // RunTraceScale sweeps node counts for both kernels with full tracing
 // armed and asserts the volume and asymmetry shape.
 func RunTraceScale(opt Options) (*Result, error) {

@@ -1,16 +1,23 @@
 package machine
 
 import (
+	"flag"
 	"fmt"
+	"hash/fnv"
+	"os"
+	"strings"
 	"testing"
 
 	"bgcnk/internal/hw"
 	"bgcnk/internal/ion"
 	"bgcnk/internal/kernel"
+	"bgcnk/internal/obs"
 	"bgcnk/internal/ras"
 	"bgcnk/internal/sim"
 	"bgcnk/internal/upc"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/fault_matrix.txt")
 
 // The fault battery: the RAS layer must be deterministic end to end. A
 // seeded plan yields a bit-identical fault schedule, kernels react to it
@@ -31,8 +38,13 @@ func storeStress(m *Machine, pages int) App {
 	}
 }
 
-// mixedBody exercises memory and the function-ship path in one rank.
-func mixedBody(m *Machine, t *testing.T) App {
+// mixedBody exercises memory, the function-ship path and the network in
+// one rank: strided loads that draw DDR fills, a file written through
+// CIOD (CNK) or the local filesystem (FWK), then a neighbor exchange and
+// an allreduce over the torus and collective links. A network errno ends
+// the rank with that errno as its exit code, so lost peers show up in the
+// exit vector instead of a hang.
+func mixedBody(m *Machine) App {
 	return func(ctx kernel.Context, env *Env) {
 		base := m.HeapBase(ctx)
 		buf := make([]byte, 128)
@@ -49,6 +61,21 @@ func mixedBody(m *Machine, t *testing.T) App {
 			ctx.Syscall(kernel.SysWrite, fd, uint64(base+4096), 512)
 		}
 		ctx.Syscall(kernel.SysClose, fd)
+		if env.MPI == nil {
+			return
+		}
+		payload := make([]byte, 600)
+		if errno := env.MPI.Send(ctx, (env.Rank+1)%env.Size, 7100, payload); errno != kernel.OK {
+			ctx.Syscall(kernel.SysExit, uint64(errno))
+			return
+		}
+		if _, _, errno := env.MPI.Recv(ctx, 7100); errno != kernel.OK {
+			ctx.Syscall(kernel.SysExit, uint64(errno))
+			return
+		}
+		if _, errno := env.MPI.Allreduce(ctx, float64(env.Rank)); errno != kernel.OK {
+			ctx.Syscall(kernel.SysExit, uint64(errno))
+		}
 	}
 }
 
@@ -177,85 +204,157 @@ func TestRecoveryUnderFaultDeterminism(t *testing.T) {
 }
 
 type matrixOutcome struct {
-	hash     uint64
-	now      sim.Cycles
-	counters upc.Snapshot
-	rasHash  uint64
-	codes    string
+	hash      uint64
+	now       sim.Cycles
+	counters  upc.Snapshot
+	rasHash   uint64
+	rasCounts [ras.NumClasses]uint64
+	codes     string
 }
 
-func faultMatrixRun(t *testing.T, kind KernelKind, plan ras.Plan, icfg *ion.Config) matrixOutcome {
+// faultMatrixRun boots cfg, runs mixedBody once and reports the outcome.
+func faultMatrixRun(t *testing.T, cfg Config) matrixOutcome {
 	t.Helper()
-	m, err := New(Config{
-		Nodes: 2, Kind: kind, Seed: 11,
-		Reproducible: kind == KindCNK,
-		Faults:       &plan,
-		ION:          icfg,
-	})
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Shutdown()
-	if err := m.Run(mixedBody(m, t), kernel.JobParams{}, sim.FromSeconds(600)); err != nil {
+	if err := m.Run(mixedBody(m), kernel.JobParams{}, sim.FromSeconds(600)); err != nil {
 		t.Fatal(err)
 	}
-	var rasHash uint64
-	if m.RAS != nil {
-		rasHash = m.RAS.Hash()
-	}
-	return matrixOutcome{
+	out := matrixOutcome{
 		hash:     m.Eng.Trace().Hash(),
 		now:      m.Eng.Now(),
 		counters: m.MergedCounters(),
-		rasHash:  rasHash,
 		codes:    fmt.Sprint(m.ExitCodes()),
 	}
+	if m.RAS != nil {
+		out.rasHash = m.RAS.Hash()
+		for cl := ras.Class(0); cl < ras.NumClasses; cl++ {
+			out.rasCounts[cl] = m.RAS.Count(cl)
+		}
+	}
+	return out
 }
 
-// TestFaultMatrix pins determinism per kernel per fault class: at a
-// fixed seed, two runs under each single-class plan complete (or fail)
-// bit-identically. This is the CI fault-matrix pass.
-func TestFaultMatrix(t *testing.T) {
+// matrixCell is one row of the fault matrix: a machine configuration and
+// the RAS classes that must fire under it.
+type matrixCell struct {
+	name  string
+	cfg   Config
+	fires []ras.Class
+}
+
+// faultMatrixCells lists, per kernel, one cell per injected fault class
+// plus four rows without soft faults: plain, ION armed, torus hard
+// faults and obs armed. The FWK keeps its filesystem local and never
+// speaks CIOD, so ciod_drop, ciod_crash and ion_crash cannot fire on it
+// and are CNK-only.
+func faultMatrixCells() []matrixCell {
 	const seed = 0xfa117
-	classes := []struct {
-		name string
-		plan ras.Plan
-		ion  *ion.Config
-	}{
-		{"correctable_ecc", ras.Plan{Seed: seed, DDRCorrectable: 1e-3}, nil},
-		{"uncorrectable_ecc", ras.Plan{Seed: seed, DDRUncorrectable: 5e-4}, nil},
-		{"tlb_parity", ras.Plan{Seed: seed, TLBParity: 1e-4}, nil},
-		{"link_crc", ras.Plan{Seed: seed, LinkCRC: 1e-2}, nil},
-		{"ciod_drop", ras.Plan{Seed: seed, CIODDrop: 0.3}, nil},
-		{"ciod_crash", ras.Plan{Seed: seed, CIODCrashEvery: 10}, nil},
-		// ion_crash reuses the daemon-crash machinery with the aggregation
-		// subsystem armed: the counter cadence kills CIOD *and* drops the
-		// buffer cache, and the whole sequence must replay cycle-exactly.
-		{"ion_crash", ras.Plan{Seed: seed, IONCrashEvery: 6, CIODRestartDelay: 50_000},
-			&ion.Config{QueueDepth: 4}},
-	}
+	var cells []matrixCell
 	for _, kind := range []KernelKind{KindCNK, KindFWK} {
-		for _, cl := range classes {
-			kind, cl := kind, cl
-			t.Run(fmt.Sprintf("%v/%s", kind, cl.name), func(t *testing.T) {
-				a := faultMatrixRun(t, kind, cl.plan, cl.ion)
-				b := faultMatrixRun(t, kind, cl.plan, cl.ion)
-				if a.hash != b.hash {
-					t.Errorf("trace hash differs: %x vs %x", a.hash, b.hash)
+		add := func(name string, cfg Config, fires ...ras.Class) {
+			cfg.Nodes, cfg.Kind, cfg.Seed, cfg.Reproducible = 2, kind, 11, kind == KindCNK
+			cells = append(cells, matrixCell{fmt.Sprintf("%v/%s", kind, name), cfg, fires})
+		}
+		add("correctable_ecc", Config{Faults: &ras.Plan{Seed: seed, DDRCorrectable: 1e-2}}, ras.CorrectableECC)
+		add("uncorrectable_ecc", Config{Faults: &ras.Plan{Seed: seed, DDRUncorrectable: 5e-3}}, ras.UncorrectableECC)
+		add("tlb_parity", Config{Faults: &ras.Plan{Seed: seed, TLBParity: 1e-2}}, ras.TLBParity)
+		add("link_crc", Config{Faults: &ras.Plan{Seed: seed, LinkCRC: 0.2}}, ras.LinkCRC)
+		if kind == KindCNK {
+			add("ciod_drop", Config{Faults: &ras.Plan{Seed: seed, CIODDrop: 0.3}}, ras.CIODDrop)
+			add("ciod_crash", Config{Faults: &ras.Plan{Seed: seed, CIODCrashEvery: 10}}, ras.CIODCrash)
+			// ion_crash reuses the daemon-crash machinery with the
+			// aggregation subsystem armed: the counter cadence kills CIOD
+			// *and* drops the buffer cache, and the whole sequence must
+			// replay cycle-exactly.
+			add("ion_crash", Config{
+				Faults: &ras.Plan{Seed: seed, IONCrashEvery: 6, CIODRestartDelay: 50_000},
+				ION:    &ion.Config{QueueDepth: 4},
+			}, ras.IONCrash)
+		}
+		add("plain", Config{})
+		add("ion", Config{ION: &ion.Config{QueueDepth: 4}})
+		add("torus_hard", Config{Faults: &ras.Plan{Seed: seed, LinkFails: 1, NodeFails: 1}}, ras.LinkFail, ras.NodeFail)
+		add("obs", Config{Obs: &obs.Config{SampleEvery: 50_000}})
+	}
+	return cells
+}
+
+// row renders an outcome as one line of the reference table: trace hash,
+// end cycle, exit codes, RAS hash and an FNV-64a digest of the merged
+// counter table.
+func (o matrixOutcome) row(name string) string {
+	h := fnv.New64a()
+	h.Write([]byte(o.counters.Text()))
+	return fmt.Sprintf("%s trace=%016x end=%d codes=%s ras=%016x counters=%016x",
+		name, o.hash, o.now, strings.ReplaceAll(o.codes, " ", ","), o.rasHash, h.Sum64())
+}
+
+const faultMatrixRef = "testdata/fault_matrix.txt"
+
+// TestFaultMatrix pins each kernel under each single-class fault plan,
+// and under the unfaulted configurations, in two ways: every class the
+// cell names must fire, two runs must be bit-identical, and the first
+// run must match the committed reference row in testdata (regenerate
+// with -update after an intentional model change). This is the CI
+// fault-matrix pass.
+func TestFaultMatrix(t *testing.T) {
+	cells := faultMatrixCells()
+	want := map[string]string{}
+	if !*update {
+		data, err := os.ReadFile(faultMatrixRef)
+		if err != nil {
+			t.Fatalf("%v (run `go test ./internal/machine -run TestFaultMatrix -update` to create)", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			if name, _, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+				want[name] = line
+			}
+		}
+	}
+	rows := make([]string, len(cells))
+	for i, cl := range cells {
+		t.Run(cl.name, func(t *testing.T) {
+			a := faultMatrixRun(t, cl.cfg)
+			b := faultMatrixRun(t, cl.cfg)
+			for _, c := range cl.fires {
+				if a.rasCounts[c] == 0 {
+					t.Errorf("no %v RAS event: the cell injects nothing", c)
 				}
-				if a.now != b.now {
-					t.Errorf("simulated time differs: %d vs %d", a.now, b.now)
-				}
-				if a.counters != b.counters {
-					t.Errorf("counters differ:\n%s\nvs\n%s", a.counters.Text(), b.counters.Text())
-				}
-				if a.rasHash != b.rasHash {
-					t.Errorf("RAS hash differs: %x vs %x", a.rasHash, b.rasHash)
-				}
-				if a.codes != b.codes {
-					t.Errorf("exit codes differ: %s vs %s", a.codes, b.codes)
-				}
-			})
+			}
+			if a.hash != b.hash {
+				t.Errorf("trace hash differs: %x vs %x", a.hash, b.hash)
+			}
+			if a.now != b.now {
+				t.Errorf("simulated time differs: %d vs %d", a.now, b.now)
+			}
+			if a.counters != b.counters {
+				t.Errorf("counters differ:\n%s\nvs\n%s", a.counters.Text(), b.counters.Text())
+			}
+			if a.rasHash != b.rasHash {
+				t.Errorf("RAS hash differs: %x vs %x", a.rasHash, b.rasHash)
+			}
+			if a.codes != b.codes {
+				t.Errorf("exit codes differ: %s vs %s", a.codes, b.codes)
+			}
+			rows[i] = a.row(cl.name)
+			if !*update && rows[i] != want[cl.name] {
+				t.Errorf("drifted from %s:\n got %s\nwant %s", faultMatrixRef, rows[i], want[cl.name])
+			}
+		})
+	}
+	if *update {
+		for i, r := range rows {
+			if r == "" {
+				t.Fatalf("-update needs the whole matrix; %s did not run", cells[i].name)
+			}
+		}
+		out := "# TestFaultMatrix reference: first run of each cell on mixedBody.\n" + strings.Join(rows, "\n") + "\n"
+		if err := os.WriteFile(faultMatrixRef, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -270,7 +369,7 @@ func TestFaultsOffChangesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Shutdown()
-		if err := m.Run(mixedBody(m, t), kernel.JobParams{}, sim.FromSeconds(600)); err != nil {
+		if err := m.Run(mixedBody(m), kernel.JobParams{}, sim.FromSeconds(600)); err != nil {
 			t.Fatal(err)
 		}
 		if m.RAS != nil {

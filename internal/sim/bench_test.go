@@ -5,8 +5,7 @@ import "testing"
 // The scheduler micro-benchmarks drive both implementations through the
 // three shapes the machine model produces: raw scheduling, dense
 // same-window dispatch (barrier storms, packet bursts), and sparse
-// far-flung timers (daemon periods, checkpoint intervals). cmd/simbench
-// runs the same workloads to emit BENCH_sim.json.
+// far-flung timers (daemon periods, checkpoint intervals).
 
 func benchBoth(b *testing.B, fn func(b *testing.B, kind SchedulerKind)) {
 	for _, kind := range []SchedulerKind{SchedHeap, SchedWheel} {

@@ -109,13 +109,13 @@ func nodeFaultLess(a, b NodeFault) bool {
 	return coordLess(a.C, b.C)
 }
 
-// enumCoords lists every coordinate of a dims-sized torus in x,y,z
-// lexicographic order.
 // EnumCoords lists every coordinate of a dims-shaped torus in canonical
 // row-major order (x outermost) — the rank-to-coordinate mapping the
 // machine layer uses for non-ring topologies.
 func EnumCoords(dims Coord) []Coord { return enumCoords(dims) }
 
+// enumCoords lists every coordinate of a dims-sized torus in x,y,z
+// lexicographic order.
 func enumCoords(dims Coord) []Coord {
 	var out []Coord
 	for x := 0; x < max1(dims[0]); x++ {
