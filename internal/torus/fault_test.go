@@ -1,8 +1,9 @@
 package torus
 
 import (
-	"bytes"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
 	"bgcnk/internal/hw"
@@ -21,7 +22,7 @@ func TestHopsFirstHopProperties(t *testing.T) {
 	for _, dims := range propDims {
 		eng := sim.NewEngine()
 		net := New(eng, DefaultConfig(dims))
-		coords := enumCoords(dims)
+		coords := EnumCoords(dims)
 		for _, a := range coords {
 			for _, b := range coords {
 				h := net.Hops(a, b)
@@ -31,19 +32,19 @@ func TestHopsFirstHopProperties(t *testing.T) {
 				if (h == 0) != (a == b) {
 					t.Fatalf("dims %v: Hops(%v,%v)=%d", dims, a, b, h)
 				}
-				dim, _ := net.firstHop(a, b)
-				if (dim < 0) != (h == 0) {
-					t.Fatalf("dims %v: firstHop(%v,%v) dim=%d with hops=%d", dims, a, b, dim, h)
-				}
-				// Greedy walk by firstHop must reach b in exactly Hops steps:
-				// wraparound and tie-breaking must never lengthen the route.
+				// Greedy walk by each step's first dimension-ordered link
+				// must reach b in exactly Hops steps: wraparound and
+				// tie-breaking must never lengthen the route.
 				cur := a
 				for steps := 0; cur != b; steps++ {
 					if steps > h {
-						t.Fatalf("dims %v: firstHop walk %v->%v exceeded %d hops", dims, a, b, h)
+						t.Fatalf("dims %v: first-hop walk %v->%v exceeded %d hops", dims, a, b, h)
 					}
-					d, pos := net.firstHop(cur, b)
-					cur = step(cur, d, pos, dims)
+					k := dimOrderRoute(cur, b, dims)[0]
+					if k.c != cur {
+						t.Fatalf("dims %v: first link of %v->%v leaves %v", dims, cur, b, k.c)
+					}
+					cur = step(cur, k.dim, k.pos, dims)
 				}
 			}
 		}
@@ -51,29 +52,31 @@ func TestHopsFirstHopProperties(t *testing.T) {
 }
 
 func TestFirstHopTieBreaksForward(t *testing.T) {
-	eng := sim.NewEngine()
-	net := New(eng, DefaultConfig(Coord{4, 6, 1}))
+	dims := Coord{4, 6, 1}
+	first := func(a, b Coord) linkKey { return dimOrderRoute(a, b, dims)[0] }
 	// Equal forward/backward distance (4/2=2 each way): forward wins.
-	if d, pos := net.firstHop(Coord{0, 0, 0}, Coord{2, 0, 0}); d != 0 || !pos {
-		t.Fatalf("tie on dim 0: got dim %d pos %v, want 0/forward", d, pos)
+	if k := first(Coord{0, 0, 0}, Coord{2, 0, 0}); k.dim != 0 || !k.pos {
+		t.Fatalf("tie on dim 0: got dim %d pos %v, want 0/forward", k.dim, k.pos)
 	}
-	if d, pos := net.firstHop(Coord{1, 1, 0}, Coord{1, 4, 0}); d != 1 || !pos {
-		t.Fatalf("tie on dim 1: got dim %d pos %v, want 1/forward", d, pos)
+	if k := first(Coord{1, 1, 0}, Coord{1, 4, 0}); k.dim != 1 || !k.pos {
+		t.Fatalf("tie on dim 1: got dim %d pos %v, want 1/forward", k.dim, k.pos)
 	}
 	// Strictly shorter backward must win over the tie-break.
-	if d, pos := net.firstHop(Coord{0, 1, 0}, Coord{0, 5, 0}); d != 1 || pos {
-		t.Fatalf("shorter backward: got dim %d pos %v, want 1/backward", d, pos)
+	if k := first(Coord{0, 1, 0}, Coord{0, 5, 0}); k.dim != 1 || k.pos {
+		t.Fatalf("shorter backward: got dim %d pos %v, want 1/backward", k.dim, k.pos)
 	}
 }
 
 func TestLegacyPathMatchesHops(t *testing.T) {
+	// The static dimension-ordered route (what a torus without
+	// fault-region routing injects into) is always minimal.
 	for _, dims := range propDims {
 		eng := sim.NewEngine()
 		net := New(eng, DefaultConfig(dims))
-		for _, a := range enumCoords(dims) {
-			for _, b := range enumCoords(dims) {
-				if got, want := len(legacyPath(a, b, dims)), net.Hops(a, b); got != want {
-					t.Fatalf("dims %v: legacyPath(%v,%v) length %d, want %d", dims, a, b, got, want)
+		for _, a := range EnumCoords(dims) {
+			for _, b := range EnumCoords(dims) {
+				if got, want := len(dimOrderRoute(a, b, dims)), net.Hops(a, b); got != want {
+					t.Fatalf("dims %v: dimOrderRoute(%v,%v) length %d, want %d", dims, a, b, got, want)
 				}
 			}
 		}
@@ -84,11 +87,11 @@ func TestDrawFaultPlanDeterministic(t *testing.T) {
 	dims := Coord{6, 1, 1}
 	p1 := DrawFaultPlan(sim.NewRNG(42), dims, 4, 2, 1000)
 	p2 := DrawFaultPlan(sim.NewRNG(42), dims, 4, 2, 1000)
-	if !bytes.Equal(p1.Marshal(), p2.Marshal()) {
+	if !reflect.DeepEqual(p1, p2) {
 		t.Fatal("same seed drew different plans")
 	}
 	p3 := DrawFaultPlan(sim.NewRNG(43), dims, 4, 2, 1000)
-	if bytes.Equal(p1.Marshal(), p3.Marshal()) {
+	if reflect.DeepEqual(p1, p3) {
 		t.Fatal("different seeds drew identical plans")
 	}
 	if len(p1.Links) != 4 || len(p1.Nodes) != 2 {
@@ -113,89 +116,23 @@ func TestDrawFaultPlanDeterministic(t *testing.T) {
 	}
 }
 
-func TestFaultPlanCodecRoundTrip(t *testing.T) {
-	p := DrawFaultPlan(sim.NewRNG(9), Coord{4, 3, 1}, 5, 2, 2_000_000)
-	b := p.Marshal()
-	got, err := UnmarshalFaultPlan(b)
-	if err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if !bytes.Equal(got.Marshal(), b) {
-		t.Fatal("round trip not identical")
-	}
-	if _, err := UnmarshalFaultPlan(append(b, 0)); err == nil {
-		t.Fatal("trailing byte accepted")
-	}
-	if _, err := UnmarshalFaultPlan(b[:len(b)-1]); err == nil {
-		t.Fatal("truncation accepted")
-	}
-	bad := append([]byte(nil), b...)
-	bad[0] = 'X'
-	if _, err := UnmarshalFaultPlan(bad); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	// Duplicate entries survive Marshal's sort unchanged, and the decoder's
-	// strictly-increasing order check must reject them.
-	dup := &FaultPlan{Links: []LinkFault{p.Links[0], p.Links[0]}}
-	if _, err := UnmarshalFaultPlan(dup.Marshal()); err == nil {
-		t.Fatal("duplicate (non-strictly-ordered) links accepted")
-	}
-}
-
-func TestRouteTableHealthyMinimal(t *testing.T) {
+func TestHealthyRoutesAreDimensionOrdered(t *testing.T) {
+	// With nothing dead, the fault-region search must pick exactly the
+	// dimension-ordered route, link for link: this is what lets a healthy
+	// network route without searching.
+	healthy := &faultState{}
 	for _, dims := range propDims {
-		eng := sim.NewEngine()
-		net := New(eng, DefaultConfig(dims))
-		rt := BuildRouteTable(dims, 1, func(linkKey) bool { return true }, func(Coord) bool { return true })
-		for _, r := range rt.Routes {
-			if got, want := len(r.Hops), net.Hops(r.Src, r.Dst); got != want {
-				t.Fatalf("dims %v: healthy route %v->%v has %d hops, want %d", dims, r.Src, r.Dst, got, want)
+		coords := EnumCoords(dims)
+		for _, a := range coords {
+			via := healthy.reach(a, dims)
+			for _, b := range coords {
+				got, want := via.pathTo(a, b), dimOrderRoute(a, b, dims)
+				if !slices.Equal(got, want) {
+					t.Fatalf("dims %v: healthy route %v->%v is %v, want %v", dims, a, b, got, want)
+				}
 			}
 		}
 	}
-}
-
-func TestRouteTableCodecRoundTrip(t *testing.T) {
-	rt := BuildRouteTable(Coord{4, 2, 1}, 3, func(linkKey) bool { return true }, func(Coord) bool { return true })
-	b := rt.Marshal()
-	got, err := UnmarshalRouteTable(b)
-	if err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if !bytes.Equal(got.Marshal(), b) {
-		t.Fatal("round trip not identical")
-	}
-	if _, err := UnmarshalRouteTable(append(b, 1)); err == nil {
-		t.Fatal("trailing byte accepted")
-	}
-	if _, err := UnmarshalRouteTable(b[:7]); err == nil {
-		t.Fatal("truncation accepted")
-	}
-	// Corrupt one hop coordinate: the path is no longer a unit-step chain.
-	bad := append([]byte(nil), b...)
-	bad[len(bad)-1] ^= 0x55
-	if _, err := UnmarshalRouteTable(bad); err == nil {
-		t.Fatal("non-unit-step route accepted")
-	}
-}
-
-func FuzzFaultPlan(f *testing.F) {
-	f.Add([]byte(""))
-	f.Add(DrawFaultPlan(sim.NewRNG(1), Coord{4, 1, 1}, 2, 1, 1000).Marshal())
-	f.Add(BuildRouteTable(Coord{3, 1, 1}, 1,
-		func(linkKey) bool { return true }, func(Coord) bool { return true }).Marshal())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if p, err := UnmarshalFaultPlan(data); err == nil {
-			if !bytes.Equal(p.Marshal(), data) {
-				t.Fatalf("fault plan accepted a non-canonical image")
-			}
-		}
-		if rt, err := UnmarshalRouteTable(data); err == nil {
-			if !bytes.Equal(rt.Marshal(), data) {
-				t.Fatalf("route table accepted a non-canonical image")
-			}
-		}
-	})
 }
 
 // armedRing builds an n-node 1-D torus with UPC-only chips, arms the
@@ -303,8 +240,8 @@ func TestUnroutableSurfacesTypedError(t *testing.T) {
 	eng, net, ifcs := armedRing(t, 4, plan, true)
 	eng.At(5, func() {})
 	eng.RunUntilIdle()
-	if err := net.ValidateRoutable(); !errors.Is(err, ErrUnroutable) {
-		t.Fatalf("ValidateRoutable = %v, want ErrUnroutable", err)
+	if err := net.ValidatePlanRoutable(plan); !errors.Is(err, ErrUnroutable) {
+		t.Fatalf("ValidatePlanRoutable = %v, want ErrUnroutable", err)
 	}
 	var perr error
 	done := false
@@ -364,7 +301,7 @@ func TestNodeFailKillsInterface(t *testing.T) {
 	if !sdone || serr == nil {
 		t.Fatalf("put to dead node: done=%v err=%v, want delivery error", sdone, serr)
 	}
-	// The route table has already dropped the dead node, so the sender
+	// The route search already excludes the dead node, so the sender
 	// learns unroutability immediately rather than burning retransmits.
 	if !errors.Is(serr, ErrUnroutable) {
 		t.Fatalf("put error = %v, want ErrUnroutable", serr)

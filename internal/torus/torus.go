@@ -60,8 +60,11 @@ type Network struct {
 	ifcs map[Coord]*Interface
 	// busyUntil per directed link, keyed by (coord, dim, positive?).
 	links map[linkKey]sim.Cycles
-	// Hard-fault layer; nil until ArmFaults, and every code path below
-	// runs the exact legacy sequence when it is nil.
+	// routes caches each (src, dst) route on first use; see route.
+	routes map[[2]Coord][]linkKey
+	// free recycles transfer records.
+	free []*transfer
+	// Hard-fault layer; nil until ArmFaults.
 	faults *faultState
 	// obs, when non-nil, receives one msg span per delivered packet
 	// (send to delivery); emitting charges no cycles.
@@ -80,7 +83,8 @@ type linkKey struct {
 
 // New builds a torus of the configured dimensions.
 func New(eng *sim.Engine, cfg Config) *Network {
-	return &Network{eng: eng, cfg: cfg, ifcs: make(map[Coord]*Interface), links: make(map[linkKey]sim.Cycles)}
+	return &Network{eng: eng, cfg: cfg, ifcs: make(map[Coord]*Interface),
+		links: make(map[linkKey]sim.Cycles), routes: make(map[[2]Coord][]linkKey)}
 }
 
 // Attach creates the interface for a chip at coord.
@@ -123,14 +127,20 @@ func (n *Network) Hops(a, b Coord) int {
 	return total
 }
 
-// reserve serializes n bytes onto a directed link and returns the cycle at
-// which the tail leaves the link.
-func (n *Network) reserve(k linkKey, bytes int, earliest sim.Cycles) sim.Cycles {
+// serial is the time bytes take to serialize onto one link: the bytes
+// themselves plus per-packet processing.
+func (n *Network) serial(bytes int) sim.Cycles {
 	packets := (bytes + PacketBytes - 1) / PacketBytes
 	if packets == 0 {
 		packets = 1
 	}
-	ser := sim.Cycles(float64(bytes)*n.cfg.CyclesPerByte) + sim.Cycles(packets)*n.cfg.PerPacket
+	return sim.Cycles(float64(bytes)*n.cfg.CyclesPerByte) + sim.Cycles(packets)*n.cfg.PerPacket
+}
+
+// reserve serializes n bytes onto a directed link and returns the cycle at
+// which the tail leaves the link.
+func (n *Network) reserve(k linkKey, bytes int, earliest sim.Cycles) sim.Cycles {
+	ser := n.serial(bytes)
 	start := earliest
 	if bu := n.links[k]; bu > start {
 		start = bu
@@ -139,21 +149,30 @@ func (n *Network) reserve(k linkKey, bytes int, earliest sim.Cycles) sim.Cycles 
 	return start + ser
 }
 
-// transferDone computes the arrival time of a transfer of size bytes from
-// a to b, reserving the injection and reception links. First-hop direction
-// determines the contended injection link.
-func (n *Network) transferDone(a, b Coord, bytes int) sim.Cycles {
-	now := n.eng.Now()
-	dim, pos := n.firstHop(a, b)
-	var tail sim.Cycles
-	if dim < 0 { // self-send: no wire
-		tail = now
-	} else {
-		tail = n.reserve(linkKey{a, dim, pos}, bytes, now)
-		tail = n.reserve(linkKey{b, dim, !pos}, bytes, tail-reserveOverlap(bytes, n.cfg))
+// dimOrderRoute is the static dimension-ordered minimal route from a to
+// b: dimensions ascending, each crossed the shorter way round, ties going
+// forward.
+func dimOrderRoute(a, b Coord, dims Coord) []linkKey {
+	var out []linkKey
+	cur := a
+	for d := 0; d < 3; d++ {
+		n := dims[d]
+		if n <= 1 || cur[d] == b[d] {
+			continue
+		}
+		fwd := (b[d] - cur[d] + n) % n
+		bwd := (cur[d] - b[d] + n) % n
+		pos := fwd <= bwd
+		steps := fwd
+		if !pos {
+			steps = bwd
+		}
+		for s := 0; s < steps; s++ {
+			out = append(out, linkKey{cur, d, pos})
+			cur = step(cur, d, pos, dims)
+		}
 	}
-	hops := n.Hops(a, b)
-	return tail + sim.Cycles(hops)*n.cfg.HopLatency
+	return out
 }
 
 // reserveOverlap lets the reception link overlap the injection link
@@ -165,19 +184,6 @@ func reserveOverlap(bytes int, cfg Config) sim.Cycles {
 		return ser - onePkt
 	}
 	return 0
-}
-
-func (n *Network) firstHop(a, b Coord) (int, bool) {
-	for d := 0; d < 3; d++ {
-		dim := n.cfg.Dims[d]
-		if dim <= 1 || a[d] == b[d] {
-			continue
-		}
-		fwd := (b[d] - a[d] + dim) % dim
-		bwd := (a[d] - b[d] + dim) % dim
-		return d, fwd <= bwd
-	}
-	return -1, false
 }
 
 // Packet is an active-message packet (eager data or protocol control).
@@ -228,11 +234,7 @@ func (i *Interface) retransPenalty(bytes int) sim.Cycles {
 	if n == 0 {
 		return 0
 	}
-	packets := (bytes + PacketBytes - 1) / PacketBytes
-	if packets == 0 {
-		packets = 1
-	}
-	ser := sim.Cycles(float64(bytes)*i.net.cfg.CyclesPerByte) + sim.Cycles(packets)*i.net.cfg.PerPacket
+	ser := i.net.serial(bytes)
 	var extra sim.Cycles
 	for a := 0; a < n; a++ {
 		extra += ser + (retransBackoff << a)
@@ -241,22 +243,6 @@ func (i *Interface) retransPenalty(bytes int) sim.Cycles {
 	u.Add(upc.ChipScope, upc.LinkCRC, uint64(n))
 	u.Add(upc.ChipScope, upc.LinkRetransmit, uint64(n))
 	return extra
-}
-
-// chargeRetrans extends a transfer's link reservations by its drawn
-// retransmission time: a corrupted attempt re-serializes on the same
-// wires, so followers must see them busy for the extra cycles too, not
-// just the arrival pushed out.
-func (n *Network) chargeRetrans(a, b Coord, extra sim.Cycles) {
-	if extra == 0 {
-		return
-	}
-	dim, pos := n.firstHop(a, b)
-	if dim < 0 {
-		return
-	}
-	n.links[linkKey{a, dim, pos}] += extra
-	n.links[linkKey{b, dim, !pos}] += extra
 }
 
 func (i *Interface) requireUnits() {
@@ -268,6 +254,154 @@ func (i *Interface) requireUnits() {
 	}
 }
 
+// transferKind says what a transfer lands at its destination.
+type transferKind uint8
+
+const (
+	landPacket transferKind = iota // an active-message packet, into the inbox
+	landPut                        // a put's bytes, into the destination's memory
+	landGet                        // a get's request, answered with a put
+)
+
+// transfer is one torus transfer in flight, from injection until it lands
+// or is abandoned. SendPacket, Put and Get all go through it, first
+// attempts and retransmits alike, whether or not faults are armed:
+// attempt routes and prices the transfer and schedules arrived, which
+// checks for in-flight loss (nothing dies on an unarmed network) and then
+// lands it. Records are recycled through Network.free and bind their step
+// methods once, so scheduling an arrival allocates nothing.
+type transfer struct {
+	from, to *Interface
+	kind     transferKind
+	bytes    int
+	extra    sim.Cycles // per-attempt injection overhead (DMA descriptors)
+	sentAt   sim.Cycles // first injection, for the packet's obs span
+	try      int        // retransmits so far
+	route    []linkKey
+	arrival  sim.Cycles
+
+	pkt    Packet      // landPacket
+	data   []byte      // landPut: the bytes, read at injection
+	ranges []PhysRange // landPut: destination ranges; landGet: remote source
+	local  []PhysRange // landGet: where the reply lands
+	onDone func(error) // landPut, landGet: completion, nil error on success
+
+	arrive, retry func() // t.arrived and t.attempt
+}
+
+func (n *Network) newTransfer(from, to *Interface, kind transferKind, bytes int) *transfer {
+	var t *transfer
+	if k := len(n.free); k > 0 {
+		t = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		t = &transfer{}
+		t.arrive, t.retry = t.arrived, t.attempt
+	}
+	t.from, t.to, t.kind, t.bytes, t.sentAt = from, to, kind, bytes, n.eng.Now()
+	return t
+}
+
+// release returns t to the free list, dropping everything it references.
+func (n *Network) release(t *transfer) {
+	*t = transfer{arrive: t.arrive, retry: t.retry}
+	n.free = append(n.free, t)
+}
+
+// attempt injects the transfer: it routes and prices it and schedules its
+// arrival, or abandons it when the sender is dead or no route survives.
+func (t *transfer) attempt() {
+	n, src, dst := t.from.net, t.from.coord, t.to.coord
+	if t.from.dead {
+		t.abandon("local node dead", false)
+		return
+	}
+	t.route = n.route(src, dst)
+	if t.route == nil && src != dst {
+		t.abandon("no surviving route", true)
+		return
+	}
+	t.arrival = t.from.price(dst, t.route, t.bytes) + t.extra + n.cfg.RecvOverhead
+	n.eng.At(t.arrival, t.arrive)
+}
+
+// price reserves the wires a transfer of bytes crosses along route,
+// injected now, and returns the cycle its tail reaches dst's DMA. It holds
+// the injection wire, a detour's intermediate wires and dst's reception
+// port (keyed as the reverse of the final hop), each cut-through
+// overlapped with the one before, and adds HopLatency per hop. The
+// sender's drawn CRC retransmits re-serialize on the same wires, so the
+// injection wire and the port stay busy for them too.
+func (i *Interface) price(dst Coord, route []linkKey, bytes int) sim.Cycles {
+	n := i.net
+	now := n.eng.Now()
+	pen := i.retransPenalty(bytes)
+	if len(route) == 0 { // self-send: no wire
+		return now + pen
+	}
+	overlap := reserveOverlap(bytes, n.cfg)
+	tail := n.reserve(route[0], bytes, now)
+	if detour := len(route) - n.Hops(i.coord, dst); detour > 0 {
+		i.chip.UPC.Add(upc.ChipScope, upc.TorusRouteDetour, uint64(detour))
+		for _, k := range route[1 : len(route)-1] {
+			tail = n.reserve(k, bytes, tail-overlap)
+		}
+	}
+	last := route[len(route)-1]
+	port := linkKey{dst, last.dim, !last.pos}
+	tail = n.reserve(port, bytes, tail-overlap)
+	if pen > 0 {
+		n.links[route[0]] += pen
+		n.links[port] += pen
+	}
+	return tail + pen + sim.Cycles(len(route))*n.cfg.HopLatency
+}
+
+// arrived runs at the arrival instant. A transfer that crossed a link, or
+// reached a node, dead by now is retransmitted after an exponential
+// backoff (resilient networks, bounded tries) or abandoned; any other
+// lands.
+func (t *transfer) arrived() {
+	n := t.from.net
+	if f := n.faults; f.lost(t.route, t.to.coord, t.arrival) {
+		if f.resilient && t.try < maxE2ERetries {
+			t.from.chip.UPC.Inc(upc.ChipScope, upc.TorusE2ERetry)
+			n.eng.After(e2eBackoff<<uint(t.try), t.retry)
+			t.try++
+			return
+		}
+		t.abandon("delivery lost on dead path", false)
+		return
+	}
+	switch t.kind {
+	case landPacket:
+		n.obs.Emit(obs.CatMsg, "torus:pkt", t.from.chip.ID, 0, t.sentAt, n.eng.Now(), uint64(len(t.pkt.Payload)))
+		t.to.deliver(t.pkt)
+	case landPut:
+		off := uint64(0)
+		for _, r := range t.ranges {
+			t.to.chip.Mem.Write(r.PA, t.data[off:off+r.Len])
+			off += r.Len
+		}
+		if t.onDone != nil {
+			t.onDone(nil)
+		}
+	case landGet:
+		t.to.Put(t.from.coord, t.ranges, t.local, t.onDone)
+	}
+	n.release(t)
+}
+
+// abandon gives the transfer up: an end-to-end timeout on the sender's
+// UPC unit, and a *DeliveryError to onDone (packets have none).
+func (t *transfer) abandon(reason string, unroutable bool) {
+	t.from.chip.UPC.Inc(upc.ChipScope, upc.TorusE2ETimeout)
+	if t.onDone != nil {
+		t.onDone(&DeliveryError{From: t.from.coord, To: t.to.coord, Retries: t.try, Reason: reason, Unroutable: unroutable})
+	}
+	t.from.net.release(t)
+}
+
 // SendPacket injects an active-message packet toward dst; it is delivered
 // to dst's inbox after network traversal. Non-blocking (memfifo
 // injection); the caller charges its own software overhead.
@@ -277,32 +411,13 @@ func (i *Interface) SendPacket(dst Coord, tag uint32, kind uint8, payload []byte
 		panic("torus: active-message payload exceeds one packet; use Put")
 	}
 	i.seq++
-	p := Packet{From: i.coord, Tag: tag, Kind: kind, Seq: i.seq, Payload: append([]byte(nil), payload...)}
 	i.PacketsSent++
 	u := i.chip.UPC
 	u.Inc(upc.ChipScope, upc.TorusPacket)
 	u.Trace.Emit(upc.EvTorusPacket, upc.ChipScope, i.net.eng.Now(), uint64(tag))
-	if i.net.faults != nil {
-		target := i.net.At(dst)
-		sendAt := i.net.eng.Now()
-		node := i.chip.ID
-		i.sendArmed(dst, len(payload), 0, func(err error) {
-			if err == nil {
-				// The armed path's delivery instant is only known here
-				// (retransmits and detours moved it), so the span closes
-				// at delivery.
-				i.net.obs.Emit(obs.CatMsg, "torus:pkt", node, 0, sendAt, i.net.eng.Now(), uint64(len(p.Payload)))
-				target.deliver(p)
-			}
-		})
-		return
-	}
-	pen := i.retransPenalty(len(payload))
-	done := i.net.transferDone(i.coord, dst, len(payload)) + pen
-	i.net.chargeRetrans(i.coord, dst, pen)
-	target := i.net.At(dst)
-	i.net.obs.Emit(obs.CatMsg, "torus:pkt", i.chip.ID, 0, i.net.eng.Now(), done+i.net.cfg.RecvOverhead, uint64(len(payload)))
-	i.net.eng.At(done+i.net.cfg.RecvOverhead, func() { target.deliver(p) })
+	t := i.net.newTransfer(i, i.net.At(dst), landPacket, len(payload))
+	t.pkt = Packet{From: i.coord, Tag: tag, Kind: kind, Seq: i.seq, Payload: append([]byte(nil), payload...)}
+	t.attempt()
 }
 
 func (i *Interface) deliver(p Packet) {
@@ -313,55 +428,52 @@ func (i *Interface) deliver(p Packet) {
 }
 
 // RecvMatch blocks until a packet satisfying pred arrives and returns it.
+// It has no deadline and panics if the local interface dies: receivers on
+// a network with hard faults armed use RecvMatchErr.
 func (i *Interface) RecvMatch(c *sim.Coro, pred func(Packet) bool) Packet {
-	for {
-		for idx, p := range i.inbox {
-			if pred(p) {
-				i.inbox = append(i.inbox[:idx], i.inbox[idx+1:]...)
-				return p
-			}
-		}
-		i.waiters = append(i.waiters, c)
-		c.Park(sim.Forever)
-		for idx, w := range i.waiters {
-			if w == c {
-				i.waiters = append(i.waiters[:idx], i.waiters[idx+1:]...)
-				break
-			}
-		}
+	p, err := i.recv(c, pred, sim.Forever)
+	if err != nil {
+		panic(err)
 	}
+	return p
 }
 
-// RecvMatchErr is RecvMatch with delivery-failure semantics: on a
-// network without hard faults armed it blocks exactly like RecvMatch,
-// but on an armed network the wait is bounded by the end-to-end receive
-// timeout and surfaces a typed *DeliveryError — instead of a coro parked
+// RecvMatchErr is RecvMatch with delivery-failure semantics: on a network
+// with hard faults armed the wait is bounded by the end-to-end receive
+// timeout, and a typed *DeliveryError surfaces — instead of a coro parked
 // forever — when the local interface dies or expected traffic never
 // arrives (lost on a dead wire, sender dead, route gone).
 func (i *Interface) RecvMatchErr(c *sim.Coro, pred func(Packet) bool) (Packet, error) {
-	if i.net.faults == nil {
-		return i.RecvMatch(c, pred), nil
+	wait := sim.Forever
+	if i.net.faults != nil {
+		wait = i.net.faults.recvTimeout
 	}
-	f := i.net.faults
-	deadline := i.net.eng.Now() + f.recvTimeout
+	return i.recv(c, pred, wait)
+}
+
+// recv waits up to wait cycles (sim.Forever: no deadline) for a packet
+// satisfying pred.
+func (i *Interface) recv(c *sim.Coro, pred func(Packet) bool, wait sim.Cycles) (Packet, error) {
+	deadline := i.net.eng.Now() + wait
 	for {
-		for idx, p := range i.inbox {
-			if pred(p) {
-				i.inbox = append(i.inbox[:idx], i.inbox[idx+1:]...)
-				return p, nil
-			}
+		if p, ok := i.Poll(pred); ok {
+			return p, nil
 		}
 		if i.dead {
 			i.chip.UPC.Inc(upc.ChipScope, upc.TorusE2ETimeout)
 			return Packet{}, &DeliveryError{From: i.coord, To: i.coord, Reason: "local node dead"}
 		}
-		now := i.net.eng.Now()
-		if now >= deadline {
-			i.chip.UPC.Inc(upc.ChipScope, upc.TorusE2ETimeout)
-			return Packet{}, &DeliveryError{From: i.coord, To: i.coord, Reason: "receive timed out waiting for delivery"}
+		timeout := sim.Forever
+		if wait < sim.Forever {
+			now := i.net.eng.Now()
+			if now >= deadline {
+				i.chip.UPC.Inc(upc.ChipScope, upc.TorusE2ETimeout)
+				return Packet{}, &DeliveryError{From: i.coord, To: i.coord, Reason: "receive timed out waiting for delivery"}
+			}
+			timeout = deadline - now
 		}
 		i.waiters = append(i.waiters, c)
-		c.Park(deadline - now)
+		c.Park(timeout)
 		for idx, w := range i.waiters {
 			if w == c {
 				i.waiters = append(i.waiters[:idx], i.waiters[idx+1:]...)
@@ -395,7 +507,7 @@ type PhysRange struct {
 // network, with a *DeliveryError when the transfer could not be
 // delivered. The injection cost is charged per descriptor: one per
 // source range.
-func (i *Interface) Put(dst Coord, src, dstRanges []PhysRange, onDone func(error)) sim.Cycles {
+func (i *Interface) Put(dst Coord, src, dstRanges []PhysRange, onDone func(error)) {
 	i.requireUnits()
 	target := i.net.At(dst)
 	var total uint64
@@ -421,40 +533,16 @@ func (i *Interface) Put(dst Coord, src, dstRanges []PhysRange, onDone func(error
 		i.chip.Mem.Read(r.PA, b)
 		data = append(data, b...)
 	}
-	descCost := sim.Cycles(uint64(len(src))) * i.net.cfg.PerDescriptor
 	i.Descriptors += uint64(len(src))
 	i.BytesPut += total
 	u := i.chip.UPC
 	u.Add(upc.ChipScope, upc.DMADescriptor, uint64(len(src)))
 	u.Add(upc.ChipScope, upc.TorusBytes, total)
 	u.Trace.Emit(upc.EvDMAInject, upc.ChipScope, i.net.eng.Now(), total)
-	land := func() {
-		off := uint64(0)
-		for _, r := range dstRanges {
-			target.chip.Mem.Write(r.PA, data[off:off+r.Len])
-			off += r.Len
-		}
-		if onDone != nil {
-			onDone(nil)
-		}
-	}
-	if i.net.faults != nil {
-		return i.sendArmed(dst, int(total), descCost, func(err error) {
-			if err != nil {
-				if onDone != nil {
-					onDone(err)
-				}
-				return
-			}
-			land()
-		})
-	}
-	pen := i.retransPenalty(int(total))
-	done := i.net.transferDone(i.coord, dst, int(total)) + descCost +
-		i.net.cfg.RecvOverhead + pen
-	i.net.chargeRetrans(i.coord, dst, pen)
-	i.net.eng.At(done, land)
-	return done
+	t := i.net.newTransfer(i, target, landPut, int(total))
+	t.extra = sim.Cycles(uint64(len(src))) * i.net.cfg.PerDescriptor
+	t.data, t.ranges, t.onDone = data, dstRanges, onDone
+	t.attempt()
 }
 
 // Get fetches bytes from remote physical ranges into local ranges: a
@@ -467,26 +555,9 @@ func (i *Interface) Get(dst Coord, remote, local []PhysRange, onDone func(error)
 	i.Descriptors++
 	i.chip.UPC.Inc(upc.ChipScope, upc.DMADescriptor)
 	i.chip.UPC.Trace.Emit(upc.EvDMAInject, upc.ChipScope, i.net.eng.Now(), 16)
-	if i.net.faults != nil {
-		// Reliable request leg; the data leg is the remote's armed Put,
-		// which passes its own delivery error through onDone.
-		i.sendArmed(dst, 16, 0, func(err error) {
-			if err != nil {
-				if onDone != nil {
-					onDone(err)
-				}
-				return
-			}
-			target.Put(i.coord, remote, local, onDone)
-		})
-		return
-	}
-	pen := i.retransPenalty(16) // request descriptor packet
-	reqDone := i.net.transferDone(i.coord, dst, 16) + pen
-	i.net.chargeRetrans(i.coord, dst, pen)
-	i.net.eng.At(reqDone+i.net.cfg.RecvOverhead, func() {
-		target.Put(i.coord, remote, local, onDone)
-	})
+	t := i.net.newTransfer(i, target, landGet, 16) // the request descriptor packet
+	t.ranges, t.local, t.onDone = remote, local, onDone
+	t.attempt()
 }
 
 // Requeue returns a polled packet to the front of the inbox (used by

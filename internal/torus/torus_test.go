@@ -1,13 +1,16 @@
 package torus
 
 import (
+	"slices"
 	"testing"
 
 	"bgcnk/internal/hw"
+	"bgcnk/internal/ras"
 	"bgcnk/internal/sim"
+	"bgcnk/internal/upc"
 )
 
-func twoNodeNet(t *testing.T) (*sim.Engine, *Interface, *Interface) {
+func twoNodeNet(t testing.TB) (*sim.Engine, *Interface, *Interface) {
 	t.Helper()
 	eng := sim.NewEngine()
 	net := New(eng, DefaultConfig(Coord{2, 1, 1}))
@@ -208,4 +211,108 @@ func TestDuplicateAttachPanics(t *testing.T) {
 		}
 	}()
 	net.Attach(hw.NewChip(hw.ChipConfig{ID: 1}), Coord{0, 0, 0})
+}
+
+// transferCosts is the arrival cycle of every transfer in costScript, in
+// script order. It is a fixed reference for the torus cost model, taken
+// from the model as it stood before the armed and unarmed send paths were
+// merged (the unarmed one); an intended model change regenerates it.
+var transferCosts = []sim.Cycles{
+	1005,  // 0->1, 200 B, one hop
+	11090, // 0->2, 200 B, two hops
+	21005, // 0->1, first of two sharing a wire and 1's -x port
+	21415, // 0->1, second: queued behind the first on both
+	21005, // 2->1 at the same cycle, into 1's other port
+	30100, // 2->2 self-send: no wire
+	43707, // 0->1 put, 3 x 400 B descriptors
+	51946, // 0 gets 300 B from 2: request out, put back
+	61585, // 3->0, 200 B, with drawn CRC retransmits
+	62405, // 0->3: its wire is 3->0's reception port, held for the retransmits
+	64555, // 3->0 again: its own draws, behind the first on 3's wire
+}
+
+// costScript runs the fixed transfer script on a 4-node ring and returns
+// each transfer's arrival cycle. Only chip 3 has a link-CRC fault source.
+// armed arms a plan whose one death lands after the script ends.
+func costScript(t *testing.T, armed bool) []sim.Cycles {
+	t.Helper()
+	eng := sim.NewEngine()
+	defer eng.Shutdown()
+	net := New(eng, DefaultConfig(Coord{4, 1, 1}))
+	inj := ras.NewInjector(eng, ras.NewLog(), ras.Plan{Seed: 2, LinkCRC: 0.5})
+	ifcs := make([]*Interface, 4)
+	for i := range ifcs {
+		chip := hw.NewChip(hw.ChipConfig{ID: i, Coord: [3]int{i, 0, 0}})
+		if i == 3 {
+			chip.AttachFaults(inj.Node(i))
+		}
+		ifcs[i] = net.Attach(chip, Coord{i, 0, 0})
+	}
+	const lateDeath = 1_000_000
+	if armed {
+		net.ArmFaults(&FaultPlan{Links: []LinkFault{{C: Coord{2, 0, 0}, Dim: 0, Pos: true, At: lateDeath}}}, true, nil)
+	}
+	got := make([]sim.Cycles, len(transferCosts))
+	for _, ifc := range ifcs {
+		eng.Go("recv", func(c *sim.Coro) {
+			for {
+				p := ifc.RecvMatch(c, func(Packet) bool { return true })
+				got[p.Tag] = eng.Now()
+			}
+		})
+	}
+	pkt := make([]byte, 200)
+	send := func(from, to int, tag uint32) { ifcs[from].SendPacket(Coord{to, 0, 0}, tag, 0, pkt) }
+	eng.At(0, func() { send(0, 1, 0) })
+	eng.At(10_000, func() { send(0, 2, 1) })
+	eng.At(20_000, func() { send(0, 1, 2); send(0, 1, 3); send(2, 1, 4) })
+	eng.At(30_000, func() { send(2, 2, 5) })
+	eng.At(40_000, func() {
+		ifcs[0].Put(Coord{1, 0, 0},
+			[]PhysRange{{0x1000, 400}, {0x3000, 400}, {0x5000, 400}}, []PhysRange{{0x8000, 1200}},
+			func(error) { got[6] = eng.Now() })
+	})
+	eng.At(50_000, func() {
+		ifcs[0].Get(Coord{2, 0, 0}, []PhysRange{{0x2000, 300}}, []PhysRange{{0x9000, 300}},
+			func(error) { got[7] = eng.Now() })
+	})
+	eng.At(60_000, func() { send(3, 0, 8); send(0, 3, 9); send(3, 0, 10) })
+	eng.RunUntilIdle()
+	if n := ifcs[3].chip.UPC.Get(upc.ChipScope, upc.LinkCRC); n == 0 {
+		t.Fatal("chip 3 drew no CRC corruptions: the retransmit rows test nothing")
+	}
+	if armed && (net.DeadLinks() != 1 || eng.Now() != lateDeath) {
+		t.Fatalf("armed plan: %d dead links at cycle %d, want 1 at %d", net.DeadLinks(), eng.Now(), lateDeath)
+	}
+	return got
+}
+
+func TestTransferCosts(t *testing.T) {
+	// Arming hard faults must not reprice a healthy wire: until a death
+	// lands, armed and unarmed networks deliver every transfer at the same
+	// cycle.
+	for _, armed := range []bool{false, true} {
+		if got := costScript(t, armed); !slices.Equal(got, transferCosts) {
+			t.Errorf("armed=%v: arrivals\n got %v\nwant %v", armed, got, transferCosts)
+		}
+	}
+}
+
+func TestSendPacketAllocs(t *testing.T) {
+	// A healthy send allocates its payload copy and no route, closure or
+	// transfer record.
+	eng, a, b := twoNodeNet(t)
+	payload := make([]byte, 8)
+	anyPacket := func(Packet) bool { return true }
+	send := func() {
+		a.SendPacket(b.Coord(), 1, 0, payload)
+		eng.RunUntilIdle()
+		if _, ok := b.Poll(anyPacket); !ok {
+			t.Fatal("packet not delivered")
+		}
+	}
+	send() // warm the route cache, record free list and inbox
+	if n := testing.AllocsPerRun(100, send); n > 2 {
+		t.Fatalf("SendPacket plus delivery: %.1f allocs, want <= 2", n)
+	}
 }
