@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"bgcnk/internal/kernel"
 	"bgcnk/internal/machine"
 	"bgcnk/internal/ras"
@@ -48,31 +50,39 @@ var degradeDims = torus.Coord{4, 4, 1}
 // degradeApp is a pure-torus workload: each rank eager-sends to its right
 // neighbor and receives from its left, a few rounds, surfacing every
 // network errno as its exit code. No collective-tree traffic, so the only
-// fabric under test is the torus.
-func degradeApp() machine.App {
+// fabric under test is the torus. Each rank stamps its last cycle into
+// end[rank] before it exits or returns: an armed receive that woke early
+// leaves its timeout timer queued, and the run drains those timers after
+// the job, so the engine's final cycle overstates the job.
+func degradeApp(end []sim.Cycles) machine.App {
 	return func(ctx kernel.Context, env *machine.Env) {
 		if env.MPI == nil {
 			return
+		}
+		exit := func(errno kernel.Errno) {
+			end[env.Rank] = ctx.Now()
+			ctx.Syscall(kernel.SysExit, uint64(errno))
 		}
 		right := (env.Rank + 1) % env.Size
 		payload := make([]byte, degradePayload)
 		for round := 0; round < degradeRounds; round++ {
 			tag := uint32(9000 + round)
 			if errno := env.MPI.Send(ctx, right, tag, payload); errno != kernel.OK {
-				ctx.Syscall(kernel.SysExit, uint64(errno))
+				exit(errno)
 				return
 			}
 			if _, _, errno := env.MPI.Recv(ctx, tag); errno != kernel.OK {
-				ctx.Syscall(kernel.SysExit, uint64(errno))
+				exit(errno)
 				return
 			}
 		}
+		end[env.Rank] = ctx.Now()
 	}
 }
 
 type degradeCell struct {
-	completion  float64 // fraction of ranks exiting 0; 0 on a refused boot
-	elapsed     sim.Cycles
+	completion  float64    // fraction of ranks exiting 0; 0 on a refused boot
+	elapsed     sim.Cycles // boot to the last rank's last cycle
 	detours     uint64
 	retries     uint64
 	timeouts    uint64
@@ -99,7 +109,8 @@ func degradeRun(kind machine.KernelKind, linkFails, nodeFails int, resilient boo
 	// after 5 ms of simulated time instead of the conservative default.
 	m.Torus.SetE2ERecvTimeout(sim.FromSeconds(0.005))
 	t0 := m.Eng.Now()
-	if err := m.Run(degradeApp(), kernel.JobParams{}, 0); err != nil {
+	end := make([]sim.Cycles, degradeNodes)
+	if err := m.Run(degradeApp(end), kernel.JobParams{}, 0); err != nil {
 		return degradeCell{}, err
 	}
 	ok := 0
@@ -111,7 +122,7 @@ func degradeRun(kind machine.KernelKind, linkFails, nodeFails int, resilient boo
 	ctr := m.MergedCounters()
 	return degradeCell{
 		completion: float64(ok) / float64(degradeNodes),
-		elapsed:    m.Eng.Now() - t0,
+		elapsed:    slices.Max(end) - t0,
 		detours:    ctr.Total(upc.TorusRouteDetour),
 		retries:    ctr.Total(upc.TorusE2ERetry),
 		timeouts:   ctr.Total(upc.TorusE2ETimeout),
