@@ -135,10 +135,11 @@ func TestTorusFaultMatrix(t *testing.T) {
 
 // TestTorusFaultsOffChangesNothing: a plan with probabilistic fault
 // classes armed but zero hard network faults must leave the torus's
-// legacy path untouched — the fault layer stays unarmed, the new UPC
-// counters stay zero, no link_fail/node_fail RAS events exist, and runs
-// replay bit-identically. (Byte-identity against the pre-change event
-// stream is pinned by the golden experiment suite.)
+// hard-fault layer unarmed — the UPC counters for dead links, detours,
+// retries and timeouts stay zero, no link_fail/node_fail RAS events
+// exist, and runs replay bit-identically. (Byte-identity against the
+// reference event stream is pinned by the fault matrix table and the
+// golden experiment suite.)
 func TestTorusFaultsOffChangesNothing(t *testing.T) {
 	plan := ras.Plan{Seed: 11, LinkCRC: 1e-2, CIODDrop: 0.1}
 	run := func() matrixOutcome {

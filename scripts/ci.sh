@@ -20,7 +20,7 @@ echo "== go test -race"
 go test -race ./...
 
 echo "== fuzz seed-corpus regressions"
-go test -run 'Fuzz' ./internal/fs/ ./internal/ciod/ ./internal/ion/ ./internal/ctrlsys/ ./internal/ctrlsys/wal/ ./internal/ckpt/ ./internal/torus/ ./internal/obs/
+go test -run 'Fuzz' ./internal/fs/ ./internal/ciod/ ./internal/ion/ ./internal/ctrlsys/ ./internal/ctrlsys/wal/ ./internal/ckpt/ ./internal/obs/
 
 # The fault matrix is part of the -race suite above, but gate on it
 # explicitly: every cell's fault must fire and replay bit-identically
@@ -71,14 +71,19 @@ go test -race -run 'TestRestartDeterminismThroughIONCache' ./internal/ctrlsys/
 go test -run 'TestFaultMatrix/.*/ion_crash' ./internal/machine/
 go test -run 'TestGolden/ioscale' ./internal/experiments/
 
-# Fault-tolerant torus contracts: the armed hard-fault matrix (link_fail
-# and node_fail x seeds x both kernels) must replay cycle-exactly and
-# bit-identically at 1/2/8 workers (under -race); a plan with no hard
-# network faults must leave the legacy torus path untouched; an
-# unroutable plan must be refused at boot; the net-fault control-system
-# consequences (localization, blacklist, typed budget error) must hold;
-# and the degrade sweep must match its golden byte-for-byte.
-echo "== fault-tolerant torus: fault matrix + nil-path + degrade golden"
+# Fault-tolerant torus contracts: every transfer must arrive at its
+# pinned reference cycle on the one send path, armed or not, a healthy
+# send must allocate only its payload, and healthy fault-region routes
+# must be the dimension-ordered ones (under -race); the armed hard-fault
+# matrix (link_fail and node_fail x seeds x both kernels) must replay
+# cycle-exactly and bit-identically at 1/2/8 workers (under -race); a
+# plan with no hard network faults must leave the fault layer unarmed;
+# an unroutable plan must be refused at boot; the net-fault
+# control-system consequences (localization, blacklist, typed budget
+# error) must hold; and the degrade sweep must match its golden
+# byte-for-byte.
+echo "== fault-tolerant torus: cost table + fault matrix + degrade golden"
+go test -race -run 'TestTransferCosts|TestSendPacketAllocs|TestHealthyRoutesAreDimensionOrdered' ./internal/torus/
 go test -race -run 'TestTorusFaultMatrix|TestTorusFaultsOffChangesNothing|TestUnroutablePartitionFailsBoot' ./internal/machine/
 go test -race -run 'TestLinkFaultLocalizedAndSurvived|TestNodeFaultExhaustsBudgetTyped' ./internal/ctrlsys/
 go test -run 'TestGolden/degrade' ./internal/experiments/
@@ -122,9 +127,10 @@ go test -run 'TestGolden/tracescale' ./internal/experiments/
 
 # Every Go benchmark in the module must still run (one iteration each):
 # the root experiment benchmarks, the sim engine and coroutine switch,
-# the hw cache model and the control-system boot and drain.
+# the hw cache model, the torus send path and the control-system boot
+# and drain.
 echo "== go test -bench (one iteration of every benchmark)"
-go test -run '^$' -bench . -benchtime 1x . ./internal/sim/ ./internal/hw/ ./internal/ctrlsys/
+go test -run '^$' -bench . -benchtime 1x . ./internal/sim/ ./internal/hw/ ./internal/torus/ ./internal/ctrlsys/
 
 # perfbench is a nested module, so ./... above skips it: vet it and run
 # its tests, which include the workloads' pinned model digests.
@@ -139,7 +145,6 @@ if [ "$FUZZTIME" != "0" ]; then
 	go test -fuzz=FuzzPersonality -fuzztime="$FUZZTIME" ./internal/ctrlsys/
 	go test -fuzz=FuzzCheckpointImage -fuzztime="$FUZZTIME" ./internal/ckpt/
 	go test -fuzz=FuzzJournal -fuzztime="$FUZZTIME" ./internal/ctrlsys/wal/
-	go test -fuzz=FuzzFaultPlan -fuzztime="$FUZZTIME" ./internal/torus/
 	go test -fuzz=FuzzTraceCodec -fuzztime="$FUZZTIME" ./internal/obs/
 fi
 
