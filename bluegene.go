@@ -171,21 +171,6 @@ type App = machine.App
 // attribute counts to a region of a run.
 type CounterSnapshot = upc.Snapshot
 
-// TraceCategory selects which tracepoint families a machine records; see
-// Machine.EnableTracepoints.
-type TraceCategory = upc.Category
-
-// Tracepoint categories.
-const (
-	TraceSched   = upc.CatSched
-	TraceIRQ     = upc.CatIRQ
-	TraceSyscall = upc.CatSyscall
-	TraceMem     = upc.CatMem
-	TraceNet     = upc.CatNet
-	TraceIO      = upc.CatIO
-	TraceAll     = upc.CatAll
-)
-
 // ---- Observability ----
 //
 // The span layer (internal/obs) records cycle-timestamped spans from

@@ -80,9 +80,6 @@ func (b *Network) MarkDead(id int) {
 	b.entered = make(map[int]*sim.Coro)
 }
 
-// Participants returns the configured participant count.
-func (b *Network) Participants() int { return b.n }
-
 // Enter blocks participant id until all n participants have entered, then
 // releases everyone latency cycles after the last arrival. Entering twice
 // concurrently with the same id panics (a wired-AND cannot distinguish).

@@ -23,7 +23,7 @@ type ionRig struct {
 	node    *ion.Node
 	srv     *Server
 	clients map[int]*Client
-	units   map[int]*upc.UPC
+	units   map[int]*upc.Set
 }
 
 func newIONRig(nCN int, cfg ion.Config) *ionRig {
@@ -40,11 +40,11 @@ func newIONRig(nCN int, cfg ion.Config) *ionRig {
 	srv := NewServer(eng, tree.ION(), fsys)
 	srv.AttachION(node)
 	r := &ionRig{eng: eng, tree: tree, fsys: fsys, node: node, srv: srv,
-		clients: make(map[int]*Client), units: make(map[int]*upc.UPC)}
+		clients: make(map[int]*Client), units: make(map[int]*upc.Set)}
 	for _, id := range ids {
 		cl := NewClient(tree.CN(id))
 		cl.AttachION(node)
-		u := upc.New()
+		u := new(upc.Set)
 		cl.AttachUPC(u)
 		r.clients[id] = cl
 		r.units[id] = u

@@ -6,7 +6,6 @@ import (
 	"bgcnk/internal/ciod"
 	"bgcnk/internal/hw"
 	"bgcnk/internal/kernel"
-	"bgcnk/internal/upc"
 )
 
 // maxPath bounds path strings copied from user space.
@@ -144,7 +143,6 @@ func (k *Kernel) shipIO(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64
 		return 0, errno
 	}
 
-	k.Chip.UPC.Trace.Emit(upc.EvShipCall, t.CoreID(), k.Eng.Now(), uint64(num))
 	rep := k.ioCall(t, p, req)
 	if rep.Errno != kernel.OK {
 		return rep.Ret, rep.Errno

@@ -211,7 +211,6 @@ func (k *Kernel) ServiceInterrupt(t *kernel.Thread) {
 		cs.core.IPIs++
 		u.Inc(cs.core.ID, upc.Interrupt)
 		u.Inc(cs.core.ID, upc.IPI)
-		u.Trace.Emit(upc.EvIPI, cs.core.ID, k.Eng.Now(), 0)
 		ipiStart := k.Eng.Now()
 		t.Coro().Sleep(ipiCost)
 		fn(t)

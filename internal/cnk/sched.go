@@ -62,9 +62,7 @@ func (cs *coreSched) grant() {
 	cs.cur = cs.ready[0]
 	cs.ready = cs.ready[1:]
 	cs.ContextSwitches++
-	u := cs.core.Chip.UPC
-	u.Inc(cs.core.ID, upc.ContextSwitch)
-	u.Trace.Emit(upc.EvCtxSwitch, cs.core.ID, cs.k.Eng.Now(), uint64(cs.cur.TID()))
+	cs.core.Chip.UPC.Inc(cs.core.ID, upc.ContextSwitch)
 	cs.cur.Coro().Wake()
 }
 
@@ -151,7 +149,6 @@ func (k *Kernel) futexWait(t *kernel.Thread, uaddr hw.VAddr, val uint32, timeout
 	k.futexes[key] = append(k.futexes[key], w)
 	cs := k.cores[t.CoreID()]
 	k.Chip.UPC.Inc(cs.core.ID, upc.FutexWait)
-	k.Chip.UPC.Trace.Emit(upc.EvFutexWait, cs.core.ID, k.Eng.Now(), uint64(uaddr))
 	cs.release(t)
 	t.State = kernel.ThreadBlocked
 
@@ -201,7 +198,6 @@ func (k *Kernel) futexRemove(key futexKey, w *futexWaiter) {
 // number woken.
 func (k *Kernel) futexWake(t *kernel.Thread, uaddr hw.VAddr, n uint32) uint64 {
 	k.Chip.UPC.Inc(t.CoreID(), upc.FutexWake)
-	k.Chip.UPC.Trace.Emit(upc.EvFutexWake, t.CoreID(), k.Eng.Now(), uint64(uaddr))
 	key := futexKey{t.PID(), uaddr}
 	ws := k.futexes[key]
 	woken := uint64(0)

@@ -89,7 +89,7 @@ type Endpoint struct {
 
 	// upc is the owning node's counter unit; nil until AttachUPC (the
 	// tree is built before the chips are wired to it).
-	upc *upc.UPC
+	upc *upc.Set
 
 	// faults draws seeded link-CRC corruption for outgoing transfers;
 	// nil on a perfect machine.
@@ -157,7 +157,7 @@ func (t *Tree) CN(id int) *Endpoint {
 func (e *Endpoint) ID() int { return e.id }
 
 // AttachUPC routes this endpoint's traffic counters to a chip's UPC unit.
-func (e *Endpoint) AttachUPC(u *upc.UPC) { e.upc = u }
+func (e *Endpoint) AttachUPC(u *upc.Set) { e.upc = u }
 
 // AttachFaults wires the owning node's seeded fault source into this
 // endpoint's outgoing link.
@@ -229,7 +229,6 @@ func (e *Endpoint) Send(to int, tag uint32, data []byte) {
 		}
 		e.upc.Add(upc.ChipScope, upc.CollPacket, uint64(packets))
 		e.upc.Add(upc.ChipScope, upc.CollBytes, uint64(len(data)))
-		e.upc.Trace.Emit(upc.EvCollSend, upc.ChipScope, e.tree.eng.Now(), uint64(len(data)))
 	}
 	e.tree.obs.Emit(obs.CatMsg, "coll:send", e.id, 0, e.tree.eng.Now(), arrive, uint64(len(data)))
 	e.tree.eng.At(arrive, func() { dst.deliver(msg) })
@@ -342,16 +341,16 @@ type Combine struct {
 	failed  map[int]bool
 
 	// upcs routes per-participant combine counts to each node's UPC unit.
-	upcs map[int]*upc.UPC
+	upcs map[int]*upc.Set
 
 	Ops uint64
 }
 
 // AttachUPC routes participant id's combine-operation counter to a chip's
 // UPC unit.
-func (cb *Combine) AttachUPC(id int, u *upc.UPC) {
+func (cb *Combine) AttachUPC(id int, u *upc.Set) {
 	if cb.upcs == nil {
-		cb.upcs = make(map[int]*upc.UPC)
+		cb.upcs = make(map[int]*upc.Set)
 	}
 	cb.upcs[id] = u
 }

@@ -80,12 +80,11 @@ type Journal struct {
 	active  []byte // active segment contents, mirroring the durable file
 	started bool   // active segment file exists on the store
 
-	next     uint64 // next LSN to assign
-	records  int    // records durable across all segments
-	bytes    int    // bytes durable across all segments
-	sealed   int    // sealed (non-active) segment count
-	replayed int    // records recovered by Open (0 for Create)
-	torn     int    // torn records dropped by Open
+	next    uint64 // next LSN to assign
+	records int    // records durable across all segments
+	bytes   int    // bytes durable across all segments
+	sealed  int    // sealed (non-active) segment count
+	torn    int    // torn records dropped by Open
 }
 
 func segName(n int) string { return fmt.Sprintf("seg-%06d.wal", n) }
@@ -163,7 +162,6 @@ func Open(fsys *fs.FS, dir string, segBytes int) (*Journal, []Record, error) {
 	}
 	j.sealed = len(segs)
 	j.seg = len(segs) + 1
-	j.replayed = len(all)
 	return j, all, nil
 }
 
@@ -267,9 +265,6 @@ func (j *Journal) Segments() int {
 	}
 	return j.sealed
 }
-
-// Replayed returns how many records Open recovered.
-func (j *Journal) Replayed() int { return j.replayed }
 
 // Torn returns how many torn tail records Open dropped and repaired.
 func (j *Journal) Torn() int { return j.torn }

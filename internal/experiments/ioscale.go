@@ -177,8 +177,6 @@ func RunIOScale(opt Options) (*Result, error) {
 			r.notef("%s: stall cycles did not grow with fan-in (%d at %d vs %d at %d)",
 				k.name, top.stall, ratios[len(ratios)-1], bottom.stall, ratios[0])
 		}
-		_ = ki
-		_ = k
 	}
 
 	// The shipping asymmetry: CNK funnels every call through the ION's

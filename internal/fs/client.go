@@ -353,14 +353,3 @@ func (c *Client) RestoreFiles(files []OpenFileState) kernel.Errno {
 	}
 	return errno
 }
-
-// OpenCount returns the number of live descriptors (for leak checks).
-func (c *Client) OpenCount() int {
-	n := 0
-	for _, f := range c.fds {
-		if f != nil {
-			n++
-		}
-	}
-	return n
-}

@@ -89,7 +89,6 @@ type FS struct {
 	root    *inode
 	nextIno uint64
 	byIno   map[uint64]*inode
-	clock   func() uint64 // supplies mtimes; defaults to a counter
 	tick    uint64
 }
 
@@ -102,13 +101,7 @@ func New() *FS {
 	return f
 }
 
-// SetClock installs a time source for mtimes.
-func (f *FS) SetClock(fn func() uint64) { f.clock = fn }
-
 func (f *FS) now() uint64 {
-	if f.clock != nil {
-		return f.clock()
-	}
 	f.tick++
 	return f.tick
 }

@@ -235,14 +235,12 @@ func (k *Kernel) Translate(t *kernel.Thread, va hw.VAddr, write bool) (hw.PAddr,
 		return pa, pageSize - uint64(va)%pageSize, perm, kernel.OK
 	}
 	// Software TLB refill.
-	k.Chip.UPC.Trace.Emit(upc.EvTLBRefill, core.ID, k.Eng.Now(), uint64(va))
 	t.Coro().Sleep(tlbRefillCost)
 	vp := uint64(va) / pageSize
 	frame, present := p.pages[vp]
 	if !present {
 		// Demand paging: minor fault, fresh zeroed frame.
 		k.Chip.UPC.Inc(core.ID, upc.PageFault)
-		k.Chip.UPC.Trace.Emit(upc.EvPageFault, core.ID, k.Eng.Now(), uint64(va))
 		t.Coro().Sleep(pageFaultCost)
 		f, ok := k.allocFrame()
 		if !ok {

@@ -69,9 +69,7 @@ func (d *daemon) loop(c *sim.Coro) {
 		}
 		c.Sleep(burst)
 		d.cpu.DaemonRuns++
-		u := d.cpu.core.Chip.UPC
-		u.Inc(d.cpu.core.ID, upc.DaemonRun)
-		u.Trace.Emit(upc.EvDaemon, d.cpu.core.ID, c.Now(), uint64(d.spec.Core))
+		d.cpu.core.Chip.UPC.Inc(d.cpu.core.ID, upc.DaemonRun)
 		d.cpu.k.obs.Emit(obs.CatSched, d.spec.Name, d.cpu.k.Chip.ID, d.spec.Core, runStart, c.Now(), d.cpu.DaemonRuns)
 		d.nextRun = c.Now() + d.spec.Period + d.jitter.Cycles(d.spec.Period/16)
 		d.active = false
@@ -103,7 +101,6 @@ func (k *Kernel) ServiceInterrupt(t *kernel.Thread) {
 		u := k.Chip.UPC
 		u.Inc(c.core.ID, upc.TimerTick)
 		u.Inc(c.core.ID, upc.Interrupt)
-		u.Trace.Emit(upc.EvTick, c.core.ID, now, uint64(c.Ticks))
 		t.Coro().Sleep(tickISRCost)
 		k.obs.Emit(obs.CatSched, "fwk:tick", k.Chip.ID, t.CoreID(), now, k.Eng.Now(), uint64(c.Ticks))
 
@@ -113,7 +110,6 @@ func (k *Kernel) ServiceInterrupt(t *kernel.Thread) {
 				// The user thread is involuntarily descheduled for the
 				// daemon's burst: that is a preemption as FWQ sees it.
 				u.Inc(c.core.ID, upc.Preemption)
-				u.Trace.Emit(upc.EvPreempt, c.core.ID, k.Eng.Now(), uint64(t.TID()))
 				d.active = true
 				d.resumeMe = t
 				d.coro.Wake()
@@ -140,7 +136,6 @@ func (c *cpu) rotate(t *kernel.Thread) {
 	u := c.core.Chip.UPC
 	u.Inc(c.core.ID, upc.ContextSwitch)
 	u.Inc(c.core.ID, upc.Preemption)
-	u.Trace.Emit(upc.EvCtxSwitch, c.core.ID, c.k.Eng.Now(), uint64(t.TID()))
 	next := c.ready[0]
 	c.ready = c.ready[1:]
 	c.ready = append(c.ready, t)
@@ -183,9 +178,7 @@ func (c *cpu) grant() {
 	c.cur = c.ready[0]
 	c.ready = c.ready[1:]
 	c.ContextSwitches++
-	u := c.core.Chip.UPC
-	u.Inc(c.core.ID, upc.ContextSwitch)
-	u.Trace.Emit(upc.EvCtxSwitch, c.core.ID, c.k.Eng.Now(), uint64(c.cur.TID()))
+	c.core.Chip.UPC.Inc(c.core.ID, upc.ContextSwitch)
 	c.cur.Coro().Wake()
 }
 
@@ -253,7 +246,6 @@ func (k *Kernel) futexWait(t *kernel.Thread, uaddr hw.VAddr, val uint32, timeout
 	k.futexes[key] = append(k.futexes[key], w)
 	c := k.cpus[t.CoreID()]
 	k.Chip.UPC.Inc(c.core.ID, upc.FutexWait)
-	k.Chip.UPC.Trace.Emit(upc.EvFutexWait, c.core.ID, k.Eng.Now(), uint64(uaddr))
 	c.release(t)
 	t.State = kernel.ThreadBlocked
 	deadline := sim.Forever
@@ -296,7 +288,6 @@ func (k *Kernel) futexWait(t *kernel.Thread, uaddr hw.VAddr, val uint32, timeout
 
 func (k *Kernel) futexWake(t *kernel.Thread, uaddr hw.VAddr, n uint32) uint64 {
 	k.Chip.UPC.Inc(t.CoreID(), upc.FutexWake)
-	k.Chip.UPC.Trace.Emit(upc.EvFutexWake, t.CoreID(), k.Eng.Now(), uint64(uaddr))
 	key := futexKey{t.PID(), uaddr}
 	ws := k.futexes[key]
 	woken := uint64(0)

@@ -128,7 +128,7 @@ type CacheSim struct {
 
 	// upc routes hit/miss counts to the owning chip's UPC unit; nil for
 	// standalone CacheSims in unit tests.
-	upc *upc.UPC
+	upc *upc.Set
 
 	// refreshBase is when the DRAM controller's refresh timer last
 	// (re)started; reproducible resets restart it so replayed runs see
@@ -158,9 +158,6 @@ func NewCacheSim(cores int) *CacheSim {
 // SetL3Mapping reconfigures the L3 bank mapping (a bringup control flag;
 // normally fixed at boot).
 func (cs *CacheSim) SetL3Mapping(m L3Mapping) { cs.l3map = m }
-
-// L3MappingConfigured returns the active mapping.
-func (cs *CacheSim) L3MappingConfigured() L3Mapping { return cs.l3map }
 
 // l3index maps an L3 line number to its set under the configured policy.
 func (cs *CacheSim) l3index(l3line uint64) uint64 {

@@ -75,9 +75,6 @@ type Core struct {
 	IPIs       uint64 // inter-processor interrupts received
 }
 
-// GlobalID returns a machine-unique core identifier.
-func (c *Core) GlobalID() string { return fmt.Sprintf("chip%d.core%d", c.Chip.ID, c.ID) }
-
 // CheckDAC reports whether a store to va trips either DAC range.
 func (c *Core) CheckDAC(pid uint32, va VAddr) bool {
 	return c.DAC[0].Matches(pid, va) || c.DAC[1].Matches(pid, va)
@@ -95,7 +92,7 @@ type Chip struct {
 	// UPC is the chip's Universal Performance Counter unit: every layer
 	// that charges cycles against this chip also increments a counter
 	// here, so "where did the cycles go" is queryable (paper Section III).
-	UPC *upc.UPC
+	UPC *upc.Set
 
 	// BootSRAM models the on-chip SRAM where cores rendezvous during the
 	// reproducible-reset protocol; its contents survive reset.
@@ -130,7 +127,7 @@ func NewChip(cfg ChipConfig) *Chip {
 		Coord: cfg.Coord,
 		Mem:   NewMemory(cfg.MemSize),
 		Cache: NewCacheSim(CoresPerChip),
-		UPC:   upc.New(),
+		UPC:   new(upc.Set),
 	}
 	ch.Mem.upc = ch.UPC
 	ch.Cache.upc = ch.UPC

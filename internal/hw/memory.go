@@ -20,7 +20,7 @@ type Memory struct {
 
 	// upc routes access counts to the owning chip's UPC unit; nil for
 	// standalone Memories in unit tests.
-	upc *upc.UPC
+	upc *upc.Set
 
 	// Access statistics, reset with the chip.
 	Reads  uint64

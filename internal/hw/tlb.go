@@ -44,7 +44,7 @@ type TLB struct {
 
 	// upc/coreID route counter updates to the owning chip's UPC unit;
 	// nil for standalone TLBs in unit tests.
-	upc    *upc.UPC
+	upc    *upc.Set
 	coreID int
 
 	// faults draws seeded parity errors on matched entries; nil on a
@@ -164,17 +164,6 @@ func (t *TLB) InvalidateAll() {
 		t.entries[i] = TLBEntry{}
 	}
 	t.victim = 0
-}
-
-// PinnedCount returns the number of pinned entries.
-func (t *TLB) PinnedCount() int {
-	n := 0
-	for i := range t.entries {
-		if t.entries[i].Valid && t.entries[i].Pinned {
-			n++
-		}
-	}
-	return n
 }
 
 // ValidCount returns the number of valid entries.

@@ -106,7 +106,7 @@ func (n *Node) Counters() *upc.Set { return &n.ctr }
 // over waiting compute nodes (ties broken by arrival order within a CN),
 // so a chatty neighbour cannot starve anyone — the fairness the real
 // CIOD gets from Linux scheduling its ioproxies, made deterministic.
-func (n *Node) Acquire(c *sim.Coro, cn int, u *upc.UPC) {
+func (n *Node) Acquire(c *sim.Coro, cn int, u *upc.Set) {
 	if n.free > 0 {
 		n.free--
 		n.admit()

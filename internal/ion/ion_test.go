@@ -19,7 +19,7 @@ func newTestNode(depth int) *Node {
 func TestAcquireRoundRobinFairness(t *testing.T) {
 	eng := sim.NewEngine()
 	n := newTestNode(1)
-	units := map[int]*upc.UPC{}
+	units := map[int]*upc.Set{}
 	var order []int
 	// CN 0 grabs the only credit and holds it; CNs 3, 1, 2 then queue in
 	// that arrival order. RR order after lastGrant=0 must be 1, 2, 3.
@@ -30,7 +30,7 @@ func TestAcquireRoundRobinFairness(t *testing.T) {
 	})
 	for _, cn := range []int{3, 1, 2} {
 		cn := cn
-		units[cn] = upc.New()
+		units[cn] = new(upc.Set)
 		eng.Go(fmt.Sprintf("cn%d", cn), func(c *sim.Coro) {
 			c.Sleep(sim.Cycles(10 + cn)) // queue strictly after the holder
 			n.Acquire(c, cn, units[cn])
@@ -64,7 +64,7 @@ func TestAcquireRoundRobinFairness(t *testing.T) {
 func TestAcquireImmediateNoStall(t *testing.T) {
 	eng := sim.NewEngine()
 	n := newTestNode(4)
-	u := upc.New()
+	u := new(upc.Set)
 	eng.Go("cn", func(c *sim.Coro) {
 		n.Acquire(c, 7, u)
 		n.Release()
@@ -112,7 +112,7 @@ func TestAcquireDeterministic(t *testing.T) {
 	run := func() (string, uint64) {
 		eng := sim.NewEngine()
 		n := newTestNode(2)
-		u := upc.New()
+		u := new(upc.Set)
 		var order []int
 		for i := 0; i < 8; i++ {
 			cn := i

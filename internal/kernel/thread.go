@@ -5,7 +5,6 @@ import (
 
 	"bgcnk/internal/hw"
 	"bgcnk/internal/sim"
-	"bgcnk/internal/upc"
 )
 
 // OS is the kernel-side contract Thread executes against. CNK and the FWK
@@ -101,10 +100,6 @@ func (t *Thread) Bind(coro *sim.Coro, core *hw.Core) {
 	t.core = core
 }
 
-// SetCore migrates the thread to a core (FWK load balancing; CNK never
-// moves a thread after placement).
-func (t *Thread) SetCore(core *hw.Core) { t.core = core }
-
 // Coro exposes the coroutine to the owning kernel.
 func (t *Thread) Coro() *sim.Coro { return t.coro }
 
@@ -128,9 +123,6 @@ func (t *Thread) TakePendingSignals() []SigInfo {
 	t.pendingSigs = nil
 	return s
 }
-
-// HasPendingSignals reports queued asynchronous signals.
-func (t *Thread) HasPendingSignals() bool { return len(t.pendingSigs) > 0 }
 
 // --- Context implementation ---
 
@@ -184,9 +176,7 @@ func (t *Thread) countSyscall(num Sys) {
 	if t.core == nil || t.core.Chip == nil {
 		return
 	}
-	u := t.core.Chip.UPC
-	u.Syscall(t.core.ID, int(num))
-	u.Trace.Emit(upc.EvSyscall, t.core.ID, t.coro.Now(), uint64(num))
+	t.core.Chip.UPC.Syscall(t.core.ID, int(num))
 }
 
 // Syscall implements Context.

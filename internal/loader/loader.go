@@ -40,12 +40,6 @@ type Image struct {
 	Symbols []Sym
 }
 
-// TextSize and DataSize report segment footprints for the partitioner.
-func (im *Image) TextSize() uint64 { return uint64(len(im.Text)) }
-
-// DataSize includes BSS.
-func (im *Image) DataSize() uint64 { return uint64(len(im.Data)) + im.BSS }
-
 // Lookup finds a symbol.
 func (im *Image) Lookup(name string) (Sym, bool) {
 	for _, s := range im.Symbols {

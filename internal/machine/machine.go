@@ -349,16 +349,6 @@ func (m *Machine) IONStats() []ion.Stats {
 	return out
 }
 
-// EnableTracepoints turns on the given tracepoint categories on every
-// node and mirrors emitted points into the engine trace, so the run's
-// reproducibility hash covers them. Recording costs no simulated cycles.
-func (m *Machine) EnableTracepoints(mask upc.Category) {
-	for _, ch := range m.Chips {
-		ch.UPC.Trace.AttachTrace(m.Eng.Trace())
-		ch.UPC.Trace.Enable(mask)
-	}
-}
-
 // Env is what a running application rank sees besides its kernel Context.
 type Env struct {
 	Rank int

@@ -35,23 +35,11 @@ func NewMmapTracker(lo, hi hw.VAddr, granularity uint64) *MmapTracker {
 	return &MmapTracker{lo: lo, hi: hi, gran: granularity}
 }
 
-// Bounds returns the managed arena.
-func (m *MmapTracker) Bounds() (hw.VAddr, hw.VAddr) { return m.lo, m.hi }
-
 // Allocated returns the allocated ranges, sorted.
 func (m *MmapTracker) Allocated() []MmapRange {
 	out := make([]MmapRange, len(m.ranges))
 	copy(out, m.ranges)
 	return out
-}
-
-// AllocatedBytes totals the currently allocated bytes.
-func (m *MmapTracker) AllocatedBytes() uint64 {
-	var t uint64
-	for _, r := range m.ranges {
-		t += r.Size
-	}
-	return t
 }
 
 func (m *MmapTracker) insert(r MmapRange) {

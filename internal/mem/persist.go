@@ -84,12 +84,3 @@ func (p *PersistRegistry) Remove(name string, uid uint32) error {
 	delete(p.regions, name)
 	return nil
 }
-
-// Names lists existing regions.
-func (p *PersistRegistry) Names() []string {
-	var ns []string
-	for n := range p.regions {
-		ns = append(ns, n)
-	}
-	return ns
-}

@@ -62,32 +62,6 @@ func (s Stats) String() string {
 		s.N, uint64(s.Min), uint64(s.Max), s.Mean, s.StdDev, s.MaxVariationPct)
 }
 
-// Histogram buckets samples into nbuckets between min and max, for the
-// Fig 5–7 style renderings.
-func Histogram(samples []sim.Cycles, nbuckets int) (edges []sim.Cycles, counts []int) {
-	if len(samples) == 0 || nbuckets <= 0 {
-		return nil, nil
-	}
-	st := Analyze(samples)
-	span := uint64(st.Max-st.Min) + 1
-	width := span / uint64(nbuckets)
-	if width == 0 {
-		width = 1
-	}
-	counts = make([]int, nbuckets)
-	for b := 0; b < nbuckets; b++ {
-		edges = append(edges, st.Min+sim.Cycles(uint64(b)*width))
-	}
-	for _, v := range samples {
-		b := int(uint64(v-st.Min) / width)
-		if b >= nbuckets {
-			b = nbuckets - 1
-		}
-		counts[b]++
-	}
-	return edges, counts
-}
-
 // BSPAmplification estimates the slowdown a bulk-synchronous application
 // would see on `nodes` nodes whose per-step compute time is distributed
 // like samples: each step takes the MAXIMUM across nodes (everyone waits

@@ -56,34 +56,6 @@ func TestAnalyzePropertyBounds(t *testing.T) {
 	}
 }
 
-func TestHistogramCountsSum(t *testing.T) {
-	samples := []sim.Cycles{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	edges, counts := Histogram(samples, 5)
-	if len(edges) != 5 || len(counts) != 5 {
-		t.Fatalf("buckets: %d %d", len(edges), len(counts))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(samples) {
-		t.Fatalf("counts sum %d != %d", total, len(samples))
-	}
-	if edges[0] != 1 {
-		t.Fatalf("first edge %d", edges[0])
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	if e, c := Histogram(nil, 4); e != nil || c != nil {
-		t.Fatal("empty histogram")
-	}
-	_, counts := Histogram([]sim.Cycles{5, 5, 5}, 3)
-	if counts[0] != 3 {
-		t.Fatalf("constant histogram: %v", counts)
-	}
-}
-
 func TestBSPAmplificationMonotoneInNodes(t *testing.T) {
 	// A noisy distribution: mostly min, occasional big spike.
 	var samples []sim.Cycles

@@ -12,7 +12,6 @@ import (
 
 	"bgcnk/internal/hw"
 	"bgcnk/internal/kernel"
-	"bgcnk/internal/sim"
 )
 
 // Allocation constants. Stack allocations exceed 1MB and therefore come
@@ -329,10 +328,3 @@ func (b *Barrier) Wait(ctx kernel.Context) kernel.Errno {
 		}
 	}
 }
-
-// Yield is sched_yield.
-func Yield(ctx kernel.Context) { ctx.Syscall(kernel.SysYield) }
-
-// Sleepish burns cycles (there is no nanosleep in either kernel; HPC code
-// spins).
-func Sleepish(ctx kernel.Context, d sim.Cycles) { ctx.Compute(d) }

@@ -119,11 +119,6 @@ func NewCrashInjector(plan *CrashPlan) *CrashInjector {
 // Crashes returns how many times the injector has fired.
 func (ci *CrashInjector) Crashes() int { return ci.fired }
 
-// Exhausted reports whether the MaxCrashes cap disarmed the injector.
-func (ci *CrashInjector) Exhausted() bool {
-	return ci.plan.Enabled() && ci.fired >= ci.plan.maxCrashes()
-}
-
 // At consults the injector at the append of journal record lsn from
 // site. It returns the crash class and true if the service node dies
 // here, advancing the generation so the next incarnation draws a

@@ -25,7 +25,6 @@ func (t TraceEntry) String() string {
 // while enabled.
 type Trace struct {
 	enabled bool
-	keepAll bool
 	hash    uint64
 	count   uint64
 	ring    []TraceEntry
@@ -44,9 +43,6 @@ func (tr *Trace) SetEnabled(on bool) { tr.enabled = on }
 
 // Enabled reports whether the trace records events.
 func (tr *Trace) Enabled() bool { return tr.enabled }
-
-// KeepAll makes the trace retain every entry instead of a bounded ring.
-func (tr *Trace) KeepAll() { tr.keepAll = true }
 
 // fnv1a64 constants (hash/fnv's offset basis and prime); the hash is
 // computed inline over the exact byte stream "%d|%s|%s" so it stays
@@ -81,10 +77,6 @@ func (tr *Trace) Record(at Cycles, tag, detail string) {
 	h = fnv1aString(h, detail)
 	tr.hash = tr.hash*fnvPrime64 ^ h
 	e := TraceEntry{At: at, Tag: tag, Detail: detail}
-	if tr.keepAll {
-		tr.ring = append(tr.ring, e)
-		return
-	}
 	if len(tr.ring) < tr.ringCap {
 		tr.ring = append(tr.ring, e)
 	} else {

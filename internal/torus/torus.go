@@ -412,9 +412,7 @@ func (i *Interface) SendPacket(dst Coord, tag uint32, kind uint8, payload []byte
 	}
 	i.seq++
 	i.PacketsSent++
-	u := i.chip.UPC
-	u.Inc(upc.ChipScope, upc.TorusPacket)
-	u.Trace.Emit(upc.EvTorusPacket, upc.ChipScope, i.net.eng.Now(), uint64(tag))
+	i.chip.UPC.Inc(upc.ChipScope, upc.TorusPacket)
 	t := i.net.newTransfer(i, i.net.At(dst), landPacket, len(payload))
 	t.pkt = Packet{From: i.coord, Tag: tag, Kind: kind, Seq: i.seq, Payload: append([]byte(nil), payload...)}
 	t.attempt()
@@ -538,7 +536,6 @@ func (i *Interface) Put(dst Coord, src, dstRanges []PhysRange, onDone func(error
 	u := i.chip.UPC
 	u.Add(upc.ChipScope, upc.DMADescriptor, uint64(len(src)))
 	u.Add(upc.ChipScope, upc.TorusBytes, total)
-	u.Trace.Emit(upc.EvDMAInject, upc.ChipScope, i.net.eng.Now(), total)
 	t := i.net.newTransfer(i, target, landPut, int(total))
 	t.extra = sim.Cycles(uint64(len(src))) * i.net.cfg.PerDescriptor
 	t.data, t.ranges, t.onDone = data, dstRanges, onDone
@@ -554,7 +551,6 @@ func (i *Interface) Get(dst Coord, remote, local []PhysRange, onDone func(error)
 	target := i.net.At(dst)
 	i.Descriptors++
 	i.chip.UPC.Inc(upc.ChipScope, upc.DMADescriptor)
-	i.chip.UPC.Trace.Emit(upc.EvDMAInject, upc.ChipScope, i.net.eng.Now(), 16)
 	t := i.net.newTransfer(i, target, landGet, 16) // the request descriptor packet
 	t.ranges, t.local, t.onDone = remote, local, onDone
 	t.attempt()

@@ -1,6 +1,6 @@
 // Package upc models the Blue Gene/P Universal Performance Counter unit:
-// a queryable, zero-allocation counter block plus a bounded tracepoint
-// ring, threaded through every layer that charges simulated cycles.
+// a queryable, zero-allocation counter block threaded through every layer
+// that charges simulated cycles.
 //
 // The real chip ships a UPC unit precisely because CNK's
 // cycle-reproducible execution makes counters trustworthy: the same run
@@ -14,10 +14,6 @@
 //
 //   - Incrementing a counter on the hot path allocates nothing: the Set is
 //     fixed-size arrays indexed by (core slot, counter id).
-//   - Tracepoints cost nothing when their category is disabled (one mask
-//     test), and when enabled they never advance simulated time — they
-//     record, they do not Sleep — so enabling observability cannot perturb
-//     a run's cycle totals (no Heisenberg effects).
 //   - Snapshots are comparable values: two runs replayed from the same
 //     seeds yield snapshots that compare equal with ==.
 package upc
@@ -150,7 +146,8 @@ func slot(core int) int {
 	return core
 }
 
-// Set is one chip's counter block. The zero value is ready to use; all
+// Set is one chip's counter block. hw.Chip owns one, and every layer
+// above reaches it through the chip. The zero value is ready to use; all
 // mutation is fixed-array indexing, so the hot path never allocates.
 type Set struct {
 	vals [NumSlots][NumCounters]uint64

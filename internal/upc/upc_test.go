@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"bgcnk/internal/sim"
 )
 
 func TestSetIncAddSnapshotDelta(t *testing.T) {
@@ -100,73 +98,5 @@ func TestTextAndJSONRendering(t *testing.T) {
 	// Deterministic rendering: equal snapshots render byte-identically.
 	if snap.JSON() != snap.JSON() || snap.Text() != snap.Text() {
 		t.Fatal("rendering must be deterministic")
-	}
-}
-
-func TestRingMaskAndBounds(t *testing.T) {
-	var r Ring
-	// Disabled: emit is a no-op.
-	r.Emit(EvTick, 0, 100, 0)
-	if r.Count() != 0 || r.Hash() != 0 {
-		t.Fatal("disabled tracepoint must record nothing")
-	}
-	r.Enable(CatIRQ)
-	if !r.Enabled(EvTick) || r.Enabled(EvCtxSwitch) {
-		t.Fatal("mask must gate by category")
-	}
-	r.Emit(EvTick, 1, 200, 7)
-	r.Emit(EvCtxSwitch, 1, 201, 0) // CatSched still off
-	if r.Count() != 1 {
-		t.Fatalf("count = %d, want 1", r.Count())
-	}
-	pts := r.Points()
-	if len(pts) != 1 || pts[0].Event != EvTick || pts[0].Core != 1 || pts[0].Arg != 7 {
-		t.Fatalf("points = %+v", pts)
-	}
-
-	// Bounded: emitting beyond RingCap evicts oldest but keeps counting.
-	r.Reset()
-	r.Enable(CatAll)
-	for i := 0; i < RingCap+10; i++ {
-		r.Emit(EvTick, 0, sim.Cycles(i), uint64(i))
-	}
-	if r.Count() != RingCap+10 {
-		t.Fatalf("count = %d, want %d", r.Count(), RingCap+10)
-	}
-	pts = r.Points()
-	if len(pts) != RingCap {
-		t.Fatalf("retained = %d, want %d", len(pts), RingCap)
-	}
-	if pts[0].Arg != 10 || pts[len(pts)-1].Arg != RingCap+9 {
-		t.Fatalf("ring order wrong: first=%d last=%d", pts[0].Arg, pts[len(pts)-1].Arg)
-	}
-}
-
-func TestRingHashDeterminism(t *testing.T) {
-	run := func() uint64 {
-		var r Ring
-		r.Enable(CatAll)
-		for i := 0; i < 100; i++ {
-			r.Emit(Event(i%int(NumEvents)), i%4, sim.Cycles(i*13), uint64(i))
-		}
-		return r.Hash()
-	}
-	if run() != run() {
-		t.Fatal("identical emit sequences must hash identically")
-	}
-}
-
-func TestRingFeedsSimTrace(t *testing.T) {
-	tr := sim.NewTrace()
-	base := tr.Hash()
-	var r Ring
-	r.AttachTrace(tr)
-	r.Enable(CatAll)
-	r.Emit(EvShipCall, 2, 500, 3)
-	if tr.Hash() == base {
-		t.Fatal("enabled tracepoint must feed the sim trace hash")
-	}
-	if tr.Count() != 1 {
-		t.Fatalf("trace count = %d, want 1", tr.Count())
 	}
 }
