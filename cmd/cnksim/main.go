@@ -22,6 +22,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"bgcnk"
 	"bgcnk/internal/apps"
@@ -35,7 +37,7 @@ import (
 func main() {
 	kernelName := flag.String("kernel", "cnk", "cnk or fwk")
 	nodes := flag.Int("nodes", 1, "compute nodes")
-	workload := flag.String("workload", "fwq", "fwq | allreduce | linpack | stream")
+	workload := flag.String("workload", "fwq", strings.Join(workloads, " | "))
 	samples := flag.Int("samples", 2000, "FWQ samples / allreduce iterations")
 	seed := flag.Uint64("seed", 1, "FWK daemon-phase seed")
 	counters := flag.String("counters", "", "print UPC counters after the run: text or json")
@@ -54,7 +56,7 @@ func main() {
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkFlags(set, *kernelName, *counters, *jobs > 0); err != nil {
+	if err := checkFlags(set, *kernelName, *workload, *counters, *jobs > 0); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -141,9 +143,6 @@ func main() {
 		}, kernel.JobParams{}, 0)
 		report(err)
 		fmt.Printf("stream: %.2f bytes/cycle (%.0f MB/s at 850MHz)\n", bpc, bpc*850)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
-		os.Exit(2)
 	}
 
 	if *counters != "" {
@@ -188,6 +187,9 @@ func writeTrace(path string, data []byte, spans, samples int) {
 		spans, samples, len(data), path)
 }
 
+// workloads are the -workload names a single-machine run knows.
+var workloads = []string{"fwq", "allreduce", "linpack", "stream"}
+
 // machineOnly flags configure a single-machine run; controlOnly flags
 // configure a -jobs drain. Each mode ignores the other's flags.
 var (
@@ -196,12 +198,15 @@ var (
 )
 
 // checkFlags rejects a command line that would silently run something
-// other than what it asks for: an unknown kernel or counter format, a
-// flag the chosen mode never reads, or a flag whose companion is absent.
-// set holds the names of the flags given on the command line.
-func checkFlags(set map[string]bool, kernelName, counters string, control bool) error {
+// other than what it asks for: an unknown kernel, workload or counter
+// format, a flag the chosen mode never reads, or a flag whose companion
+// is absent. set holds the names of the flags given on the command line.
+func checkFlags(set map[string]bool, kernelName, workload, counters string, control bool) error {
 	if kernelName != "cnk" && kernelName != "fwk" {
 		return fmt.Errorf("-kernel must be cnk or fwk, got %q", kernelName)
+	}
+	if !control && !slices.Contains(workloads, workload) {
+		return fmt.Errorf("-workload must be one of %s, got %q", strings.Join(workloads, ", "), workload)
 	}
 	if counters != "" && counters != "text" && counters != "json" {
 		return fmt.Errorf("-counters must be text or json, got %q", counters)
