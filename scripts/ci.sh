@@ -1,7 +1,7 @@
 #!/bin/sh
-# CI gate: vet, build, the full test suite under the race detector, the
-# fuzz seed-corpus regressions, and a short live fuzz pass on each fuzz
-# target. Run from the repository root:
+# CI gate: vet, gofmt, build, the full test suite under the race
+# detector, the fuzz seed-corpus regressions, and a short live fuzz pass
+# on each fuzz target. Run from the repository root:
 #
 #   ./scripts/ci.sh            # full gate
 #   FUZZTIME=0 ./scripts/ci.sh # skip the live fuzz pass (regressions still run)
@@ -12,6 +12,14 @@ FUZZTIME="${FUZZTIME:-10s}"
 
 echo "== go vet"
 go vet ./...
+
+echo "== gofmt"
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l lists files that are not formatted:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== go build"
 go build ./...
@@ -91,11 +99,12 @@ go test -run 'TestGolden/degrade' ./internal/experiments/
 # Sim fast-path contracts, gated explicitly: the timer-wheel scheduler
 # must replay seeded event workloads AND full machine fault-replay runs
 # bit-identically to the reference heap (trace hashes, exit codes, UPC
-# counters, RAS logs), and the replica runner must merge bit-identical
-# results at 1, 2, and 8 workers — from the raw pool up through the
-# rendered experiment artifacts. All under -race.
-echo "== sim fast path: heap-vs-wheel differential + replica worker invariance"
-go test -race -run 'TestDifferential' ./internal/sim/ ./internal/machine/
+# counters, RAS logs), every kernel x workload cell of the determinism
+# battery must match its pinned reference row, and the replica runner
+# must merge bit-identical results at 1, 2, and 8 workers — from the raw
+# pool up through the rendered experiment artifacts. All under -race.
+echo "== sim fast path: heap-vs-wheel differential + pinned battery + replica worker invariance"
+go test -race -run 'TestDifferential|TestDeterminismBattery' ./internal/sim/ ./internal/machine/
 go test -race -run 'TestReplicaWorkerInvariance' ./internal/sim/replica/
 go test -race -run 'TestRenderWorkerInvariance' ./internal/experiments/
 
