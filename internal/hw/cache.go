@@ -46,37 +46,62 @@ const (
 // mark an invalid way (~128 GiB; BG/P nodes carry 2-4 GB).
 const MaxMemSize = (1<<32 - 1) * L1LineSize
 
-// cacheArray is the tag store of one cache level: way w of set s holds
-// tags[s*ways+w], and victim[s] is set s's round-robin fill pointer, as
-// on the real part — deterministic.
+// tagPageSets is how many sets share one tag page: 16 KiB of tags at 16
+// ways.
+const tagPageSets = 256
+
+// cacheArray is the tag store of one cache level. Way w of set s holds
+// pages[s/tagPageSets][s%tagPageSets*ways+w], and victim[s] is set s's
+// round-robin fill pointer, as on the real part — deterministic. A page is
+// allocated by the first fill into one of its sets: an absent page holds
+// only invalid ways, so probing it is a miss.
 type cacheArray struct {
 	ways   uint64
-	tags   []uint32
+	pages  [][]uint32
 	victim []uint8
 }
 
 func newCacheArray(sets, ways int) cacheArray {
-	return cacheArray{ways: uint64(ways), tags: make([]uint32, sets*ways), victim: make([]uint8, sets)}
+	return cacheArray{ways: uint64(ways), pages: make([][]uint32, (sets+tagPageSets-1)/tagPageSets), victim: make([]uint8, sets)}
 }
 
-// access probes set for line and reports a hit. On a miss with fill set
-// it installs line in the set's victim way and advances the pointer.
-func (a *cacheArray) access(set, line uint64, fill bool) bool {
-	tag, base := uint32(line+1), set*a.ways
-	for _, t := range a.tags[base : base+a.ways] {
-		if t == tag {
+// probe reports whether set holds line.
+func (a *cacheArray) probe(set, line uint64) bool {
+	page, base := a.pages[set/tagPageSets], set%tagPageSets*a.ways
+	if page == nil {
+		return false
+	}
+	for _, t := range page[base : base+a.ways] {
+		if t == uint32(line+1) {
 			return true
 		}
 	}
-	if fill {
-		v := uint64(a.victim[set])
-		a.tags[base+v] = tag
-		if v++; v == a.ways {
-			v = 0
-		}
-		a.victim[set] = uint8(v)
-	}
 	return false
+}
+
+// fill installs line in set's victim way and advances the pointer,
+// allocating the set's page on the first fill into it.
+func (a *cacheArray) fill(set, line uint64) {
+	page := a.pages[set/tagPageSets]
+	if page == nil {
+		page = make([]uint32, tagPageSets*a.ways)
+		a.pages[set/tagPageSets] = page
+	}
+	v := uint64(a.victim[set])
+	page[set%tagPageSets*a.ways+v] = uint32(line + 1)
+	if v++; v == a.ways {
+		v = 0
+	}
+	a.victim[set] = uint8(v)
+}
+
+// flush invalidates every way and rewinds every fill pointer. It keeps the
+// pages it clears, so a flush costs what was touched since construction.
+func (a *cacheArray) flush() {
+	for _, page := range a.pages {
+		clear(page)
+	}
+	clear(a.victim)
 }
 
 // L3Mapping selects how physical lines map to L3 banks/sets. The BG/P
@@ -107,11 +132,12 @@ const (
 // working set and its results buffer, plus DDR refresh collisions — not
 // from a tunable jitter dial.
 //
-// Each level's tags live in one flat array allocated at construction; the
-// L1's holds all cores' sets, core c's from set c*L1Sets. A tag holds the
-// full line number plus one, so it does not depend on the L3 mapping and a
-// zeroed way is invalid: a new array is a cold cache, and a flush is one
-// clear.
+// Each level's tags live in pages of 256 sets, allocated by the first fill
+// into one of their sets; the L1's pages hold all cores' sets, core c's
+// from set c*L1Sets. A tag holds the full line number plus one, so it does
+// not depend on the L3 mapping and a zeroed way is invalid: an absent page
+// is a cold one, a new CacheSim holds no tags at all, and a flush clears
+// the pages that exist and keeps them.
 type CacheSim struct {
 	l1, l3 cacheArray
 
@@ -191,15 +217,16 @@ func (cs *CacheSim) Access(core int, pa PAddr, size uint32, write bool, now sim.
 	}
 	u := cs.upc
 	for line := first; line <= last; line++ {
-		addr := line * L1LineSize
-		// Only a load miss allocates an L1 line (see the store path).
-		if cs.l1.access(uint64(core)*L1Sets+line%L1Sets, line, !write) {
+		l1set := uint64(core)*L1Sets + line%L1Sets
+		if cs.l1.probe(l1set, line) {
 			cs.L1Hits[core]++
 			if u != nil {
 				u.Inc(core, upc.L1Hit)
 			}
 			continue
 		}
+		l3line := line * L1LineSize / L3LineSize
+		l3set := cs.l3index(l3line)
 		if write {
 			// The PPC450 L1 is write-through with no allocate-on-store:
 			// a store miss goes to the store queue and the L2/L3 without
@@ -209,17 +236,19 @@ func (cs *CacheSim) Access(core int, pa PAddr, size uint32, write bool, now sim.
 			if u != nil {
 				u.Inc(core, upc.StoreMiss)
 			}
-			l3line := addr / L3LineSize
-			cs.l3.access(cs.l3index(l3line), l3line, true)
+			if !cs.l3.probe(l3set, l3line) {
+				cs.l3.fill(l3set, l3line)
+			}
 			cost += CostStoreMiss
 			continue
 		}
+		// Only a load miss allocates an L1 line (see the store path).
+		cs.l1.fill(l1set, line)
 		cs.L1Misses[core]++
 		if u != nil {
 			u.Inc(core, upc.L1Miss)
 		}
-		l3line := addr / L3LineSize
-		if cs.l3.access(cs.l3index(l3line), l3line, true) {
+		if cs.l3.probe(l3set, l3line) {
 			cs.L3Hits++
 			if u != nil {
 				u.Inc(upc.ChipScope, upc.L3Hit)
@@ -227,6 +256,7 @@ func (cs *CacheSim) Access(core int, pa PAddr, size uint32, write bool, now sim.
 			cost += CostL3Hit
 			continue
 		}
+		cs.l3.fill(l3set, l3line)
 		cs.L3Misses++
 		if u != nil {
 			u.Inc(upc.ChipScope, upc.L3Miss)
@@ -274,10 +304,8 @@ func (cs *CacheSim) ResetRefreshPhase(now sim.Cycles) { cs.refreshBase = now }
 // FlushAll writes back and invalidates every level, as CNK does before
 // putting DDR in self-refresh for a reproducible reset.
 func (cs *CacheSim) FlushAll() {
-	clear(cs.l1.tags)
-	clear(cs.l1.victim)
-	clear(cs.l3.tags)
-	clear(cs.l3.victim)
+	cs.l1.flush()
+	cs.l3.flush()
 }
 
 func (cs *CacheSim) reset() {

@@ -12,7 +12,7 @@ const memChunk = 64 << 10
 // Memory models node DDR: a sparse byte store plus the self-refresh state
 // machine used by CNK's reproducible-reset protocol (paper Section III).
 // While in self-refresh, contents are preserved across a chip reset;
-// otherwise a reset scrambles them (modelled as dropping all chunks).
+// otherwise a reset scrambles them (modelled as zeroing every chunk).
 type Memory struct {
 	size        uint64
 	chunks      map[uint64][]byte
@@ -128,10 +128,14 @@ func (m *Memory) InSelfRefresh() bool { return m.selfRefresh }
 
 // reset models a full chip reset: DDR in self-refresh keeps contents; DDR
 // not in self-refresh loses them (the only persistent state in a BG/P chip
-// is DRAM during self-refresh — paper Section III).
+// is DRAM during self-refresh — paper Section III). Losing them zeroes the
+// chunks in place: a zeroed chunk reads as an absent one does, and the
+// next job to touch the same DDR writes into it without allocating.
 func (m *Memory) reset() {
 	m.Reads, m.Writes = 0, 0
 	if !m.selfRefresh {
-		m.chunks = make(map[uint64][]byte)
+		for _, c := range m.chunks {
+			clear(c)
+		}
 	}
 }
