@@ -2,6 +2,7 @@ package ctrlsys
 
 import (
 	"math/bits"
+	"sync"
 
 	"bgcnk/internal/cnk"
 	"bgcnk/internal/collective"
@@ -118,7 +119,28 @@ func SimulateBoot(cfg BootConfig) BootResult {
 
 // kernelBootInstr asks the kernel models themselves what node-local boot
 // costs, so the protocol model can never drift from the kernels it boots.
+// The answer depends only on the kernel kind and, for the FWK, on
+// stripped, so each probe runs once per process.
 func kernelBootInstr(kind machine.KernelKind, stripped bool) uint64 {
+	switch {
+	case kind == machine.KindCNK:
+		return cnkBootInstr()
+	case stripped:
+		return fwkStrippedBootInstr()
+	default:
+		return fwkBootInstr()
+	}
+}
+
+var (
+	cnkBootInstr         = sync.OnceValue(func() uint64 { return probeBootInstr(machine.KindCNK, false) })
+	fwkBootInstr         = sync.OnceValue(func() uint64 { return probeBootInstr(machine.KindFWK, false) })
+	fwkStrippedBootInstr = sync.OnceValue(func() uint64 { return probeBootInstr(machine.KindFWK, true) })
+)
+
+// probeBootInstr boots a kernel of kind on a fresh chip and returns the
+// instructions its node-local boot took.
+func probeBootInstr(kind machine.KernelKind, stripped bool) uint64 {
 	eng := sim.NewEngine()
 	chip := hw.NewChip(hw.ChipConfig{ID: 0})
 	if kind == machine.KindCNK {

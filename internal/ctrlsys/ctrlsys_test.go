@@ -192,3 +192,16 @@ func TestPartitionPersonalities(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelBootInstrMatchesProbe checks that each memoized boot probe
+// answers for its own kernel kind and stripped flag.
+func TestKernelBootInstrMatchesProbe(t *testing.T) {
+	for _, c := range []struct {
+		kind     machine.KernelKind
+		stripped bool
+	}{{machine.KindCNK, false}, {machine.KindFWK, false}, {machine.KindFWK, true}} {
+		if got, want := kernelBootInstr(c.kind, c.stripped), probeBootInstr(c.kind, c.stripped); got != want {
+			t.Errorf("kernelBootInstr(%v, stripped %v) = %d, want the probe's %d", c.kind, c.stripped, got, want)
+		}
+	}
+}
