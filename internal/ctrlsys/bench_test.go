@@ -32,3 +32,30 @@ func benchDrain(b *testing.B, workers int) {
 
 func BenchmarkDrainSerial(b *testing.B)   { benchDrain(b, 1) }
 func BenchmarkDrainParallel(b *testing.B) { benchDrain(b, runtime.NumCPU()) }
+
+// BenchmarkDrainCheckpointed drains one fixed 8-job queue in perfbench
+// cnk-drain's configuration: 1 rack x 4 midplanes x 4 CNK nodes,
+// checkpointing and the journal on, one worker. Every job builds, boots,
+// runs and discards its own partition machine, so a -cpuprofile of this
+// benchmark shows partition construction as cnk-drain pays for it.
+func BenchmarkDrainCheckpointed(b *testing.B) {
+	cfg := Config{
+		Topology: Topology{Racks: 1, MidplanesPerRack: 4, NodesPerMidplane: 4},
+		Kind:     machine.KindCNK,
+		Seed:     1,
+		Workers:  1,
+		Ckpt:     CkptConfig{Enabled: true},
+		Journal:  JournalConfig{Enabled: true},
+	}
+	jobs := GenerateJobs(cfg.Seed, 8, cfg.Topology.Midplanes())
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := New(cfg).Drain(jobs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Failures != 0 || len(res.Errs) != 0 {
+			b.Fatalf("%d failed jobs, errors %v", res.Failures, res.Errs)
+		}
+	}
+}
