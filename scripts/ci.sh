@@ -114,12 +114,16 @@ go test -race -run 'TestRenderWorkerInvariance' ./internal/experiments/
 echo "== coroutine switch: kill/unwind + pinned coros + alloc-free park/wake"
 go test -race -count=10 -run 'TestCoro|TestShutdown|TestEngineShutdown|TestDifferential|TestParkWake' ./internal/sim/
 
-# Cache model contracts: the flat tag store must replay the pinned
-# CacheSim digests (both L3 mappings), reject lines beyond the tag width,
-# build a chip in a few dozen allocations and reset it with none, under
-# -race.
-echo "== hw cache model: pinned digests + tag range + chip allocations"
-go test -race -run 'TestCache|TestChip|TestNewChip' ./internal/hw/
+# Cache model contracts: the tag pages, each allocated by the first fill
+# into one of its 256 sets and kept and cleared by a flush, must replay
+# the pinned CacheSim digests (dense and sparse streams, both L3
+# mappings) and reject lines beyond the tag width; a chip must build in a
+# few dozen allocations and at most 64 KiB; DDR must keep its contents
+# across a reset in self-refresh and lose them otherwise, zeroing the
+# chunks it keeps; and a chip that touched a line per core and a DDR word
+# must touch them again after a reset without allocating. Under -race.
+echo "== hw cache model: pinned digests + tag range + chip allocations + DDR reset"
+go test -race -run 'TestCache|TestChip|TestNewChip|TestSelfRefresh|TestResetWithoutSelfRefresh' ./internal/hw/
 
 # Observability contracts: arming the span/sampler layer must change
 # NOTHING (cycle-exact vs the unarmed machine, fault injector on), the
