@@ -80,11 +80,10 @@ func (cl *Client) SetRetryPolicy(p RetryPolicy) { cl.policy = p }
 // EIO surfaced) to the machine's RAS log.
 func (cl *Client) AttachFaults(f *ras.NodeFaults) { cl.faults = f }
 
-// AttachION arms the I/O-node aggregation path: every attempt first
-// acquires an ingress credit from the shared ION — stalling, with the
-// stall cycles on this chip's UPC unit, when the fan-in is saturated —
-// and crosses the uplink wrapped in a mux frame naming this compute
-// node and reply tag. The serving daemon releases the credit when it
+// AttachION names the I/O node this client's calls enter (nil:
+// unarmed): every attempt first acquires an ingress credit from it —
+// stalling, with the stall cycles on this chip's UPC unit, when the
+// fan-in is saturated. The serving daemon releases the credit when it
 // disposes of the message.
 func (cl *Client) AttachION(n *ion.Node) { cl.ion = n }
 
@@ -119,18 +118,12 @@ func (cl *Client) Call(c *sim.Coro, req *Request) *Reply {
 		}
 		cl.nextTag++
 		tag := cl.nextTag
-		wire := data
-		if cl.ion != nil {
-			creditStart := c.Now()
-			cl.ion.Acquire(c, cl.ep.ID(), cl.upc)
-			if waited := c.Now(); waited > creditStart {
-				cl.obs.Emit(obs.CatStall, "ion:credit", cl.node, int(req.PID), creditStart, waited, 0)
-			}
-			wire = ion.MarshalFrame(&ion.Frame{
-				CN: int32(cl.ep.ID()), PID: req.PID, Tag: tag, Payload: data,
-			})
+		creditStart := c.Now()
+		cl.ion.Acquire(c, cl.ep.ID(), cl.upc)
+		if waited := c.Now(); waited > creditStart {
+			cl.obs.Emit(obs.CatStall, "ion:credit", cl.node, int(req.PID), creditStart, waited, 0)
 		}
-		cl.ep.Send(-1, tag, wire)
+		cl.ep.Send(-1, tag, data)
 		timeout := sim.Forever
 		if cl.policy.Timeout > 0 {
 			timeout = cl.policy.Timeout

@@ -29,6 +29,13 @@ const PacketBytes = 256
 // transfer; it doubles per consecutive corruption of the same transfer.
 const RetransBackoff = sim.Cycles(200)
 
+// muxHeader is the multiplexing header every CN→ION message carries on a
+// shared uplink: magic(1) + cn(4) + pid(4) + tag(4) + paylen(4), what one
+// daemon needs to demultiplex many compute nodes' interleaved traffic.
+// The Message envelope and the request already carry all of it, so the
+// tree charges the header's bytes without building it.
+const muxHeader = 1 + 4 + 4 + 4 + 4
+
 // Config sets the link cost model. Defaults approximate BG/P's tree:
 // ~0.85 GB/s per link and a few microseconds of tree latency.
 type Config struct {
@@ -63,8 +70,8 @@ type Tree struct {
 
 	// shareUp serializes every CN→ION transfer on one shared uplink (the
 	// physical tree's root edge into the I/O node) in addition to each
-	// sender's own NIC. Armed by the ION aggregation subsystem; off, the
-	// legacy per-endpoint model is byte-identical.
+	// sender's own NIC, and charges each one the mux header. Armed by the
+	// ION aggregation subsystem; off, each CN has a private uplink.
 	shareUp bool
 	upBusy  sim.Cycles
 
@@ -122,8 +129,9 @@ func (t *Tree) ION() *Endpoint { return t.ion }
 
 // ShareUplink arms shared-uplink serialization: all CN→ION traffic on
 // this tree contends for the single link into the I/O node, on top of
-// each sender's own NIC serialization. This is what makes fan-in
-// bandwidth saturate as the CN:ION ratio grows.
+// each sender's own NIC serialization, and each message pays for the
+// mux header that lets one daemon tell its senders apart. This is what
+// makes fan-in bandwidth saturate as the CN:ION ratio grows.
 func (t *Tree) ShareUplink() { t.shareUp = true }
 
 // UplinkTransfer blocks c while n bytes cross the shared uplink and
@@ -168,19 +176,18 @@ func (e *Endpoint) AttachFaults(f *ras.NodeFaults) { e.faults = f }
 // reboot must not let job N's stragglers leak into job N+1.
 func (e *Endpoint) Drain() { e.inbox = nil }
 
+// packets is how many collective packets carry n bytes (at least one).
+func packets(n int) int { return max(1, (n+PacketBytes-1)/PacketBytes) }
+
 // sendCost computes serialization cycles for n bytes.
 func (e *Endpoint) sendCost(n int) sim.Cycles {
-	packets := (n + PacketBytes - 1) / PacketBytes
-	if packets == 0 {
-		packets = 1
-	}
-	ser := sim.Cycles(float64(n)*e.tree.cfg.CyclesPerByte) + sim.Cycles(packets)*e.tree.cfg.PerPacket
-	return ser
+	return sim.Cycles(float64(n)*e.tree.cfg.CyclesPerByte) + sim.Cycles(packets(n))*e.tree.cfg.PerPacket
 }
 
 // Send transmits msg to the tree peer (CN→ION or ION→CN addressed by
 // msg destination to). The sender's coroutine is NOT blocked: the cost is
-// paid on the link (DMA-like). Use SendFrom for an explicit source tag.
+// paid on the link (DMA-like). On a shared uplink a CN→ION message is
+// charged, counted and traced with the mux header's bytes added.
 func (e *Endpoint) Send(to int, tag uint32, data []byte) {
 	var dst *Endpoint
 	if e.ion {
@@ -188,7 +195,12 @@ func (e *Endpoint) Send(to int, tag uint32, data []byte) {
 	} else {
 		dst = e.tree.ion
 	}
-	ser := e.sendCost(len(data))
+	shared := !e.ion && e.tree.shareUp
+	n := len(data)
+	if shared {
+		n += muxHeader
+	}
+	ser := e.sendCost(n)
 	if e.faults != nil {
 		// Link-level CRC: the receiver NAKs a corrupted transfer and the
 		// sender re-serializes it after an exponentially growing backoff.
@@ -211,26 +223,22 @@ func (e *Endpoint) Send(to int, tag uint32, data []byte) {
 	if e.busyUntil > start {
 		start = e.busyUntil
 	}
-	if !e.ion && e.tree.shareUp && e.tree.upBusy > start {
+	if shared && e.tree.upBusy > start {
 		start = e.tree.upBusy
 	}
 	e.busyUntil = start + ser
-	if !e.ion && e.tree.shareUp {
+	if shared {
 		e.tree.upBusy = e.busyUntil
 	}
 	arrive := e.busyUntil + e.tree.cfg.Latency
 	msg := Message{From: e.id, Tag: tag, Data: append([]byte(nil), data...)}
 	e.Sent++
-	e.BytesSent += uint64(len(data))
+	e.BytesSent += uint64(n)
 	if e.upc != nil {
-		packets := (len(data) + PacketBytes - 1) / PacketBytes
-		if packets == 0 {
-			packets = 1
-		}
-		e.upc.Add(upc.ChipScope, upc.CollPacket, uint64(packets))
-		e.upc.Add(upc.ChipScope, upc.CollBytes, uint64(len(data)))
+		e.upc.Add(upc.ChipScope, upc.CollPacket, uint64(packets(n)))
+		e.upc.Add(upc.ChipScope, upc.CollBytes, uint64(n))
 	}
-	e.tree.obs.Emit(obs.CatMsg, "coll:send", e.id, 0, e.tree.eng.Now(), arrive, uint64(len(data)))
+	e.tree.obs.Emit(obs.CatMsg, "coll:send", e.id, 0, e.tree.eng.Now(), arrive, uint64(n))
 	e.tree.eng.At(arrive, func() { dst.deliver(msg) })
 }
 

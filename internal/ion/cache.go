@@ -66,13 +66,6 @@ func NewCache(fsys *fs.FS, capBlocks int) *Cache {
 		blocks: make(map[blockKey]*block), sizes: make(map[uint64]uint64)}
 }
 
-// SetFS repoints the cache at a new backing filesystem (partition reboot
-// mounts a fresh one) and clears all cached state.
-func (ca *Cache) SetFS(fsys *fs.FS) {
-	ca.fsys = fsys
-	ca.Clear()
-}
-
 // Size returns the file's effective size: the backing size overlaid with
 // every cached write.
 func (ca *Cache) Size(ino uint64) uint64 {

@@ -152,7 +152,7 @@ func TestReset(t *testing.T) {
 	if n.Cache().DirtyBlocks() == 0 {
 		t.Fatal("expected a dirty block before reset")
 	}
-	n.Reset()
+	n.Reset(fsys)
 	if n.Cache().DirtyBlocks() != 0 {
 		t.Fatal("dirty blocks survived reset")
 	}

@@ -67,10 +67,12 @@ type Config struct {
 	CNsPerION int
 
 	// ION, when non-nil, arms the I/O-node aggregation subsystem on every
-	// I/O node: the shared collective-tree uplink, the bounded ingress
-	// queue with credit backpressure, request coalescing in the daemon,
-	// and the write-back buffer cache. Nil keeps the legacy cycle-exact
-	// unaggregated I/O path.
+	// I/O node: the shared collective-tree uplink with its mux header, the
+	// bounded ingress queue with credit backpressure, request coalescing
+	// in the daemon, and the write-back buffer cache. Nil builds unarmed
+	// I/O nodes on the same serve path: calls are admitted at once, with
+	// no coalescing, no cache, a private uplink per compute node and no
+	// mux header.
 	ION *ion.Config
 
 	// Sched selects the engine's event scheduler (default: the timer
@@ -222,7 +224,9 @@ func New(cfg Config) (*Machine, error) {
 		}
 	}
 
-	// One ION (filesystem + CIOD) per CNsPerION compute nodes.
+	// One ION (filesystem + CIOD) per CNsPerION compute nodes; nodes holds
+	// each tree's ion.Node, nil where unarmed.
+	var nodes []*ion.Node
 	for base := 0; base < cfg.Nodes; base += cfg.CNsPerION {
 		var ids []int
 		for n := base; n < base+cfg.CNsPerION && n < cfg.Nodes; n++ {
@@ -250,16 +254,18 @@ func New(cfg Config) (*Machine, error) {
 			tree.ION().AttachFaults(ionF)
 			srv.SetFaults(ionF, cfg.Faults.RestartDelay())
 		}
+		var node *ion.Node
 		if cfg.ION != nil {
 			// Aggregation armed: this tree's CN→ION traffic serializes on
 			// the one shared uplink, and the daemon serves through the
 			// ingress credit gate and buffer cache.
 			tree.ShareUplink()
 			icfg := cfg.ION.WithDefaults()
-			node := ion.NewNode(icfg, ion.NewCache(ionFS, icfg.CacheBlocks))
-			srv.AttachION(node)
+			node = ion.NewNode(icfg, ion.NewCache(ionFS, icfg.CacheBlocks))
 			m.IONs = append(m.IONs, node)
 		}
+		srv.AttachION(node)
+		nodes = append(nodes, node)
 		m.Servers = append(m.Servers, srv)
 	}
 
@@ -271,9 +277,7 @@ func New(cfg Config) (*Machine, error) {
 			io := ciod.NewClient(m.Trees[treeIdx].CN(n))
 			io.AttachUPC(chip.UPC)
 			io.AttachObs(m.Obs, n)
-			if cfg.ION != nil {
-				io.AttachION(m.IONs[treeIdx])
-			}
+			io.AttachION(nodes[treeIdx])
 			if m.inj != nil {
 				// With a fallible I/O path the blocking protocol would
 				// hang forever on one lost reply; arm timeouts and
@@ -442,10 +446,11 @@ func (m *Machine) ResetFaults() {
 
 // ClearJobs forgets finished (or killed) jobs AND the per-job state they
 // left in the kernels and CIOD — process tables, PID/TID counters, futex
-// queues, run queues, ioproxies, undelivered tree messages — so a reused
-// machine's next job is numbered, placed and served exactly like a fresh
-// machine's first. (Before this reset, a second job saw job 1's PID
-// counters and stale proxies, so back-to-back runs were not comparable.)
+// queues, run queues, ioproxies with their I/O nodes' credits and cache,
+// undelivered tree messages — so a reused machine's next job is
+// numbered, placed and served exactly like a fresh machine's first.
+// (Before this reset, a second job saw job 1's PID counters and stale
+// proxies, so back-to-back runs were not comparable.)
 func (m *Machine) ClearJobs() {
 	m.jobs = nil
 	m.clearCkptJobState()
@@ -464,12 +469,6 @@ func (m *Machine) ClearJobs() {
 		for n := base; n < base+m.Cfg.CNsPerION && n < m.Cfg.Nodes; n++ {
 			tree.CN(n).Drain()
 		}
-	}
-	// DropProxies abandons in-flight calls without releasing their ingress
-	// credits (the owning coroutines are dead); Reset restores the full
-	// credit pool and drops the previous job's cache residue.
-	for _, n := range m.IONs {
-		n.Reset()
 	}
 }
 
@@ -499,10 +498,6 @@ func (m *Machine) Reboot() error {
 		ionFS.MustMkdirAll("/lib")
 		m.IONFS[i] = ionFS
 		m.Servers[i].Reset(ionFS)
-		if i < len(m.IONs) {
-			m.IONs[i].Cache().SetFS(ionFS)
-			m.IONs[i].Reset()
-		}
 	}
 	for _, ch := range m.Chips {
 		ch.Reset()
