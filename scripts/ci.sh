@@ -28,7 +28,7 @@ echo "== go test -race"
 go test -race ./...
 
 echo "== fuzz seed-corpus regressions"
-go test -run 'Fuzz' ./internal/fs/ ./internal/ciod/ ./internal/ion/ ./internal/ctrlsys/ ./internal/ctrlsys/wal/ ./internal/ckpt/ ./internal/obs/
+go test -run 'Fuzz' ./internal/fs/ ./internal/ciod/ ./internal/ctrlsys/ ./internal/ctrlsys/wal/ ./internal/ckpt/ ./internal/obs/
 
 # The fault matrix is part of the -race suite above, but gate on it
 # explicitly: every cell's fault must fire and replay bit-identically
@@ -65,15 +65,19 @@ go test -race -run 'TestCrashMatrixDeterminism|TestDoubleCrashDuringRecovery|Tes
 go test -run 'TestRecoveredMachineMatchesFresh' ./internal/machine/
 go test -run 'TestGolden/crashes' ./internal/experiments/
 
-# I/O-node aggregation contracts: with the subsystem armed, the whole
-# machine (shared uplink, ingress credits, coalescer, write-back cache)
-# must be cycle-reproducible and survive reboot identically; the
-# checkpointed drain through the ION cache must restart bit-identically
-# at 1/2/8 workers (under -race); an unarmed machine must be cycle-exact
-# with the pre-ION model; the ion_crash fault class must replay
-# cycle-exactly; and the ioscale sweep must match its golden
+# I/O-node contracts: armed and unarmed I/O nodes share one CIOD serve
+# path, so every reply of a fixed script of shipped calls must match its
+# pinned row in both modes, and an ion_crash must kill the daemon in both
+# (under -race); with the subsystem armed, the whole machine (shared
+# uplink, ingress credits, coalescer, write-back cache) must be
+# cycle-reproducible and survive reboot identically, and the checkpointed
+# drain through the ION cache must restart bit-identically at 1/2/8
+# workers (under -race); an unarmed machine must grow no ION nodes or
+# counters and must not depend on CNsPerION; the ion_crash fault class
+# must replay cycle-exactly; and the ioscale sweep must match its golden
 # byte-for-byte.
-echo "== I/O-node aggregation: determinism + ion_crash + ioscale golden"
+echo "== I/O-node aggregation: pinned replies + determinism + ion_crash + ioscale golden"
+go test -race -run 'TestPinnedReplies|TestIONCrashFlushesEIOAndDropsCache' ./internal/ciod/
 go test -race -run 'TestIONMachineDeterminism|TestIONRebootMatchesFresh|TestIONOffChangesNothing|TestSealCheckpointFlushesIONCache' ./internal/machine/
 go test -race -run 'TestRestartDeterminismThroughIONCache' ./internal/ctrlsys/
 go test -run 'TestFaultMatrix/.*/ion_crash' ./internal/machine/
@@ -154,7 +158,6 @@ if [ "$FUZZTIME" != "0" ]; then
 	echo "== live fuzzing ($FUZZTIME per target)"
 	go test -fuzz=FuzzFS -fuzztime="$FUZZTIME" ./internal/fs/
 	go test -fuzz=FuzzMarshal -fuzztime="$FUZZTIME" ./internal/ciod/
-	go test -fuzz=FuzzIONMux -fuzztime="$FUZZTIME" ./internal/ion/
 	go test -fuzz=FuzzPersonality -fuzztime="$FUZZTIME" ./internal/ctrlsys/
 	go test -fuzz=FuzzCheckpointImage -fuzztime="$FUZZTIME" ./internal/ckpt/
 	go test -fuzz=FuzzJournal -fuzztime="$FUZZTIME" ./internal/ctrlsys/wal/
