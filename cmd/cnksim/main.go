@@ -46,7 +46,7 @@ func main() {
 	nodeFails := flag.Int("nodefails", 0, "hard network faults: torus node interfaces to kill at seeded cycles")
 	noResilience := flag.Bool("noresilience", false, "disable fault-region routing and end-to-end retransmit (degrade baseline)")
 	rasDump := flag.Bool("ras", false, "print the RAS event log after the run")
-	ions := flag.Int("ions", 0, "CN:ION ratio — compute nodes per I/O node; arms the I/O aggregation subsystem (0 = legacy direct path)")
+	ions := flag.Int("ions", 0, "CN:ION ratio — compute nodes per I/O node; arms the I/O aggregation subsystem (0 = unarmed I/O nodes)")
 	partitions := flag.Int("partitions", 4, "control-system mode: midplanes in the machine")
 	jobs := flag.Int("jobs", 0, "control-system mode: drain this many queued jobs (0 = run -workload instead)")
 	workers := flag.Int("workers", 1, "control-system mode: parallel partition workers")

@@ -197,12 +197,12 @@ func (c *Client) Write(fd int, buf []byte) (int, kernel.Errno) {
 	return len(buf), kernel.OK
 }
 
-// FileInfo exposes a descriptor's identity to the I/O node's buffer
-// cache: the inode number, the description's current offset and flags,
-// and whether it names a regular file (only regular files are cacheable;
-// everything else falls through to the direct path). Permission checks
-// already happened at open time, so the cache may address the inode
-// directly.
+// FileInfo exposes a descriptor's identity to the I/O-node daemon: the
+// inode number, the description's current offset and flags, and whether
+// it names a regular file (only a regular file's bytes are addressed by
+// inode, through the buffer cache or straight through the filesystem).
+// Permission checks already happened at open time, so the daemon may
+// address the inode directly.
 func (c *Client) FileInfo(fd int) (ino, offset, flags uint64, regular bool, errno kernel.Errno) {
 	of, e := c.file(fd)
 	if e != kernel.OK {
@@ -211,8 +211,8 @@ func (c *Client) FileInfo(fd int) (ino, offset, flags uint64, regular bool, errn
 	return of.node.ino, of.Offset, of.Flags, of.node.typ == TypeFile, kernel.OK
 }
 
-// SetOffset stores the descriptor's offset after a cached read or write
-// advanced it on the cache's side of the fence.
+// SetOffset stores the descriptor's offset after the daemon read or
+// wrote the file's bytes by inode.
 func (c *Client) SetOffset(fd int, off uint64) kernel.Errno {
 	of, errno := c.file(fd)
 	if errno != kernel.OK {

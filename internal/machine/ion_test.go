@@ -256,11 +256,13 @@ func TestSealCheckpointFlushesIONCache(t *testing.T) {
 	}
 }
 
-// TestIONOffChangesNothing: a machine built with ION nil must be
-// byte-identical to one built before the subsystem existed — the legacy
-// I/O path is the default and stays cycle-exact. (The ion-armed runs in
-// this file all differ from legacy by construction; this guards the
-// other direction.)
+// TestIONOffChangesNothing: a machine built with ION nil serves through
+// unarmed I/O nodes on the same CIOD path — calls admitted at once, no
+// coalescing, no cache, a private uplink per compute node, no mux header
+// — so it grows no ION nodes or counters, and regrouping compute nodes
+// under more I/O nodes changes nothing. (The ion-armed runs in this file
+// all differ from unarmed ones by construction; this guards the other
+// direction.)
 func TestIONOffChangesNothing(t *testing.T) {
 	run := func(cnsPerION int) ionRunFacts {
 		m, err := New(Config{Nodes: 2, Kind: KindCNK, Seed: 11, CNsPerION: cnsPerION})
@@ -294,7 +296,7 @@ func TestIONOffChangesNothing(t *testing.T) {
 func m0Counters(f ionRunFacts) upc.Snapshot { return f.counters }
 
 // TestIONWorkloadDistinguishable sanity-checks the model has teeth: the
-// aggregated run must actually differ in time from the legacy run (the
+// aggregated run must actually differ in time from the unarmed run (the
 // shared uplink and credit gate cost something), or the ioscale
 // experiment would be comparing identical machines.
 func TestIONWorkloadDistinguishable(t *testing.T) {
