@@ -317,16 +317,18 @@ func TestScheduleResilientBlacklist(t *testing.T) {
 	}
 }
 
-// TestCkptOffSignatureUnchanged pins backward compatibility: arming the
-// Ckpt config off must leave Drain on the exact pre-resilience code path,
-// so the signature of a checkpoint-free drain is the same value PR 3
-// golden-pinned. Guarded here structurally: zero restart state, no Errs,
-// no drained midplanes.
+// TestCkptOffSignatureUnchanged pins the checkpoint-off drain: no job
+// carries restart state, the drain has no Errs and no drained midplanes,
+// and its signature is a fixed literal.
 func TestCkptOffSignatureUnchanged(t *testing.T) {
+	const want uint64 = 0x1397212ca7b30f41
 	s := New(Config{Topology: resilienceTopo(), Kind: machine.KindCNK, Seed: 42, Workers: 2})
 	res, err := s.Drain(GenerateJobs(42, 4, resilienceTopo().Midplanes()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := res.Signature(); got != want {
+		t.Errorf("checkpoint-off drain signature %016x, pinned %016x", got, want)
 	}
 	if res.Restarts != 0 || res.Wasted != 0 || len(res.Errs) != 0 ||
 		len(res.Sched.Drained) != 0 || res.Sched.Resubmits != 0 {
@@ -335,7 +337,7 @@ func TestCkptOffSignatureUnchanged(t *testing.T) {
 	}
 	for _, r := range res.Results {
 		if len(r.Attempts) != 0 || r.RestartOverhead != 0 || r.BudgetExhausted {
-			t.Errorf("job %d carries restart history on the non-resilient path", r.Job.ID)
+			t.Errorf("job %d carries restart history with checkpointing off", r.Job.ID)
 		}
 	}
 }

@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 // and every host; a diff here means a determinism regression (or an
 // intentional model change, in which case rerun with -update).
 func TestGolden(t *testing.T) {
-	for _, id := range []string{"fig5-7", "table1", "table2", "table3", "boot", "mtbf", "crashes", "ioscale", "degrade", "tracescale"} {
+	for _, id := range []string{"fig5-7", "table1", "table2", "table3", "boot", "mtbf", "crashes", "ioscale", "degrade", "tracescale", "throughput"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			r, err := Registry[id](quick)
