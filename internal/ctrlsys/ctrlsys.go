@@ -15,9 +15,10 @@
 // is what makes a job's result a pure function of its job spec,
 // independent of which midplanes it lands on or which worker simulates
 // it, which in turn is what lets Drain run partitions in parallel on a
-// bounded worker pool and still merge bit-identical results in job-ID
-// order (deterministic parallelism in the spirit of Ford & Cox's
-// deterministic spaces: parallelize first, then commit in a fixed order).
+// bounded worker pool and still merge bit-identical results: every drain
+// commits through one serial pipeline in job-ID order (deterministic
+// parallelism in the spirit of Ford & Cox's deterministic spaces:
+// parallelize first, then commit in a fixed order).
 package ctrlsys
 
 import (
@@ -98,8 +99,9 @@ type Config struct {
 	// Journal arms the write-ahead journal: every scheduler state
 	// transition is made durable on the control store before it is
 	// applied, and a crashed service node recovers by replay (crash-only
-	// operation). Off, the service node is the single point of failure
-	// it always was.
+	// operation). Off, the drain runs the same commit pipeline, but its
+	// records only advance a virtual LSN and the service node is the
+	// single point of failure it always was.
 	Journal JournalConfig
 	// Crashes, when non-nil and enabled, arms deterministic service-node
 	// crash injection: seeded deaths keyed to journal LSNs. With Journal
@@ -125,7 +127,8 @@ type ServiceNode struct {
 	nextPID int
 
 	// w is the crash-survivable world (control store, journal, crash
-	// injector, drain state); nil unless Journal or Crashes is armed.
+	// injector, drain state). Every node has one: with the journal off
+	// its records only advance a virtual LSN.
 	w *world
 
 	// obs is the job-lifecycle span recorder; nil unless Config.Obs is
@@ -136,12 +139,9 @@ type ServiceNode struct {
 // New builds a service node over the configured topology.
 func New(cfg Config) *ServiceNode {
 	topo := cfg.Topology.normalized()
-	s := &ServiceNode{cfg: cfg, topo: topo, owner: make([]int, topo.Midplanes())}
+	s := &ServiceNode{cfg: cfg, topo: topo, owner: make([]int, topo.Midplanes()), w: newWorld(cfg)}
 	for i := range s.owner {
 		s.owner[i] = -1
-	}
-	if cfg.Journal.Enabled || cfg.Crashes.Enabled() {
-		s.w = newWorld(cfg)
 	}
 	if cfg.Obs != nil {
 		s.obs = obs.New(*cfg.Obs)
@@ -207,10 +207,8 @@ func (s *ServiceNode) Allocate(midplanes int) (*Partition, error) {
 	}
 	// Write-ahead: the allocation is durable before the midplane map
 	// changes, so a crash here loses nothing recovery has to undo.
-	if s.w != nil {
-		if err := s.appendRec(recPartAlloc, tripleBody(p.ID, base, midplanes), ras.SiteAppend); err != nil {
-			return nil, err
-		}
+	if err := s.appendRec(recPartAlloc, tripleBody(p.ID, base, midplanes), ras.SiteAppend); err != nil {
+		return nil, err
 	}
 	s.nextPID++
 	for i := base; i < base+midplanes; i++ {
@@ -246,7 +244,7 @@ func (s *ServiceNode) blockName(base, span int) string {
 // down its backing machine if one is still up.
 func (s *ServiceNode) Release(p *Partition) {
 	p.Destroy()
-	if s.w != nil && p.Base >= 0 {
+	if p.Base >= 0 {
 		// A crash on this append leaves the allocation durable; the free
 		// happens anyway in memory, and recovery re-frees it from the
 		// journal — releasing twice is idempotent.
@@ -267,7 +265,7 @@ func (s *ServiceNode) BootPartition(p *Partition, jobSeed uint64) error {
 	// Journal real (allocated) partition boots only: drain-simulation
 	// partitions (Base -1) are booted inside parallel workers and get
 	// their virtual boot records from the serial commit pipeline instead.
-	if s.w != nil && p.Base >= 0 {
+	if p.Base >= 0 {
 		if err := s.appendRec(recPartBoot, bootBody(p.ID, jobSeed), ras.SiteBoot); err != nil {
 			return err
 		}

@@ -3,8 +3,6 @@ package ctrlsys
 import (
 	"fmt"
 
-	"bgcnk/internal/apps"
-	"bgcnk/internal/hw"
 	"bgcnk/internal/kernel"
 	"bgcnk/internal/machine"
 	"bgcnk/internal/ras"
@@ -128,44 +126,6 @@ func (r *JobResult) Failed() bool {
 	return false
 }
 
-// jobApp is the workload a queued job runs: compute/memory rounds coupled
-// by allreduces, with rank 0 writing its output through the I/O path.
-func jobApp(m *machine.Machine, job Job) machine.App {
-	return func(ctx kernel.Context, env *machine.Env) {
-		base := m.HeapBase(ctx)
-		for e := 0; e < job.Exchanges; e++ {
-			ctx.Compute(job.Work)
-			ctx.Touch(base+hw.VAddr(e*8192), 4096, true)
-			if env.MPI != nil && env.Size > 1 {
-				if _, errno := apps.AllreduceBench(ctx, env.MPI, 1); errno != kernel.OK {
-					ctx.Syscall(kernel.SysExit, uint64(errno))
-					return
-				}
-			}
-		}
-		if env.Rank == 0 && job.IOBytes > 0 {
-			path := append([]byte("/gpfs/"+job.Name), 0)
-			ctx.Store(base, path)
-			fd, errno := ctx.Syscall(kernel.SysOpen, uint64(base), kernel.OCreat|kernel.OWronly, 0644)
-			if errno != kernel.OK {
-				ctx.Syscall(kernel.SysExit, uint64(errno))
-				return
-			}
-			chunk := 1024
-			buf := make([]byte, chunk)
-			ctx.Store(base+4096, buf)
-			for off := 0; off < job.IOBytes; off += chunk {
-				n := chunk
-				if job.IOBytes-off < n {
-					n = job.IOBytes - off
-				}
-				ctx.Syscall(kernel.SysWrite, fd, uint64(base+4096), uint64(n))
-			}
-			ctx.Syscall(kernel.SysClose, fd)
-		}
-	}
-}
-
 // runJob simulates one job on its own freshly booted partition machine
 // and collects the result. The partition is destroyed afterwards
 // (teardown/reboot between jobs); nothing leaks into the next job.
@@ -193,7 +153,7 @@ func (s *ServiceNode) runJob(job Job) *JobResult {
 		mark = m.RAS.Mark()
 	}
 	boot := bootInstant(m)
-	if err := m.Run(jobApp(m, job), kernel.JobParams{}, 0); err != nil {
+	if err := m.Run(jobApp(m, job, nil, 0), kernel.JobParams{}, 0); err != nil {
 		res.Err = err.Error()
 		return res
 	}

@@ -77,7 +77,7 @@ const (
 	ckptChunk    = 4096
 )
 
-// Each exchange round of the resilient workload streams loads through a
+// Each exchange round of a checkpointed job streams loads through a
 // cold window before dirtying it: L3-miss fills are where uncorrectable
 // DDR errors strike (stores are write-through, no allocate), so this is
 // what gives an armed fault plan the chance to kill the job — and the
@@ -104,24 +104,21 @@ type Attempt struct {
 	Completed bool
 }
 
-// runJobResilient runs the job with checkpointing armed, restarting from
-// the last checkpoint (on a freshly booted partition with the identical
-// job seed) after a fault kill, until it completes or the restart budget
-// is exhausted. Every quantity is a pure function of (config, job), so
-// results stay bit-identical across reruns and worker counts.
-func (s *ServiceNode) runJobResilient(job Job) *JobResult {
-	return s.runJobResilientFrom(job, nil, nil)
-}
-
-// runJobResilientFrom is runJobResilient with the restart loop made
-// resumable: rp, when non-nil, is a journaled resume point (partial
-// accounting, RAS-hash fold, next attempt index, freshest checkpoint
-// blob) and the loop continues exactly where the dead service node left
-// it. Because each attempt is a pure function of (job seed, attempt
-// index, resume image), a continued run is bit-identical to an
-// uninterrupted one by construction. commit, when non-nil, is invoked
-// after every failed attempt with the marshalled resume point — the body
-// the journaled drain later appends as a checkpoint-commit record.
+// runJobResilientFrom runs the job with checkpointing armed, restarting
+// from the last checkpoint (on a freshly booted partition with the
+// identical job seed) after a fault kill, until it completes or the
+// restart budget is exhausted. Every quantity is a pure function of
+// (config, job), so results stay bit-identical across reruns and worker
+// counts.
+//
+// The loop is resumable: rp, when non-nil, is a journaled resume point
+// (partial accounting, RAS-hash fold, next attempt index, freshest
+// checkpoint blob) and the loop continues exactly where the dead service
+// node left it. Because each attempt is a pure function of (job seed,
+// attempt index, resume image), a continued run is bit-identical to an
+// uninterrupted one by construction. commit is invoked after every
+// failed attempt with the marshalled resume point — the body the drain
+// later appends as a checkpoint-commit record.
 func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func([]byte)) *JobResult {
 	cfg := s.cfg.Ckpt.normalized()
 	nodes := job.Midplanes * s.topo.NodesPerMidplane
@@ -174,7 +171,7 @@ func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func(
 			mark = m.RAS.Mark()
 		}
 		boot := bootInstant(m)
-		runErr := m.Run(resilientJobApp(m, job, resume, cfg.Interval), kernel.JobParams{}, resilientRunLimit)
+		runErr := m.Run(jobApp(m, job, resume, cfg.Interval), kernel.JobParams{}, resilientRunLimit)
 		run := m.Eng.Now() - boot
 		codes := m.ExitCodes()
 		ok := runErr == nil
@@ -248,14 +245,12 @@ func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func(
 		} else {
 			res.Err = fmt.Sprintf("job exited nonzero: %v", codes)
 		}
-		if commit != nil {
-			// Snapshot the loop state NOW (marshalling copies everything):
-			// the journal must hold exactly this point, not whatever res
-			// mutates into later.
-			commit(marshalResume(&resumePoint{
-				res: *res, rasHash: rasHash, next: attempt + 1, image: resumeBlob,
-			}))
-		}
+		// Snapshot the loop state NOW (marshalling copies everything): the
+		// journal must hold exactly this point, not whatever res mutates
+		// into later.
+		commit(marshalResume(&resumePoint{
+			res: *res, rasHash: rasHash, next: attempt + 1, image: resumeBlob,
+		}))
 		p.Destroy()
 	}
 	res.BudgetExhausted = true
@@ -264,15 +259,18 @@ func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func(
 	return res
 }
 
-// resilientJobApp is jobApp with the checkpoint/restart protocol woven
-// in. The protocol's determinism contract: every rank captures its own
-// node immediately after the round's allreduce (an exact epoch boundary),
-// a second allreduce barriers the captures, and only then does rank 0
-// seal and write the image. On resume the counter block is rolled back to
-// the capture point and the post-capture epilogue is replayed verbatim,
-// so a restarted run's counter trajectory rejoins the fault-free run's
-// exactly.
-func resilientJobApp(m *machine.Machine, job Job, resume *ckpt.Image, interval int) machine.App {
+// jobApp is the workload a queued job runs: compute/memory rounds coupled
+// by allreduces, with rank 0 writing its output through the I/O path.
+// With interval > 0 it checkpoints every interval rounds; resume, when
+// non-nil, restarts it from that image. The checkpoint protocol's
+// determinism contract: every rank captures its own node immediately
+// after the round's allreduce (an exact epoch boundary), a second
+// allreduce barriers the captures, and only then does rank 0 seal and
+// write the image. On resume the counter block is rolled back to the
+// capture point and the post-capture epilogue is replayed verbatim, so a
+// restarted run's counter trajectory rejoins the fault-free run's
+// exactly. runJob passes (nil, 0): no checkpoints, and no DDR load sweep.
+func jobApp(m *machine.Machine, job Job, resume *ckpt.Image, interval int) machine.App {
 	return func(ctx kernel.Context, env *machine.Env) {
 		base := m.HeapBase(ctx)
 		start := 0
@@ -329,8 +327,10 @@ func resilientJobApp(m *machine.Machine, job Job, resume *ckpt.Image, interval i
 			// warming caches), so each load is a DDR fill and a fault draw.
 			// The dirtying Touch must come after — a store miss installs
 			// the L3 line, which would shadow the fills.
-			for i := 0; i < ddrLoadsPerRound; i++ {
-				ctx.Load(base+hw.VAddr(e*8192+i*ddrLoadStride), lbuf[:])
+			if interval > 0 {
+				for i := 0; i < ddrLoadsPerRound; i++ {
+					ctx.Load(base+hw.VAddr(e*8192+i*ddrLoadStride), lbuf[:])
+				}
 			}
 			ctx.Touch(base+hw.VAddr(e*8192), 4096, true)
 			if !barrier() {
