@@ -154,8 +154,9 @@ func (d *jdec) finish() error {
 	return nil
 }
 
-// jobBody encodes the job spec carried by submit records, so replay can
-// cross-check the re-presented queue against what the dead node accepted.
+// marshalJob encodes the job spec a submit record carries. Replay keeps
+// it, so Drain can reject a re-presented queue that differs from what
+// the node accepted.
 func marshalJob(j Job) []byte {
 	var e jenc
 	e.i32(int32(j.ID))
