@@ -37,14 +37,19 @@ go test -run 'Fuzz' ./internal/fs/ ./internal/ciod/ ./internal/ctrlsys/ ./intern
 echo "== fault matrix"
 go test -run 'TestFaultMatrix|TestRecoveryUnderFaultDeterminism|TestFaultsOffChangesNothing|TestCIODRetryExhaustionSurfacesEIO|TestCIODCrashRecovery' ./internal/machine/
 
-# Control-system contracts, gated explicitly for the same reason: the
-# parallel drain must be bit-identical to serial (under -race), a reused
-# machine must match a fresh one, and the boot-scaling table must match
-# its golden byte-for-byte (regenerate with -update after model changes).
-echo "== control system: determinism + boot golden"
-go test -race -run 'TestParallelDrainMatchesSerial' ./internal/ctrlsys/
+# Control-system contracts, gated explicitly for the same reason: every
+# drain runs one commit pipeline and one queue replay, so the parallel
+# drain must be bit-identical to serial and to its pinned signature, the
+# checkpoint-off drain and the seeded queue replays must match their
+# pinned values, and a node must reject a second, different queue (all
+# under -race); a reused machine must match a fresh one; and the
+# boot-scaling table and the throughput drain must match their goldens
+# byte-for-byte (regenerate with -update after model changes).
+echo "== control system: determinism + pinned drains + boot and throughput goldens"
+go test -race -run 'TestParallelDrainMatchesSerial|TestCkptOffSignatureUnchanged|TestScheduleFIFOBackfill|TestRedrainRejectsChangedQueue' ./internal/ctrlsys/
 go test -run 'TestRebootedMachineMatchesFresh' ./internal/machine/
 go test -run 'TestGolden/boot' ./internal/experiments/
+go test -run 'TestGolden/throughput' ./internal/experiments/
 
 # Resilience contracts: a checkpoint/restart run must be bit-identical to
 # the fault-free run (work signature + exit codes, both kernels, under
@@ -56,12 +61,13 @@ go test -run 'TestGolden/mtbf' ./internal/experiments/
 
 # Crash-only control system: every crash class x seed must recover to a
 # drain bit-identical to the crash-free one at 1/2/8 workers (under
-# -race), double-crash-during-recovery included; a crash with the journal
-# off must surface the typed ErrServiceNodeCrash next to any budget
-# errors; a recovered-then-rebooted machine must match a fresh one; and
-# the crash-rate sweep must match its golden byte-for-byte.
+# -race), double-crash-during-recovery included, and that crash-free
+# reference, journaled or not, must match its pinned signature; a crash
+# with the journal off must surface the typed ErrServiceNodeCrash next to
+# any budget errors; a recovered-then-rebooted machine must match a fresh
+# one; and the crash-rate sweep must match its golden byte-for-byte.
 echo "== crash-only service node: crash matrix + recovery + crashes golden"
-go test -race -run 'TestCrashMatrixDeterminism|TestDoubleCrashDuringRecovery|TestServiceNodeCrashTyped|TestRecoverReplaysCompletedDrain|TestRecoverKillsOrphansAndScansLive|TestJournaledDrainMatchesDirect' ./internal/ctrlsys/
+go test -race -run 'TestCrashMatrixDeterminism|TestDoubleCrashDuringRecovery|TestServiceNodeCrashTyped|TestRecoverReplaysCompletedDrain|TestRecoverKillsOrphansAndScansLive|TestJournaledDrainMatchesPinned' ./internal/ctrlsys/
 go test -run 'TestRecoveredMachineMatchesFresh' ./internal/machine/
 go test -run 'TestGolden/crashes' ./internal/experiments/
 
