@@ -7,10 +7,10 @@ import (
 )
 
 // crashDrain drains the resilient queue with the write-ahead journal
-// armed and service-node crashes injected at the given per-append rate
-// (rate 0 with a nil plan is the crash-free reference drain, journal
-// off — the fast path every crashed drain must be indistinguishable
-// from).
+// armed and service-node crashes injected at the given per-append rate.
+// Rate 0 is the crash-free reference every crashed drain must be
+// indistinguishable from: the same commit pipeline with the journal off,
+// so its records only advance a virtual LSN.
 func crashDrain(topo ctrlsys.Topology, kind machine.KernelKind, jobs []ctrlsys.Job,
 	rate float64, workers int) (*ctrlsys.DrainResult, error) {
 	cfg := ctrlsys.Config{
