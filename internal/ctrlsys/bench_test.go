@@ -59,3 +59,16 @@ func BenchmarkDrainCheckpointed(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkJournalBody encodes and decodes the completion body of a
+// 16-node job that restarted twice, the size of partition a cnk-drain
+// job runs on.
+func BenchmarkJournalBody(b *testing.B) {
+	r := restartedResult()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := decodeComplete(completeBody(r.Job.ID, r)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
