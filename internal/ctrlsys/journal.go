@@ -1,11 +1,11 @@
 package ctrlsys
 
 import (
-	"fmt"
-
+	"bgcnk/internal/ckpt"
 	"bgcnk/internal/machine"
 	"bgcnk/internal/sim"
 	"bgcnk/internal/upc"
+	"bgcnk/internal/wire"
 )
 
 // Journal record kinds. One kind per scheduler state transition; the WAL
@@ -43,261 +43,151 @@ func (c JournalConfig) normalized() JournalConfig {
 	return c
 }
 
-// jenc/jdec are the journal-body codec, in the same strict little-endian
-// style as the checkpoint image codec: every length is bounded, every
-// read checked, and a decode must consume the body exactly.
-type jenc struct{ b []byte }
-
-func (e *jenc) u8(v uint8) { e.b = append(e.b, v) }
-func (e *jenc) b1(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *jenc) u32(v uint32)  { e.b = append(e.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
-func (e *jenc) i32(v int32)   { e.u32(uint32(v)) }
-func (e *jenc) u64(v uint64)  { e.u32(uint32(v)); e.u32(uint32(v >> 32)) }
-func (e *jenc) str(s string)  { e.u32(uint32(len(s))); e.b = append(e.b, s...) }
-func (e *jenc) blob(b []byte) { e.u32(uint32(len(b))); e.b = append(e.b, b...) }
-
-const (
-	jMaxStr   = 4096
-	jMaxSlice = 1 << 20
-)
-
-type jdec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *jdec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("ctrlsys: journal body: "+format, args...)
-	}
-}
-
-func (d *jdec) u8() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+1 > len(d.b) {
-		d.fail("truncated at %d", d.off)
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *jdec) b1() bool { return d.u8() != 0 }
-
-func (d *jdec) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+4 > len(d.b) {
-		d.fail("truncated at %d", d.off)
-		return 0
-	}
-	v := uint32(d.b[d.off]) | uint32(d.b[d.off+1])<<8 | uint32(d.b[d.off+2])<<16 | uint32(d.b[d.off+3])<<24
-	d.off += 4
-	return v
-}
-
-func (d *jdec) i32() int32 { return int32(d.u32()) }
-
-func (d *jdec) u64() uint64 {
-	lo := d.u32()
-	hi := d.u32()
-	return uint64(lo) | uint64(hi)<<32
-}
-
-func (d *jdec) str() string {
-	n := int(d.u32())
-	if d.err != nil {
-		return ""
-	}
-	if n > jMaxStr || d.off+n > len(d.b) {
-		d.fail("string of %d bytes at %d", n, d.off)
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-func (d *jdec) blob() []byte {
-	n := int(d.u32())
-	if d.err != nil {
-		return nil
-	}
-	if n > jMaxSlice || d.off+n > len(d.b) {
-		d.fail("blob of %d bytes at %d", n, d.off)
-		return nil
-	}
-	b := make([]byte, n)
-	copy(b, d.b[d.off:d.off+n])
-	d.off += n
-	return b
-}
-
-func (d *jdec) finish() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("ctrlsys: journal body: %d trailing bytes", len(d.b)-d.off)
-	}
-	return nil
-}
+// Journal bodies are written and read with internal/wire. A length or
+// count in a body is bounded only by the bytes left in it: the WAL bounds
+// the body (wal.MaxBody), and replay must accept every body the node
+// wrote.
+func bodyDecoder(b []byte) *wire.Decoder { return wire.NewDecoder("ctrlsys: journal body", b) }
 
 // marshalJob encodes the job spec a submit record carries. Replay keeps
 // it, so Drain can reject a re-presented queue that differs from what
 // the node accepted.
 func marshalJob(j Job) []byte {
-	var e jenc
-	e.i32(int32(j.ID))
-	e.str(j.Name)
-	e.i32(int32(j.Midplanes))
-	e.u64(uint64(j.Work))
-	e.i32(int32(j.Exchanges))
-	e.u64(uint64(j.IOBytes))
-	return e.b
+	var e wire.Encoder
+	putJob(&e, j)
+	return e.Bytes()
 }
 
 func unmarshalJob(b []byte) (Job, error) {
-	d := jdec{b: b}
-	j := Job{
-		ID:        int(d.i32()),
-		Name:      d.str(),
-		Midplanes: int(d.i32()),
-		Work:      sim.Cycles(d.u64()),
-		Exchanges: int(d.i32()),
+	d := bodyDecoder(b)
+	j := getJob(d)
+	return j, d.Finish()
+}
+
+func putJob(e *wire.Encoder, j Job) {
+	e.I32(int32(j.ID))
+	e.Str(j.Name)
+	e.I32(int32(j.Midplanes))
+	e.U64(uint64(j.Work))
+	e.I32(int32(j.Exchanges))
+	e.U64(uint64(j.IOBytes))
+}
+
+func getJob(d *wire.Decoder) Job {
+	return Job{
+		ID:        int(d.I32()),
+		Name:      d.Str(),
+		Midplanes: int(d.I32()),
+		Work:      sim.Cycles(d.U64()),
+		Exchanges: int(d.I32()),
+		IOBytes:   int(d.U64()),
 	}
-	j.IOBytes = int(d.u64())
-	return j, d.finish()
 }
 
 // idBody is the one-integer body shared by start/free/orphan records.
 func idBody(id int) []byte {
-	var e jenc
-	e.i32(int32(id))
-	return e.b
+	var e wire.Encoder
+	e.I32(int32(id))
+	return e.Bytes()
 }
 
 func decodeID(b []byte) (int, error) {
-	d := jdec{b: b}
-	id := int(d.i32())
-	return id, d.finish()
+	d := bodyDecoder(b)
+	id := int(d.I32())
+	return id, d.Finish()
 }
 
 func tripleBody(a, b, c int) []byte {
-	var e jenc
-	e.i32(int32(a))
-	e.i32(int32(b))
-	e.i32(int32(c))
-	return e.b
+	var e wire.Encoder
+	e.I32(int32(a))
+	e.I32(int32(b))
+	e.I32(int32(c))
+	return e.Bytes()
 }
 
 func decodeTriple(b []byte) (int, int, int, error) {
-	d := jdec{b: b}
-	x := int(d.i32())
-	y := int(d.i32())
-	z := int(d.i32())
-	return x, y, z, d.finish()
+	d := bodyDecoder(b)
+	x := int(d.I32())
+	y := int(d.I32())
+	z := int(d.I32())
+	return x, y, z, d.Finish()
 }
 
 func bootBody(id int, seed uint64) []byte {
-	var e jenc
-	e.i32(int32(id))
-	e.u64(seed)
-	return e.b
+	var e wire.Encoder
+	e.I32(int32(id))
+	e.U64(seed)
+	return e.Bytes()
 }
 
 func decodeBoot(b []byte) (int, uint64, error) {
-	d := jdec{b: b}
-	id := int(d.i32())
-	seed := d.u64()
-	return id, seed, d.finish()
+	d := bodyDecoder(b)
+	id := int(d.I32())
+	seed := d.U64()
+	return id, seed, d.Finish()
 }
 
-func (e *jenc) bootResult(br BootResult) {
-	e.u8(uint8(br.Kind))
-	e.i32(int32(br.Nodes))
-	e.u64(br.ImageBytes)
-	e.i32(int32(br.Waves))
-	e.u64(uint64(br.ImagePhase))
-	e.u64(uint64(br.PerNodePhase))
-	e.u64(uint64(br.InitPhase))
-	e.u64(uint64(br.Total))
+func putBootResult(e *wire.Encoder, br BootResult) {
+	e.U8(uint8(br.Kind))
+	e.I32(int32(br.Nodes))
+	e.U64(br.ImageBytes)
+	e.I32(int32(br.Waves))
+	e.U64(uint64(br.ImagePhase))
+	e.U64(uint64(br.PerNodePhase))
+	e.U64(uint64(br.InitPhase))
+	e.U64(uint64(br.Total))
 }
 
-func (d *jdec) bootResult() BootResult {
+func getBootResult(d *wire.Decoder) BootResult {
 	return BootResult{
-		Kind:         machine.KernelKind(d.u8()),
-		Nodes:        int(d.i32()),
-		ImageBytes:   d.u64(),
-		Waves:        int(d.i32()),
-		ImagePhase:   sim.Cycles(d.u64()),
-		PerNodePhase: sim.Cycles(d.u64()),
-		InitPhase:    sim.Cycles(d.u64()),
-		Total:        sim.Cycles(d.u64()),
+		Kind:         machine.KernelKind(d.U8()),
+		Nodes:        int(d.I32()),
+		ImageBytes:   d.U64(),
+		Waves:        int(d.I32()),
+		ImagePhase:   sim.Cycles(d.U64()),
+		PerNodePhase: sim.Cycles(d.U64()),
+		InitPhase:    sim.Cycles(d.U64()),
+		Total:        sim.Cycles(d.U64()),
 	}
 }
 
-func (e *jenc) snapshot(s upc.Snapshot) {
+func putCounters(e *wire.Encoder, s *upc.Snapshot) {
 	// Counter dimensions are baked into the format; a journal from a
 	// different build geometry must not half-decode.
-	e.i32(int32(upc.NumSlots))
-	e.i32(int32(upc.NumCounters))
-	e.i32(int32(upc.MaxSyscalls))
-	for sl := 0; sl < upc.NumSlots; sl++ {
-		for c := 0; c < int(upc.NumCounters); c++ {
-			e.u64(s.Vals[sl][c])
-		}
-		for c := 0; c < upc.MaxSyscalls; c++ {
-			e.u64(s.Sys[sl][c])
-		}
-	}
+	e.I32(int32(upc.NumSlots))
+	e.I32(int32(upc.NumCounters))
+	e.I32(int32(upc.MaxSyscalls))
+	ckpt.EncodeCounters(e, s)
 }
 
-func (d *jdec) snapshot() upc.Snapshot {
-	var s upc.Snapshot
-	if int(d.i32()) != upc.NumSlots || int(d.i32()) != int(upc.NumCounters) || int(d.i32()) != upc.MaxSyscalls {
-		d.fail("counter geometry mismatch")
-		return s
+func getCounters(d *wire.Decoder, s *upc.Snapshot) {
+	if int(d.I32()) != upc.NumSlots || int(d.I32()) != int(upc.NumCounters) || int(d.I32()) != upc.MaxSyscalls {
+		d.Fail("counter geometry mismatch")
+		return
 	}
-	for sl := 0; sl < upc.NumSlots; sl++ {
-		for c := 0; c < int(upc.NumCounters); c++ {
-			s.Vals[sl][c] = d.u64()
-		}
-		for c := 0; c < upc.MaxSyscalls; c++ {
-			s.Sys[sl][c] = d.u64()
-		}
-	}
-	return s
+	ckpt.DecodeCounters(d, s)
 }
 
-func (e *jenc) attempt(a Attempt) {
-	e.u64(uint64(a.Boot))
-	e.u64(uint64(a.Run))
-	e.i32(int32(a.ResumeEpoch))
-	e.i32(int32(a.FaultMidplane))
-	e.u64(uint64(a.Backoff))
-	e.b1(a.Completed)
+// attemptBytes is an Attempt's wire size.
+const attemptBytes = 33
+
+func putAttempt(e *wire.Encoder, a Attempt) {
+	e.U64(uint64(a.Boot))
+	e.U64(uint64(a.Run))
+	e.I32(int32(a.ResumeEpoch))
+	e.I32(int32(a.FaultMidplane))
+	e.U64(uint64(a.Backoff))
+	e.Bool(a.Completed)
 }
 
-func (d *jdec) attempt() Attempt {
+func getAttempt(d *wire.Decoder) Attempt {
 	return Attempt{
-		Boot:          sim.Cycles(d.u64()),
-		Run:           sim.Cycles(d.u64()),
-		ResumeEpoch:   int(d.i32()),
-		FaultMidplane: int(d.i32()),
-		Backoff:       sim.Cycles(d.u64()),
-		Completed:     d.b1(),
+		Boot:          sim.Cycles(d.U64()),
+		Run:           sim.Cycles(d.U64()),
+		ResumeEpoch:   int(d.I32()),
+		FaultMidplane: int(d.I32()),
+		Backoff:       sim.Cycles(d.U64()),
+		Completed:     d.Bool(),
 	}
 }
 
@@ -306,81 +196,54 @@ func (d *jdec) attempt() Attempt {
 // a recovered drain's accounting is only bit-identical if replay hands
 // back precisely what the dead node committed.
 func marshalJobResult(r *JobResult) []byte {
-	var e jenc
-	e.b = append(e.b, marshalJob(r.Job)...)
-	e.i32(int32(r.Nodes))
-	e.bootResult(r.Boot)
-	e.u64(uint64(r.Run))
-	e.u64(uint64(r.Teardown))
-	e.i32(int32(len(r.ExitCodes)))
+	var e wire.Encoder
+	putJob(&e, r.Job)
+	e.I32(int32(r.Nodes))
+	putBootResult(&e, r.Boot)
+	e.U64(uint64(r.Run))
+	e.U64(uint64(r.Teardown))
+	e.U32(uint32(len(r.ExitCodes)))
 	for _, c := range r.ExitCodes {
-		e.i32(int32(c))
+		e.I32(int32(c))
 	}
-	e.snapshot(r.Counters)
-	e.u64(r.RASEvents)
-	e.u64(r.RASHash)
-	e.str(r.Err)
-	e.i32(int32(len(r.Attempts)))
+	putCounters(&e, &r.Counters)
+	e.U64(r.RASEvents)
+	e.U64(r.RASHash)
+	e.Str(r.Err)
+	e.U32(uint32(len(r.Attempts)))
 	for _, a := range r.Attempts {
-		e.attempt(a)
+		putAttempt(&e, a)
 	}
-	e.i32(int32(r.Restarts))
-	e.u64(uint64(r.Wasted))
-	e.u64(uint64(r.RestartOverhead))
-	e.b1(r.BudgetExhausted)
-	e.b1(r.CrashAborted)
-	return e.b
-}
-
-func (d *jdec) jobResult() *JobResult {
-	r := &JobResult{}
-	r.Job = Job{
-		ID:        int(d.i32()),
-		Name:      d.str(),
-		Midplanes: int(d.i32()),
-		Work:      sim.Cycles(d.u64()),
-		Exchanges: int(d.i32()),
-		IOBytes:   int(d.u64()),
-	}
-	r.Nodes = int(d.i32())
-	r.Boot = d.bootResult()
-	r.Run = sim.Cycles(d.u64())
-	r.Teardown = sim.Cycles(d.u64())
-	n := int(d.i32())
-	if d.err == nil && (n < 0 || n > jMaxSlice/4) {
-		d.fail("exit-code count %d", n)
-	}
-	if d.err == nil {
-		r.ExitCodes = make([]int, n)
-		for i := range r.ExitCodes {
-			r.ExitCodes[i] = int(d.i32())
-		}
-	}
-	r.Counters = d.snapshot()
-	r.RASEvents = d.u64()
-	r.RASHash = d.u64()
-	r.Err = d.str()
-	na := int(d.i32())
-	if d.err == nil && (na < 0 || na > 4096) {
-		d.fail("attempt count %d", na)
-	}
-	if d.err == nil {
-		for i := 0; i < na; i++ {
-			r.Attempts = append(r.Attempts, d.attempt())
-		}
-	}
-	r.Restarts = int(d.i32())
-	r.Wasted = sim.Cycles(d.u64())
-	r.RestartOverhead = sim.Cycles(d.u64())
-	r.BudgetExhausted = d.b1()
-	r.CrashAborted = d.b1()
-	return r
+	e.I32(int32(r.Restarts))
+	e.U64(uint64(r.Wasted))
+	e.U64(uint64(r.RestartOverhead))
+	e.Bool(r.BudgetExhausted)
+	e.Bool(r.CrashAborted)
+	return e.Bytes()
 }
 
 func unmarshalJobResult(b []byte) (*JobResult, error) {
-	d := jdec{b: b}
-	r := d.jobResult()
-	return r, d.finish()
+	d := bodyDecoder(b)
+	r := &JobResult{Job: getJob(d), Nodes: int(d.I32()), Boot: getBootResult(d)}
+	r.Run = sim.Cycles(d.U64())
+	r.Teardown = sim.Cycles(d.U64())
+	r.ExitCodes = make([]int, d.Count(4))
+	for i := range r.ExitCodes {
+		r.ExitCodes[i] = int(d.I32())
+	}
+	getCounters(d, &r.Counters)
+	r.RASEvents = d.U64()
+	r.RASHash = d.U64()
+	r.Err = d.Str()
+	for range d.Count(attemptBytes) {
+		r.Attempts = append(r.Attempts, getAttempt(d))
+	}
+	r.Restarts = int(d.I32())
+	r.Wasted = sim.Cycles(d.U64())
+	r.RestartOverhead = sim.Cycles(d.U64())
+	r.BudgetExhausted = d.Bool()
+	r.CrashAborted = d.Bool()
+	return r, d.Finish()
 }
 
 // resumePoint is the resilience layer's loop state at a checkpoint
@@ -397,20 +260,19 @@ type resumePoint struct {
 }
 
 func marshalResume(rp *resumePoint) []byte {
-	var e jenc
-	body := marshalJobResult(&rp.res)
-	e.blob(body)
-	e.u64(rp.rasHash)
-	e.i32(int32(rp.next))
-	e.blob(rp.image)
-	return e.b
+	var e wire.Encoder
+	e.Blob(marshalJobResult(&rp.res))
+	e.U64(rp.rasHash)
+	e.I32(int32(rp.next))
+	e.Blob(rp.image)
+	return e.Bytes()
 }
 
 func unmarshalResume(b []byte) (*resumePoint, error) {
-	d := jdec{b: b}
-	body := d.blob()
-	rp := &resumePoint{rasHash: d.u64(), next: int(d.i32()), image: d.blob()}
-	if err := d.finish(); err != nil {
+	d := bodyDecoder(b)
+	body := d.Blob()
+	rp := &resumePoint{rasHash: d.U64(), next: int(d.I32()), image: d.Blob()}
+	if err := d.Finish(); err != nil {
 		return nil, err
 	}
 	res, err := unmarshalJobResult(body)
@@ -423,17 +285,17 @@ func unmarshalResume(b []byte) (*resumePoint, error) {
 
 // completeBody pairs the job ID with its full result.
 func completeBody(id int, r *JobResult) []byte {
-	var e jenc
-	e.i32(int32(id))
-	e.blob(marshalJobResult(r))
-	return e.b
+	var e wire.Encoder
+	e.I32(int32(id))
+	e.Blob(marshalJobResult(r))
+	return e.Bytes()
 }
 
 func decodeComplete(b []byte) (int, *JobResult, error) {
-	d := jdec{b: b}
-	id := int(d.i32())
-	body := d.blob()
-	if err := d.finish(); err != nil {
+	d := bodyDecoder(b)
+	id := int(d.I32())
+	body := d.Blob()
+	if err := d.Finish(); err != nil {
 		return 0, nil, err
 	}
 	r, err := unmarshalJobResult(body)
@@ -443,17 +305,17 @@ func decodeComplete(b []byte) (int, *JobResult, error) {
 // ckptCommitRaw pairs the job ID with an already-marshalled resume
 // point (the bytes the resilience loop's commit hook handed over).
 func ckptCommitRaw(id int, rp []byte) []byte {
-	var e jenc
-	e.i32(int32(id))
-	e.blob(rp)
-	return e.b
+	var e wire.Encoder
+	e.I32(int32(id))
+	e.Blob(rp)
+	return e.Bytes()
 }
 
 func decodeCkptCommit(b []byte) (int, *resumePoint, error) {
-	d := jdec{b: b}
-	id := int(d.i32())
-	body := d.blob()
-	if err := d.finish(); err != nil {
+	d := bodyDecoder(b)
+	id := int(d.I32())
+	body := d.Blob()
+	if err := d.Finish(); err != nil {
 		return 0, nil, err
 	}
 	rp, err := unmarshalResume(body)

@@ -2,6 +2,8 @@ package ctrlsys
 
 import (
 	"fmt"
+
+	"bgcnk/internal/wire"
 )
 
 // Personality is the per-node boot record the control system delivers
@@ -33,51 +35,44 @@ const (
 
 // Marshal encodes the personality.
 func (p *Personality) Marshal() []byte {
-	e := &penc{}
-	e.u32(personalityMagic)
-	e.u8(personalityVersion)
-	e.u32(uint32(p.Rank))
-	e.u32(uint32(p.Nodes))
-	e.u32(uint32(p.X))
-	e.u32(uint32(p.Y))
-	e.u32(uint32(p.Z))
-	e.u32(uint32(p.Partition))
-	e.u32(uint32(p.Base))
-	e.str(p.Block)
-	e.u8(p.Kind)
-	e.u64(p.Seed)
-	e.u64(p.MemBytes)
-	return e.b
+	var e wire.Encoder
+	e.U32(personalityMagic)
+	e.U8(personalityVersion)
+	e.I32(p.Rank)
+	e.I32(p.Nodes)
+	e.I32(p.X)
+	e.I32(p.Y)
+	e.I32(p.Z)
+	e.I32(p.Partition)
+	e.I32(p.Base)
+	e.Str(p.Block[:min(len(p.Block), maxBlockName)])
+	e.U8(p.Kind)
+	e.U64(p.Seed)
+	e.U64(p.MemBytes)
+	return e.Bytes()
 }
 
 // UnmarshalPersonality decodes one personality record, rejecting bad
 // magic, unknown versions, oversized block names, truncation, and
 // trailing garbage.
 func UnmarshalPersonality(b []byte) (*Personality, error) {
-	d := &pdec{b: b}
-	if m := d.u32(); d.err == nil && m != personalityMagic {
+	d := wire.NewDecoder("ctrlsys: personality", b)
+	if m := d.U32(); d.Err() == nil && m != personalityMagic {
 		return nil, fmt.Errorf("ctrlsys: bad personality magic %#x", m)
 	}
-	if v := d.u8(); d.err == nil && v != personalityVersion {
+	if v := d.U8(); d.Err() == nil && v != personalityVersion {
 		return nil, fmt.Errorf("ctrlsys: unsupported personality version %d", v)
 	}
-	p := &Personality{}
-	p.Rank = int32(d.u32())
-	p.Nodes = int32(d.u32())
-	p.X = int32(d.u32())
-	p.Y = int32(d.u32())
-	p.Z = int32(d.u32())
-	p.Partition = int32(d.u32())
-	p.Base = int32(d.u32())
-	p.Block = d.str()
-	p.Kind = d.u8()
-	p.Seed = d.u64()
-	p.MemBytes = d.u64()
-	if d.err != nil {
-		return nil, d.err
+	p := &Personality{
+		Rank: d.I32(), Nodes: d.I32(), X: d.I32(), Y: d.I32(), Z: d.I32(),
+		Partition: d.I32(), Base: d.I32(), Block: d.Str(),
+		Kind: d.U8(), Seed: d.U64(), MemBytes: d.U64(),
 	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("ctrlsys: %d trailing bytes after personality", len(d.b)-d.off)
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	if len(p.Block) > maxBlockName {
+		return nil, fmt.Errorf("ctrlsys: personality block name of %d bytes (max %d)", len(p.Block), maxBlockName)
 	}
 	return p, nil
 }
@@ -87,74 +82,4 @@ func UnmarshalPersonality(b []byte) (*Personality, error) {
 func personalityWireBytes() int {
 	p := Personality{Block: "R00-M0", Seed: 1, MemBytes: 256 << 20}
 	return len(p.Marshal())
-}
-
-type penc struct{ b []byte }
-
-func (e *penc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *penc) u32(v uint32) { e.b = append(e.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
-func (e *penc) u64(v uint64) {
-	e.u32(uint32(v))
-	e.u32(uint32(v >> 32))
-}
-func (e *penc) str(s string) {
-	if len(s) > maxBlockName {
-		s = s[:maxBlockName]
-	}
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
-type pdec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *pdec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("ctrlsys: truncated personality at offset %d", d.off)
-	}
-}
-
-func (d *pdec) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *pdec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	b := d.b[d.off:]
-	d.off += 4
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func (d *pdec) u64() uint64 {
-	lo := d.u32()
-	hi := d.u32()
-	return uint64(lo) | uint64(hi)<<32
-}
-
-func (d *pdec) str() string {
-	n := int(d.u32())
-	if d.err != nil {
-		return ""
-	}
-	// Bound the allocation by both the name cap and the bytes actually
-	// present (a hostile length must not drive a huge allocation).
-	if n > maxBlockName || d.off+n > len(d.b) {
-		d.fail()
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
 }

@@ -40,6 +40,7 @@ import (
 
 	"bgcnk/internal/fs"
 	"bgcnk/internal/kernel"
+	"bgcnk/internal/wire"
 )
 
 // Wire-format constants.
@@ -173,16 +174,17 @@ func isSegment(name string) bool {
 // Parse of the result yields exactly (lsn, kind, body), and re-encoding a
 // parsed record reproduces the input bytes.
 func EncodeRecord(lsn uint64, kind uint8, body []byte) []byte {
-	payload := make([]byte, 0, prefixBytes+len(body))
-	payload = append(payload, recVersion, kind)
-	payload = appendU64(payload, lsn)
-	payload = append(payload, body...)
+	p := wire.NewEncoder(prefixBytes + len(body))
+	p.U8(recVersion)
+	p.U8(kind)
+	p.U64(lsn)
+	payload := append(p.Bytes(), body...)
 	h := fnv.New32a()
 	h.Write(payload)
-	out := make([]byte, 0, headerBytes+len(payload))
-	out = appendU32(out, uint32(len(payload)))
-	out = appendU32(out, h.Sum32())
-	return append(out, payload...)
+	e := wire.NewEncoder(headerBytes + len(payload))
+	e.U32(uint32(len(payload)))
+	e.U32(h.Sum32())
+	return append(e.Bytes(), payload...)
 }
 
 // Append commits one record and returns its LSN. The active segment file
@@ -285,8 +287,8 @@ func Parse(b []byte, firstLSN uint64, final bool) (recs []Record, clean int, tor
 			}
 			return nil, 0, 0, fmt.Errorf("wal: truncated record header at offset %d", off)
 		}
-		length := int(readU32(b[off:]))
-		sum := readU32(b[off+4:])
+		d := wire.NewDecoder("wal: record", b[off:])
+		length, sum := int(d.U32()), d.U32()
 		if length < prefixBytes || length > MaxBody+prefixBytes {
 			return nil, 0, 0, fmt.Errorf("wal: record at offset %d claims %d payload bytes", off, length)
 		}
@@ -302,34 +304,18 @@ func Parse(b []byte, firstLSN uint64, final bool) (recs []Record, clean int, tor
 		if h.Sum32() != sum {
 			return nil, 0, 0, fmt.Errorf("wal: checksum mismatch at offset %d", off)
 		}
-		if payload[0] != recVersion {
-			return nil, 0, 0, fmt.Errorf("wal: unsupported record version %d at offset %d", payload[0], off)
+		version, kind, lsn := d.U8(), d.U8(), d.U64()
+		if version != recVersion {
+			return nil, 0, 0, fmt.Errorf("wal: unsupported record version %d at offset %d", version, off)
 		}
-		lsn := readU64(payload[2:])
 		if lsn != want {
 			return nil, 0, 0, fmt.Errorf("wal: LSN %d at offset %d, want %d", lsn, off, want)
 		}
 		body := make([]byte, length-prefixBytes)
 		copy(body, payload[prefixBytes:])
-		recs = append(recs, Record{LSN: lsn, Kind: payload[1], Body: body})
+		recs = append(recs, Record{LSN: lsn, Kind: kind, Body: body})
 		want++
 		off += headerBytes + length
 	}
 	return recs, off, 0, nil
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return appendU32(appendU32(b, uint32(v)), uint32(v>>32))
-}
-
-func readU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func readU64(b []byte) uint64 {
-	return uint64(readU32(b)) | uint64(readU32(b[4:]))<<32
 }
