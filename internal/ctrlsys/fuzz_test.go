@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"bgcnk/internal/ckpt"
 )
 
 // fuzzSeedPersonalities are the hand-picked records seeded into the fuzz
@@ -127,4 +129,89 @@ func TestWritePersonalityCorpus(t *testing.T) {
 	write("seed_trunc_half", typical[:len(typical)/2])
 	write("seed_empty", []byte{})
 	write("seed_junk", []byte{0xff, 0xff, 0xff, 0xff})
+}
+
+// fuzzSeedBodies are the journal bodies seeded into the FuzzJournalBody
+// corpus: a submit record's job, the completion of a twice-restarted
+// job, and a checkpoint commit carrying a resume point and an image.
+func fuzzSeedBodies() (job, complete, commit []byte) {
+	done := restartedResult()
+	rp := pinResume()
+	rp.image = (&ckpt.Image{JobID: 5, Epoch: 2}).Marshal()
+	return marshalJob(done.Job), completeBody(5, done), ckptCommitRaw(5, marshalResume(rp))
+}
+
+// FuzzJournalBody drives the body decoders replay runs on records that
+// carry strings, slices or nested bodies: unmarshalJob, decodeComplete
+// and decodeCkptCommit. Every body one of them accepts must re-encode to
+// exactly the accepted bytes, so replay hands back what the node wrote
+// and nothing it could not have written.
+func FuzzJournalBody(f *testing.F) {
+	job, complete, commit := fuzzSeedBodies()
+	for _, b := range [][]byte{job, complete, commit} {
+		f.Add(b)
+		f.Add(b[:len(b)-1]) // truncated tail
+		f.Add(b[:len(b)/2]) // truncated mid-body
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if j, err := unmarshalJob(data); err == nil {
+			requireCanonical(t, "job", data, marshalJob(j))
+		}
+		if id, r, err := decodeComplete(data); err == nil {
+			requireCanonical(t, "completion", data, completeBody(id, r))
+		}
+		if id, rp, err := decodeCkptCommit(data); err == nil {
+			requireCanonical(t, "checkpoint-commit", data, ckptCommitRaw(id, marshalResume(rp)))
+		}
+	})
+}
+
+// requireCanonical fails the test unless wire, the re-encoding of an
+// accepted body, is the body itself.
+func requireCanonical(t *testing.T, what string, body, wire []byte) {
+	t.Helper()
+	if bytes.Equal(body, wire) {
+		return
+	}
+	i := 0
+	for i < len(body) && i < len(wire) && body[i] == wire[i] {
+		i++
+	}
+	t.Fatalf("accepted %s body is not canonical: %d bytes re-encode to %d, first difference at offset %d",
+		what, len(body), len(wire), i)
+}
+
+// TestWriteJournalBodyCorpus regenerates the committed seed corpus under
+// testdata/fuzz/FuzzJournalBody. Skipped unless GEN_CORPUS=1; rerun it
+// after changing a body format or the seed set.
+func TestWriteJournalBodyCorpus(t *testing.T) {
+	if os.Getenv("GEN_CORPUS") == "" {
+		t.Skip("set GEN_CORPUS=1 to regenerate the committed fuzz corpus")
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzJournalBody")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	write := func(name string, data []byte) {
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(data)))
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job, complete, commit := fuzzSeedBodies()
+	write("seed_job", job)
+	write("seed_complete", complete)
+	write("seed_ckpt_commit", commit)
+	write("seed_complete_trunc_tail", complete[:len(complete)-1])
+	write("seed_commit_trunc_half", commit[:len(commit)/2])
+	// The last byte of a completion is its CrashAborted bool.
+	boolTwo := bytes.Clone(complete)
+	boolTwo[len(boolTwo)-1] = 2
+	write("seed_complete_bool_two", boolTwo)
+	// Bytes 4..7 of a job body are the name's length.
+	hostile := bytes.Clone(job)
+	hostile[4], hostile[5], hostile[6], hostile[7] = 0xff, 0xff, 0xff, 0x7f
+	write("seed_job_hostile_name", hostile)
+	write("seed_empty", []byte{})
 }
