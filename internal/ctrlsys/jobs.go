@@ -153,7 +153,7 @@ func (s *ServiceNode) runJob(job Job) *JobResult {
 		mark = m.RAS.Mark()
 	}
 	boot := bootInstant(m)
-	if err := m.Run(jobApp(m, job, nil, 0), kernel.JobParams{}, 0); err != nil {
+	if err := m.Run(jobApp(m, job, nil, nil, 0), kernel.JobParams{}, 0); err != nil {
 		res.Err = err.Error()
 		return res
 	}

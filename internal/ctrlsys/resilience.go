@@ -160,10 +160,9 @@ func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func(
 			// Stage the harvested image onto the new partition's ION
 			// filesystem — the service node's copy of what the previous
 			// incarnation wrote; rank 0 re-reads it through the I/O path.
-			blob := resume.Marshal()
 			for _, fsys := range m.IONFS {
 				fsys.MustMkdirAll(machine.CkptDir)
-				fsys.WriteFile(machine.CkptPath(job.ID), blob, 0644, fs.Root)
+				fsys.WriteFile(machine.CkptPath(job.ID), resumeBlob, 0644, fs.Root)
 			}
 		}
 		var mark ras.Mark
@@ -171,7 +170,7 @@ func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func(
 			mark = m.RAS.Mark()
 		}
 		boot := bootInstant(m)
-		runErr := m.Run(jobApp(m, job, resume, cfg.Interval), kernel.JobParams{}, resilientRunLimit)
+		runErr := m.Run(jobApp(m, job, resume, resumeBlob, cfg.Interval), kernel.JobParams{}, resilientRunLimit)
 		run := m.Eng.Now() - boot
 		codes := m.ExitCodes()
 		ok := runErr == nil
@@ -262,15 +261,18 @@ func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func(
 // jobApp is the workload a queued job runs: compute/memory rounds coupled
 // by allreduces, with rank 0 writing its output through the I/O path.
 // With interval > 0 it checkpoints every interval rounds; resume, when
-// non-nil, restarts it from that image. The checkpoint protocol's
+// non-nil, restarts it from that image, whose encoding is resumeBlob
+// (Unmarshal accepts only canonical images, so the blob is what Marshal
+// would write). The checkpoint protocol's
 // determinism contract: every rank captures its own node immediately
 // after the round's allreduce (an exact epoch boundary), a second
 // allreduce barriers the captures, and only then does rank 0 seal and
 // write the image. On resume the counter block is rolled back to the
 // capture point and the post-capture epilogue is replayed verbatim, so a
 // restarted run's counter trajectory rejoins the fault-free run's
-// exactly. runJob passes (nil, 0): no checkpoints, and no DDR load sweep.
-func jobApp(m *machine.Machine, job Job, resume *ckpt.Image, interval int) machine.App {
+// exactly. runJob passes (nil, nil, 0): no checkpoints, and no DDR load
+// sweep.
+func jobApp(m *machine.Machine, job Job, resume *ckpt.Image, resumeBlob []byte, interval int) machine.App {
 	return func(ctx kernel.Context, env *machine.Env) {
 		base := m.HeapBase(ctx)
 		start := 0
@@ -284,38 +286,35 @@ func jobApp(m *machine.Machine, job Job, resume *ckpt.Image, interval int) machi
 			}
 			return true
 		}
-		epilogue := func(img *ckpt.Image) bool {
-			if !barrier() {
-				return false
+		writeImage := func(blob []byte) {
+			if errno := writeImageApp(ctx, base, machine.CkptPath(job.ID), blob); errno != kernel.OK {
+				// CIOD's own retries already failed; pause and re-drive
+				// once. A persistent failure is survivable: the previous
+				// durable image stays current.
+				ctx.Compute(ckptWriteRetryBackoff)
+				writeImageApp(ctx, base, machine.CkptPath(job.ID), blob)
 			}
-			if env.Rank == 0 {
-				blob := img.Marshal()
-				if errno := writeImageApp(ctx, base, machine.CkptPath(job.ID), blob); errno != kernel.OK {
-					// CIOD's own retries already failed; pause and
-					// re-drive once. A persistent failure is survivable:
-					// the previous durable image stays current.
-					ctx.Compute(ckptWriteRetryBackoff)
-					writeImageApp(ctx, base, machine.CkptPath(job.ID), blob)
-				}
-			}
-			return true
 		}
 		if resume != nil {
 			// Restore: rank 0 re-reads the staged image through the I/O
 			// path (charged), then every rank rolls its node back to the
 			// capture point — which erases the read's counter traffic, as
 			// it must: the fault-free run never performed it — charges
-			// the restore, and replays the capture epilogue.
+			// the restore, and replays the capture epilogue: a barrier,
+			// then rank 0 writes the image back.
 			if env.Rank == 0 {
-				readImageApp(ctx, base, machine.CkptPath(job.ID), len(resume.Marshal()))
+				readImageApp(ctx, base, machine.CkptPath(job.ID), len(resumeBlob))
 			}
 			if err := m.RestoreNode(ctx, resume); err != nil {
 				ctx.Syscall(kernel.SysExit, uint64(kernel.EIO))
 				return
 			}
 			ctx.Compute(m.RestoreCost(ctx))
-			if !epilogue(resume) {
+			if !barrier() {
 				return
+			}
+			if env.Rank == 0 {
+				writeImage(resumeBlob)
 			}
 			start = int(resume.Epoch)
 		}
@@ -348,11 +347,7 @@ func jobApp(m *machine.Machine, job Job, resume *ckpt.Image, interval int) machi
 				}
 				if env.Rank == 0 {
 					if img := m.SealCheckpoint(); img != nil {
-						blob := img.Marshal()
-						if errno := writeImageApp(ctx, base, machine.CkptPath(job.ID), blob); errno != kernel.OK {
-							ctx.Compute(ckptWriteRetryBackoff)
-							writeImageApp(ctx, base, machine.CkptPath(job.ID), blob)
-						}
+						writeImage(img.Marshal())
 					}
 				}
 			}
