@@ -256,3 +256,19 @@ func TestReaddirShipped(t *testing.T) {
 		t.Fatalf("readdir: %v %v", err, names)
 	}
 }
+
+// TestDecodeNamesBoundsCount: a count the payload cannot hold (each name
+// needs at least its 4-byte length), a truncated name and a truncated
+// count are errors. Before the bound, the first case asked for 64 GiB.
+func TestDecodeNamesBoundsCount(t *testing.T) {
+	for _, wire := range [][]byte{
+		{0xff, 0xff, 0xff, 0xff},
+		{0, 0, 0, 3, 0, 0, 0, 1, 'a', 0, 0, 0, 0},
+		{0, 0, 0, 1, 0, 0, 0, 9, 'a'},
+		{0, 0},
+	} {
+		if names, err := DecodeNames(wire); err == nil {
+			t.Errorf("% x decoded to %q", wire, names)
+		}
+	}
+}
