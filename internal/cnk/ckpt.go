@@ -1,8 +1,6 @@
 package cnk
 
 import (
-	"sort"
-
 	"bgcnk/internal/ckpt"
 	"bgcnk/internal/hw"
 	"bgcnk/internal/sim"
@@ -89,20 +87,4 @@ func (k *Kernel) RestoreCost(pid uint32) sim.Cycles {
 	return ckptSetupCost +
 		ckptRegionCost*sim.Cycles(len(regions)) +
 		sim.Cycles(bytes/restoreBytesPer)
-}
-
-// ThreadRegs returns synthesized per-thread register state for a
-// checkpoint, sorted by TID: PC stands in for the resume epoch (the
-// caller stamps it) and SP anchors at the static stack top.
-func (p *Proc) ThreadRegs(epoch uint32) []ckpt.RegState {
-	tids := make([]uint32, 0, len(p.Threads))
-	for tid := range p.Threads {
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	out := make([]ckpt.RegState, 0, len(tids))
-	for _, tid := range tids {
-		out = append(out, ckpt.RegState{TID: tid, PC: uint64(epoch), SP: uint64(p.Layout.StackTop)})
-	}
-	return out
 }

@@ -166,33 +166,13 @@ func (k *Kernel) shipIO(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64
 		}
 		return rep.Ret, kernel.OK // the file size, as on the FWK
 	case kernel.SysGetcwd:
-		s := rep.Str
-		if uint64(len(s)+1) > outMax {
-			return 0, kernel.ENAMETOOLONG
-		}
-		if errno := t.StoreCString(outBuf, s); errno != kernel.OK {
-			return 0, errno
-		}
-		return uint64(len(s)), kernel.OK
+		return t.StoreCwd(outBuf, outMax, rep.Str)
 	case kernel.SysReaddir:
 		names, err := ciod.DecodeNames(rep.Data)
 		if err != nil {
 			return 0, kernel.EIO
 		}
-		var out []byte
-		for _, n := range names {
-			out = append(out, n...)
-			out = append(out, 0)
-		}
-		if uint64(len(out)) > outMax {
-			return 0, kernel.EOVERFLOW
-		}
-		if len(out) > 0 {
-			if errno := t.Store(outBuf, out); errno != kernel.OK {
-				return 0, errno
-			}
-		}
-		return uint64(len(names)), kernel.OK
+		return t.StoreNames(outBuf, outMax, names)
 	}
 	return rep.Ret, kernel.OK
 }

@@ -7,7 +7,6 @@ import (
 	"bgcnk/internal/hw"
 	"bgcnk/internal/kernel"
 	"bgcnk/internal/mem"
-	"bgcnk/internal/sim"
 )
 
 // Proc is one CNK process: a rank of the job on this node.
@@ -191,7 +190,7 @@ func (k *Kernel) Launch(spec JobSpec) (*Job, error) {
 // startMain creates the process's initial thread on its first core.
 func (k *Kernel) startMain(p *Proc, spec JobSpec) {
 	k.nextTID++
-	t := kernel.NewThread(k, k.nextTID, p.PID)
+	t := kernel.NewThread(k, k.nextTID, p.PID, &p.Sig)
 	cs := p.cores[0]
 	p.Threads[t.TID()] = t
 	p.Main = t
@@ -210,29 +209,14 @@ func (k *Kernel) startMain(p *Proc, spec JobSpec) {
 	p.Brk.Cur = p.Brk.Base
 
 	cs.place(t)
-	k.Eng.Go(fmt.Sprintf("pid%d.main", p.PID), func(c *sim.Coro) {
-		defer k.recoverExit(t)
-		t.Bind(c, cs.core)
-		if c.Now() < k.BootedAt {
-			c.Sleep(k.BootedAt - c.Now()) // jobs start once the kernel is up
+	k.rt.Spawn(fmt.Sprintf("pid%d.main", p.PID), t, cs.core, func() {
+		if now := t.Now(); now < k.BootedAt {
+			t.Coro().Sleep(k.BootedAt - now) // jobs start once the kernel is up
 		}
 		cs.acquire(t)
 		k.ioProcStart(t, p)
 		spec.Main(t, p.Rank)
-		k.exitThread(t, 0)
 	})
-}
-
-// recoverExit absorbs the threadExit unwind panic.
-func (k *Kernel) recoverExit(t *kernel.Thread) {
-	if r := recover(); r != nil {
-		if _, ok := r.(threadExit); ok {
-			return
-		}
-		panic(r)
-	}
-	// Normal return without exitThread: treat as exit(0) bookkeeping
-	// (exitThread panics, so reaching here means it already ran).
 }
 
 // Clone implements kernel.OS: thread creation for NPTL. CNK validates the
@@ -251,7 +235,7 @@ func (k *Kernel) Clone(t *kernel.Thread, args kernel.CloneArgs) (uint32, kernel.
 		return 0, kernel.EAGAIN // thread budget exhausted (paper VII-B: no overcommit)
 	}
 	k.nextTID++
-	nt := kernel.NewThread(k, k.nextTID, p.PID)
+	nt := kernel.NewThread(k, k.nextTID, p.PID, &p.Sig)
 	nt.ClearTID = args.ChildTID
 	p.Threads[nt.TID()] = nt
 	p.liveThreads++
@@ -269,12 +253,9 @@ func (k *Kernel) Clone(t *kernel.Thread, args kernel.CloneArgs) (uint32, kernel.
 	}
 	fn := args.Fn
 	cs.place(nt)
-	k.Eng.Go(fmt.Sprintf("pid%d.tid%d", p.PID, nt.TID()), func(c *sim.Coro) {
-		defer k.recoverExit(nt)
-		nt.Bind(c, cs.core)
+	k.rt.Spawn(fmt.Sprintf("pid%d.tid%d", p.PID, nt.TID()), nt, cs.core, func() {
 		cs.acquire(nt)
 		fn(nt)
-		k.exitThread(nt, 0)
 	})
 	return nt.TID(), kernel.OK
 }

@@ -5,9 +5,7 @@ import (
 
 	"bgcnk/internal/hw"
 	"bgcnk/internal/kernel"
-	"bgcnk/internal/mem"
 	"bgcnk/internal/obs"
-	"bgcnk/internal/sim"
 )
 
 // Syscall implements kernel.OS. Argument conventions follow the Linux ABI
@@ -25,8 +23,8 @@ func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint6
 		k.trace(k.Eng.Now(), fmt.Sprintf("pid%d tid%d %v", t.PID(), t.TID(), num))
 	}
 	if k.obs != nil {
-		// Deferred so the span survives exit's thread unwind (exitThread
-		// panics threadExit through this frame).
+		// Deferred so the span survives exit's thread unwind (Runtime.Exit
+		// panics through this frame).
 		start := k.Eng.Now()
 		core := t.CoreID()
 		defer func() {
@@ -62,14 +60,7 @@ func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint6
 		}
 		return uint64(p.Layout.Shm.VBase), kernel.OK
 	case kernel.SysFutex:
-		uaddr := hw.VAddr(arg(0))
-		switch arg(1) {
-		case kernel.FutexWait:
-			return 0, k.futexWait(t, uaddr, uint32(arg(2)), sim.Cycles(arg(3)))
-		case kernel.FutexWake:
-			return k.futexWake(t, uaddr, uint32(arg(2))), kernel.OK
-		}
-		return 0, kernel.EINVAL
+		return k.rt.Futex(t, args)
 	case kernel.SysSetTidAddress:
 		t.ClearTID = hw.VAddr(arg(0))
 		return uint64(t.TID()), kernel.OK
@@ -77,8 +68,8 @@ func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint6
 		k.cores[t.CoreID()].yield(t)
 		return 0, kernel.OK
 	case kernel.SysExit:
-		k.exitThread(t, int(arg(0)))
-		return 0, kernel.OK // unreachable: exitThread unwinds
+		k.rt.Exit(t, int(arg(0)))
+		return 0, kernel.OK // unreachable: Exit unwinds
 	case kernel.SysGetpid:
 		return uint64(t.PID()), kernel.OK
 	case kernel.SysGettid:
@@ -151,7 +142,7 @@ func (k *Kernel) sysMmap(t *kernel.Thread, p *Proc, args []uint64) (uint64, kern
 	if length == 0 {
 		return 0, kernel.EINVAL
 	}
-	perms := permFromProt(prot)
+	perms := kernel.ProtPerm(prot)
 	var va hw.VAddr
 	if flags&kernel.MapFixed != 0 {
 		if err := p.Mmap.AllocFixed(addr, length, perms); err != nil {
@@ -179,20 +170,6 @@ func (k *Kernel) sysMmap(t *kernel.Thread, p *Proc, args []uint64) (uint64, kern
 	return uint64(va), kernel.OK
 }
 
-func permFromProt(prot uint64) hw.Perm {
-	var p hw.Perm
-	if prot&kernel.ProtRead != 0 {
-		p |= hw.PermRead
-	}
-	if prot&kernel.ProtWrite != 0 {
-		p |= hw.PermWrite
-	}
-	if prot&kernel.ProtExec != 0 {
-		p |= hw.PermExec
-	}
-	return p
-}
-
 // sysMprotect tracks the request (for the clone guard heuristic) and
 // updates the range's bookkeeping. The static TLB map is NOT changed: CNK
 // does not honour page permissions on dynamic library text/read-only data
@@ -202,7 +179,7 @@ func (k *Kernel) sysMprotect(t *kernel.Thread, p *Proc, va hw.VAddr, length, pro
 	p.lastMprotect.va = va
 	p.lastMprotect.size = length
 	p.lastMprotect.valid = true
-	p.Mmap.Protect(va, length, permFromProt(prot)) // bookkeeping only; ignore errors for unmapped (heap) guards
+	p.Mmap.Protect(va, length, kernel.ProtPerm(prot)) // bookkeeping only; ignore errors for unmapped (heap) guards
 	return 0, kernel.OK
 }
 
@@ -233,6 +210,3 @@ func (k *Kernel) sysPersistOpen(t *kernel.Thread, p *Proc, args []uint64) (uint6
 	}
 	return uint64(r.VA), kernel.OK
 }
-
-// ensure mem import is used even if future refactors drop other uses.
-var _ = mem.KernelPhysReserve

@@ -110,19 +110,3 @@ func (p *Proc) OpenFiles() []fs.OpenFileState { return p.fsc.OpenFiles() }
 
 // RestoreFiles rebuilds the process's descriptor table from a checkpoint.
 func (p *Proc) RestoreFiles(files []fs.OpenFileState) { p.fsc.RestoreFiles(files) }
-
-// ThreadRegs returns synthesized per-thread register state for a
-// checkpoint, sorted by TID: the program counter stands in for the resume
-// epoch (the caller stamps it) and SP anchors at the stack top.
-func (p *Proc) ThreadRegs(epoch uint32) []ckpt.RegState {
-	tids := make([]uint32, 0, len(p.Threads))
-	for tid := range p.Threads {
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	out := make([]ckpt.RegState, 0, len(tids))
-	for _, tid := range tids {
-		out = append(out, ckpt.RegState{TID: tid, PC: uint64(epoch), SP: uint64(p.StackTop)})
-	}
-	return out
-}

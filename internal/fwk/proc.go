@@ -125,7 +125,7 @@ func (k *Kernel) newProc(spec JobSpec) *Proc {
 // startThread creates a thread in p. pin, when non-nil, forces the CPU.
 func (k *Kernel) startThread(p *Proc, pin *cpu, fn kernel.ThreadFunc, isMain bool) *kernel.Thread {
 	k.nextTID++
-	t := kernel.NewThread(k, k.nextTID, p.PID)
+	t := kernel.NewThread(k, k.nextTID, p.PID, &p.Sig)
 	p.Threads[t.TID()] = t
 	p.liveThreads++
 	if isMain {
@@ -135,15 +135,12 @@ func (k *Kernel) startThread(p *Proc, pin *cpu, fn kernel.ThreadFunc, isMain boo
 	if c == nil {
 		c = k.pickCPU()
 	}
-	k.Eng.Go(fmt.Sprintf("fwk.pid%d.tid%d", p.PID, t.TID()), func(co *sim.Coro) {
-		defer k.recoverExit()
-		t.Bind(co, c.core)
-		if co.Now() < k.BootedAt {
-			co.Sleep(k.BootedAt - co.Now()) // jobs start once the kernel is up
+	k.rt.Spawn(fmt.Sprintf("fwk.pid%d.tid%d", p.PID, t.TID()), t, c.core, func() {
+		if now := t.Now(); now < k.BootedAt {
+			t.Coro().Sleep(k.BootedAt - now) // jobs start once the kernel is up
 		}
 		c.acquire(t)
 		fn(t)
-		k.exitThread(t, 0)
 	})
 	return t
 }
@@ -326,6 +323,6 @@ func (k *Kernel) Exec(t *kernel.Thread, textBytes, dataBytes uint64, newMain ker
 	p.Sig = kernel.SignalTable{}
 	t.Coro().Sleep(12_000) // image load
 	newMain(t)
-	k.exitThread(t, 0)
+	k.rt.Exit(t, 0)
 	return kernel.OK // unreachable
 }

@@ -18,8 +18,8 @@ const fsOpCost = sim.Cycles(900)
 // fork/exec exist, and mmap is fully honoured including permissions.
 func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint64, kernel.Errno) {
 	if k.obs != nil {
-		// Deferred so the span survives exit's thread unwind (exitThread
-		// panics threadExit through this frame).
+		// Deferred so the span survives exit's thread unwind (Runtime.Exit
+		// panics through this frame).
 		start := k.Eng.Now()
 		core := t.CoreID()
 		defer func() {
@@ -75,7 +75,7 @@ func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint6
 		if length == 0 {
 			return 0, kernel.EINVAL
 		}
-		perms := permFromProt(prot)
+		perms := kernel.ProtPerm(prot)
 		var va hw.VAddr
 		if flags&kernel.MapFixed != 0 {
 			if err := p.vmas.AllocFixed(addr, length, perms); err != nil {
@@ -111,7 +111,7 @@ func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint6
 		// Full permission enforcement (Table II: "Full memory
 		// protection: easy" on Linux): the VMA perms change AND the TLB
 		// entries are shot down so the next access re-checks.
-		if err := p.vmas.Protect(hw.VAddr(arg(0)), arg(1), permFromProt(arg(2))); err != nil {
+		if err := p.vmas.Protect(hw.VAddr(arg(0)), arg(1), kernel.ProtPerm(arg(2))); err != nil {
 			return 0, kernel.ENOMEM
 		}
 		for _, c := range k.cpus {
@@ -121,14 +121,7 @@ func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint6
 	case kernel.SysShmGet:
 		return 0, kernel.ENOSYS // use mmap(MAP_SHARED); not needed by the experiments
 	case kernel.SysFutex:
-		uaddr := hw.VAddr(arg(0))
-		switch arg(1) {
-		case kernel.FutexWait:
-			return 0, k.futexWait(t, uaddr, uint32(arg(2)), sim.Cycles(arg(3)))
-		case kernel.FutexWake:
-			return k.futexWake(t, uaddr, uint32(arg(2))), kernel.OK
-		}
-		return 0, kernel.EINVAL
+		return k.rt.Futex(t, args)
 	case kernel.SysSetTidAddress:
 		t.ClearTID = hw.VAddr(arg(0))
 		return uint64(t.TID()), kernel.OK
@@ -140,8 +133,8 @@ func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint6
 		}
 		return 0, kernel.OK
 	case kernel.SysExit:
-		k.exitThread(t, int(arg(0)))
-		return 0, kernel.OK
+		k.rt.Exit(t, int(arg(0)))
+		return 0, kernel.OK // unreachable: Exit unwinds
 	case kernel.SysGetpid:
 		return uint64(t.PID()), kernel.OK
 	case kernel.SysGettid:
@@ -264,14 +257,7 @@ func (k *Kernel) fileIO(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64
 		// descriptor like the real kernel would.
 		return 0, p.fsc.Fsync(int(arg(0)))
 	case kernel.SysGetcwd:
-		s := p.fsc.Cwd()
-		if uint64(len(s)+1) > arg(1) {
-			return 0, kernel.ENAMETOOLONG
-		}
-		if errno := t.StoreCString(hw.VAddr(arg(0)), s); errno != kernel.OK {
-			return 0, errno
-		}
-		return uint64(len(s)), kernel.OK
+		return t.StoreCwd(hw.VAddr(arg(0)), arg(1), p.fsc.Cwd())
 	case kernel.SysChdir:
 		pth, errno := path(0)
 		if errno != kernel.OK {
@@ -293,20 +279,7 @@ func (k *Kernel) fileIO(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64
 		if errno != kernel.OK {
 			return 0, errno
 		}
-		var out []byte
-		for _, n := range names {
-			out = append(out, n...)
-			out = append(out, 0)
-		}
-		if uint64(len(out)) > arg(2) {
-			return 0, kernel.EOVERFLOW
-		}
-		if len(out) > 0 {
-			if errno := t.Store(hw.VAddr(arg(1)), out); errno != kernel.OK {
-				return 0, errno
-			}
-		}
-		return uint64(len(names)), kernel.OK
+		return t.StoreNames(hw.VAddr(arg(1)), arg(2), names)
 	}
 	return 0, kernel.ENOSYS
 }
@@ -339,18 +312,4 @@ func (k *Kernel) mmapFile(t *kernel.Thread, p *Proc, va hw.VAddr, length uint64,
 		done += uint64(n)
 	}
 	return kernel.OK
-}
-
-func permFromProt(prot uint64) hw.Perm {
-	var p hw.Perm
-	if prot&kernel.ProtRead != 0 {
-		p |= hw.PermRead
-	}
-	if prot&kernel.ProtWrite != 0 {
-		p |= hw.PermWrite
-	}
-	if prot&kernel.ProtExec != 0 {
-		p |= hw.PermExec
-	}
-	return p
 }

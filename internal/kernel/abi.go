@@ -1,5 +1,7 @@
 package kernel
 
+import "bgcnk/internal/hw"
+
 // Sys is a system call number.
 type Sys int
 
@@ -125,6 +127,10 @@ const (
 	ProtWrite uint64 = 2
 	ProtExec  uint64 = 4
 )
+
+// ProtPerm maps mmap/mprotect prot bits to page permissions; other bits
+// are ignored.
+func ProtPerm(prot uint64) hw.Perm { return hw.Perm(prot) & hw.PermRWX }
 
 // Lseek whence values.
 const (

@@ -2,7 +2,9 @@
 // (the nptl, libc, and messaging layers, and the applications) and a
 // compute-node kernel (CNK or the Linux-like FWK): syscall numbers, errno
 // values, clone flags, futex operations, signals, and the Context interface
-// a user thread executes against.
+// a user thread executes against. It also holds the thread runtime both
+// kernels share (Runtime: futexes, thread exit, signal delivery), so each
+// kernel supplies only its scheduler hooks.
 //
 // Keeping this boundary stable mirrors the paper's observation (Section IV)
 // that "the interface between glibc and the kernel tends to be more stable,

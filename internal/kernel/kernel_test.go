@@ -1,6 +1,10 @@
 package kernel
 
-import "testing"
+import (
+	"testing"
+
+	"bgcnk/internal/hw"
+)
 
 func TestErrnoStrings(t *testing.T) {
 	cases := map[Errno]string{
@@ -83,6 +87,24 @@ func TestSignalTable(t *testing.T) {
 	h(nil, SigInfo{})
 	if !called {
 		t.Fatal("handler not invoked")
+	}
+}
+
+func TestProtPerm(t *testing.T) {
+	cases := map[uint64]hw.Perm{
+		0:                               0,
+		ProtRead:                        hw.PermRead,
+		ProtWrite:                       hw.PermWrite,
+		ProtExec:                        hw.PermExec,
+		ProtRead | ProtWrite:            hw.PermRW,
+		ProtRead | ProtExec:             hw.PermRX,
+		ProtRead | ProtWrite | ProtExec: hw.PermRWX,
+		ProtWrite | 0x100:               hw.PermWrite, // unknown bits are ignored
+	}
+	for prot, want := range cases {
+		if got := ProtPerm(prot); got != want {
+			t.Errorf("ProtPerm(%#x) = %v, want %v", prot, got, want)
+		}
 	}
 }
 

@@ -2,10 +2,13 @@ package machine
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"bgcnk/internal/ckpt"
 	"bgcnk/internal/fs"
+	"bgcnk/internal/hw"
 	"bgcnk/internal/kernel"
 	"bgcnk/internal/sim"
 )
@@ -77,7 +80,7 @@ func (m *Machine) CaptureNode(ctx kernel.Context, epoch uint32) {
 		k := m.CNKs[node]
 		ns.Regions, _ = k.CheckpointRegions(pid)
 		if p := k.Proc(pid); p != nil {
-			ns.Threads = p.ThreadRegs(epoch)
+			ns.Threads = threadRegs(p.Threads, p.Layout.StackTop, epoch)
 		}
 		// CNK keeps no local file state: the table lives in the node's
 		// ioproxy on the I/O node (paper IV-A), so the image captures the
@@ -88,12 +91,23 @@ func (m *Machine) CaptureNode(ctx kernel.Context, epoch uint32) {
 		k := m.FWKs[node]
 		ns.Regions, _ = k.CheckpointRegions(pid)
 		if p := k.Proc(pid); p != nil {
-			ns.Threads = p.ThreadRegs(epoch)
+			ns.Threads = threadRegs(p.Threads, p.StackTop, epoch)
 			ns.Files = toFileStates(p.OpenFiles())
 		}
 	}
 	m.ck.pending[node] = ns
 	m.ck.epoch = epoch
+}
+
+// threadRegs synthesizes a process's per-thread register state for a
+// checkpoint, sorted by TID: PC stands in for the resume epoch and SP
+// anchors at the stack top.
+func threadRegs(threads map[uint32]*kernel.Thread, stackTop hw.VAddr, epoch uint32) []ckpt.RegState {
+	out := make([]ckpt.RegState, 0, len(threads))
+	for _, tid := range slices.Sorted(maps.Keys(threads)) {
+		out = append(out, ckpt.RegState{TID: tid, PC: uint64(epoch), SP: uint64(stackTop)})
+	}
+	return out
 }
 
 // SealCheckpoint assembles the pending node captures into a complete
