@@ -41,6 +41,18 @@ echo "== durable formats: wire codec + pinned encodings + large journal bodies"
 go test ./internal/wire/
 go test -run 'TestPinnedEncodings|TestJournalReplaysLargeBodies' ./internal/ctrlsys/
 
+# Thread runtime: CNK and the FWK share one futex table, thread exit and
+# signal delivery (kernel.Runtime), and each kernel supplies only its
+# scheduler hooks. The lifecycle script must match its pinned rows on
+# both kernels (every step's cycle, return value and errno, the trace
+# hash, the merged counters and the obs JSON), the kernel, CNK, FWK and
+# NPTL suites must pass repeatedly under -race, and the FWQ render, the
+# one golden that runs pthreads on both kernels, must match byte-for-byte.
+echo "== kernels: pinned thread lifecycle + kernel suites + fig5-7 golden"
+go test -race -count=3 -run 'TestPinnedThreadLifecycle' ./internal/machine/
+go test -race -count=3 ./internal/kernel/ ./internal/cnk/ ./internal/fwk/ ./internal/nptl/
+go test -run 'TestGolden/fig5-7' ./internal/experiments/
+
 # The fault matrix is part of the -race suite above, but gate on it
 # explicitly: every cell's fault must fire and replay bit-identically
 # against its committed reference row, and the recovery-under-fault
