@@ -104,3 +104,41 @@ func BenchmarkCoroSwitch(b *testing.B) {
 	}
 	e.Shutdown()
 }
+
+// BenchmarkTimedPark times one Park(10) that times out, driven by
+// RunUntilIdle. In "alone" the parking coroutine is the only one, so its
+// resume is always the engine's next event. In "interleaved" a second
+// coroutine parks for the same time one step behind it, so the other
+// coroutine's resume always comes first; an op there is one park of
+// each.
+func BenchmarkTimedPark(b *testing.B) {
+	b.Run("alone", func(b *testing.B) {
+		b.ReportAllocs()
+		e := NewEngine()
+		e.Go("parker", func(c *Coro) {
+			for b.Loop() {
+				c.Park(10)
+			}
+		})
+		e.RunUntilIdle()
+		e.Shutdown()
+	})
+	b.Run("interleaved", func(b *testing.B) {
+		b.ReportAllocs()
+		e := NewEngine()
+		done := false
+		e.Go("parker", func(c *Coro) {
+			for b.Loop() {
+				c.Park(10)
+			}
+			done = true
+		})
+		e.Go("other", func(c *Coro) {
+			for !done {
+				c.Park(10)
+			}
+		})
+		e.RunUntilIdle()
+		e.Shutdown()
+	})
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"weak"
@@ -269,7 +270,8 @@ func TestCoroEndReleasesCaptures(t *testing.T) {
 
 // TestParkWakeAllocFree: once the event pool and wheel slots are warm, a
 // Wake/Park(Forever) round trip and a Park(timeout) that times out
-// allocate nothing.
+// allocate nothing, whether a bare Step resumes it or, inside Run, it is
+// the engine's next event.
 func TestParkWakeAllocFree(t *testing.T) {
 	e := NewEngine()
 	ping := e.Go("ping", func(c *Coro) {
@@ -296,5 +298,149 @@ func TestParkWakeAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { e.Step() }); n != 0 {
 		t.Errorf("Park(timeout) timing out: %v allocs, want 0", n)
 	}
+	if n := testing.AllocsPerRun(100, func() { e.Run(e.Now() + 10) }); n != 0 {
+		t.Errorf("Park(timeout) timing out inside Run: %v allocs, want 0", n)
+	}
 	e.Shutdown()
+}
+
+// TestParkStepRunsOneEvent: a bare Step runs exactly one event, so a
+// coroutine that parks under a Step-driven engine resumes only on a
+// later Step, even when its resume is the only event queued.
+func TestParkStepRunsOneEvent(t *testing.T) {
+	for _, kind := range schedKinds {
+		e := NewEngineWith(EngineConfig{Scheduler: kind})
+		var woke []Cycles
+		e.Go("p", func(c *Coro) {
+			for _, d := range []Cycles{0, 5, 5} {
+				c.Park(d)
+				woke = append(woke, c.Now())
+			}
+		})
+		for step, want := range []struct {
+			woke    int
+			now     Cycles
+			pending int
+		}{{0, 0, 1}, {1, 0, 1}, {2, 5, 1}, {3, 10, 0}} {
+			if !e.Step() {
+				t.Fatalf("%v: Step %d found no event", kind, step)
+			}
+			if len(woke) != want.woke || e.Now() != want.now || e.Pending() != want.pending {
+				t.Fatalf("%v: after Step %d: %d resumes at cycle %d, %d pending; want %d at %d, %d pending",
+					kind, step, len(woke), e.Now(), e.Pending(), want.woke, want.now, want.pending)
+			}
+		}
+		if e.Step() {
+			t.Fatalf("%v: a fifth Step found an event", kind)
+		}
+	}
+}
+
+// TestParkRunStopsAtLimit: Run(limit) leaves the clock at or before limit
+// when a park's resume lies beyond it, and the next Run resumes the
+// coroutine at the cycle the park asked for.
+func TestParkRunStopsAtLimit(t *testing.T) {
+	for _, kind := range schedKinds {
+		e := NewEngineWith(EngineConfig{Scheduler: kind})
+		var woke []Cycles
+		e.Go("p", func(c *Coro) {
+			for range 6 {
+				c.Park(30)
+				woke = append(woke, c.Now())
+			}
+		})
+		for _, want := range []struct {
+			limit, now Cycles
+			n, woke    int
+		}{{0, 0, 1, 0}, {29, 0, 0, 0}, {50, 30, 1, 1}, {120, 120, 3, 4}, {1000, 180, 2, 6}} {
+			n := e.Run(want.limit)
+			if n != want.n || e.Now() != want.now || len(woke) != want.woke {
+				t.Fatalf("%v: Run(%d) = %d ending at cycle %d with %d resumes; want %d at %d with %d",
+					kind, want.limit, n, e.Now(), len(woke), want.n, want.now, want.woke)
+			}
+		}
+		for i, at := range woke {
+			if at != Cycles(30*(i+1)) {
+				t.Fatalf("%v: resumes at %v, want every 30 cycles", kind, woke)
+			}
+		}
+	}
+}
+
+// TestParkQueuedEventAtResumeRunsFirst: an event already queued at a
+// park's resume cycle holds the lower sequence number, so it runs before
+// the coroutine resumes; one queued a cycle later runs after.
+func TestParkQueuedEventAtResumeRunsFirst(t *testing.T) {
+	for _, kind := range schedKinds {
+		e := NewEngineWith(EngineConfig{Scheduler: kind})
+		var order []string
+		note := func(s string) func() {
+			return func() { order = append(order, fmt.Sprintf("%s@%d", s, e.Now())) }
+		}
+		e.Go("p", func(c *Coro) {
+			c.Park(0)
+			note("coro")()
+			c.Park(10)
+			note("coro")()
+			c.Park(10)
+			note("coro")()
+		})
+		e.At(0, note("ev"))
+		e.At(10, note("ev"))
+		e.At(21, note("ev"))
+		e.RunUntilIdle()
+		want := "[ev@0 coro@0 ev@10 coro@10 coro@20 ev@21]"
+		if got := fmt.Sprint(order); got != want {
+			t.Fatalf("%v: order %s, want %s", kind, got, want)
+		}
+	}
+}
+
+// parkScript runs two seeded coroutines that park on short timeouts,
+// sleep and wake each other, driven by Run over 50-cycle windows. It
+// returns every advance-hook call as "prev>now" and every Run's return.
+func parkScript(kind SchedulerKind, seed uint64) (hooks []string, runs []int) {
+	e := NewEngineWith(EngineConfig{Scheduler: kind})
+	e.SetAdvanceHook(func(prev, now Cycles) { hooks = append(hooks, fmt.Sprintf("%d>%d", prev, now)) })
+	rng := NewRNG(seed)
+	var cs [2]*Coro
+	for i := range cs {
+		r := rng.Fork(uint64(i))
+		cs[i] = e.Go(fmt.Sprintf("c%d", i), func(c *Coro) {
+			for range 8 {
+				switch r.Intn(3) {
+				case 0:
+					c.Park(r.Cycles(40))
+				case 1:
+					cs[1-i].Wake()
+					c.Sleep(1 + r.Cycles(20))
+				default:
+					c.Sleep(r.Cycles(60))
+				}
+			}
+		})
+	}
+	for limit := Cycles(0); e.Pending() > 0; limit += 50 {
+		runs = append(runs, e.Run(limit))
+	}
+	return hooks, runs
+}
+
+// TestParkAdvanceHookPinned holds parkScript at seed 1 to a fixed table,
+// on both schedulers: the clock advances the hook reports and the events
+// each Run counts.
+func TestParkAdvanceHookPinned(t *testing.T) {
+	const (
+		wantHooks = "[0>6 6>20 20>31 31>34 34>62 62>67 67>74 74>77 77>82 82>88 88>101 101>104 104>135 135>156 156>166 166>182]"
+		wantRuns  = "[2 6 9 3 3]"
+	)
+	for _, kind := range schedKinds {
+		hooks, runs := parkScript(kind, 1)
+		if got := fmt.Sprint(hooks); got != wantHooks {
+			t.Errorf("%v: advance hook calls\n  %s\nwant\n  %s", kind, got, wantHooks)
+		}
+		if got := fmt.Sprint(runs); got != wantRuns {
+			t.Errorf("%v: Run returns %s, want %s", kind, got, wantRuns)
+		}
+	}
 }

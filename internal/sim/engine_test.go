@@ -173,16 +173,23 @@ func TestCoroWakeCancelsTimeout(t *testing.T) {
 }
 
 func TestCoroWakeWhileRunningIsPending(t *testing.T) {
-	e := NewEngine()
-	var reason WakeReason
-	var self *Coro
-	self = e.Go("p", func(c *Coro) {
-		self.Wake() // signal posted while running
-		reason = c.Park(Forever)
-	})
-	e.RunUntilIdle()
-	if reason != WakeSignal {
-		t.Fatalf("pending wake not consumed: %v", reason)
+	// A timed park with nothing else queued is the engine's next event;
+	// the pending signal must still win over its timeout.
+	for _, timeout := range []Cycles{Forever, 5} {
+		e := NewEngine()
+		var reason WakeReason
+		var at Cycles
+		var self *Coro
+		self = e.Go("p", func(c *Coro) {
+			c.Sleep(3)
+			self.Wake() // signal posted while running
+			reason = c.Park(timeout)
+			at = c.Now()
+		})
+		e.RunUntilIdle()
+		if reason != WakeSignal || at != 3 {
+			t.Fatalf("Park(%v): pending wake not consumed: %v at %d, want signal at 3", timeout, reason, at)
+		}
 	}
 }
 
