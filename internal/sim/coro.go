@@ -28,8 +28,10 @@ type coroKilled struct{}
 // runtime's direct coroutine switch (iter.Pull). Resuming a coroutine
 // switches straight to it and parking switches straight back to the
 // engine, without going through the goroutine scheduler, so exactly one
-// simulation actor (event callback or coroutine) executes at a time and
-// every resume flows through the event queue.
+// simulation actor (event callback or coroutine) executes at a time. Every
+// resume flows through the event queue, except a timed park's when it
+// would be the queue's next event: that coroutine keeps running at the
+// resume cycle (see Park).
 //
 // A panic inside a coroutine, other than the unwind Shutdown uses, ends
 // the coroutine and is re-raised with its original value from the
@@ -150,7 +152,9 @@ func (c *Coro) Sleep(d Cycles) {
 // Park blocks the coroutine until either an explicit Wake (WakeSignal) or
 // the timeout elapses (WakeTimeout). A timeout of Forever (or greater)
 // means no deadline. If a signal was posted with Wake while the coroutine
-// was still running, Park consumes it and returns immediately.
+// was still running, Park consumes it and returns immediately. A timed
+// park whose resume would be the engine's next event returns WakeTimeout
+// at the resume cycle without leaving the coroutine.
 func (c *Coro) Park(timeout Cycles) WakeReason {
 	if c.pending {
 		c.pending = false
@@ -158,7 +162,11 @@ func (c *Coro) Park(timeout Cycles) WakeReason {
 	}
 	c.wakeGen++
 	if timeout < Forever {
-		c.eng.resumeAt(c.eng.Now()+timeout, c, WakeTimeout)
+		t := c.eng.now + timeout
+		if c.eng.resumeInPlace(t) {
+			return WakeTimeout
+		}
+		c.eng.resumeAt(t, c, WakeTimeout)
 	}
 	return c.park()
 }

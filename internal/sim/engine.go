@@ -51,13 +51,21 @@ type Engine struct {
 	stepping bool
 
 	// advance, when set, is called each time Step moves the clock
-	// forward, before the event at the new time dispatches. Observability
-	// layers hang periodic samplers here instead of scheduling events of
-	// their own: a self-rescheduling sampler event would keep Pending
-	// nonzero forever and perturb every run-until-idle loop. The hook
-	// must only observe — it runs outside any coroutine and must not
+	// forward, before the event at the new time dispatches, and each time
+	// a timed park resumed in place moves it. Observability layers hang
+	// periodic samplers here instead of scheduling events of their own: a
+	// self-rescheduling sampler event would keep Pending nonzero forever
+	// and perturb every run-until-idle loop. The hook must only observe —
+	// it may run inside the coroutine that resumes in place, and must not
 	// schedule events, sleep, or mutate simulation state.
 	advance func(prev, now Cycles)
+
+	// While Run or RunUntilIdle is in progress, running is set and limit
+	// is the last cycle it may reach; inPlace counts the timed parks it
+	// resumed in place (see resumeInPlace).
+	running bool
+	limit   Cycles
+	inPlace int
 }
 
 // NewEngine returns an engine at cycle 0 with an empty event queue, using
@@ -133,13 +141,7 @@ func (e *Engine) Step() bool {
 	if ev.at < e.now {
 		panic("sim: time went backwards")
 	}
-	if e.advance != nil && ev.at > e.now {
-		prev := e.now
-		e.now = ev.at
-		e.advance(prev, ev.at)
-	} else {
-		e.now = ev.at
-	}
+	e.advanceTo(ev.at)
 	fn, co, gen, reason := ev.fn, ev.co, ev.gen, ev.reason
 	ev.fn, ev.co = nil, nil
 	e.free = append(e.free, ev)
@@ -153,9 +155,40 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// advanceTo moves the clock to t, calling the advance hook when the clock
+// moves forward.
+func (e *Engine) advanceTo(t Cycles) {
+	prev := e.now
+	e.now = t
+	if e.advance != nil && t > prev {
+		e.advance(prev, t)
+	}
+}
+
+// resumeInPlace reports whether a timed park resuming at t would be the
+// next event the Run or RunUntilIdle in progress dispatches: t is within
+// its limit and every queued event is later than t. If so, it moves the
+// clock to t as Step would and counts the resume as one executed event,
+// and the parking coroutine carries on without leaving. Every other event
+// still runs at the same cycle in the same order. A bare Step never takes
+// this path: it runs exactly one event.
+func (e *Engine) resumeInPlace(t Cycles) bool {
+	if !e.running || t > e.limit {
+		return false
+	}
+	if next, ok := e.sched.peek(); ok && next <= t {
+		return false
+	}
+	e.advanceTo(t)
+	e.inPlace++
+	return true
+}
+
 // Run executes events until the queue is empty or the next event lies
-// beyond the limit. It returns the number of events executed.
+// beyond the limit. It returns the number of events executed, counting
+// each timed park resumed in place as one.
 func (e *Engine) Run(limit Cycles) int {
+	e.running, e.limit, e.inPlace = true, limit, 0
 	n := 0
 	for {
 		t, ok := e.sched.peek()
@@ -165,18 +198,22 @@ func (e *Engine) Run(limit Cycles) int {
 		e.Step()
 		n++
 	}
-	return n
+	e.running = false
+	return n + e.inPlace
 }
 
 // RunUntilIdle executes events until no events remain. Coroutines parked
 // without a pending wake are not counted as work; a deadlocked simulation
-// simply stops. It returns the number of events executed.
+// simply stops. It returns the number of events executed, counting each
+// timed park resumed in place as one.
 func (e *Engine) RunUntilIdle() int {
+	e.running, e.limit, e.inPlace = true, ^Cycles(0), 0
 	n := 0
 	for e.Step() {
 		n++
 	}
-	return n
+	e.running = false
+	return n + e.inPlace
 }
 
 // track records a started coroutine for Shutdown. When the slice is full

@@ -113,7 +113,7 @@ const (
 )
 
 type wheelSched struct {
-	cur     Cycles // wheel time; equals the engine's now between pops
+	cur     Cycles // wheel time; only pop moves it, at most to the engine's now
 	inWheel int    // events resident in the levels (excludes overflow)
 	slots   [wheelLevels][wheelSlots][]*event
 	occ     [wheelLevels][wheelWords]uint64
