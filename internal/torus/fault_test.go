@@ -41,10 +41,10 @@ func TestHopsFirstHopProperties(t *testing.T) {
 						t.Fatalf("dims %v: first-hop walk %v->%v exceeded %d hops", dims, a, b, h)
 					}
 					k := dimOrderRoute(cur, b, dims)[0]
-					if k.c != cur {
-						t.Fatalf("dims %v: first link of %v->%v leaves %v", dims, cur, b, k.c)
+					if from := coordOf(k.node(), dims); from != cur {
+						t.Fatalf("dims %v: first link of %v->%v leaves %v", dims, cur, b, from)
 					}
-					cur = step(cur, k.dim, k.pos, dims)
+					cur = step(cur, k.dim(), k.pos(), dims)
 				}
 			}
 		}
@@ -53,17 +53,17 @@ func TestHopsFirstHopProperties(t *testing.T) {
 
 func TestFirstHopTieBreaksForward(t *testing.T) {
 	dims := Coord{4, 6, 1}
-	first := func(a, b Coord) linkKey { return dimOrderRoute(a, b, dims)[0] }
+	first := func(a, b Coord) link { return dimOrderRoute(a, b, dims)[0] }
 	// Equal forward/backward distance (4/2=2 each way): forward wins.
-	if k := first(Coord{0, 0, 0}, Coord{2, 0, 0}); k.dim != 0 || !k.pos {
-		t.Fatalf("tie on dim 0: got dim %d pos %v, want 0/forward", k.dim, k.pos)
+	if k := first(Coord{0, 0, 0}, Coord{2, 0, 0}); k.dim() != 0 || !k.pos() {
+		t.Fatalf("tie on dim 0: got dim %d pos %v, want 0/forward", k.dim(), k.pos())
 	}
-	if k := first(Coord{1, 1, 0}, Coord{1, 4, 0}); k.dim != 1 || !k.pos {
-		t.Fatalf("tie on dim 1: got dim %d pos %v, want 1/forward", k.dim, k.pos)
+	if k := first(Coord{1, 1, 0}, Coord{1, 4, 0}); k.dim() != 1 || !k.pos() {
+		t.Fatalf("tie on dim 1: got dim %d pos %v, want 1/forward", k.dim(), k.pos())
 	}
 	// Strictly shorter backward must win over the tie-break.
-	if k := first(Coord{0, 1, 0}, Coord{0, 5, 0}); k.dim != 1 || k.pos {
-		t.Fatalf("shorter backward: got dim %d pos %v, want 1/backward", k.dim, k.pos)
+	if k := first(Coord{0, 1, 0}, Coord{0, 5, 0}); k.dim() != 1 || k.pos() {
+		t.Fatalf("shorter backward: got dim %d pos %v, want 1/backward", k.dim(), k.pos())
 	}
 }
 
@@ -124,9 +124,9 @@ func TestHealthyRoutesAreDimensionOrdered(t *testing.T) {
 	for _, dims := range propDims {
 		coords := EnumCoords(dims)
 		for _, a := range coords {
-			via := healthy.reach(a, dims)
+			via := healthy.reach(nodeOf(a, dims), dims)
 			for _, b := range coords {
-				got, want := via.pathTo(a, b), dimOrderRoute(a, b, dims)
+				got, want := via.pathTo(nodeOf(a, dims), nodeOf(b, dims)), dimOrderRoute(a, b, dims)
 				if !slices.Equal(got, want) {
 					t.Fatalf("dims %v: healthy route %v->%v is %v, want %v", dims, a, b, got, want)
 				}

@@ -1,6 +1,7 @@
 package torus
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -211,6 +212,32 @@ func TestDuplicateAttachPanics(t *testing.T) {
 		}
 	}()
 	net.Attach(hw.NewChip(hw.ChipConfig{ID: 1}), Coord{0, 0, 0})
+}
+
+// TestCoordOutsideDimsPanics: a coordinate outside Dims names no node.
+// Attach refuses it rather than give it another node's number ({0,2,0}
+// on a 2x2x1 torus would land on {1,0,0}), and At refuses it as it
+// refuses an unattached coordinate.
+func TestCoordOutsideDimsPanics(t *testing.T) {
+	net := New(sim.NewEngine(), DefaultConfig(Coord{2, 2, 1}))
+	net.Attach(hw.NewChip(hw.ChipConfig{ID: 0}), Coord{1, 0, 0})
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	for _, c := range []Coord{{0, 2, 0}, {2, 0, 0}, {-1, 0, 0}, {0, 0, 1}} {
+		mustPanic(fmt.Sprintf("Attach(%v)", c), func() { net.Attach(hw.NewChip(hw.ChipConfig{ID: 1}), c) })
+		mustPanic(fmt.Sprintf("At(%v)", c), func() { net.At(c) })
+	}
+	mustPanic("At of an unattached coordinate", func() { net.At(Coord{0, 1, 0}) })
+	if got := net.At(Coord{1, 0, 0}).Coord(); got != (Coord{1, 0, 0}) {
+		t.Fatalf("At({1,0,0}) returned the interface at %v", got)
+	}
 }
 
 // transferCosts is the arrival cycle of every transfer in costScript, in
