@@ -215,7 +215,9 @@ func (d *Device) Send(ctx kernel.Context, dst int, tag uint32, data []byte) kern
 }
 
 // Recv blocks until an eager message with the given tag arrives, returning
-// its payload and source rank. Multi-packet messages are reassembled.
+// its payload and source rank (nil for an empty message). Multi-packet
+// messages are reassembled; a one-packet message is returned in place,
+// since the packet's payload is already the receiver's own copy.
 func (d *Device) Recv(ctx kernel.Context, tag uint32) ([]byte, int, kernel.Errno) {
 	c := coro(ctx)
 	first, rerr := d.Ifc.RecvMatchErr(c, func(p torus.Packet) bool {
@@ -228,6 +230,13 @@ func (d *Device) Recv(ctx kernel.Context, tag uint32) ([]byte, int, kernel.Errno
 	msgid := binary.BigEndian.Uint32(first.Payload[0:])
 	total := int(binary.BigEndian.Uint16(first.Payload[6:]))
 	from := int(binary.BigEndian.Uint32(first.Payload[8:]))
+	if total == 1 {
+		d.Recvs++
+		if data := first.Payload[eagerHdr:]; len(data) > 0 {
+			return data, from, kernel.OK
+		}
+		return nil, from, kernel.OK
+	}
 	parts := make([][]byte, total)
 	store := func(p torus.Packet) {
 		seq := int(binary.BigEndian.Uint16(p.Payload[4:]))
