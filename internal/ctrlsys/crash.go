@@ -499,16 +499,13 @@ func (s *ServiceNode) recoverInPlace(live []*Partition) (*RecoveryReport, error)
 
 	// Reconcile live partitions: the dead incarnation's booted blocks.
 	// Whatever their machines were doing, their controlling state is
-	// gone; scan for the record, kill the orphaned job, free the block.
+	// gone; kill the orphaned job, free the block.
 	sort.Slice(live, func(i, j int) bool { return live[i].ID < live[j].ID })
 	for _, p := range live {
 		if p == nil {
 			continue
 		}
 		rep.LiveScanned++
-		if p.M != nil {
-			p.M.Scan() // read-only; harvested for the RAS trail below
-		}
 		p.Destroy()
 		if _, ok := st.allocs[p.ID]; ok {
 			if err := s.appendRec(recPartFree, idBody(p.ID), ras.SiteRecovery); err != nil {
