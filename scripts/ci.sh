@@ -114,17 +114,18 @@ go test -run 'TestGolden/ioscale' ./internal/experiments/
 
 # Fault-tolerant torus contracts: every transfer must arrive at its
 # pinned reference cycle on the one send path, armed or not, a healthy
-# send must allocate only its payload, and healthy fault-region routes
-# must be the dimension-ordered ones (under -race); the armed hard-fault
-# matrix (link_fail and node_fail x seeds x both kernels) must replay
-# cycle-exactly and bit-identically at 1/2/8 workers (under -race); a
-# plan with no hard network faults must leave the fault layer unarmed;
-# an unroutable plan must be refused at boot; the net-fault
-# control-system consequences (localization, blacklist, typed budget
-# error) must hold; and the degrade sweep must match its golden
-# byte-for-byte.
+# send must allocate only its payload, healthy fault-region routes must
+# be the dimension-ordered ones, and a coordinate outside the torus must
+# be refused rather than numbered as another node (under -race); the
+# armed hard-fault matrix (link_fail and node_fail x seeds x both
+# kernels) must replay cycle-exactly and bit-identically at 1/2/8
+# workers (under -race); a plan with no hard network faults must leave
+# the fault layer unarmed; an unroutable plan must be refused at boot;
+# the net-fault control-system consequences (localization, blacklist,
+# typed budget error) must hold; and the degrade sweep must match its
+# golden byte-for-byte.
 echo "== fault-tolerant torus: cost table + fault matrix + degrade golden"
-go test -race -run 'TestTransferCosts|TestSendPacketAllocs|TestHealthyRoutesAreDimensionOrdered' ./internal/torus/
+go test -race -run 'TestTransferCosts|TestSendPacketAllocs|TestHealthyRoutesAreDimensionOrdered|TestCoordOutsideDimsPanics' ./internal/torus/
 go test -race -run 'TestTorusFaultMatrix|TestTorusFaultsOffChangesNothing|TestUnroutablePartitionFailsBoot' ./internal/machine/
 go test -race -run 'TestLinkFaultLocalizedAndSurvived|TestNodeFaultExhaustsBudgetTyped' ./internal/ctrlsys/
 go test -run 'TestGolden/degrade' ./internal/experiments/
@@ -143,9 +144,11 @@ go test -race -run 'TestRenderWorkerInvariance' ./internal/experiments/
 
 # Coroutine switch contracts: the iter.Pull handoff must keep kill/unwind,
 # shutdown order, the pinned runRandomCoros table and allocation-free
-# Park/Wake, repeated under -race.
-echo "== coroutine switch: kill/unwind + pinned coros + alloc-free park/wake"
-go test -race -count=10 -run 'TestCoro|TestShutdown|TestEngineShutdown|TestDifferential|TestParkWake' ./internal/sim/
+# Park/Wake, and a timed park resumed in place must keep every event's
+# cycle and order (bare Step, Run limits, same-cycle events, pending
+# signals, the pinned advance-hook table), repeated under -race.
+echo "== coroutine switch: kill/unwind + pinned coros + in-place parks + alloc-free park/wake"
+go test -race -count=10 -run 'TestCoro|TestShutdown|TestEngineShutdown|TestDifferential|TestPark' ./internal/sim/
 
 # Cache model contracts: the tag pages, each allocated by the first fill
 # into one of its 256 sets and kept and cleared by a flush, must replay
