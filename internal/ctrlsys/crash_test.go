@@ -188,6 +188,39 @@ func TestJournaledDrainMatchesPinned(t *testing.T) {
 	}
 }
 
+// TestFaultFreeCkptDrainMatchesPinned pins the checkpointed drain on a
+// perfect machine (no fault plan), journal on and off, on both kernels:
+// every attempt folds its RAS hash into the job's even when the machine
+// has no RAS log, so the signature is a fixed literal generated before
+// the RAS handles became nil-safe.
+func TestFaultFreeCkptDrainMatchesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		kind    machine.KernelKind
+		journal bool
+		want    uint64
+	}{
+		{machine.KindCNK, false, 0x59a11b035b56813a},
+		{machine.KindCNK, true, 0x59a11b035b56813a},
+		{machine.KindFWK, false, 0x214d7f5847aa879d},
+		{machine.KindFWK, true, 0x214d7f5847aa879d},
+	} {
+		cfg := crashConfig(tc.kind, 2, 0, nil)
+		cfg.Faults = nil
+		cfg.Journal.Enabled = tc.journal
+		res := drainCrashy(t, cfg)
+		if got := res.Signature(); got != tc.want {
+			t.Errorf("%v journal=%v: fault-free checkpointed drain signature %016x, pinned %016x",
+				tc.kind, tc.journal, got, tc.want)
+		}
+		for _, r := range res.Results {
+			if r.RASEvents != 0 || r.Restarts != 0 || len(r.Attempts) != 1 || !r.Attempts[0].Completed {
+				t.Errorf("%v journal=%v: job %d on a perfect machine: %d RAS events, %d restarts, attempts %+v",
+					tc.kind, tc.journal, r.Job.ID, r.RASEvents, r.Restarts, r.Attempts)
+			}
+		}
+	}
+}
+
 // TestRecoverReplaysCompletedDrain is the codec's end-to-end proof: a
 // successor node built over the dead node's store must reconstruct every
 // committed JobResult purely from journal replay — re-draining the same
