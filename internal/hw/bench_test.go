@@ -50,3 +50,19 @@ func BenchmarkCacheAccess(b *testing.B) {
 		i++
 	}
 }
+
+// BenchmarkTLBLookup translates through a chip core's TLB, hitting a
+// pinned 1 MB entry as every CNK access does: the lookup counts the hit
+// in the chip's UPC unit and probes the (unarmed) parity fault source.
+func BenchmarkTLBLookup(b *testing.B) {
+	t := &NewChip(ChipConfig{}).Cores[0].TLB
+	t.InsertPinned(TLBEntry{PID: 1, VBase: 0x100000, PBase: 0x400000, Size: Page1M, Perms: PermRW})
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, _, ok := t.Lookup(1, VAddr(0x100000+(i&0xfff)*8)); !ok {
+			b.Fatal("pinned entry missed")
+		}
+		i++
+	}
+}
