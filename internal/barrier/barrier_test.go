@@ -112,3 +112,36 @@ func TestWaitingCount(t *testing.T) {
 	}
 	eng.Shutdown()
 }
+
+// TestBarrierResumesInParticipantOrder repeats a 6-participant barrier
+// whose participants arrive in reverse order. The last arriver waits out
+// the wire latency and resumes first; the wire then releases everyone
+// else at the same cycle, woken in participant order, so every round of
+// every run resumes 0, 1, ..., 5.
+func TestBarrierResumesInParticipantOrder(t *testing.T) {
+	const n, rounds, runs = 6, 3, 20
+	for run := 0; run < runs; run++ {
+		eng := sim.NewEngine()
+		b := New(eng, n, 1000)
+		var order []int
+		for i := 0; i < n; i++ {
+			i := i
+			eng.Go("p", func(c *sim.Coro) {
+				for r := 0; r < rounds; r++ {
+					c.Sleep(sim.Cycles(100 * (n - i)))
+					b.Enter(c, i)
+					order = append(order, i)
+				}
+			})
+		}
+		eng.RunUntilIdle()
+		if len(order) != n*rounds {
+			t.Fatalf("run %d: %d resumes, want %d", run, len(order), n*rounds)
+		}
+		for k, id := range order {
+			if id != k%n {
+				t.Fatalf("run %d: resume order %v, want participants 0..%d each round", run, order, n-1)
+			}
+		}
+	}
+}
