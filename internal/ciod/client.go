@@ -48,10 +48,6 @@ type Client struct {
 	ion     *ion.Node
 	obs     *obs.Recorder
 	node    int
-
-	Calls    uint64
-	Timeouts uint64
-	Retries  uint64
 }
 
 // AttachObs wires the machine-wide span recorder: each shipped call
@@ -93,9 +89,7 @@ func (cl *Client) AttachION(n *ion.Node) { cl.ion = n }
 // resends back off exponentially, and exhaustion surfaces EIO — the errno
 // the application would see from a dead I/O path on the real machine.
 func (cl *Client) Call(c *sim.Coro, req *Request) *Reply {
-	if cl.upc != nil {
-		cl.upc.Inc(upc.ChipScope, upc.FunctionShip)
-	}
+	cl.upc.Inc(upc.ChipScope, upc.FunctionShip)
 	if cl.obs != nil {
 		start := c.Now()
 		defer func() {
@@ -110,10 +104,7 @@ func (cl *Client) Call(c *sim.Coro, req *Request) *Reply {
 	}
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			cl.Retries++
-			if cl.upc != nil {
-				cl.upc.Inc(upc.ChipScope, upc.CIODRetry)
-			}
+			cl.upc.Inc(upc.ChipScope, upc.CIODRetry)
 			c.Sleep(cl.policy.Backoff << (a - 1))
 		}
 		cl.nextTag++
@@ -130,10 +121,7 @@ func (cl *Client) Call(c *sim.Coro, req *Request) *Reply {
 		}
 		msg, ok := cl.ep.RecvTagTimeout(c, tag, timeout)
 		if !ok {
-			cl.Timeouts++
-			if cl.upc != nil {
-				cl.upc.Inc(upc.ChipScope, upc.CIODTimeout)
-			}
+			cl.upc.Inc(upc.ChipScope, upc.CIODTimeout)
 			continue
 		}
 		rep, err := UnmarshalReply(msg.Data)
@@ -141,21 +129,14 @@ func (cl *Client) Call(c *sim.Coro, req *Request) *Reply {
 			// A truncated reply is indistinguishable from a lost one at
 			// this layer: resend if the policy allows.
 			if cl.policy.Timeout > 0 {
-				cl.Timeouts++
-				if cl.upc != nil {
-					cl.upc.Inc(upc.ChipScope, upc.CIODTimeout)
-				}
+				cl.upc.Inc(upc.ChipScope, upc.CIODTimeout)
 				continue
 			}
 			return &Reply{Errno: kernel.EIO}
 		}
-		cl.Calls++
 		return rep
 	}
-	if cl.faults != nil {
-		cl.faults.Report(ras.CIODGiveUp, "ciod-client",
-			OpName(req.Op)+" retries exhausted, surfacing EIO")
-	}
+	cl.faults.Report(ras.CIODGiveUp, "ciod-client", OpName(req.Op)+" retries exhausted, surfacing EIO")
 	return &Reply{Errno: kernel.EIO}
 }
 

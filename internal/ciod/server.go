@@ -260,23 +260,21 @@ func (s *Server) proxyLoop(c *sim.Coro, p *ioproxy, t *proxyThread) {
 				s.ion.Release()
 				continue
 			}
-			if s.faults == nil || !s.faults.ReplyDrop() {
+			if !s.faults.ReplyDrop() {
 				s.ep.Send(pc.from, pc.tag, MarshalReply(rep))
 			}
 			s.ion.Release()
-			if s.faults != nil {
-				if s.faults.CrashDue() {
+			if s.faults.CrashDue() {
+				s.crash()
+			}
+			if s.faults.IONCrashDue() {
+				// The whole I/O node dies: the daemon crashes exactly as
+				// under CrashDue, and the buffer cache, if any, loses
+				// every unflushed block.
+				if !s.down {
 					s.crash()
 				}
-				if s.faults.IONCrashDue() {
-					// The whole I/O node dies: the daemon crashes exactly
-					// as under CrashDue, and the buffer cache, if any,
-					// loses every unflushed block.
-					if !s.down {
-						s.crash()
-					}
-					s.ion.Crash()
-				}
+				s.ion.Crash()
 			}
 		}
 		s.obs.Emit(obs.CatIO, "ciod:execute", s.obsNode, int(p.pid), execStart, c.Now(), uint64(len(batch)))

@@ -235,10 +235,8 @@ func (k *Kernel) MemEvent(t *kernel.Thread, ev hw.MemEvent, va hw.VAddr, write b
 		// corruption. Recovery is the control system's job — for bringup,
 		// a reproducible reset and an identical re-run (contrast the FWK,
 		// which scrubs in place with jittery in-kernel recovery).
-		if k.Chip.Faults != nil {
-			k.Chip.Faults.Report(ras.JobKill, "cnk",
-				fmt.Sprintf("uncorrectable DDR error at va %#x, killing pid %d", uint64(va), t.PID()))
-		}
+		k.Chip.Faults.Report(ras.JobKill, "cnk",
+			fmt.Sprintf("uncorrectable DDR error at va %#x, killing pid %d", uint64(va), t.PID()))
 		k.trace(k.Eng.Now(), fmt.Sprintf("uncorrectable DDR error at va %#x: killing pid %d", uint64(va), t.PID()))
 		k.rt.Exit(t, 128+int(kernel.SIGBUS))
 	default:
@@ -282,10 +280,8 @@ func (k *Kernel) Translate(t *kernel.Thread, va hw.VAddr, write bool) (hw.PAddr,
 			if va >= e.VBase && uint64(va-e.VBase) < uint64(e.Size) {
 				t.Coro().Sleep(tlbReinstallCost)
 				core.TLB.InsertPinned(e)
-				if k.Chip.Faults != nil {
-					k.Chip.Faults.Report(ras.Recovery, "cnk",
-						fmt.Sprintf("reinstalled static TLB entry for va %#x after parity invalidation", uint64(va)))
-				}
+				k.Chip.Faults.Report(ras.Recovery, "cnk",
+					fmt.Sprintf("reinstalled static TLB entry for va %#x after parity invalidation", uint64(va)))
 				return e.Translate(va), uint64(e.Size) - uint64(va-e.VBase), e.Perms, kernel.OK
 			}
 		}

@@ -94,8 +94,8 @@ type Endpoint struct {
 	waiters   []waiter
 	busyUntil sim.Cycles // outgoing link serialization
 
-	// upc is the owning node's counter unit; nil until AttachUPC (the
-	// tree is built before the chips are wired to it).
+	// upc is the owning node's counter unit; nil (count nothing) until
+	// AttachUPC (the tree is built before the chips are wired to it).
 	upc *upc.Set
 
 	// faults draws seeded link-CRC corruption for outgoing transfers;
@@ -104,7 +104,6 @@ type Endpoint struct {
 
 	Sent, Received uint64
 	BytesSent      uint64
-	Retransmits    uint64
 }
 
 type waiter struct {
@@ -201,23 +200,17 @@ func (e *Endpoint) Send(to int, tag uint32, data []byte) {
 		n += muxHeader
 	}
 	ser := e.sendCost(n)
-	if e.faults != nil {
-		// Link-level CRC: the receiver NAKs a corrupted transfer and the
-		// sender re-serializes it after an exponentially growing backoff.
-		// The whole protocol is charged on the link, keeping Send
-		// non-blocking (DMA-like), and counted so experiments can read
-		// the cost back out.
-		if n := e.faults.LinkRetransmits("collective"); n > 0 {
-			clean := ser
-			for a := 0; a < n; a++ {
-				ser += clean + (RetransBackoff << a)
-			}
-			e.Retransmits += uint64(n)
-			if e.upc != nil {
-				e.upc.Add(upc.ChipScope, upc.LinkCRC, uint64(n))
-				e.upc.Add(upc.ChipScope, upc.LinkRetransmit, uint64(n))
-			}
+	// Link-level CRC: the receiver NAKs a corrupted transfer and the
+	// sender re-serializes it after an exponentially growing backoff. The
+	// whole protocol is charged on the link, keeping Send non-blocking
+	// (DMA-like), and counted so experiments can read the cost back out.
+	if n := e.faults.LinkRetransmits("collective"); n > 0 {
+		clean := ser
+		for a := 0; a < n; a++ {
+			ser += clean + (RetransBackoff << a)
 		}
+		e.upc.Add(upc.ChipScope, upc.LinkCRC, uint64(n))
+		e.upc.Add(upc.ChipScope, upc.LinkRetransmit, uint64(n))
 	}
 	start := e.tree.eng.Now()
 	if e.busyUntil > start {
@@ -234,10 +227,8 @@ func (e *Endpoint) Send(to int, tag uint32, data []byte) {
 	msg := Message{From: e.id, Tag: tag, Data: append([]byte(nil), data...)}
 	e.Sent++
 	e.BytesSent += uint64(n)
-	if e.upc != nil {
-		e.upc.Add(upc.ChipScope, upc.CollPacket, uint64(packets(n)))
-		e.upc.Add(upc.ChipScope, upc.CollBytes, uint64(n))
-	}
+	e.upc.Add(upc.ChipScope, upc.CollPacket, uint64(packets(n)))
+	e.upc.Add(upc.ChipScope, upc.CollBytes, uint64(n))
 	e.tree.obs.Emit(obs.CatMsg, "coll:send", e.id, 0, e.tree.eng.Now(), arrive, uint64(n))
 	e.tree.eng.At(arrive, func() { dst.deliver(msg) })
 }
@@ -350,8 +341,6 @@ type Combine struct {
 
 	// upcs routes per-participant combine counts to each node's UPC unit.
 	upcs map[int]*upc.Set
-
-	Ops uint64
 }
 
 // AttachUPC routes participant id's combine-operation counter to a chip's
@@ -420,15 +409,12 @@ func (cb *Combine) AllreduceErr(c *sim.Coro, id int, v float64) (float64, error)
 	}
 	cb.entered[id] = c
 	cb.sum += v
-	if u := cb.upcs[id]; u != nil {
-		u.Inc(upc.ChipScope, upc.CombineOp)
-	}
+	cb.upcs[id].Inc(upc.ChipScope, upc.CombineOp)
 	if len(cb.entered) == cb.n {
 		sum := cb.sum
 		waiters := cb.entered
 		cb.entered = make(map[int]*sim.Coro)
 		cb.sum = 0
-		cb.Ops++
 		for wid := range waiters {
 			cb.results[wid] = sum
 		}

@@ -5,7 +5,6 @@ import (
 
 	"bgcnk/internal/kernel"
 	"bgcnk/internal/machine"
-	"bgcnk/internal/ras"
 	"bgcnk/internal/sim"
 	"bgcnk/internal/upc"
 )
@@ -148,10 +147,7 @@ func (s *ServiceNode) runJob(job Job) *JobResult {
 	m := p.M
 	res.Boot = p.Boot
 
-	var mark ras.Mark
-	if m.RAS != nil {
-		mark = m.RAS.Mark()
-	}
+	mark := m.RAS.Mark()
 	boot := bootInstant(m)
 	if err := m.Run(jobApp(m, job, nil, nil, 0), kernel.JobParams{}, 0); err != nil {
 		res.Err = err.Error()
@@ -161,10 +157,8 @@ func (s *ServiceNode) runJob(job Job) *JobResult {
 	res.Teardown = teardownBase + teardownPerMidplane*sim.Cycles(job.Midplanes)
 	res.ExitCodes = m.ExitCodes()
 	res.Counters = m.MergedCounters()
-	if m.RAS != nil {
-		res.RASEvents = m.RAS.CountSince(mark)
-		res.RASHash = m.RAS.HashSince(mark, boot)
-	}
+	res.RASEvents = m.RAS.CountSince(mark)
+	res.RASHash = m.RAS.HashSince(mark, boot)
 	return res
 }
 

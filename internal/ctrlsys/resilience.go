@@ -165,10 +165,7 @@ func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func(
 				fsys.WriteFile(machine.CkptPath(job.ID), resumeBlob, 0644, fs.Root)
 			}
 		}
-		var mark ras.Mark
-		if m.RAS != nil {
-			mark = m.RAS.Mark()
-		}
+		mark := m.RAS.Mark()
 		boot := bootInstant(m)
 		runErr := m.Run(jobApp(m, job, resume, resumeBlob, cfg.Interval), kernel.JobParams{}, resilientRunLimit)
 		run := m.Eng.Now() - boot
@@ -183,20 +180,18 @@ func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func(
 		if resume != nil {
 			a.ResumeEpoch = int(resume.Epoch)
 		}
-		if m.RAS != nil {
-			res.RASEvents += m.RAS.CountSince(mark)
-			rasHash = rasHash*1099511628211 ^ m.RAS.HashSince(mark, boot)
-			for _, ev := range m.RAS.Events()[mark:] {
-				// Hard network faults localize like job kills: a dead link
-				// or interface strikes the midplane owning the node, feeding
-				// the same blacklist/reschedule path (a failed
-				// partition-interior wire takes the midplane out of service).
-				killing := ev.Class == ras.JobKill ||
-					ev.Class == ras.LinkFail || ev.Class == ras.NodeFail
-				if killing && ev.Node >= 0 {
-					a.FaultMidplane = ev.Node / s.topo.NodesPerMidplane
-					break
-				}
+		res.RASEvents += m.RAS.CountSince(mark)
+		rasHash = m.RAS.FoldSince(rasHash, mark, boot)
+		for _, ev := range m.RAS.Events()[mark:] {
+			// Hard network faults localize like job kills: a dead link or
+			// interface strikes the midplane owning the node, feeding the
+			// same blacklist/reschedule path (a failed partition-interior
+			// wire takes the midplane out of service).
+			killing := ev.Class == ras.JobKill ||
+				ev.Class == ras.LinkFail || ev.Class == ras.NodeFail
+			if killing && ev.Node >= 0 {
+				a.FaultMidplane = ev.Node / s.topo.NodesPerMidplane
+				break
 			}
 		}
 		if ok {

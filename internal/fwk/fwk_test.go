@@ -7,6 +7,7 @@ import (
 	"bgcnk/internal/hw"
 	"bgcnk/internal/kernel"
 	"bgcnk/internal/sim"
+	"bgcnk/internal/upc"
 )
 
 func fnode(t *testing.T, cfg Config) (*sim.Engine, *Kernel) {
@@ -102,17 +103,14 @@ func TestComputeIsNoisy(t *testing.T) {
 
 func TestDemandPagingCountsFaults(t *testing.T) {
 	eng, k := fnode(t, Config{})
-	var pid uint32
 	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
-		pid = ctx.PID()
-		p := k.Proc(pid)
+		p := k.Proc(ctx.PID())
 		for off := uint64(0); off < 1<<20; off += pageSize {
 			ctx.Touch(p.HeapBase+hw.VAddr(off), 8, true)
 		}
 	}})
-	p := k.Proc(pid)
-	if p.MinorFaults < 256 {
-		t.Fatalf("minor faults = %d, want ~256 (one per 4KB page)", p.MinorFaults)
+	if got := k.Chip.UPC.Snapshot().Total(upc.PageFault); got < 256 {
+		t.Fatalf("minor faults = %d, want ~256 (one per 4KB page)", got)
 	}
 	misses := uint64(0)
 	for _, c := range k.Chip.Cores {

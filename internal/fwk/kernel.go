@@ -271,7 +271,7 @@ func (k *Kernel) MemEvent(t *kernel.Thread, ev hw.MemEvent, va hw.VAddr, write b
 		// lands in state the kernel cannot scrub around (its own
 		// structures, a daemon's heap) and the node panics, killing the
 		// job — the fatal path the resilience experiments restart from.
-		if k.Chip.Faults != nil && k.Chip.Faults.FWKPanicDue() {
+		if k.Chip.Faults.FWKPanicDue() {
 			k.Eng.Trace().Record(k.Eng.Now(), k.tag(), "machine check: kernel panic, killing job")
 			k.Chip.Faults.Report(ras.JobKill, "fwk",
 				fmt.Sprintf("kernel panic on uncorrectable DDR error at va %#x", uint64(va)))
@@ -286,10 +286,8 @@ func (k *Kernel) MemEvent(t *kernel.Thread, ev hw.MemEvent, va hw.VAddr, write b
 		scrub := fwkScrubBase + k.rng.Cycles(fwkScrubJitter)
 		k.Eng.Trace().Record(k.Eng.Now(), k.tag(),
 			fmt.Sprintf("machine check: DDR scrub-and-remap, %d cycle stall", scrub))
-		if k.Chip.Faults != nil {
-			k.Chip.Faults.Report(ras.Recovery, "fwk",
-				fmt.Sprintf("scrubbed uncorrectable DDR error at va %#x in place", uint64(va)))
-		}
+		k.Chip.Faults.Report(ras.Recovery, "fwk",
+			fmt.Sprintf("scrubbed uncorrectable DDR error at va %#x in place", uint64(va)))
 		t.Coro().Sleep(scrub)
 	default:
 		k.rt.Raise(t, kernel.SigInfo{Sig: kernel.SIGSEGV, Addr: va, Code: 2})

@@ -42,9 +42,6 @@ type Proc struct {
 
 	StackTop hw.VAddr
 	HeapBase hw.VAddr
-
-	// Fault statistics.
-	MinorFaults uint64
 }
 
 // Done reports process completion.
@@ -246,7 +243,6 @@ func (k *Kernel) Translate(t *kernel.Thread, va hw.VAddr, write bool) (hw.PAddr,
 		zero := make([]byte, pageSize)
 		k.Chip.Mem.Write(f, zero)
 		p.pages[vp] = f
-		p.MinorFaults++
 		frame = f
 	}
 	core.TLB.Insert(hw.TLBEntry{

@@ -18,8 +18,8 @@ type Memory struct {
 	chunks      map[uint64][]byte
 	selfRefresh bool
 
-	// upc routes access counts to the owning chip's UPC unit; nil for
-	// standalone Memories in unit tests.
+	// upc routes access counts to the owning chip's UPC unit; nil (count
+	// nothing) for standalone Memories in unit tests.
 	upc *upc.Set
 
 	// Access statistics, reset with the chip.
@@ -54,9 +54,7 @@ func (m *Memory) chunk(idx uint64, create bool) []byte {
 func (m *Memory) Read(pa PAddr, dst []byte) {
 	m.check(pa, len(dst))
 	m.Reads++
-	if m.upc != nil {
-		m.upc.Inc(upc.ChipScope, upc.DDRRead)
-	}
+	m.upc.Inc(upc.ChipScope, upc.DDRRead)
 	off := uint64(pa)
 	for len(dst) > 0 {
 		idx, in := off/memChunk, off%memChunk
@@ -80,9 +78,7 @@ func (m *Memory) Read(pa PAddr, dst []byte) {
 func (m *Memory) Write(pa PAddr, src []byte) {
 	m.check(pa, len(src))
 	m.Writes++
-	if m.upc != nil {
-		m.upc.Inc(upc.ChipScope, upc.DDRWrite)
-	}
+	m.upc.Inc(upc.ChipScope, upc.DDRWrite)
 	off := uint64(pa)
 	for len(src) > 0 {
 		idx, in := off/memChunk, off%memChunk

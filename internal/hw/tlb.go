@@ -43,7 +43,7 @@ type TLB struct {
 	victim  int
 
 	// upc/coreID route counter updates to the owning chip's UPC unit;
-	// nil for standalone TLBs in unit tests.
+	// upc is nil (count nothing) for standalone TLBs in unit tests.
 	upc    *upc.Set
 	coreID int
 
@@ -79,7 +79,7 @@ func (t *TLB) Lookup(pid uint32, va VAddr) (PAddr, Perm, bool) {
 	for i := range t.entries {
 		e := &t.entries[i]
 		if e.Covers(pid, va) {
-			if t.faults != nil && t.faults.TLBParity() {
+			if t.faults.TLBParity() {
 				// Parity error on the matched entry: the hardware
 				// invalidates it and the lookup misses; the kernel's
 				// refill path is the recovery (re-install from the static
@@ -88,16 +88,12 @@ func (t *TLB) Lookup(pid uint32, va VAddr) (PAddr, Perm, bool) {
 				break
 			}
 			t.Hits++
-			if t.upc != nil {
-				t.upc.Inc(t.coreID, upc.TLBHit)
-			}
+			t.upc.Inc(t.coreID, upc.TLBHit)
 			return e.Translate(va), e.Perms, true
 		}
 	}
 	t.Misses++
-	if t.upc != nil {
-		t.upc.Inc(t.coreID, upc.TLBMiss)
-	}
+	t.upc.Inc(t.coreID, upc.TLBMiss)
 	return 0, 0, false
 }
 
@@ -109,9 +105,7 @@ func (t *TLB) InsertPinned(e TLBEntry) {
 	if !e.Size.Valid() {
 		panic(fmt.Sprintf("hw: invalid page size %d", e.Size))
 	}
-	if t.upc != nil {
-		t.upc.Inc(t.coreID, refillCounter(e.Size))
-	}
+	t.upc.Inc(t.coreID, refillCounter(e.Size))
 	for i := range t.entries {
 		if !t.entries[i].Valid {
 			t.entries[i] = e
@@ -129,9 +123,7 @@ func (t *TLB) Insert(e TLBEntry) {
 	if !e.Size.Valid() {
 		panic(fmt.Sprintf("hw: invalid page size %d", e.Size))
 	}
-	if t.upc != nil {
-		t.upc.Inc(t.coreID, refillCounter(e.Size))
-	}
+	t.upc.Inc(t.coreID, refillCounter(e.Size))
 	for i := range t.entries {
 		if !t.entries[i].Valid {
 			t.entries[i] = e

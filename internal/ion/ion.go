@@ -135,15 +135,11 @@ func (n *Node) Acquire(c *sim.Coro, cn int, u *upc.Set) {
 	start := c.Now()
 	w := &waiter{c: c, cn: cn}
 	n.waiters = append(n.waiters, w)
-	if u != nil {
-		u.Inc(upc.ChipScope, upc.IONStall)
-	}
+	u.Inc(upc.ChipScope, upc.IONStall)
 	for !w.granted {
 		c.Park(sim.Forever)
 	}
-	if u != nil {
-		u.Add(upc.ChipScope, upc.IONStallCycles, uint64(c.Now()-start))
-	}
+	u.Add(upc.ChipScope, upc.IONStallCycles, uint64(c.Now()-start))
 	n.admit()
 }
 

@@ -121,8 +121,8 @@ type Machine struct {
 	// Comb is the collective combining-tree route (CNK machines only).
 	Comb *collective.Combine
 
-	// RAS is the machine-wide reliability event log; nil unless
-	// Cfg.Faults is armed.
+	// RAS is the machine-wide reliability event log; nil (records
+	// nothing, reads zero) unless Cfg.Faults is armed.
 	RAS *ras.Log
 
 	// Obs is the machine-wide span recorder; nil unless Cfg.Obs is armed.
@@ -177,9 +177,7 @@ func New(cfg Config) (*Machine, error) {
 
 	for n := 0; n < cfg.Nodes; n++ {
 		chip := hw.NewChip(hw.ChipConfig{ID: n, MemSize: cfg.MemSize, Coord: [3]int(coords[n])})
-		if m.inj != nil {
-			chip.AttachFaults(m.inj.Node(n))
-		}
+		chip.AttachFaults(m.inj.Node(n))
 		m.Chips = append(m.Chips, chip)
 		if m.Comb != nil {
 			m.Comb.AttachUPC(n, chip.UPC)
@@ -193,7 +191,7 @@ func New(cfg Config) (*Machine, error) {
 		}))
 	}
 
-	if m.inj != nil && cfg.Faults.NetEnabled() {
+	if cfg.Faults.NetEnabled() {
 		// Hard network faults: draw the link/node death schedule from the
 		// plan's dedicated machine-wide stream (no per-node stream is
 		// perturbed) and arm the torus's fault layer. A node death kills
@@ -236,9 +234,7 @@ func New(cfg Config) (*Machine, error) {
 		tree.AttachObs(m.Obs)
 		for _, id := range ids {
 			tree.CN(id).AttachUPC(m.Chips[id].UPC)
-			if m.inj != nil {
-				tree.CN(id).AttachFaults(m.inj.Node(id))
-			}
+			tree.CN(id).AttachFaults(m.inj.Node(id))
 		}
 		ionFS := fs.New()
 		ionFS.MustMkdirAll("/gpfs")
@@ -247,13 +243,11 @@ func New(cfg Config) (*Machine, error) {
 		m.IONFS = append(m.IONFS, ionFS)
 		srv := ciod.NewServer(m.Eng, tree.ION(), ionFS)
 		srv.AttachObs(m.Obs, -1-len(m.Servers))
-		if m.inj != nil {
-			// I/O nodes get their own fault streams, keyed below the
-			// compute-node ID space.
-			ionF := m.inj.Node(-1 - len(m.Servers))
-			tree.ION().AttachFaults(ionF)
-			srv.SetFaults(ionF, cfg.Faults.RestartDelay())
-		}
+		// I/O nodes get their own fault streams, keyed below the
+		// compute-node ID space.
+		ionF := m.inj.Node(-1 - len(m.Servers))
+		tree.ION().AttachFaults(ionF)
+		srv.SetFaults(ionF, ionF.RestartDelay())
 		var node *ion.Node
 		if cfg.ION != nil {
 			// Aggregation armed: this tree's CN→ION traffic serializes on
@@ -278,13 +272,13 @@ func New(cfg Config) (*Machine, error) {
 			io.AttachUPC(chip.UPC)
 			io.AttachObs(m.Obs, n)
 			io.AttachION(nodes[treeIdx])
-			if m.inj != nil {
+			io.AttachFaults(m.inj.Node(n))
+			if cfg.Faults.Enabled() {
 				// With a fallible I/O path the blocking protocol would
 				// hang forever on one lost reply; arm timeouts and
 				// bounded retries wide enough to ride out a CIOD
 				// crash+restart.
 				io.SetRetryPolicy(ciod.DefaultRetryPolicy())
-				io.AttachFaults(m.inj.Node(n))
 			}
 			k := cnk.New(m.Eng, chip, cnk.Config{
 				MaxThreadsPerCore: cfg.MaxThreadsPerCore,
@@ -438,11 +432,7 @@ func (m *Machine) Run(app App, params kernel.JobParams, limit sim.Cycles) error 
 // ResetFaults rewinds every node's fault streams to the start of the
 // seeded schedule, part of the reproducible-reset protocol: a recovery
 // reboot must face the identical fault sequence the failed run did.
-func (m *Machine) ResetFaults() {
-	if m.inj != nil {
-		m.inj.Reset()
-	}
-}
+func (m *Machine) ResetFaults() { m.inj.Reset() }
 
 // ClearJobs forgets finished (or killed) jobs AND the per-job state they
 // left in the kernels and CIOD — process tables, PID/TID counters, futex

@@ -8,6 +8,7 @@ import (
 	"bgcnk/internal/kernel"
 	"bgcnk/internal/sim"
 	"bgcnk/internal/torus"
+	"bgcnk/internal/upc"
 )
 
 func TestSingleNodeCNKApp(t *testing.T) {
@@ -286,7 +287,7 @@ func TestCNKDescriptorsFewerThanFWK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m.Devs[0].Ifc.Descriptors
+		return m.Chips[0].UPC.Get(upc.ChipScope, upc.DMADescriptor)
 	}
 	cnkDesc := descriptors(KindCNK)
 	fwkDesc := descriptors(KindFWK)
@@ -367,7 +368,7 @@ func TestCombiningTreeAllreduceConstantTime(t *testing.T) {
 			t.Fatalf("combining-tree allreduce not constant-time: %v", times)
 		}
 	}
-	if m.Comb.Ops == 0 {
+	if m.MergedCounters().Total(upc.CombineOp) == 0 {
 		t.Fatal("hardware combine never used")
 	}
 }

@@ -44,15 +44,13 @@ func (m *Machine) Scan() ScanReport {
 		JobsLaunched: len(m.jobs),
 		JobsDone:     m.JobsDone(),
 		ExitCodes:    m.ExitCodes(),
+		Restores:     m.ck.restores,
+		RASEvents:    m.RAS.Total(),
 	}
 	if m.ck.armed {
 		r.CheckpointsArmed = true
 		r.CheckpointJobID = m.ck.jobID
 		r.CheckpointInterval = m.ck.interval
-	}
-	r.Restores = m.ck.restores
-	if m.RAS != nil {
-		r.RASEvents = m.RAS.Total()
 	}
 	return r
 }

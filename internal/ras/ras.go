@@ -75,7 +75,9 @@ type Event struct {
 // Log is the machine-wide RAS event log: an append-only event list,
 // per-class counts, and a running FNV hash in the style of sim.Trace, so
 // two runs produced the same fault schedule and reactions iff their RAS
-// hashes match.
+// hashes match. A nil *Log is the log of a machine with no faults armed:
+// it records nothing, every count and hash reads zero, and FoldSince
+// returns the hash it is given.
 type Log struct {
 	events []Event
 	counts [NumClasses]uint64
@@ -89,10 +91,17 @@ func NewLog() *Log { return &Log{hash: 14695981039346656037} }
 // AttachTrace mirrors every appended event into tr, so the run's
 // cycle-reproducibility hash covers the fault schedule and the kernel's
 // reactions to it.
-func (l *Log) AttachTrace(tr *sim.Trace) { l.trace = tr }
+func (l *Log) AttachTrace(tr *sim.Trace) {
+	if l != nil {
+		l.trace = tr
+	}
+}
 
 // Append records an event.
 func (l *Log) Append(e Event) {
+	if l == nil {
+		return
+	}
 	l.events = append(l.events, e)
 	l.counts[e.Class]++
 	h := fnv.New64a()
@@ -104,17 +113,22 @@ func (l *Log) Append(e Event) {
 }
 
 // Count returns the number of events of one class.
-func (l *Log) Count(c Class) uint64 { return l.counts[c] }
+func (l *Log) Count(c Class) uint64 {
+	if l == nil {
+		return 0
+	}
+	return l.counts[c]
+}
 
 // Mark is a position in the log, taken before a region of a run so the
 // region's events can be hashed independently of what preceded them.
 type Mark int
 
 // Mark returns the current log position.
-func (l *Log) Mark() Mark { return Mark(len(l.events)) }
+func (l *Log) Mark() Mark { return Mark(len(l.Events())) }
 
 // CountSince returns the number of events appended after m.
-func (l *Log) CountSince(m Mark) uint64 { return uint64(len(l.events) - int(m)) }
+func (l *Log) CountSince(m Mark) uint64 { return uint64(len(l.Events()) - int(m)) }
 
 // HashSince digests the events appended after m with their times rebased
 // to base (normally the job's boot instant). The running Hash covers
@@ -123,6 +137,9 @@ func (l *Log) CountSince(m Mark) uint64 { return uint64(len(l.events) - int(m)) 
 // fresh one — the reboot shifts every timestamp. Two time-shifted but
 // otherwise identical event sequences HashSince-equal.
 func (l *Log) HashSince(m Mark, base sim.Cycles) uint64 {
+	if l == nil {
+		return 0
+	}
 	hash := uint64(14695981039346656037)
 	for _, e := range l.events[m:] {
 		h := fnv.New64a()
@@ -132,14 +149,35 @@ func (l *Log) HashSince(m Mark, base sim.Cycles) uint64 {
 	return hash
 }
 
+// FoldSince folds HashSince(m, base) into h, the way a restarted job
+// accumulates one hash over its attempts. A nil log folds nothing: h
+// comes back unchanged, so a job on a machine without faults keeps the
+// hash it started with.
+func (l *Log) FoldSince(h uint64, m Mark, base sim.Cycles) uint64 {
+	if l == nil {
+		return h
+	}
+	return h*1099511628211 ^ l.HashSince(m, base)
+}
+
 // Total returns the number of events logged.
-func (l *Log) Total() uint64 { return uint64(len(l.events)) }
+func (l *Log) Total() uint64 { return uint64(len(l.Events())) }
 
 // Hash returns the running hash over all events.
-func (l *Log) Hash() uint64 { return l.hash }
+func (l *Log) Hash() uint64 {
+	if l == nil {
+		return 0
+	}
+	return l.hash
+}
 
 // Events returns the recorded events, oldest first.
-func (l *Log) Events() []Event { return l.events }
+func (l *Log) Events() []Event {
+	if l == nil {
+		return nil
+	}
+	return l.events
+}
 
 // Table renders the per-class counts (non-zero classes only), aligned for
 // reports; empty logs render a single "no RAS events" line.
@@ -147,11 +185,11 @@ func (l *Log) Table() string {
 	var b strings.Builder
 	any := false
 	for c := Class(0); c < NumClasses; c++ {
-		if l.counts[c] == 0 {
+		if l.Count(c) == 0 {
 			continue
 		}
 		any = true
-		fmt.Fprintf(&b, "%-18s %8d\n", c.String(), l.counts[c])
+		fmt.Fprintf(&b, "%-18s %8d\n", c.String(), l.Count(c))
 	}
 	if !any {
 		return "no RAS events\n"

@@ -117,3 +117,50 @@ func TestPlanEnabled(t *testing.T) {
 		t.Fatal("DefaultPlan must inject")
 	}
 }
+
+// TestNilReceivers: a nil injector, node fault source and log are the
+// perfect machine's. Every method can be called on them: nothing is
+// drawn, reported or recorded, every read is zero, and FoldSince hands
+// back the hash it was given, while a real log folds its region in.
+func TestNilReceivers(t *testing.T) {
+	var in *Injector
+	in.Reset()
+	if f := in.Node(3); f != nil {
+		t.Fatalf("nil injector built a fault source %p", f)
+	}
+
+	var f *NodeFaults
+	f.Report(JobKill, "cnk", "nothing to record")
+	if unc, corr := f.DDRAccess(); unc || corr {
+		t.Fatalf("nil source drew a DDR fault: %v %v", unc, corr)
+	}
+	if f.TLBParity() || f.LinkRetransmits("torus") != 0 || f.ReplyDrop() ||
+		f.CrashDue() || f.IONCrashDue() || f.FWKPanicDue() || f.RestartDelay() != 0 {
+		t.Fatal("nil source drew a fault or has a restart delay")
+	}
+
+	var l *Log
+	tr := sim.NewTrace()
+	before := tr.Hash()
+	l.AttachTrace(tr)
+	l.Append(Event{Node: 1, Comp: "cnk", Class: JobKill})
+	m := l.Mark()
+	if m != 0 || l.Count(JobKill) != 0 || l.CountSince(m) != 0 || l.HashSince(m, 5) != 0 ||
+		l.Total() != 0 || l.Hash() != 0 || l.Events() != nil || tr.Hash() != before {
+		t.Fatal("nil log recorded or read back an event")
+	}
+	if got := l.Table(); got != "no RAS events\n" {
+		t.Fatalf("nil log table %q", got)
+	}
+	h := uint64(0xcbf29ce484222325)
+	if got := l.FoldSince(h, m, 5); got != h {
+		t.Fatalf("nil log folded %016x into %016x", h, got)
+	}
+
+	real := NewLog()
+	mark := real.Mark()
+	real.Append(Event{At: 7, Node: 1, Comp: "cnk", Class: JobKill})
+	if got, want := real.FoldSince(h, mark, 5), h*1099511628211^real.HashSince(mark, 5); got != want {
+		t.Fatalf("FoldSince %016x, want %016x", got, want)
+	}
+}

@@ -363,10 +363,8 @@ func (n *Network) killLink(k link) {
 	}
 	if ifc := n.ifcs[k.node()]; ifc != nil {
 		ifc.chip.UPC.Inc(upc.ChipScope, upc.TorusLinkDead)
-		if ifc.chip.Faults != nil {
-			ifc.chip.Faults.Report(ras.LinkFail, "torus",
-				fmt.Sprintf("directed link %v dim %d%s died", ifc.coord, k.dim(), dir))
-		}
+		ifc.chip.Faults.Report(ras.LinkFail, "torus",
+			fmt.Sprintf("directed link %v dim %d%s died", ifc.coord, k.dim(), dir))
 	}
 	clear(n.routes)
 }
@@ -400,10 +398,8 @@ func (n *Network) killNode(node int) {
 	}
 	if ifc != nil {
 		ifc.dead = true
-		if ifc.chip.Faults != nil {
-			ifc.chip.Faults.Report(ras.NodeFail, "torus",
-				fmt.Sprintf("node %v torus interface died with all its links", ifc.coord))
-		}
+		ifc.chip.Faults.Report(ras.NodeFail, "torus",
+			fmt.Sprintf("node %v torus interface died with all its links", ifc.coord))
 	}
 	clear(n.routes)
 	if ifc != nil {

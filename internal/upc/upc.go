@@ -148,21 +148,34 @@ func slot(core int) int {
 
 // Set is one chip's counter block. hw.Chip owns one, and every layer
 // above reaches it through the chip. The zero value is ready to use; all
-// mutation is fixed-array indexing, so the hot path never allocates.
+// mutation is fixed-array indexing, so the hot path never allocates. A
+// nil *Set is a block nothing counts into: updates do nothing and every
+// read is zero.
 type Set struct {
 	vals [NumSlots][NumCounters]uint64
 	sys  [NumSlots][MaxSyscalls]uint64
 }
 
 // Inc adds one to counter c on core (ChipScope for chip-wide events).
-func (s *Set) Inc(core int, c Counter) { s.vals[slot(core)][c]++ }
+func (s *Set) Inc(core int, c Counter) {
+	if s != nil {
+		s.vals[slot(core)][c]++
+	}
+}
 
 // Add adds n to counter c on core.
-func (s *Set) Add(core int, c Counter, n uint64) { s.vals[slot(core)][c] += n }
+func (s *Set) Add(core int, c Counter, n uint64) {
+	if s != nil {
+		s.vals[slot(core)][c] += n
+	}
+}
 
 // Syscall counts one invocation of syscall number num on core, maintaining
 // both the per-number array and the SyscallTotal counter.
 func (s *Set) Syscall(core int, num int) {
+	if s == nil {
+		return
+	}
 	sl := slot(core)
 	s.vals[sl][SyscallTotal]++
 	if num >= 0 && num < MaxSyscalls {
@@ -171,18 +184,27 @@ func (s *Set) Syscall(core int, num int) {
 }
 
 // Get reads counter c on core without snapshotting.
-func (s *Set) Get(core int, c Counter) uint64 { return s.vals[slot(core)][c] }
+func (s *Set) Get(core int, c Counter) uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.vals[slot(core)][c]
+}
 
 // Reset zeroes every counter (chip reset semantics).
 func (s *Set) Reset() {
-	s.vals = [NumSlots][NumCounters]uint64{}
-	s.sys = [NumSlots][MaxSyscalls]uint64{}
+	if s != nil {
+		*s = Set{}
+	}
 }
 
 // Snapshot captures the current counter values as a comparable value: two
 // snapshots are equal (==) iff every per-slot counter and per-syscall
 // count matches.
 func (s *Set) Snapshot() Snapshot {
+	if s == nil {
+		return Snapshot{}
+	}
 	return Snapshot{Vals: s.vals, Sys: s.sys}
 }
 
@@ -191,6 +213,8 @@ func (s *Set) Snapshot() Snapshot {
 // quiesce point, exactly as the real unit's counters are reloaded from a
 // saved image on restart.
 func (s *Set) Load(sn Snapshot) {
-	s.vals = sn.Vals
-	s.sys = sn.Sys
+	if s != nil {
+		s.vals = sn.Vals
+		s.sys = sn.Sys
+	}
 }

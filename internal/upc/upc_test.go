@@ -100,3 +100,17 @@ func TestTextAndJSONRendering(t *testing.T) {
 		t.Fatal("rendering must be deterministic")
 	}
 }
+
+// TestNilReceivers: a nil Set is a counter block nothing counts into;
+// every method can be called on it and every read is zero.
+func TestNilReceivers(t *testing.T) {
+	var s *Set
+	s.Inc(0, TLBHit)
+	s.Add(ChipScope, TorusBytes, 64)
+	s.Syscall(1, 3)
+	s.Load(Snapshot{Vals: [NumSlots][NumCounters]uint64{{1}}})
+	s.Reset()
+	if s.Get(0, TLBHit) != 0 || s.Get(ChipScope, TorusBytes) != 0 || !s.Snapshot().IsZero() {
+		t.Fatal("nil set counted")
+	}
+}
