@@ -14,12 +14,12 @@ import (
 // Comm is an MPI-like communicator: a rank in a job, message matching on
 // top of DCMF, the eager/rendezvous crossover, a double-sum allreduce
 // (Phloem's mpiBench_Allreduce shape), and a barrier mapped onto the
-// global barrier network when one exists.
+// global barrier network.
 type Comm struct {
 	Dev  *Device
 	Size int
 
-	// Bar is the global barrier network (nil = software barrier).
+	// Bar is the global barrier network.
 	Bar *barrier.Network
 
 	// Comb is the collective network's combining-tree route (nil =
@@ -137,19 +137,14 @@ func (c *Comm) Allreduce(ctx kernel.Context, x float64) (float64, kernel.Errno) 
 	return sum, kernel.OK
 }
 
-// Barrier synchronizes all ranks. With a global barrier network attached
-// it maps onto the dedicated hardware (as MPI_Barrier does on Blue Gene);
-// otherwise it degrades to an allreduce.
+// Barrier synchronizes all ranks on the global barrier network, as
+// MPI_Barrier does on Blue Gene.
 func (c *Comm) Barrier(ctx kernel.Context) kernel.Errno {
-	if c.Bar != nil {
-		ctx.Compute(120) // barrier unit programming
-		if err := c.Bar.EnterErr(coro(ctx), c.Rank()); err != nil {
-			return kernel.EIO
-		}
-		return kernel.OK
+	ctx.Compute(120) // barrier unit programming
+	if err := c.Bar.EnterErr(coro(ctx), c.Rank()); err != nil {
+		return kernel.EIO
 	}
-	_, errno := c.Allreduce(ctx, 0)
-	return errno
+	return kernel.OK
 }
 
 // Bcast distributes root's value to every rank. With the combining tree
