@@ -56,20 +56,24 @@ go test -run 'TestGolden/fig5-7' ./internal/experiments/
 # The fault matrix is part of the -race suite above, but gate on it
 # explicitly: every cell's fault must fire and replay bit-identically
 # against its committed reference row, and the recovery-under-fault
-# replay must hold; together they are the RAS layer's contract.
+# replay must hold; together they are the RAS layer's contract. A nil
+# injector, fault source, RAS log or counter set is the unarmed handle,
+# so every method must be callable on nil and read zero.
 echo "== fault matrix"
 go test -run 'TestFaultMatrix|TestRecoveryUnderFaultDeterminism|TestFaultsOffChangesNothing|TestCIODRetryExhaustionSurfacesEIO|TestCIODCrashRecovery' ./internal/machine/
+go test -run 'TestNilReceivers' ./internal/ras/ ./internal/upc/
 
 # Control-system contracts, gated explicitly for the same reason: every
 # drain runs one commit pipeline and one queue replay, so the parallel
 # drain must be bit-identical to serial and to its pinned signature, the
-# checkpoint-off drain and the seeded queue replays must match their
+# checkpoint-off drain, the checkpointed drain on a perfect machine
+# (journal on and off) and the seeded queue replays must match their
 # pinned values, and a node must reject a second, different queue (all
 # under -race); a reused machine must match a fresh one; and the
 # boot-scaling table and the throughput drain must match their goldens
 # byte-for-byte (regenerate with -update after model changes).
 echo "== control system: determinism + pinned drains + boot and throughput goldens"
-go test -race -run 'TestParallelDrainMatchesSerial|TestCkptOffSignatureUnchanged|TestScheduleFIFOBackfill|TestRedrainRejectsChangedQueue' ./internal/ctrlsys/
+go test -race -run 'TestParallelDrainMatchesSerial|TestCkptOffSignatureUnchanged|TestFaultFreeCkptDrainMatchesPinned|TestScheduleFIFOBackfill|TestRedrainRejectsChangedQueue' ./internal/ctrlsys/
 go test -run 'TestRebootedMachineMatchesFresh' ./internal/machine/
 go test -run 'TestGolden/boot' ./internal/experiments/
 go test -run 'TestGolden/throughput' ./internal/experiments/
@@ -114,16 +118,16 @@ go test -run 'TestGolden/ioscale' ./internal/experiments/
 
 # Fault-tolerant torus contracts: every transfer must arrive at its
 # pinned reference cycle on the one send path, armed or not, a healthy
-# send must allocate only its payload, healthy fault-region routes must
-# be the dimension-ordered ones, and a coordinate outside the torus must
-# be refused rather than numbered as another node (under -race); the
-# armed hard-fault matrix (link_fail and node_fail x seeds x both
-# kernels) must replay cycle-exactly and bit-identically at 1/2/8
-# workers (under -race); a plan with no hard network faults must leave
-# the fault layer unarmed; an unroutable plan must be refused at boot;
-# the net-fault control-system consequences (localization, blacklist,
-# typed budget error) must hold; and the degrade sweep must match its
-# golden byte-for-byte.
+# send must copy no payload and allocate at most once, healthy
+# fault-region routes must be the dimension-ordered ones, and a
+# coordinate outside the torus must be refused rather than numbered as
+# another node (under -race); the armed hard-fault matrix (link_fail
+# and node_fail x seeds x both kernels) must replay cycle-exactly and
+# bit-identically at 1/2/8 workers (under -race); a plan with no hard
+# network faults must leave the fault layer unarmed; an unroutable plan
+# must be refused at boot; the net-fault control-system consequences
+# (localization, blacklist, typed budget error) must hold; and the
+# degrade sweep must match its golden byte-for-byte.
 echo "== fault-tolerant torus: cost table + fault matrix + degrade golden"
 go test -race -run 'TestTransferCosts|TestSendPacketAllocs|TestHealthyRoutesAreDimensionOrdered|TestCoordOutsideDimsPanics' ./internal/torus/
 go test -race -run 'TestTorusFaultMatrix|TestTorusFaultsOffChangesNothing|TestUnroutablePartitionFailsBoot' ./internal/machine/
@@ -136,11 +140,14 @@ go test -run 'TestGolden/degrade' ./internal/experiments/
 # counters, RAS logs), every kernel x workload cell of the determinism
 # battery must match its pinned reference row, and the replica runner
 # must merge bit-identical results at 1, 2, and 8 workers — from the raw
-# pool up through the rendered experiment artifacts. All under -race.
-echo "== sim fast path: heap-vs-wheel differential + pinned battery + replica worker invariance"
+# pool up through the rendered experiment artifacts, and a barrier must
+# resume its participants in participant order on every run. All under
+# -race.
+echo "== sim fast path: heap-vs-wheel differential + pinned battery + replica worker invariance + barrier order"
 go test -race -run 'TestDifferential|TestDeterminismBattery' ./internal/sim/ ./internal/machine/
 go test -race -run 'TestReplicaWorkerInvariance' ./internal/sim/replica/
 go test -race -run 'TestRenderWorkerInvariance' ./internal/experiments/
+go test -race -count=5 -run 'TestBarrierResumesInParticipantOrder' ./internal/barrier/
 
 # Coroutine switch contracts: the iter.Pull handoff must keep kill/unwind,
 # shutdown order, the pinned runRandomCoros table and allocation-free
@@ -176,8 +183,8 @@ go test -run 'TestGolden/tracescale' ./internal/experiments/
 
 # Every Go benchmark in the module must still run (one iteration each):
 # the root experiment benchmarks, the sim engine and coroutine switch,
-# the hw cache model, the torus send path, the checkpoint-image codec,
-# and the control-system boot, drain and journal-body codec.
+# the hw cache model and TLB, the torus send path, the checkpoint-image
+# codec, and the control-system boot, drain and journal-body codec.
 echo "== go test -bench (one iteration of every benchmark)"
 go test -run '^$' -bench . -benchtime 1x . ./internal/sim/ ./internal/hw/ ./internal/torus/ ./internal/ckpt/ ./internal/ctrlsys/
 
