@@ -107,7 +107,8 @@ type IONStat = ion.Stats
 type FaultPlan = ras.Plan
 
 // RASLog is the machine-wide reliability event log (Machine.RAS; nil on
-// machines built without a fault plan).
+// machines built without a fault plan). A nil log is safe to call: it
+// records nothing, and its counts, hashes and table read as empty.
 type RASLog = ras.Log
 
 // DefaultFaultPlan returns a moderate all-classes plan seeded with seed.
