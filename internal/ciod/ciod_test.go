@@ -42,6 +42,54 @@ func TestReplyWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodedDataAliasesWire pins the decoders' ownership contract: a
+// decoded Request.Data or Reply.Data is the payload's own bytes inside
+// the received message, with its capacity clipped to its length so an
+// append cannot write into the rest of the message, and nil when the
+// payload is empty. Each message is marshalled at its exact length.
+func TestDecodedDataAliasesWire(t *testing.T) {
+	for _, n := range []int{0, 1, 5, 1024} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i*7 + 1)
+		}
+		req := MarshalRequest(&Request{Op: OpWrite, PID: 3, TID: 1, FD: 4, Size: uint64(n), Path: "/p", Data: payload})
+		r, err := UnmarshalRequest(req)
+		if err != nil {
+			t.Fatalf("request, %d bytes: %v", n, err)
+		}
+		rep := MarshalReply(&Reply{Ret: uint64(n), Str: "/cwd", Data: payload})
+		p, err := UnmarshalReply(rep)
+		if err != nil {
+			t.Fatalf("reply, %d bytes: %v", n, err)
+		}
+		for _, tc := range []struct {
+			kind       string
+			wire, data []byte
+		}{{"request", req, r.Data}, {"reply", rep, p.Data}} {
+			if cap(tc.wire) != len(tc.wire) {
+				t.Errorf("%s, %d bytes: wire length %d, capacity %d", tc.kind, n, len(tc.wire), cap(tc.wire))
+			}
+			if n == 0 {
+				if tc.data != nil {
+					t.Errorf("%s: empty payload decoded as %#v, want nil", tc.kind, tc.data)
+				}
+				continue
+			}
+			if string(tc.data) != string(payload) {
+				t.Fatalf("%s, %d bytes: payload changed", tc.kind, n)
+			}
+			// Data is the last field of both formats.
+			if &tc.data[0] != &tc.wire[len(tc.wire)-n] {
+				t.Errorf("%s, %d bytes: Data is a copy, not the wire's bytes", tc.kind, n)
+			}
+			if cap(tc.data) != n {
+				t.Errorf("%s, %d bytes: Data capacity %d", tc.kind, n, cap(tc.data))
+			}
+		}
+	}
+}
+
 func TestTruncatedMessageError(t *testing.T) {
 	b := MarshalRequest(&Request{Op: OpWrite, Data: []byte("hello")})
 	if _, err := UnmarshalRequest(b[:len(b)-3]); err == nil {

@@ -533,6 +533,42 @@ func TestFunctionShippedFileIO(t *testing.T) {
 	}
 }
 
+// TestHugeIOCount pins what a count no buffer can hold does: write
+// fails with EFAULT before the kernel allocates or ships anything, and
+// read returns the short file's bytes, since CIOD reads at most what the
+// file holds.
+func TestHugeIOCount(t *testing.T) {
+	const huge = 1 << 62
+	eng, k, _ := node(t, Config{})
+	run(t, eng, k, JobSpec{
+		Main: func(ctx kernel.Context, rank int) {
+			path := writeString(ctx, k, 0, "/huge.dat")
+			fd, errno := ctx.Syscall(kernel.SysOpen, uint64(path), kernel.OCreat|kernel.ORdwr, 0644)
+			if errno != kernel.OK {
+				t.Fatalf("open: %v", errno)
+			}
+			p := k.Proc(ctx.PID())
+			buf := p.Layout.HeapBase + 2<<20
+			ctx.Store(buf, []byte("simulation output"))
+			if n, errno := ctx.Syscall(kernel.SysWrite, fd, uint64(buf), 17); errno != kernel.OK || n != 17 {
+				t.Fatalf("write: %v %d", errno, n)
+			}
+			if n, errno := ctx.Syscall(kernel.SysWrite, fd, uint64(buf), huge); errno != kernel.EFAULT || n != 0 {
+				t.Errorf("write of %#x bytes: %d %v, want 0 EFAULT", uint64(huge), n, errno)
+			}
+			ctx.Syscall(kernel.SysLseek, fd, 0, kernel.SeekSet)
+			rbuf := p.Layout.HeapBase + 3<<20
+			n, errno := ctx.Syscall(kernel.SysRead, fd, uint64(rbuf), huge)
+			got := make([]byte, 17)
+			ctx.Load(rbuf, got)
+			if errno != kernel.OK || n != 17 || string(got) != "simulation output" {
+				t.Errorf("read of %#x bytes: %d %v %q, want 17 OK %q", uint64(huge), n, errno, got, "simulation output")
+			}
+			ctx.Syscall(kernel.SysClose, fd)
+		},
+	})
+}
+
 func TestFileIOOverRealCollectiveNetwork(t *testing.T) {
 	eng := sim.NewEngine()
 	chip := hw.NewChip(hw.ChipConfig{ID: 0})

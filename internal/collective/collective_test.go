@@ -131,3 +131,30 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatal("inbox should hold the message")
 	}
 }
+
+// TestDeliveredDataIsSendersSlice pins the tree's ownership contract:
+// Send keeps the caller's slice, so the delivered Message.Data shares the
+// sender's backing array in both directions.
+func TestDeliveredDataIsSendersSlice(t *testing.T) {
+	eng := sim.NewEngine()
+	tr := NewTree(eng, DefaultConfig(), []int{0})
+	up, down := []byte("request"), []byte("reply")
+	var atION, atCN Message
+	eng.Go("ion", func(c *sim.Coro) {
+		atION = tr.ION().Recv(c)
+		tr.ION().Send(0, atION.Tag, down)
+	})
+	eng.Go("cn", func(c *sim.Coro) {
+		tr.CN(0).Send(-1, 1, up)
+		atCN = tr.CN(0).RecvTag(c, 1)
+	})
+	eng.RunUntilIdle()
+	for _, tc := range []struct {
+		dir       string
+		sent, got []byte
+	}{{"CN->ION", up, atION.Data}, {"ION->CN", down, atCN.Data}} {
+		if len(tc.got) != len(tc.sent) || &tc.got[0] != &tc.sent[0] {
+			t.Errorf("%s: delivered %q is not the sender's slice %q", tc.dir, tc.got, tc.sent)
+		}
+	}
+}

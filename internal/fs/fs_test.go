@@ -93,6 +93,51 @@ func TestWriteBeyondEOFZeroFills(t *testing.T) {
 	}
 }
 
+// TestWriteInodeSeveralSlices pins WriteInode's vectored form: writing
+// several slices leaves the same bytes, size, zero-filled gap and mtime
+// as one write of their concatenation.
+func TestWriteInodeSeveralSlices(t *testing.T) {
+	parts := [][]byte{[]byte("AB"), nil, []byte("CDE"), []byte("F")}
+	var joined []byte
+	for _, p := range parts {
+		joined = append(joined, p...)
+	}
+	for _, tc := range []struct {
+		name string
+		off  uint64
+	}{
+		{"overwrite", 4},
+		{"extend", 12},
+		{"past EOF", 40},
+	} {
+		var got [2]Stat
+		var data [2][]byte
+		for i, f := range []*FS{New(), New()} {
+			if errno := f.WriteFile("/f", []byte("0123456789abcdef"), 0644, Root); errno != kernel.OK {
+				t.Fatal(errno)
+			}
+			st, _ := f.Stat("/", "/f", Root)
+			var errno kernel.Errno
+			if i == 0 {
+				errno = f.WriteInode(st.Ino, tc.off, parts...)
+			} else {
+				errno = f.WriteInode(st.Ino, tc.off, joined)
+			}
+			if errno != kernel.OK {
+				t.Fatalf("%s: %v", tc.name, errno)
+			}
+			got[i], _ = f.Stat("/", "/f", Root)
+			data[i], _ = f.ReadFile("/f", Root)
+		}
+		if want := max(16, tc.off+uint64(len(joined))); got[0].Size != want {
+			t.Errorf("%s: size %d, want %d", tc.name, got[0].Size, want)
+		}
+		if got[0] != got[1] || string(data[0]) != string(data[1]) {
+			t.Errorf("%s: several slices left %+v %q, one write %+v %q", tc.name, got[0], data[0], got[1], data[1])
+		}
+	}
+}
+
 func TestAppendFlag(t *testing.T) {
 	f := New()
 	c := NewClient(f, Root)

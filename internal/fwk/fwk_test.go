@@ -265,6 +265,46 @@ func TestLocalFileIO(t *testing.T) {
 	}
 }
 
+// TestHugeIOCount pins what a count no buffer can hold does: write
+// fails with EFAULT before the kernel allocates anything, and read
+// returns the short file's bytes through a buffer no larger than the
+// node's DDR, which is 96 MB here to keep that buffer small.
+func TestHugeIOCount(t *testing.T) {
+	const huge = 1 << 62
+	eng := sim.NewEngine()
+	k := New(eng, hw.NewChip(hw.ChipConfig{ID: 0, MemSize: 96 << 20}), Config{})
+	if err := k.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+		p := k.Proc(ctx.PID())
+		pathVA := p.HeapBase + 4096
+		ctx.Store(pathVA, append([]byte("/huge.txt"), 0))
+		fd, errno := ctx.Syscall(kernel.SysOpen, uint64(pathVA), kernel.OCreat|kernel.ORdwr, 0644)
+		if errno != kernel.OK {
+			t.Errorf("open: %v", errno)
+			return
+		}
+		buf := p.HeapBase + 8192
+		ctx.Store(buf, []byte("local write"))
+		if n, errno := ctx.Syscall(kernel.SysWrite, fd, uint64(buf), 11); errno != kernel.OK || n != 11 {
+			t.Errorf("write: %v %d", errno, n)
+		}
+		if n, errno := ctx.Syscall(kernel.SysWrite, fd, uint64(buf), huge); errno != kernel.EFAULT || n != 0 {
+			t.Errorf("write of %#x bytes: %d %v, want 0 EFAULT", uint64(huge), n, errno)
+		}
+		ctx.Syscall(kernel.SysLseek, fd, 0, uint64(kernel.SeekSet))
+		rb := p.HeapBase + 12288
+		n, errno := ctx.Syscall(kernel.SysRead, fd, uint64(rb), huge)
+		got := make([]byte, 11)
+		ctx.Load(rb, got)
+		if errno != kernel.OK || n != 11 || string(got) != "local write" {
+			t.Errorf("read of %#x bytes: %d %v %q, want 11 OK %q", uint64(huge), n, errno, got, "local write")
+		}
+		ctx.Syscall(kernel.SysClose, fd)
+	}})
+}
+
 func TestForkCreatesProcessWithCopiedMemory(t *testing.T) {
 	eng, k := fnode(t, Config{})
 	var childSaw string
