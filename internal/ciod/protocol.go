@@ -69,15 +69,20 @@ type Request struct {
 	Size   uint64
 	Path   string
 	Path2  string
-	Data   []byte
+	// Data is a write's payload. A decoded request's Data lies inside
+	// the received message (see UnmarshalRequest).
+	Data []byte
 }
 
 // Reply is the result shipped back.
 type Reply struct {
 	Ret   uint64
 	Errno kernel.Errno
-	Data  []byte
-	Str   string
+	// Data is a read's bytes or a stat, readdir or getcwd payload. A
+	// decoded reply's Data lies inside the received message (see
+	// UnmarshalReply).
+	Data []byte
+	Str  string
 }
 
 // Transport is what the compute-node kernel uses to ship a request and
@@ -103,6 +108,13 @@ func (e *enc) bytes(p []byte) {
 	e.u32(uint32(len(p)))
 	e.b = append(e.b, p...)
 }
+
+// Fixed wire bytes: every field of the format plus the u32 length of
+// each string and of the payload, whose bytes follow.
+const (
+	requestFixed = 1 + 4*4 + 4 + 4 + 8 + 2 + 8 + 4 + 8 + 3*4
+	replyFixed   = 8 + 4 + 2*4
+)
 
 type dec struct {
 	b   []byte
@@ -130,14 +142,22 @@ func (d *dec) u64() uint64 { return binary.BigEndian.Uint64(d.need(8)) }
 func (d *dec) i32() int32  { return int32(d.u32()) }
 func (d *dec) i64() int64  { return int64(d.u64()) }
 func (d *dec) str() string { return string(d.need(int(d.u32()))) }
+
+// bytes returns the payload in place: the message's own bytes, with the
+// capacity clipped to the length so an append cannot reach the rest of
+// the message, and nil when empty.
 func (d *dec) bytes() []byte {
-	n := int(d.u32())
-	return append([]byte(nil), d.need(n)...)
+	v := d.need(int(d.u32()))
+	if len(v) == 0 {
+		return nil
+	}
+	return v[:len(v):len(v)]
 }
 
-// MarshalRequest renders the request in wire format.
+// MarshalRequest renders the request in wire format, in one buffer of
+// the exact length.
 func MarshalRequest(r *Request) []byte {
-	e := &enc{}
+	e := &enc{b: make([]byte, 0, requestFixed+len(r.Path)+len(r.Path2)+len(r.Data))}
 	e.u8(r.Op)
 	e.u32(r.PID)
 	e.u32(r.TID)
@@ -156,7 +176,9 @@ func MarshalRequest(r *Request) []byte {
 	return e.b
 }
 
-// UnmarshalRequest parses wire format.
+// UnmarshalRequest parses wire format. The request's Data aliases b, so
+// b must not change while the request is in use; whatever keeps the
+// payload (the I/O node's cache, the filesystem) copies it.
 func UnmarshalRequest(b []byte) (*Request, error) {
 	d := &dec{b: b}
 	r := &Request{
@@ -168,9 +190,10 @@ func UnmarshalRequest(b []byte) (*Request, error) {
 	return r, d.err
 }
 
-// MarshalReply renders a reply in wire format.
+// MarshalReply renders a reply in wire format, in one buffer of the
+// exact length.
 func MarshalReply(r *Reply) []byte {
-	e := &enc{}
+	e := &enc{b: make([]byte, 0, replyFixed+len(r.Str)+len(r.Data))}
 	e.u64(r.Ret)
 	e.i32(int32(r.Errno))
 	e.str(r.Str)
@@ -178,7 +201,9 @@ func MarshalReply(r *Reply) []byte {
 	return e.b
 }
 
-// UnmarshalReply parses a reply.
+// UnmarshalReply parses a reply. The reply's Data aliases b, so b must
+// not change while the reply is in use; the kernel copies it into user
+// memory.
 func UnmarshalReply(b []byte) (*Reply, error) {
 	d := &dec{b: b}
 	r := &Reply{Ret: d.u64(), Errno: kernel.Errno(d.i32()), Str: d.str(), Data: d.bytes()}
@@ -190,7 +215,7 @@ const StatWireSize = 8 + 1 + 2 + 4 + 4 + 8 + 4 + 8
 
 // MarshalStat encodes a Stat into reply data.
 func MarshalStat(st fs.Stat) []byte {
-	e := &enc{}
+	e := &enc{b: make([]byte, 0, StatWireSize)}
 	e.u64(st.Ino)
 	e.u8(uint8(st.Type))
 	e.u16(uint16(st.Mode))

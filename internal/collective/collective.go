@@ -57,6 +57,8 @@ func DefaultConfig() Config {
 type Message struct {
 	From int    // sender endpoint ID
 	Tag  uint32 // request/reply matching tag
+	// Data is the slice the sender passed to Send, not a copy: the
+	// receiver shares its backing array and must copy what it keeps.
 	Data []byte
 }
 
@@ -187,6 +189,10 @@ func (e *Endpoint) sendCost(n int) sim.Cycles {
 // msg destination to). The sender's coroutine is NOT blocked: the cost is
 // paid on the link (DMA-like). On a shared uplink a CN→ION message is
 // charged, counted and traced with the mux header's bytes added.
+//
+// Send keeps data itself, not a copy, and delivers it as Message.Data,
+// so the sender must not modify data after Send: every caller passes a
+// freshly marshalled message, and a retry re-sends it unchanged.
 func (e *Endpoint) Send(to int, tag uint32, data []byte) {
 	var dst *Endpoint
 	if e.ion {
@@ -224,7 +230,7 @@ func (e *Endpoint) Send(to int, tag uint32, data []byte) {
 		e.tree.upBusy = e.busyUntil
 	}
 	arrive := e.busyUntil + e.tree.cfg.Latency
-	msg := Message{From: e.id, Tag: tag, Data: append([]byte(nil), data...)}
+	msg := Message{From: e.id, Tag: tag, Data: data}
 	e.Sent++
 	e.BytesSent += uint64(n)
 	e.upc.Add(upc.ChipScope, upc.CollPacket, uint64(packets(n)))

@@ -478,17 +478,26 @@ func (f *FS) ReadInode(ino, off uint64, count int) ([]byte, kernel.Errno) {
 	return append([]byte(nil), n.data[off:end]...), kernel.OK
 }
 
-// WriteInode writes data at off, zero-filling any gap and extending the
-// file as needed (a dirty-block writeback).
-func (f *FS) WriteInode(ino, off uint64, data []byte) kernel.Errno {
+// WriteInode writes the slices of data one after another at off,
+// zero-filling any gap and extending the file as needed (a dirty-block
+// writeback). Several slices are one write, as of their concatenation:
+// a run of cache blocks goes back without being joined first. The file
+// keeps a copy.
+func (f *FS) WriteInode(ino, off uint64, data ...[]byte) kernel.Errno {
 	n, errno := f.fileInode(ino)
 	if errno != kernel.OK {
 		return errno
 	}
-	if end := off + uint64(len(data)); end > uint64(len(n.data)) {
+	end := off
+	for _, p := range data {
+		end += uint64(len(p))
+	}
+	if end > uint64(len(n.data)) {
 		truncate(n, end)
 	}
-	copy(n.data[off:], data)
+	for _, p := range data {
+		off += uint64(copy(n.data[off:], p))
+	}
 	n.mtime = f.now()
 	return kernel.OK
 }

@@ -184,7 +184,8 @@ func (ca *Cache) Flush(co *sim.Coro, ino uint64) {
 }
 
 // writeRun writes one contiguous dirty run (trimmed to the effective
-// size) back in a single fs write and marks the blocks clean.
+// size) back in a single fs write of the blocks' own bytes and marks the
+// blocks clean.
 func (ca *Cache) writeRun(co *sim.Coro, run []blockKey, sz uint64) {
 	start := run[0].idx * BlockSize
 	end := (run[len(run)-1].idx + 1) * BlockSize
@@ -192,17 +193,16 @@ func (ca *Cache) writeRun(co *sim.Coro, run []blockKey, sz uint64) {
 		end = sz
 	}
 	if start < end {
-		buf := make([]byte, 0, end-start)
-		for _, k := range run {
-			b := ca.blocks[k]
+		parts := make([][]byte, len(run))
+		for i, k := range run {
 			bs := k.idx * BlockSize
 			be := bs + BlockSize
 			if be > end {
 				be = end
 			}
-			buf = append(buf, b.data[:be-bs]...)
+			parts[i] = ca.blocks[k].data[:be-bs]
 		}
-		if errno := ca.fsys.WriteInode(run[0].ino, start, buf); errno != kernel.OK {
+		if errno := ca.fsys.WriteInode(run[0].ino, start, parts...); errno != kernel.OK {
 			panic("ion: writeback to unknown inode")
 		}
 	}
