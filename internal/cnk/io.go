@@ -2,6 +2,7 @@ package cnk
 
 import (
 	"fmt"
+	"math"
 
 	"bgcnk/internal/ciod"
 	"bgcnk/internal/hw"
@@ -10,6 +11,11 @@ import (
 
 // maxPath bounds path strings copied from user space.
 const maxPath = 1024
+
+// maxIO is the largest count a write can copy from user memory: no more
+// than the node's DDR holds, nor than Thread.access's 32-bit size can
+// address. A larger write fails with EFAULT before any buffer exists.
+func (k *Kernel) maxIO() uint64 { return min(k.Chip.Mem.Size(), math.MaxUint32) }
 
 // ioCall ships one request, transparently reconnecting if CIOD answers
 // ESRCH for a process it has already been told about: that means the
@@ -77,6 +83,10 @@ func (k *Kernel) shipIO(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64
 		// descriptor number, length of the buffer, and the buffer data").
 		req.Op = ciod.OpWrite
 		req.FD = int32(arg(0))
+		if arg(2) > k.maxIO() {
+			errno = kernel.EFAULT
+			break
+		}
 		buf := make([]byte, arg(2))
 		if errno = t.Load(hw.VAddr(arg(1)), buf); errno == kernel.OK {
 			req.Data = buf

@@ -1,6 +1,8 @@
 package fwk
 
 import (
+	"math"
+
 	"bgcnk/internal/fs"
 	"bgcnk/internal/hw"
 	"bgcnk/internal/kernel"
@@ -156,6 +158,12 @@ func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint6
 	return 0, kernel.ENOSYS
 }
 
+// maxIO is the largest count a read or write can move through user
+// memory: no more than the node's DDR holds, nor than Thread.access's
+// 32-bit size can address. A larger write fails with EFAULT before any
+// buffer exists, and a read's buffer is cut to it.
+func (k *Kernel) maxIO() uint64 { return min(k.Chip.Mem.Size(), math.MaxUint32) }
+
 // fileIO executes a filesystem call against the local (or NFS-modelled)
 // filesystem through the process's own client.
 func (k *Kernel) fileIO(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64) (uint64, kernel.Errno) {
@@ -179,7 +187,7 @@ func (k *Kernel) fileIO(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64
 	case kernel.SysClose:
 		return 0, p.fsc.Close(int(arg(0)))
 	case kernel.SysRead:
-		buf := make([]byte, arg(2))
+		buf := make([]byte, min(arg(2), k.maxIO()))
 		n, errno := p.fsc.Read(int(arg(0)), buf)
 		if errno != kernel.OK {
 			return 0, errno
@@ -191,6 +199,9 @@ func (k *Kernel) fileIO(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64
 		}
 		return uint64(n), kernel.OK
 	case kernel.SysWrite:
+		if arg(2) > k.maxIO() {
+			return 0, kernel.EFAULT
+		}
 		buf := make([]byte, arg(2))
 		if errno := t.Load(hw.VAddr(arg(1)), buf); errno != kernel.OK {
 			return 0, errno
