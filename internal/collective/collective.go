@@ -103,9 +103,6 @@ type Endpoint struct {
 	// faults draws seeded link-CRC corruption for outgoing transfers;
 	// nil on a perfect machine.
 	faults *ras.NodeFaults
-
-	Sent, Received uint64
-	BytesSent      uint64
 }
 
 type waiter struct {
@@ -231,8 +228,6 @@ func (e *Endpoint) Send(to int, tag uint32, data []byte) {
 	}
 	arrive := e.busyUntil + e.tree.cfg.Latency
 	msg := Message{From: e.id, Tag: tag, Data: data}
-	e.Sent++
-	e.BytesSent += uint64(n)
 	e.upc.Add(upc.ChipScope, upc.CollPacket, uint64(packets(n)))
 	e.upc.Add(upc.ChipScope, upc.CollBytes, uint64(n))
 	e.tree.obs.Emit(obs.CatMsg, "coll:send", e.id, 0, e.tree.eng.Now(), arrive, uint64(n))
@@ -241,7 +236,6 @@ func (e *Endpoint) Send(to int, tag uint32, data []byte) {
 
 func (e *Endpoint) deliver(m Message) {
 	e.inbox = append(e.inbox, m)
-	e.Received++
 	// Wake every waiter that could match; they re-check on resume.
 	for _, w := range e.waiters {
 		if w.anyTag || w.tag == m.Tag {

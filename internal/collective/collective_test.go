@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bgcnk/internal/sim"
+	"bgcnk/internal/upc"
 )
 
 func TestSendRecvRoundTrip(t *testing.T) {
@@ -120,12 +121,14 @@ func TestBandwidthApproximation(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	eng := sim.NewEngine()
 	tr := NewTree(eng, DefaultConfig(), []int{3})
+	u := new(upc.Set)
+	tr.CN(3).AttachUPC(u)
 	eng.Go("x", func(c *sim.Coro) {
 		tr.CN(3).Send(-1, 1, make([]byte, 10))
 	})
 	eng.RunUntilIdle()
-	if tr.CN(3).Sent != 1 || tr.CN(3).BytesSent != 10 || tr.ION().Received != 1 {
-		t.Fatal("counters wrong")
+	if p, b := u.Get(upc.ChipScope, upc.CollPacket), u.Get(upc.ChipScope, upc.CollBytes); p != 1 || b != 10 {
+		t.Fatalf("UPC counted %d packets, %d bytes; want 1, 10", p, b)
 	}
 	if tr.ION().Pending() != 1 {
 		t.Fatal("inbox should hold the message")
