@@ -46,8 +46,11 @@ go test -run 'TestPinnedEncodings|TestJournalReplaysLargeBodies' ./internal/ctrl
 # scheduler hooks. The lifecycle script must match its pinned rows on
 # both kernels (every step's cycle, return value and errno, the trace
 # hash, the merged counters and the obs JSON), the kernel, CNK, FWK and
-# NPTL suites must pass repeatedly under -race, and the FWQ render, the
-# one golden that runs pthreads on both kernels, must match byte-for-byte.
+# NPTL suites must pass repeatedly under -race (among them
+# TestHugeIOCount on both kernels: a write whose count no buffer can hold
+# fails with EFAULT, and a read of it returns the short file's bytes),
+# and the FWQ render, the one golden that runs pthreads on both kernels,
+# must match byte-for-byte.
 echo "== kernels: pinned thread lifecycle + kernel suites + fig5-7 golden"
 go test -race -count=3 -run 'TestPinnedThreadLifecycle' ./internal/machine/
 go test -race -count=3 ./internal/kernel/ ./internal/cnk/ ./internal/fwk/ ./internal/nptl/
@@ -101,7 +104,11 @@ go test -run 'TestGolden/crashes' ./internal/experiments/
 # I/O-node contracts: armed and unarmed I/O nodes share one CIOD serve
 # path, so every reply of a fixed script of shipped calls must match its
 # pinned row in both modes, and an ion_crash must kill the daemon in both
-# (under -race); with the subsystem armed, the whole machine (shared
+# (under -race); neither the tree nor the decoders copy a payload, so a
+# delivered message must be the sender's slice, a decoded payload must
+# lie inside its message with its capacity clipped (nil when empty), and
+# a write-back of several block slices must equal one write of their
+# concatenation (under -race); with the subsystem armed, the whole machine (shared
 # uplink, ingress credits, coalescer, write-back cache) must be
 # cycle-reproducible and survive reboot identically, and the checkpointed
 # drain through the ION cache must restart bit-identically at 1/2/8
@@ -109,8 +116,9 @@ go test -run 'TestGolden/crashes' ./internal/experiments/
 # counters and must not depend on CNsPerION; the ion_crash fault class
 # must replay cycle-exactly; and the ioscale sweep must match its golden
 # byte-for-byte.
-echo "== I/O-node aggregation: pinned replies + determinism + ion_crash + ioscale golden"
-go test -race -run 'TestPinnedReplies|TestIONCrashFlushesEIOAndDropsCache' ./internal/ciod/
+echo "== I/O-node aggregation: pinned replies + payload ownership + determinism + ion_crash + ioscale golden"
+go test -race -run 'TestPinnedReplies|TestIONCrashFlushesEIOAndDropsCache|TestDecodedDataAliasesWire' ./internal/ciod/
+go test -race -run 'TestDeliveredDataIsSendersSlice|TestWriteInodeSeveralSlices' ./internal/collective/ ./internal/fs/
 go test -race -run 'TestIONMachineDeterminism|TestIONRebootMatchesFresh|TestIONOffChangesNothing|TestSealCheckpointFlushesIONCache' ./internal/machine/
 go test -race -run 'TestRestartDeterminismThroughIONCache' ./internal/ctrlsys/
 go test -run 'TestFaultMatrix/.*/ion_crash' ./internal/machine/
@@ -183,10 +191,11 @@ go test -run 'TestGolden/tracescale' ./internal/experiments/
 
 # Every Go benchmark in the module must still run (one iteration each):
 # the root experiment benchmarks, the sim engine and coroutine switch,
-# the hw cache model and TLB, the torus send path, the checkpoint-image
-# codec, and the control-system boot, drain and journal-body codec.
+# the hw cache model and TLB, the torus send path, the CIOD request
+# marshal and shipped write+read round trip, the checkpoint-image codec,
+# and the control-system boot, drain and journal-body codec.
 echo "== go test -bench (one iteration of every benchmark)"
-go test -run '^$' -bench . -benchtime 1x . ./internal/sim/ ./internal/hw/ ./internal/torus/ ./internal/ckpt/ ./internal/ctrlsys/
+go test -run '^$' -bench . -benchtime 1x . ./internal/sim/ ./internal/hw/ ./internal/torus/ ./internal/ciod/ ./internal/ckpt/ ./internal/ctrlsys/
 
 # perfbench is a nested module, so ./... above skips it: vet it and run
 # its tests, which include the workloads' pinned model digests.
