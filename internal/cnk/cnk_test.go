@@ -545,13 +545,15 @@ func TestHugeIOCount(t *testing.T) {
 			path := writeString(ctx, k, 0, "/huge.dat")
 			fd, errno := ctx.Syscall(kernel.SysOpen, uint64(path), kernel.OCreat|kernel.ORdwr, 0644)
 			if errno != kernel.OK {
-				t.Fatalf("open: %v", errno)
+				t.Errorf("open: %v", errno)
+				return
 			}
 			p := k.Proc(ctx.PID())
 			buf := p.Layout.HeapBase + 2<<20
 			ctx.Store(buf, []byte("simulation output"))
 			if n, errno := ctx.Syscall(kernel.SysWrite, fd, uint64(buf), 17); errno != kernel.OK || n != 17 {
-				t.Fatalf("write: %v %d", errno, n)
+				t.Errorf("write: %v %d", errno, n)
+				return
 			}
 			if n, errno := ctx.Syscall(kernel.SysWrite, fd, uint64(buf), huge); errno != kernel.EFAULT || n != 0 {
 				t.Errorf("write of %#x bytes: %d %v, want 0 EFAULT", uint64(huge), n, errno)
