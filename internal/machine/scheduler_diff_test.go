@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"bgcnk/internal/apps"
@@ -29,6 +30,48 @@ type diffOutcome struct {
 	rasHash  uint64
 	rasTable string
 	runErr   string
+}
+
+// pinnedReplay is a fault replay's fixed reference: the trace hash and
+// record count, the final cycle, the exit codes, FNV-64a digests of the
+// merged counter text and of the rendered RAS table, the RAS log's own
+// hash and the run error.
+type pinnedReplay struct {
+	kind     KernelKind
+	seed     uint64
+	hash     uint64
+	traces   uint64
+	now      sim.Cycles
+	codes    string
+	counters uint64
+	rasHash  uint64
+	rasTable uint64
+	runErr   string
+}
+
+// pinnedReplays holds diffFaultReplay on both kernels at seeds 7, 40
+// and 1009. Heap vs wheel only compares two live runs with each other;
+// this table holds both to a fixed reference.
+var pinnedReplays = []pinnedReplay{
+	{KindCNK, 7, 0xdc9d92ba33542bbe, 25, 5822970, "[0 0 0 0]", 0x5403f2ce7f5b80a3, 0x0d4ee9c957bdfda5, 0x71099f8e9e50063d, ""},
+	{KindCNK, 40, 0x0b130b77f6e786b8, 23, 5822938, "[0 0 0 0]", 0xeab9f48819a76be5, 0xfc2d073572c3e9f5, 0x45161134196416cf, ""},
+	{KindCNK, 1009, 0x4a74d27458c21c39, 22, 5822970, "[0 0 0 0]", 0x67ab9fe04102ea22, 0x06215a0e6f833540, 0xac9a0e155b15c0c4, ""},
+	{KindFWK, 7, 0x8d2bf234e1e78a2b, 15, 23721890, "[0 0 0 0]", 0x42975a49b98cd174, 0x1b0fb43bfc786f19, 0x70f5378e9e3eac7b, ""},
+	{KindFWK, 40, 0x83aea147ebee7e7a, 16, 23739055, "[0 0 0 0]", 0xf5cec2dc31e06ec6, 0x83204d6bfff29f82, 0x450527341955c8fe, ""},
+	{KindFWK, 1009, 0x45d8a9d1d50c48de, 15, 23737895, "[0 0 0 0]", 0x78192d80cfcfefdf, 0xc3c71ac4c5164fb7, 0xacab10155b24375d, ""},
+}
+
+// fnv64 is the FNV-64a digest of s.
+func fnv64(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
+}
+
+// pinned reduces the outcome to its pinnedReplay row.
+func (o diffOutcome) pinned(kind KernelKind, seed uint64) pinnedReplay {
+	return pinnedReplay{kind, seed, o.hash, o.traces, o.now, o.codes,
+		fnv64(o.counters), o.rasHash, fnv64(o.rasTable), o.runErr}
 }
 
 // diffFaultReplay runs the faulty-LINPACK workload (modeled on the
@@ -78,41 +121,52 @@ func diffFaultReplay(t *testing.T, kind KernelKind, sched sim.SchedulerKind, see
 
 // TestDifferentialMachineFaultReplay is the CI gate for scheduler
 // substitution on real machine runs: both kernels, multiple fault
-// seeds, heap vs wheel, bit-identical everywhere.
+// seeds, heap vs wheel, bit-identical everywhere and equal to the
+// pinned row.
 func TestDifferentialMachineFaultReplay(t *testing.T) {
-	for _, kind := range []KernelKind{KindCNK, KindFWK} {
-		for _, seed := range []uint64{7, 40, 1009} {
-			kind, seed := kind, seed
-			t.Run(fmt.Sprintf("%v/seed%d", kind, seed), func(t *testing.T) {
-				t.Parallel()
-				ref := diffFaultReplay(t, kind, sim.SchedHeap, seed)
-				got := diffFaultReplay(t, kind, sim.SchedWheel, seed)
-				if got.hash != ref.hash || got.now != ref.now || got.traces != ref.traces {
-					t.Fatalf("trace diverged: heap (hash %016x, now %d, n %d) vs wheel (hash %016x, now %d, n %d)",
-						ref.hash, ref.now, ref.traces, got.hash, got.now, got.traces)
-				}
-				if got.codes != ref.codes {
-					t.Fatalf("exit codes diverged: heap %s vs wheel %s", ref.codes, got.codes)
-				}
-				if got.runErr != ref.runErr {
-					t.Fatalf("run error diverged: heap %q vs wheel %q", ref.runErr, got.runErr)
-				}
-				if got.counters != ref.counters {
-					t.Fatalf("UPC counters diverged:\nheap:\n%s\nwheel:\n%s", ref.counters, got.counters)
-				}
-				if got.rasHash != ref.rasHash || got.rasTable != ref.rasTable {
-					t.Fatalf("RAS log diverged (heap hash %016x vs wheel %016x):\nheap:\n%s\nwheel:\n%s",
-						ref.rasHash, got.rasHash, ref.rasTable, got.rasTable)
-				}
-			})
-		}
+	for _, want := range pinnedReplays {
+		want := want
+		t.Run(fmt.Sprintf("%v/seed%d", want.kind, want.seed), func(t *testing.T) {
+			t.Parallel()
+			kind, seed := want.kind, want.seed
+			ref := diffFaultReplay(t, kind, sim.SchedHeap, seed)
+			got := diffFaultReplay(t, kind, sim.SchedWheel, seed)
+			if got.hash != ref.hash || got.now != ref.now || got.traces != ref.traces {
+				t.Fatalf("trace diverged: heap (hash %016x, now %d, n %d) vs wheel (hash %016x, now %d, n %d)",
+					ref.hash, ref.now, ref.traces, got.hash, got.now, got.traces)
+			}
+			if got.codes != ref.codes {
+				t.Fatalf("exit codes diverged: heap %s vs wheel %s", ref.codes, got.codes)
+			}
+			if got.runErr != ref.runErr {
+				t.Fatalf("run error diverged: heap %q vs wheel %q", ref.runErr, got.runErr)
+			}
+			if got.counters != ref.counters {
+				t.Fatalf("UPC counters diverged:\nheap:\n%s\nwheel:\n%s", ref.counters, got.counters)
+			}
+			if got.rasHash != ref.rasHash || got.rasTable != ref.rasTable {
+				t.Fatalf("RAS log diverged (heap hash %016x vs wheel %016x):\nheap:\n%s\nwheel:\n%s",
+					ref.rasHash, got.rasHash, ref.rasTable, got.rasTable)
+			}
+			if p := ref.pinned(kind, seed); p != want {
+				t.Fatalf("fault replay %+v\npinned       %+v", p, want)
+			}
+		})
 	}
 }
 
 // TestDifferentialMachineCleanRun covers the no-fault path: a plain
-// reproducible CNK barrier/allreduce workload on both schedulers.
+// reproducible CNK barrier/allreduce workload on both schedulers, equal
+// to each other and to the pinned trace hash, record count, final cycle
+// and counter digest.
 func TestDifferentialMachineCleanRun(t *testing.T) {
-	run := func(sched sim.SchedulerKind) (uint64, sim.Cycles, string) {
+	const (
+		wantHash     = 0x5f92c4144bc18bf5
+		wantTraces   = 20
+		wantNow      = 1911889
+		wantCounters = 0x128b34325890af2a
+	)
+	run := func(sched sim.SchedulerKind) (uint64, uint64, sim.Cycles, string) {
 		m, err := New(Config{Nodes: 4, Kind: KindCNK, Reproducible: true, Sched: sched})
 		if err != nil {
 			t.Fatalf("%v machine: %v", sched, err)
@@ -124,14 +178,18 @@ func TestDifferentialMachineCleanRun(t *testing.T) {
 		}, kernel.JobParams{}, sim.FromSeconds(600)); err != nil {
 			t.Fatalf("%v run: %v", sched, err)
 		}
-		return m.Eng.Trace().Hash(), m.Eng.Now(), m.MergedCounters().Text()
+		return m.Eng.Trace().Hash(), m.Eng.Trace().Count(), m.Eng.Now(), m.MergedCounters().Text()
 	}
-	h1, n1, c1 := run(sim.SchedHeap)
-	h2, n2, c2 := run(sim.SchedWheel)
+	h1, t1, n1, c1 := run(sim.SchedHeap)
+	h2, _, n2, c2 := run(sim.SchedWheel)
 	if h1 != h2 || n1 != n2 {
 		t.Fatalf("clean run diverged: heap (hash %016x, now %d) vs wheel (hash %016x, now %d)", h1, n1, h2, n2)
 	}
 	if c1 != c2 {
 		t.Fatalf("clean-run counters diverged:\nheap:\n%s\nwheel:\n%s", c1, c2)
+	}
+	if h1 != wantHash || t1 != wantTraces || n1 != wantNow || fnv64(c1) != wantCounters {
+		t.Fatalf("clean run: hash %016x, %d records, now %d, counters %016x; pinned %016x, %d, %d, %016x",
+			h1, t1, n1, fnv64(c1), uint64(wantHash), wantTraces, wantNow, uint64(wantCounters))
 	}
 }

@@ -154,27 +154,82 @@ func runSegmented(kind SchedulerKind, seed uint64) workloadResult {
 	}
 }
 
+// pinnedRun is a seeded run's fixed reference: its trace hash and
+// record count, its final clock, and the events it executed.
+type pinnedRun struct {
+	seed    uint64
+	hash    uint64
+	count   uint64
+	end     Cycles
+	nevents int
+}
+
+// check fails the test unless got matches the pinned run.
+func (want pinnedRun) check(t *testing.T, label string, got workloadResult) {
+	t.Helper()
+	if got.hash != want.hash || got.count != want.count || got.end != want.end || got.nevents != want.nevents {
+		t.Errorf("%s seed %d: hash %016x count %d end %d events %d; pinned %016x %d %d %d",
+			label, want.seed, got.hash, got.count, got.end, got.nevents,
+			want.hash, want.count, want.end, want.nevents)
+	}
+}
+
+// pinnedEvents and pinnedSegmented are runRandomEvents and runSegmented
+// for seeds 1-12. Heap vs wheel only compares two live runs with each
+// other; these tables hold both to a fixed reference.
+var pinnedEvents = []pinnedRun{
+	{1, 0x11c964760a22dcc1, 267, 10038066525, 267},
+	{2, 0x1016dd8a638d6c7b, 258, 14649549434, 258},
+	{3, 0x0bb42ff5b84fa644, 288, 10579605030, 288},
+	{4, 0x22fa41c04e1650f8, 219, 11089352543, 219},
+	{5, 0xa193ea3a7d2f7155, 254, 15419150698, 254},
+	{6, 0xcaea4c2f2738b3d2, 232, 9777411053, 232},
+	{7, 0xd23b47dcc3c69d52, 250, 7161972366, 250},
+	{8, 0x5bbeb9d83c526f13, 199, 11613521529, 199},
+	{9, 0x9896695ff47aa1fd, 220, 10540473412, 220},
+	{10, 0xd2866b4322c3e0ea, 211, 10097343718, 211},
+	{11, 0x0c735d6ed5360c5f, 216, 10709647640, 216},
+	{12, 0x70c4c263e57b4c38, 237, 10213589456, 237},
+}
+
+var pinnedSegmented = []pinnedRun{
+	{1, 0xe3a1806b0cd6f84f, 300, 8589935589, 300},
+	{2, 0x4646a7d5229014dc, 300, 8589935513, 300},
+	{3, 0x8f42d2d608dc1c8a, 300, 8589935469, 300},
+	{4, 0xf59505d2b7227a71, 300, 8589935581, 300},
+	{5, 0x3391fef28e6fdfde, 300, 8589935574, 300},
+	{6, 0x14b8b3322846c5d2, 300, 8589935581, 300},
+	{7, 0x6fa8b5bb1567ea35, 300, 8589935569, 300},
+	{8, 0xa79519f330a6c902, 300, 8589935581, 300},
+	{9, 0x6646926d9000afb0, 300, 8589935430, 300},
+	{10, 0x6b9855c5dd02cb65, 300, 8589935581, 300},
+	{11, 0x65124c2720007bf4, 300, 8589935590, 300},
+	{12, 0x73d53664f033878f, 300, 8589935554, 300},
+}
+
 // TestDifferentialSchedulers is the scheduler substitution proof at the
 // engine level: seeded random workloads replayed on the reference heap
 // and the timer wheel must produce bit-identical traces, clocks, and
-// event counts. A divergence here means the wheel broke the (time, seq)
-// FIFO ordering contract.
+// event counts, and match their pinned tables. A divergence here means
+// the wheel broke the (time, seq) FIFO ordering contract.
 func TestDifferentialSchedulers(t *testing.T) {
 	workloads := []struct {
-		name string
-		run  func(SchedulerKind, uint64) workloadResult
+		name   string
+		run    func(SchedulerKind, uint64) workloadResult
+		pinned []pinnedRun
 	}{
-		{"events", runRandomEvents},
-		{"coros", runRandomCoros},
-		{"segmented", runSegmented},
+		{"events", runRandomEvents, pinnedEvents},
+		{"coros", runRandomCoros, pinnedCoros},
+		{"segmented", runSegmented, pinnedSegmented},
 	}
 	for _, w := range workloads {
 		w := w
 		t.Run(w.name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 12; seed++ {
-				ref := w.run(SchedHeap, seed)
-				got := w.run(SchedWheel, seed)
-				sameResult(t, fmt.Sprintf("%s seed %d", w.name, seed), ref, got)
+			for _, want := range w.pinned {
+				ref := w.run(SchedHeap, want.seed)
+				got := w.run(SchedWheel, want.seed)
+				sameResult(t, fmt.Sprintf("%s seed %d", w.name, want.seed), ref, got)
+				want.check(t, w.name, ref)
 			}
 		})
 	}
@@ -184,13 +239,7 @@ func TestDifferentialSchedulers(t *testing.T) {
 // compares two live runs with each other; this table holds both to a
 // fixed reference, so a Park/Wake change that shifts every scheduler
 // alike still fails.
-var pinnedCoros = []struct {
-	seed    uint64
-	hash    uint64
-	count   uint64
-	end     Cycles
-	nevents int
-}{
+var pinnedCoros = []pinnedRun{
 	{1, 0x06dc2678d5acfafa, 406, 16235, 427},
 	{2, 0x1a74705043dde1f4, 411, 13874, 397},
 	{3, 0x4e8f3ecf224d11a1, 398, 15647, 435},
@@ -210,12 +259,7 @@ var pinnedCoros = []struct {
 func TestDifferentialCorosPinned(t *testing.T) {
 	for _, kind := range schedKinds {
 		for _, want := range pinnedCoros {
-			got := runRandomCoros(kind, want.seed)
-			if got.hash != want.hash || got.count != want.count || got.end != want.end || got.nevents != want.nevents {
-				t.Errorf("%v seed %d: hash %016x count %d end %d events %d; pinned %016x %d %d %d",
-					kind, want.seed, got.hash, got.count, got.end, got.nevents,
-					want.hash, want.count, want.end, want.nevents)
-			}
+			want.check(t, kind.String(), runRandomCoros(kind, want.seed))
 		}
 	}
 }
@@ -262,5 +306,7 @@ func TestDifferentialHorizonSweep(t *testing.T) {
 		return workloadResult{hash: e.Trace().Hash(), count: e.Trace().Count(),
 			end: e.Now(), nevents: n, entries: e.Trace().Entries()}
 	}
-	sameResult(t, "horizon sweep", run(SchedHeap), run(SchedWheel))
+	ref := run(SchedHeap)
+	sameResult(t, "horizon sweep", ref, run(SchedWheel))
+	pinnedRun{0, 0x5c3b96cee2f1ad4f, 45, 1099511643614, 45}.check(t, "horizon sweep", ref)
 }
