@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The scheduler micro-benchmarks drive both implementations through the
 // three shapes the machine model produces: raw scheduling, dense
@@ -74,6 +77,31 @@ func BenchmarkStepSparse(b *testing.B) {
 			e.Step()
 		}
 	})
+}
+
+// BenchmarkRunCoros measures the engine at the depth the workloads keep:
+// n coroutines each park for 1-5 000 seeded cycles, over and over, under
+// one Run, so at most n events are pending. An op is one park.
+func BenchmarkRunCoros(b *testing.B) {
+	for _, n := range []int{4, 32} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			e := NewEngine()
+			left := b.N
+			for i := range n {
+				r := NewRNG(uint64(i + 1))
+				e.Go("parker", func(c *Coro) {
+					for left > 0 {
+						left--
+						c.Park(1 + r.Cycles(5000))
+					}
+				})
+			}
+			b.ResetTimer()
+			e.Run(Forever)
+			e.Shutdown()
+		})
+	}
 }
 
 // BenchmarkTraceRecord measures the trace hot path (hash + ring append);
