@@ -75,12 +75,6 @@ type Config struct {
 	// mux header.
 	ION *ion.Config
 
-	// Sched selects the engine's event scheduler (default: the timer
-	// wheel). The heap reference stays selectable so the differential
-	// harness can replay full machine runs on both implementations and
-	// assert bit-identical traces, exit codes, counters and RAS logs.
-	Sched sim.SchedulerKind
-
 	// Faults, when non-nil and enabled, arms the machine-wide seeded
 	// fault injector: DDR ECC, TLB parity, link CRC, and CIOD failures
 	// all draw from per-node streams derived from Faults.Seed, so a
@@ -150,7 +144,7 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.CNsPerION <= 0 {
 		cfg.CNsPerION = cfg.Nodes
 	}
-	m := &Machine{Eng: sim.NewEngineWith(sim.EngineConfig{Scheduler: cfg.Sched}), Cfg: cfg}
+	m := &Machine{Eng: sim.NewEngine(), Cfg: cfg}
 	if cfg.Obs != nil {
 		m.Obs = obs.New(*cfg.Obs)
 		if m.Obs.SampleEvery() > 0 {

@@ -12,31 +12,21 @@ import (
 	"bgcnk/internal/sim"
 )
 
-// The machine-level differential harness: a full fault-replay run —
+// The machine-level event-queue references: a full fault-replay run —
 // boot, a memory sweep that draws seeded DDR/TLB/link/CIOD faults, the
-// LINPACK proxy, shutdown — executed once on the reference heap
-// scheduler and once on the timer wheel must agree on every externally
-// visible bit: trace hash, final cycle, exit codes, merged UPC
-// counters, and the RAS log (both its fold hash and its rendered
-// table). This is the substitution proof for the sim fast path at the
-// scale the experiments actually use, not just on synthetic workloads.
+// LINPACK proxy, shutdown — and a clean CNK run must reproduce every
+// externally visible bit pinned below: trace hash, final cycle, exit
+// codes, merged UPC counters, and the RAS log (both its fold hash and
+// its rendered table). The rows were generated when the engine still
+// checked a timer wheel against a reference heap, on both, so they hold
+// the event queue to that order at the scale the experiments use, not
+// just on synthetic workloads.
 
-type diffOutcome struct {
-	now      sim.Cycles
-	hash     uint64
-	traces   uint64
-	codes    string
-	counters string
-	rasHash  uint64
-	rasTable string
-	runErr   string
-}
-
-// pinnedReplay is a fault replay's fixed reference: the trace hash and
-// record count, the final cycle, the exit codes, FNV-64a digests of the
-// merged counter text and of the rendered RAS table, the RAS log's own
-// hash and the run error.
-type pinnedReplay struct {
+// replay is a fault replay's outcome: the trace hash and record count,
+// the final cycle, the exit codes, FNV-64a digests of the merged counter
+// text and of the rendered RAS table, the RAS log's own hash and the run
+// error.
+type replay struct {
 	kind     KernelKind
 	seed     uint64
 	hash     uint64
@@ -49,10 +39,9 @@ type pinnedReplay struct {
 	runErr   string
 }
 
-// pinnedReplays holds diffFaultReplay on both kernels at seeds 7, 40
-// and 1009. Heap vs wheel only compares two live runs with each other;
-// this table holds both to a fixed reference.
-var pinnedReplays = []pinnedReplay{
+// pinnedReplays holds faultReplay on both kernels at seeds 7, 40 and
+// 1009.
+var pinnedReplays = []replay{
 	{KindCNK, 7, 0xdc9d92ba33542bbe, 25, 5822970, "[0 0 0 0]", 0x5403f2ce7f5b80a3, 0x0d4ee9c957bdfda5, 0x71099f8e9e50063d, ""},
 	{KindCNK, 40, 0x0b130b77f6e786b8, 23, 5822938, "[0 0 0 0]", 0xeab9f48819a76be5, 0xfc2d073572c3e9f5, 0x45161134196416cf, ""},
 	{KindCNK, 1009, 0x4a74d27458c21c39, 22, 5822970, "[0 0 0 0]", 0x67ab9fe04102ea22, 0x06215a0e6f833540, 0xac9a0e155b15c0c4, ""},
@@ -68,15 +57,9 @@ func fnv64(s string) uint64 {
 	return h.Sum64()
 }
 
-// pinned reduces the outcome to its pinnedReplay row.
-func (o diffOutcome) pinned(kind KernelKind, seed uint64) pinnedReplay {
-	return pinnedReplay{kind, seed, o.hash, o.traces, o.now, o.codes,
-		fnv64(o.counters), o.rasHash, fnv64(o.rasTable), o.runErr}
-}
-
-// diffFaultReplay runs the faulty-LINPACK workload (modeled on the
-// stability-under-fault experiment) on the given scheduler.
-func diffFaultReplay(t *testing.T, kind KernelKind, sched sim.SchedulerKind, seed uint64) diffOutcome {
+// faultReplay runs the faulty-LINPACK workload (modeled on the
+// stability-under-fault experiment).
+func faultReplay(t *testing.T, kind KernelKind, seed uint64) replay {
 	t.Helper()
 	plan := &ras.Plan{
 		Seed:             seed,
@@ -90,10 +73,9 @@ func diffFaultReplay(t *testing.T, kind KernelKind, sched sim.SchedulerKind, see
 		Nodes: 4, Kind: kind, Seed: seed,
 		Reproducible: kind == KindCNK,
 		Faults:       plan,
-		Sched:        sched,
 	})
 	if err != nil {
-		t.Fatalf("%v machine: %v", sched, err)
+		t.Fatalf("%v machine: %v", kind, err)
 	}
 	defer m.Shutdown()
 	runErr := m.Run(func(ctx kernel.Context, env *Env) {
@@ -104,14 +86,16 @@ func diffFaultReplay(t *testing.T, kind KernelKind, sched sim.SchedulerKind, see
 		}
 		apps.Linpack(ctx, env.MPI, base, apps.LinpackConfig{Panels: 12, PanelCycles: 400_000, ExchangeB: 8 << 10})
 	}, kernel.JobParams{}, sim.FromSeconds(600))
-	out := diffOutcome{
-		now:      m.Eng.Now(),
+	out := replay{
+		kind:     kind,
+		seed:     seed,
 		hash:     m.Eng.Trace().Hash(),
 		traces:   m.Eng.Trace().Count(),
+		now:      m.Eng.Now(),
 		codes:    fmt.Sprint(m.ExitCodes()),
-		counters: m.MergedCounters().Text(),
+		counters: fnv64(m.MergedCounters().Text()),
 		rasHash:  m.RAS.Hash(),
-		rasTable: m.RAS.Table(),
+		rasTable: fnv64(m.RAS.Table()),
 	}
 	if runErr != nil {
 		out.runErr = runErr.Error()
@@ -119,46 +103,23 @@ func diffFaultReplay(t *testing.T, kind KernelKind, sched sim.SchedulerKind, see
 	return out
 }
 
-// TestDifferentialMachineFaultReplay is the CI gate for scheduler
-// substitution on real machine runs: both kernels, multiple fault
-// seeds, heap vs wheel, bit-identical everywhere and equal to the
-// pinned row.
+// TestDifferentialMachineFaultReplay is the CI gate for the event queue
+// on real machine runs: both kernels, multiple fault seeds, each equal
+// to its pinned row.
 func TestDifferentialMachineFaultReplay(t *testing.T) {
 	for _, want := range pinnedReplays {
-		want := want
 		t.Run(fmt.Sprintf("%v/seed%d", want.kind, want.seed), func(t *testing.T) {
 			t.Parallel()
-			kind, seed := want.kind, want.seed
-			ref := diffFaultReplay(t, kind, sim.SchedHeap, seed)
-			got := diffFaultReplay(t, kind, sim.SchedWheel, seed)
-			if got.hash != ref.hash || got.now != ref.now || got.traces != ref.traces {
-				t.Fatalf("trace diverged: heap (hash %016x, now %d, n %d) vs wheel (hash %016x, now %d, n %d)",
-					ref.hash, ref.now, ref.traces, got.hash, got.now, got.traces)
-			}
-			if got.codes != ref.codes {
-				t.Fatalf("exit codes diverged: heap %s vs wheel %s", ref.codes, got.codes)
-			}
-			if got.runErr != ref.runErr {
-				t.Fatalf("run error diverged: heap %q vs wheel %q", ref.runErr, got.runErr)
-			}
-			if got.counters != ref.counters {
-				t.Fatalf("UPC counters diverged:\nheap:\n%s\nwheel:\n%s", ref.counters, got.counters)
-			}
-			if got.rasHash != ref.rasHash || got.rasTable != ref.rasTable {
-				t.Fatalf("RAS log diverged (heap hash %016x vs wheel %016x):\nheap:\n%s\nwheel:\n%s",
-					ref.rasHash, got.rasHash, ref.rasTable, got.rasTable)
-			}
-			if p := ref.pinned(kind, seed); p != want {
-				t.Fatalf("fault replay %+v\npinned       %+v", p, want)
+			if got := faultReplay(t, want.kind, want.seed); got != want {
+				t.Fatalf("fault replay %+v\npinned       %+v", got, want)
 			}
 		})
 	}
 }
 
 // TestDifferentialMachineCleanRun covers the no-fault path: a plain
-// reproducible CNK barrier/allreduce workload on both schedulers, equal
-// to each other and to the pinned trace hash, record count, final cycle
-// and counter digest.
+// reproducible CNK barrier/allreduce workload must reproduce its pinned
+// trace hash, record count, final cycle and counter digest.
 func TestDifferentialMachineCleanRun(t *testing.T) {
 	const (
 		wantHash     = 0x5f92c4144bc18bf5
@@ -166,30 +127,20 @@ func TestDifferentialMachineCleanRun(t *testing.T) {
 		wantNow      = 1911889
 		wantCounters = 0x128b34325890af2a
 	)
-	run := func(sched sim.SchedulerKind) (uint64, uint64, sim.Cycles, string) {
-		m, err := New(Config{Nodes: 4, Kind: KindCNK, Reproducible: true, Sched: sched})
-		if err != nil {
-			t.Fatalf("%v machine: %v", sched, err)
-		}
-		defer m.Shutdown()
-		if err := m.Run(func(ctx kernel.Context, env *Env) {
-			base := m.HeapBase(ctx)
-			apps.Linpack(ctx, env.MPI, base, apps.LinpackConfig{Panels: 8, PanelCycles: 200_000, ExchangeB: 4 << 10})
-		}, kernel.JobParams{}, sim.FromSeconds(600)); err != nil {
-			t.Fatalf("%v run: %v", sched, err)
-		}
-		return m.Eng.Trace().Hash(), m.Eng.Trace().Count(), m.Eng.Now(), m.MergedCounters().Text()
+	m, err := New(Config{Nodes: 4, Kind: KindCNK, Reproducible: true})
+	if err != nil {
+		t.Fatalf("machine: %v", err)
 	}
-	h1, t1, n1, c1 := run(sim.SchedHeap)
-	h2, _, n2, c2 := run(sim.SchedWheel)
-	if h1 != h2 || n1 != n2 {
-		t.Fatalf("clean run diverged: heap (hash %016x, now %d) vs wheel (hash %016x, now %d)", h1, n1, h2, n2)
+	defer m.Shutdown()
+	if err := m.Run(func(ctx kernel.Context, env *Env) {
+		base := m.HeapBase(ctx)
+		apps.Linpack(ctx, env.MPI, base, apps.LinpackConfig{Panels: 8, PanelCycles: 200_000, ExchangeB: 4 << 10})
+	}, kernel.JobParams{}, sim.FromSeconds(600)); err != nil {
+		t.Fatalf("run: %v", err)
 	}
-	if c1 != c2 {
-		t.Fatalf("clean-run counters diverged:\nheap:\n%s\nwheel:\n%s", c1, c2)
-	}
-	if h1 != wantHash || t1 != wantTraces || n1 != wantNow || fnv64(c1) != wantCounters {
+	h, n, now, c := m.Eng.Trace().Hash(), m.Eng.Trace().Count(), m.Eng.Now(), fnv64(m.MergedCounters().Text())
+	if h != wantHash || n != wantTraces || now != wantNow || c != wantCounters {
 		t.Fatalf("clean run: hash %016x, %d records, now %d, counters %016x; pinned %016x, %d, %d, %016x",
-			h1, t1, n1, fnv64(c1), uint64(wantHash), wantTraces, wantNow, uint64(wantCounters))
+			h, n, now, c, uint64(wantHash), wantTraces, wantNow, uint64(wantCounters))
 	}
 }

@@ -5,78 +5,65 @@ import (
 	"testing"
 )
 
-// The scheduler micro-benchmarks drive both implementations through the
-// three shapes the machine model produces: raw scheduling, dense
-// same-window dispatch (barrier storms, packet bursts), and sparse
-// far-flung timers (daemon periods, checkpoint intervals).
-
-func benchBoth(b *testing.B, fn func(b *testing.B, kind SchedulerKind)) {
-	for _, kind := range []SchedulerKind{SchedHeap, SchedWheel} {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			fn(b, kind)
-		})
-	}
-}
+// The event-queue micro-benchmarks drive three shapes: raw scheduling
+// into an 8 192-deep queue, dense same-window dispatch (barrier storms,
+// packet bursts), and sparse far-flung timers (daemon periods,
+// checkpoint intervals), the last two 512 deep. BenchmarkRunCoros below
+// holds the queue at the few dozen events the workloads keep pending.
 
 // BenchmarkSchedule measures At() with a steady queue: each op schedules
 // one event into a standing population of pending events, draining
 // periodically so the queue neither empties nor grows without bound.
 func BenchmarkSchedule(b *testing.B) {
-	benchBoth(b, func(b *testing.B, kind SchedulerKind) {
-		e := NewEngineWith(EngineConfig{Scheduler: kind})
-		e.Trace().SetEnabled(false)
-		rng := NewRNG(1)
-		nop := func() {}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.After(rng.Cycles(100_000), nop)
-			if e.Pending() >= 8192 {
-				e.Run(e.Now() + 50_000)
-			}
+	b.ReportAllocs()
+	e := NewEngine()
+	e.Trace().SetEnabled(false)
+	rng := NewRNG(1)
+	nop := func() {}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.After(rng.Cycles(100_000), nop)
+		if e.Pending() >= 8192 {
+			e.Run(e.Now() + 50_000)
 		}
-	})
+	}
 }
 
 // BenchmarkStepDense measures dispatch when events cluster: every event
-// reschedules itself 0-3 cycles out, so most steps hit the same-cycle
-// batch path.
+// reschedules itself 0-3 cycles out, so many steps pop same-cycle
+// events.
 func BenchmarkStepDense(b *testing.B) {
-	benchBoth(b, func(b *testing.B, kind SchedulerKind) {
-		e := NewEngineWith(EngineConfig{Scheduler: kind})
-		e.Trace().SetEnabled(false)
-		rng := NewRNG(2)
-		var tick func()
-		tick = func() { e.After(rng.Cycles(4), tick) }
-		for i := 0; i < 512; i++ {
-			e.After(rng.Cycles(4), tick)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Step()
-		}
-	})
+	b.ReportAllocs()
+	e := NewEngine()
+	e.Trace().SetEnabled(false)
+	rng := NewRNG(2)
+	var tick func()
+	tick = func() { e.After(rng.Cycles(4), tick) }
+	for i := 0; i < 512; i++ {
+		e.After(rng.Cycles(4), tick)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
 }
 
-// BenchmarkStepSparse measures dispatch when events are scattered across
-// the timer range: every event reschedules itself up to a billion cycles
-// out, exercising the wheel's higher levels, cascades, and overflow.
+// BenchmarkStepSparse measures dispatch when events are scattered: every
+// event reschedules itself up to a billion cycles out.
 func BenchmarkStepSparse(b *testing.B) {
-	benchBoth(b, func(b *testing.B, kind SchedulerKind) {
-		e := NewEngineWith(EngineConfig{Scheduler: kind})
-		e.Trace().SetEnabled(false)
-		rng := NewRNG(3)
-		var tick func()
-		tick = func() { e.After(1+rng.Cycles(1_000_000_000), tick) }
-		for i := 0; i < 512; i++ {
-			e.After(1+rng.Cycles(1_000_000_000), tick)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Step()
-		}
-	})
+	b.ReportAllocs()
+	e := NewEngine()
+	e.Trace().SetEnabled(false)
+	rng := NewRNG(3)
+	var tick func()
+	tick = func() { e.After(1+rng.Cycles(1_000_000_000), tick) }
+	for i := 0; i < 512; i++ {
+		e.After(1+rng.Cycles(1_000_000_000), tick)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
 }
 
 // BenchmarkRunCoros measures the engine at the depth the workloads keep:

@@ -5,45 +5,22 @@ import (
 	"testing"
 )
 
-// schedKinds are the implementations the differential battery holds to
-// identical observable behaviour.
-var schedKinds = []SchedulerKind{SchedHeap, SchedWheel}
-
 // workloadResult captures everything observable about a run: the trace
-// hash (covering every recorded event in order), the retained entries,
+// hash (covering every recorded event in order), the number of records,
 // the final clock, and the number of events executed.
 type workloadResult struct {
 	hash    uint64
 	count   uint64
 	end     Cycles
 	nevents int
-	entries []TraceEntry
-}
-
-func sameResult(t *testing.T, label string, a, b workloadResult) {
-	t.Helper()
-	if a.hash != b.hash || a.count != b.count || a.end != b.end || a.nevents != b.nevents {
-		t.Fatalf("%s: heap vs wheel diverged: hash %016x/%016x count %d/%d end %d/%d events %d/%d",
-			label, a.hash, b.hash, a.count, b.count, a.end, b.end, a.nevents, b.nevents)
-	}
-	if len(a.entries) != len(b.entries) {
-		t.Fatalf("%s: retained %d vs %d trace entries", label, len(a.entries), len(b.entries))
-	}
-	for i := range a.entries {
-		if a.entries[i] != b.entries[i] {
-			t.Fatalf("%s: trace entry %d differs:\n  heap:  %v\n  wheel: %v",
-				label, i, a.entries[i], b.entries[i])
-		}
-	}
 }
 
 // runRandomEvents replays a seeded pure-event workload: bursts of
-// same-cycle events, zero-delay chains, random offsets spanning every
-// wheel level, and far-future events beyond the wheel horizon (the
-// overflow path). Each event records itself to the trace, so the hash is
-// a total order witness.
-func runRandomEvents(kind SchedulerKind, seed uint64) workloadResult {
-	e := NewEngineWith(EngineConfig{Scheduler: kind})
+// same-cycle events, zero-delay chains, and random offsets from a few
+// cycles to beyond 2^32. Each event records itself to the trace, so the
+// hash is a total order witness.
+func runRandomEvents(seed uint64) workloadResult {
+	e := NewEngine()
 	rng := NewRNG(seed)
 	id := 0
 	var schedule func(depth int)
@@ -82,17 +59,14 @@ func runRandomEvents(kind SchedulerKind, seed uint64) workloadResult {
 		e.At(500, func() { e.Trace().Record(e.Now(), "burst", fmt.Sprintf("b%d", i)) })
 	}
 	n := e.RunUntilIdle()
-	return workloadResult{
-		hash: e.Trace().Hash(), count: e.Trace().Count(), end: e.Now(),
-		nevents: n, entries: e.Trace().Entries(),
-	}
+	return workloadResult{hash: e.Trace().Hash(), count: e.Trace().Count(), end: e.Now(), nevents: n}
 }
 
 // runRandomCoros replays a seeded coroutine workload: sleepers, parkers
 // with timeouts, cross-coroutine wakes, and killed-at-shutdown parkers —
-// the full resume/yield machinery on top of the scheduler under test.
-func runRandomCoros(kind SchedulerKind, seed uint64) workloadResult {
-	e := NewEngineWith(EngineConfig{Scheduler: kind})
+// the full resume/yield machinery on top of the event queue.
+func runRandomCoros(seed uint64) workloadResult {
+	e := NewEngine()
 	rng := NewRNG(seed)
 	var coros []*Coro
 	for i := 0; i < 8; i++ {
@@ -120,19 +94,16 @@ func runRandomCoros(kind SchedulerKind, seed uint64) workloadResult {
 		coros = append(coros, c)
 	}
 	n := e.RunUntilIdle()
-	out := workloadResult{
-		hash: e.Trace().Hash(), count: e.Trace().Count(), end: e.Now(),
-		nevents: n, entries: e.Trace().Entries(),
-	}
+	out := workloadResult{hash: e.Trace().Hash(), count: e.Trace().Count(), end: e.Now(), nevents: n}
 	e.Shutdown()
 	return out
 }
 
-// runSegmented drives the same event workload through Run(limit) windows
-// instead of RunUntilIdle, exercising peek() (the wheel's non-mutating
-// lookahead) against the heap's.
-func runSegmented(kind SchedulerKind, seed uint64) workloadResult {
-	e := NewEngineWith(EngineConfig{Scheduler: kind})
+// runSegmented drives a seeded event workload through Run(limit) windows
+// instead of RunUntilIdle, exercising Run's look at the earliest pending
+// event without taking it.
+func runSegmented(seed uint64) workloadResult {
+	e := NewEngine()
 	rng := NewRNG(seed)
 	for i := 0; i < 300; i++ {
 		i := i
@@ -148,10 +119,7 @@ func runSegmented(kind SchedulerKind, seed uint64) workloadResult {
 		limit += 1 + Cycles(rng.Intn(50_000_000))
 		n += e.Run(limit)
 	}
-	return workloadResult{
-		hash: e.Trace().Hash(), count: e.Trace().Count(), end: e.Now(),
-		nevents: n, entries: e.Trace().Entries(),
-	}
+	return workloadResult{hash: e.Trace().Hash(), count: e.Trace().Count(), end: e.Now(), nevents: n}
 }
 
 // pinnedRun is a seeded run's fixed reference: its trace hash and
@@ -174,9 +142,9 @@ func (want pinnedRun) check(t *testing.T, label string, got workloadResult) {
 	}
 }
 
-// pinnedEvents and pinnedSegmented are runRandomEvents and runSegmented
-// for seeds 1-12. Heap vs wheel only compares two live runs with each
-// other; these tables hold both to a fixed reference.
+// pinnedEvents, pinnedCoros and pinnedSegmented are runRandomEvents,
+// runRandomCoros and runSegmented for seeds 1-12, generated when the
+// engine still checked a timer wheel against a reference heap.
 var pinnedEvents = []pinnedRun{
 	{1, 0x11c964760a22dcc1, 267, 10038066525, 267},
 	{2, 0x1016dd8a638d6c7b, 258, 14649549434, 258},
@@ -207,38 +175,6 @@ var pinnedSegmented = []pinnedRun{
 	{12, 0x73d53664f033878f, 300, 8589935554, 300},
 }
 
-// TestDifferentialSchedulers is the scheduler substitution proof at the
-// engine level: seeded random workloads replayed on the reference heap
-// and the timer wheel must produce bit-identical traces, clocks, and
-// event counts, and match their pinned tables. A divergence here means
-// the wheel broke the (time, seq) FIFO ordering contract.
-func TestDifferentialSchedulers(t *testing.T) {
-	workloads := []struct {
-		name   string
-		run    func(SchedulerKind, uint64) workloadResult
-		pinned []pinnedRun
-	}{
-		{"events", runRandomEvents, pinnedEvents},
-		{"coros", runRandomCoros, pinnedCoros},
-		{"segmented", runSegmented, pinnedSegmented},
-	}
-	for _, w := range workloads {
-		w := w
-		t.Run(w.name, func(t *testing.T) {
-			for _, want := range w.pinned {
-				ref := w.run(SchedHeap, want.seed)
-				got := w.run(SchedWheel, want.seed)
-				sameResult(t, fmt.Sprintf("%s seed %d", w.name, want.seed), ref, got)
-				want.check(t, w.name, ref)
-			}
-		})
-	}
-}
-
-// pinnedCoros is runRandomCoros for seeds 1-12. Heap vs wheel only
-// compares two live runs with each other; this table holds both to a
-// fixed reference, so a Park/Wake change that shifts every scheduler
-// alike still fails.
 var pinnedCoros = []pinnedRun{
 	{1, 0x06dc2678d5acfafa, 406, 16235, 427},
 	{2, 0x1a74705043dde1f4, 411, 13874, 397},
@@ -254,59 +190,122 @@ var pinnedCoros = []pinnedRun{
 	{12, 0x7315d4cdf0edfef5, 412, 19397, 399},
 }
 
-// TestDifferentialCorosPinned replays the coroutine workload on both
-// schedulers and checks each run against pinnedCoros.
-func TestDifferentialCorosPinned(t *testing.T) {
-	for _, kind := range schedKinds {
-		for _, want := range pinnedCoros {
-			want.check(t, kind.String(), runRandomCoros(kind, want.seed))
-		}
+// TestDifferentialSchedulers holds the engine to fixed references: each
+// seeded workload must reproduce its pinned trace hash, record count,
+// final clock and event count. A divergence means the queue broke the
+// (time, seq) FIFO ordering contract, or Park and Wake moved an event.
+func TestDifferentialSchedulers(t *testing.T) {
+	workloads := []struct {
+		name   string
+		run    func(uint64) workloadResult
+		pinned []pinnedRun
+	}{
+		{"events", runRandomEvents, pinnedEvents},
+		{"coros", runRandomCoros, pinnedCoros},
+		{"segmented", runSegmented, pinnedSegmented},
+	}
+	for _, w := range workloads {
+		t.Run(w.name, func(t *testing.T) {
+			for _, want := range w.pinned {
+				want.check(t, w.name, w.run(want.seed))
+			}
+		})
 	}
 }
 
-// TestDifferentialOverflowTieFIFO pins the subtlest ordering case: an
-// event scheduled beyond the wheel horizon (overflow-resident) and an
-// event scheduled later for the same cycle (wheel-resident) must run in
-// seq order — overflow first.
+// TestDifferentialOverflowTieFIFO pins a same-cycle tie between events
+// scheduled far apart in time: one scheduled 2^33 cycles ahead and one
+// scheduled for the same cycle just before it is due must run in the
+// order they were scheduled — the far one first.
 func TestDifferentialOverflowTieFIFO(t *testing.T) {
 	target := Cycles(1)<<33 + 17
-	for _, kind := range schedKinds {
-		e := NewEngineWith(EngineConfig{Scheduler: kind})
-		var order []string
-		e.At(target, func() { order = append(order, "far") }) // seq 1, beyond horizon
-		e.At(target-1000, func() {
-			// Scheduled close to the target: wheel-resident.
-			e.At(target, func() { order = append(order, "near") })
-		})
-		e.RunUntilIdle()
-		if len(order) != 2 || order[0] != "far" || order[1] != "near" {
-			t.Fatalf("%v: same-cycle overflow/wheel tie out of seq order: %v", kind, order)
-		}
+	e := NewEngine()
+	var order []string
+	e.At(target, func() { order = append(order, "far") }) // seq 1
+	e.At(target-1000, func() {
+		e.At(target, func() { order = append(order, "near") })
+	})
+	e.RunUntilIdle()
+	if len(order) != 2 || order[0] != "far" || order[1] != "near" {
+		t.Fatalf("same-cycle tie out of seq order: %v", order)
 	}
 }
 
-// TestDifferentialHorizonSweep walks event deltas across every wheel
-// level boundary (and the overflow horizon) to catch off-by-one
-// classification errors.
+// TestDifferentialHorizonSweep schedules three rounds of events at
+// deltas either side of every power of 256 up to 2^32, and 2^40, and
+// holds the run to its pinned reference.
 func TestDifferentialHorizonSweep(t *testing.T) {
 	deltas := []Cycles{0, 1, 255, 256, 257, 65_535, 65_536, 65_537,
 		1<<24 - 1, 1 << 24, 1<<24 + 1, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1 << 40}
-	run := func(kind SchedulerKind) workloadResult {
-		e := NewEngineWith(EngineConfig{Scheduler: kind})
-		for round := 0; round < 3; round++ {
-			base := Cycles(round) * 7919
-			for i, d := range deltas {
-				i, d := i, d
-				e.At(base+d, func() {
-					e.Trace().Record(e.Now(), "sweep", fmt.Sprintf("r%dd%d", round, i))
-				})
-			}
+	e := NewEngine()
+	for round := 0; round < 3; round++ {
+		base := Cycles(round) * 7919
+		for i, d := range deltas {
+			e.At(base+d, func() {
+				e.Trace().Record(e.Now(), "sweep", fmt.Sprintf("r%dd%d", round, i))
+			})
 		}
-		n := e.RunUntilIdle()
-		return workloadResult{hash: e.Trace().Hash(), count: e.Trace().Count(),
-			end: e.Now(), nevents: n, entries: e.Trace().Entries()}
 	}
-	ref := run(SchedHeap)
-	sameResult(t, "horizon sweep", ref, run(SchedWheel))
-	pinnedRun{0, 0x5c3b96cee2f1ad4f, 45, 1099511643614, 45}.check(t, "horizon sweep", ref)
+	n := e.RunUntilIdle()
+	got := workloadResult{hash: e.Trace().Hash(), count: e.Trace().Count(), end: e.Now(), nevents: n}
+	pinnedRun{0, 0x5c3b96cee2f1ad4f, 45, 1099511643614, 45}.check(t, "horizon sweep", got)
+}
+
+// TestDifferentialQueueModel holds the event queue to a model: seeded
+// pushes and pops, with same-cycle ties and deltas from 0 to beyond 2^32,
+// where every pop must return the least (at, seq) not yet popped. Each
+// seed grows the queue to a few hundred events, then drains it.
+func TestDifferentialQueueModel(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		rng := NewRNG(seed)
+		var q eventQueue
+		var pending []*event // the model: every event pushed, not yet popped
+		var now Cycles
+		var seq uint64
+		for op := 0; op < 2000 || len(pending) > 0; op++ {
+			pushes := 7 // of 10, while the queue grows
+			if op >= 1000 {
+				pushes = 3
+			}
+			if op < 2000 && (len(pending) == 0 || rng.Intn(10) < pushes) {
+				at := now
+				switch rng.Intn(5) {
+				case 0: // same cycle as now
+				case 1:
+					at += Cycles(rng.Intn(4))
+				case 2:
+					at += Cycles(rng.Intn(100_000))
+				case 3:
+					at += Cycles(1)<<32 + Cycles(rng.Intn(1<<32))
+				default: // tie with a pending event
+					if len(pending) > 0 {
+						at = pending[rng.Intn(len(pending))].at
+					}
+				}
+				seq++
+				ev := &event{at: at, seq: seq}
+				q.push(ev)
+				pending = append(pending, ev)
+				continue
+			}
+			least := 0
+			for i, ev := range pending {
+				m := pending[least]
+				if ev.at < m.at || ev.at == m.at && ev.seq < m.seq {
+					least = i
+				}
+			}
+			want := pending[least]
+			got := q.pop()
+			if got != want {
+				t.Fatalf("seed %d op %d: popped (%d, %d), want (%d, %d)",
+					seed, op, got.at, got.seq, want.at, want.seq)
+			}
+			pending = append(pending[:least], pending[least+1:]...)
+			now = got.at
+		}
+		if len(q) != 0 {
+			t.Fatalf("seed %d: %d events left after the model drained", seed, len(q))
+		}
+	}
 }

@@ -18,16 +18,6 @@ type event struct {
 	reason WakeReason
 }
 
-// EngineConfig selects engine implementation details that must never
-// change observable behaviour: every configuration runs the same events
-// at the same cycles in the same order (the differential harness in
-// differential_test.go holds the implementations to that).
-type EngineConfig struct {
-	// Scheduler picks the pending-event queue: SchedWheel (default, the
-	// timer-wheel fast path) or SchedHeap (the reference binary heap).
-	Scheduler SchedulerKind
-}
-
 // Engine is a deterministic discrete-event simulator. All state mutation in
 // a simulation happens either inside event callbacks or inside coroutines
 // resumed by event callbacks; the engine guarantees that exactly one of
@@ -36,7 +26,7 @@ type EngineConfig struct {
 type Engine struct {
 	now   Cycles
 	seq   uint64
-	sched scheduler
+	queue eventQueue
 	coros []*Coro // started coroutines in start order, for shutdown
 	trace *Trace
 
@@ -68,20 +58,8 @@ type Engine struct {
 	inPlace int
 }
 
-// NewEngine returns an engine at cycle 0 with an empty event queue, using
-// the default (timer wheel) scheduler.
-func NewEngine() *Engine { return NewEngineWith(EngineConfig{}) }
-
-// NewEngineWith returns an engine configured by cfg.
-func NewEngineWith(cfg EngineConfig) *Engine {
-	e := &Engine{trace: NewTrace()}
-	if cfg.Scheduler == SchedHeap {
-		e.sched = &heapSched{}
-	} else {
-		e.sched = newWheelSched()
-	}
-	return e
-}
+// NewEngine returns an engine at cycle 0 with an empty event queue.
+func NewEngine() *Engine { return &Engine{trace: NewTrace()} }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Cycles { return e.now }
@@ -94,7 +72,7 @@ func (e *Engine) Trace() *Trace { return e.trace }
 func (e *Engine) At(t Cycles, fn func()) {
 	ev := e.newEvent(t)
 	ev.fn = fn
-	e.sched.push(ev)
+	e.queue.push(ev)
 }
 
 // resumeAt schedules a resume of c at cycle t, valid while c's wake
@@ -102,7 +80,7 @@ func (e *Engine) At(t Cycles, fn func()) {
 func (e *Engine) resumeAt(t Cycles, c *Coro, reason WakeReason) {
 	ev := e.newEvent(t)
 	ev.co, ev.gen, ev.reason = c, c.wakeGen, reason
-	e.sched.push(ev)
+	e.queue.push(ev)
 }
 
 // newEvent takes an event from the free list (or allocates one) and
@@ -134,10 +112,10 @@ func (e *Engine) SetAdvanceHook(fn func(prev, now Cycles)) { e.advance = fn }
 // Step runs the next pending event. It reports false when the queue is
 // empty.
 func (e *Engine) Step() bool {
-	ev := e.sched.pop()
-	if ev == nil {
+	if len(e.queue) == 0 {
 		return false
 	}
+	ev := e.queue.pop()
 	if ev.at < e.now {
 		panic("sim: time went backwards")
 	}
@@ -176,7 +154,7 @@ func (e *Engine) resumeInPlace(t Cycles) bool {
 	if !e.running || t > e.limit {
 		return false
 	}
-	if next, ok := e.sched.peek(); ok && next <= t {
+	if len(e.queue) > 0 && e.queue[0].at <= t {
 		return false
 	}
 	e.advanceTo(t)
@@ -190,11 +168,7 @@ func (e *Engine) resumeInPlace(t Cycles) bool {
 func (e *Engine) Run(limit Cycles) int {
 	e.running, e.limit, e.inPlace = true, limit, 0
 	n := 0
-	for {
-		t, ok := e.sched.peek()
-		if !ok || t > limit {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= limit {
 		e.Step()
 		n++
 	}
@@ -229,7 +203,7 @@ func (e *Engine) track(c *Coro) {
 }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return e.sched.len() }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // Shutdown kills every live coroutine, in start order, unwinding each
 // through its deferred calls. The engine must not be used afterwards.
@@ -248,6 +222,6 @@ func (e *Engine) Shutdown() {
 		c.kill()
 	}
 	e.coros = nil
-	e.sched.reset()
+	e.queue = nil
 	e.free = nil
 }
