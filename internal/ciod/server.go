@@ -377,7 +377,10 @@ func (s *Server) Reset(fsys *fs.FS) {
 // fileData is where a regular file's bytes live: offsets address the
 // file by inode, permission checks having happened at open time. The
 // I/O node's write-back buffer cache is one; fsData, the filesystem
-// itself, is the other.
+// itself, is the other. Read may return the store's own bytes (the
+// cache returns a one-block span in place), so they are good only until
+// the next call on the store: proxyLoop marshals a read's reply before
+// the proxy can park or call again.
 type fileData interface {
 	Read(c *sim.Coro, ino, off uint64, count int) []byte
 	Write(c *sim.Coro, ino, off uint64, data []byte)

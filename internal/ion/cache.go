@@ -82,6 +82,12 @@ func (ca *Cache) Size(ino uint64) uint64 {
 
 // Read returns up to count bytes at off, overlaying dirty blocks on fs
 // content; short at the effective EOF. Block fills charge costFill to co.
+//
+// A span inside one block comes back in place: the block's own bytes,
+// with capacity clipped to the span, which the next Write or Truncate of
+// that block changes. The caller must use them before it calls the cache
+// again or parks; the I/O daemon marshals them into its reply at once.
+// A span across blocks comes back in a fresh slice.
 func (ca *Cache) Read(co *sim.Coro, ino, off uint64, count int) []byte {
 	sz := ca.Size(ino)
 	if off >= sz || count <= 0 {
@@ -89,6 +95,10 @@ func (ca *Cache) Read(co *sim.Coro, ino, off uint64, count int) []byte {
 	}
 	if off+uint64(count) > sz {
 		count = int(sz - off)
+	}
+	if bo := int(off % BlockSize); bo+count <= BlockSize {
+		b := ca.touch(co, ino, off/BlockSize)
+		return b.data[bo : bo+count : bo+count]
 	}
 	out := make([]byte, 0, count)
 	for count > 0 {

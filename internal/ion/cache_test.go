@@ -269,3 +269,43 @@ func TestFlushRacesEviction(t *testing.T) {
 		t.Fatalf("engine ended at cycle %d, want 9001", now)
 	}
 }
+
+// TestReadAliasesOneBlock pins who owns a read's bytes: a span inside one
+// block is that block's own bytes with capacity clipped to the span, so
+// appending to it cannot reach the rest of the block, and a span across
+// two blocks is a fresh slice.
+func TestReadAliasesOneBlock(t *testing.T) {
+	ca, _, ino := newCacheFixture(t, 8)
+	data := make([]byte, 2*BlockSize)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	run(func(c *sim.Coro) {
+		ca.Write(c, ino, 0, data)
+		b0 := ca.blocks[blockKey{ino: ino, idx: 0}].data
+		b1 := ca.blocks[blockKey{ino: ino, idx: 1}].data
+		for _, span := range []struct{ off, n int }{{100, 50}, {0, BlockSize}, {BlockSize + 4000, 96}} {
+			got := ca.Read(c, ino, uint64(span.off), span.n)
+			blk, bo := b0, span.off
+			if span.off >= BlockSize {
+				blk, bo = b1, span.off-BlockSize
+			}
+			if !bytes.Equal(got, data[span.off:span.off+span.n]) {
+				t.Errorf("read of %d bytes at %d returned the wrong bytes", span.n, span.off)
+			}
+			if &got[0] != &blk[bo] {
+				t.Errorf("read of %d bytes at %d is a copy, not the block's bytes", span.n, span.off)
+			}
+			if cap(got) != span.n {
+				t.Errorf("read of %d bytes at %d has capacity %d", span.n, span.off, cap(got))
+			}
+		}
+		cross := ca.Read(c, ino, BlockSize-10, 20)
+		if !bytes.Equal(cross, data[BlockSize-10:BlockSize+10]) {
+			t.Error("cross-block read returned the wrong bytes")
+		}
+		if &cross[0] == &b0[BlockSize-10] || &cross[10] == &b1[0] {
+			t.Error("cross-block read aliases a block")
+		}
+	})
+}
