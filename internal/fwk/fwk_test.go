@@ -1,6 +1,7 @@
 package fwk
 
 import (
+	"runtime"
 	"testing"
 
 	"bgcnk/internal/fs"
@@ -268,14 +269,11 @@ func TestLocalFileIO(t *testing.T) {
 // TestHugeIOCount pins what a count no buffer can hold does: write
 // fails with EFAULT before the kernel allocates anything, and read
 // returns the short file's bytes through a buffer no larger than the
-// node's DDR, which is 96 MB here to keep that buffer small.
+// file can fill — under 1 MiB of host allocation on a default-size chip,
+// whose 256 MB of DDR would otherwise bound the buffer.
 func TestHugeIOCount(t *testing.T) {
 	const huge = 1 << 62
-	eng := sim.NewEngine()
-	k := New(eng, hw.NewChip(hw.ChipConfig{ID: 0, MemSize: 96 << 20}), Config{})
-	if err := k.Boot(); err != nil {
-		t.Fatal(err)
-	}
+	eng, k := fnode(t, Config{})
 	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
 		p := k.Proc(ctx.PID())
 		pathVA := p.HeapBase + 4096
@@ -295,7 +293,13 @@ func TestHugeIOCount(t *testing.T) {
 		}
 		ctx.Syscall(kernel.SysLseek, fd, 0, uint64(kernel.SeekSet))
 		rb := p.HeapBase + 12288
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		n, errno := ctx.Syscall(kernel.SysRead, fd, uint64(rb), huge)
+		runtime.ReadMemStats(&after)
+		if a := after.TotalAlloc - before.TotalAlloc; a >= 1<<20 {
+			t.Errorf("read of %#x bytes allocated %d bytes on the host, want under 1 MiB", uint64(huge), a)
+		}
 		got := make([]byte, 11)
 		ctx.Load(rb, got)
 		if errno != kernel.OK || n != 11 || string(got) != "local write" {

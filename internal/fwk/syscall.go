@@ -187,7 +187,14 @@ func (k *Kernel) fileIO(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64
 	case kernel.SysClose:
 		return 0, p.fsc.Close(int(arg(0)))
 	case kernel.SysRead:
-		buf := make([]byte, min(arg(2), k.maxIO()))
+		// A regular file can return no more than lies past the offset,
+		// so the buffer is cut to that as well.
+		count := min(arg(2), k.maxIO())
+		if ino, off, _, regular, errno := p.fsc.FileInfo(int(arg(0))); errno == kernel.OK && regular {
+			size, _ := p.fsc.FS.InodeSize(ino)
+			count = min(count, size-min(off, size))
+		}
+		buf := make([]byte, count)
 		n, errno := p.fsc.Read(int(arg(0)), buf)
 		if errno != kernel.OK {
 			return 0, errno
