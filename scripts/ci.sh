@@ -48,7 +48,8 @@ go test -run 'TestPinnedEncodings|TestJournalReplaysLargeBodies' ./internal/ctrl
 # hash, the merged counters and the obs JSON), the kernel, CNK, FWK and
 # NPTL suites must pass repeatedly under -race (among them
 # TestHugeIOCount on both kernels: a write whose count no buffer can hold
-# fails with EFAULT, and a read of it returns the short file's bytes),
+# fails with EFAULT, and a read of it returns the short file's bytes, on
+# the FWK through a buffer no larger than the file can fill),
 # and the FWQ render, the one golden that runs pthreads on both kernels,
 # must match byte-for-byte.
 echo "== kernels: pinned thread lifecycle + kernel suites + fig5-7 golden"
@@ -106,9 +107,11 @@ go test -run 'TestGolden/crashes' ./internal/experiments/
 # pinned row in both modes, and an ion_crash must kill the daemon in both
 # (under -race); neither the tree nor the decoders copy a payload, so a
 # delivered message must be the sender's slice, a decoded payload must
-# lie inside its message with its capacity clipped (nil when empty), and
-# a write-back of several block slices must equal one write of their
-# concatenation (under -race); with the subsystem armed, the whole machine (shared
+# lie inside its message with its capacity clipped (nil when empty), an
+# ION cache read inside one block must be that block's bytes with its
+# capacity clipped and one across blocks a fresh slice, and a write-back
+# of several block slices must equal one write of their concatenation
+# (under -race); with the subsystem armed, the whole machine (shared
 # uplink, ingress credits, coalescer, write-back cache) must be
 # cycle-reproducible and survive reboot identically, and the checkpointed
 # drain through the ION cache must restart bit-identically at 1/2/8
@@ -118,7 +121,7 @@ go test -run 'TestGolden/crashes' ./internal/experiments/
 # byte-for-byte.
 echo "== I/O-node aggregation: pinned replies + payload ownership + determinism + ion_crash + ioscale golden"
 go test -race -run 'TestPinnedReplies|TestIONCrashFlushesEIOAndDropsCache|TestDecodedDataAliasesWire' ./internal/ciod/
-go test -race -run 'TestDeliveredDataIsSendersSlice|TestWriteInodeSeveralSlices' ./internal/collective/ ./internal/fs/
+go test -race -run 'TestDeliveredDataIsSendersSlice|TestWriteInodeSeveralSlices|TestReadAliasesOneBlock' ./internal/collective/ ./internal/fs/ ./internal/ion/
 go test -race -run 'TestIONMachineDeterminism|TestIONRebootMatchesFresh|TestIONOffChangesNothing|TestSealCheckpointFlushesIONCache' ./internal/machine/
 go test -race -run 'TestRestartDeterminismThroughIONCache' ./internal/ctrlsys/
 go test -run 'TestFaultMatrix/.*/ion_crash' ./internal/machine/
@@ -142,26 +145,28 @@ go test -race -run 'TestTorusFaultMatrix|TestTorusFaultsOffChangesNothing|TestUn
 go test -race -run 'TestLinkFaultLocalizedAndSurvived|TestNodeFaultExhaustsBudgetTyped' ./internal/ctrlsys/
 go test -run 'TestGolden/degrade' ./internal/experiments/
 
-# Sim fast-path contracts, gated explicitly: the timer-wheel scheduler
-# must replay seeded event workloads AND full machine fault-replay runs
-# bit-identically to the reference heap (trace hashes, exit codes, UPC
-# counters, RAS logs), every kernel x workload cell of the determinism
-# battery must match its pinned reference row, and the replica runner
-# must merge bit-identical results at 1, 2, and 8 workers — from the raw
-# pool up through the rendered experiment artifacts, and a barrier must
-# resume its participants in participant order on every run. All under
-# -race.
-echo "== sim fast path: heap-vs-wheel differential + pinned battery + replica worker invariance + barrier order"
+# Sim fast-path contracts, gated explicitly: the event queue must replay
+# seeded event and coroutine workloads AND full machine fault-replay
+# runs to their pinned references (trace hashes, final cycles, exit
+# codes, UPC counter and RAS log digests), and every pop of seeded random
+# pushes and pops must return the least (time, seq) a model holds;
+# every kernel x workload cell of the determinism battery must match its
+# pinned reference row, and the replica runner must merge bit-identical
+# results at 1, 2, and 8 workers — from the raw pool up through the
+# rendered experiment artifacts, and a barrier must resume its
+# participants in participant order on every run. All under -race.
+echo "== sim fast path: pinned event-queue references + queue-order model + pinned battery + replica worker invariance + barrier order"
 go test -race -run 'TestDifferential|TestDeterminismBattery' ./internal/sim/ ./internal/machine/
 go test -race -run 'TestReplicaWorkerInvariance' ./internal/sim/replica/
 go test -race -run 'TestRenderWorkerInvariance' ./internal/experiments/
 go test -race -count=5 -run 'TestBarrierResumesInParticipantOrder' ./internal/barrier/
 
 # Coroutine switch contracts: the iter.Pull handoff must keep kill/unwind,
-# shutdown order, the pinned runRandomCoros table and allocation-free
-# Park/Wake, and a timed park resumed in place must keep every event's
-# cycle and order (bare Step, Run limits, same-cycle events, pending
-# signals, the pinned advance-hook table), repeated under -race.
+# shutdown order, the pinned workload tables (runRandomCoros among them),
+# the queue-order model and allocation-free Park/Wake, and a timed park
+# resumed in place must keep every event's cycle and order (bare Step,
+# Run limits, same-cycle events, pending signals, the pinned advance-hook
+# table), repeated under -race.
 echo "== coroutine switch: kill/unwind + pinned coros + in-place parks + alloc-free park/wake"
 go test -race -count=10 -run 'TestCoro|TestShutdown|TestEngineShutdown|TestDifferential|TestPark' ./internal/sim/
 
