@@ -309,6 +309,45 @@ func TestHugeIOCount(t *testing.T) {
 	}})
 }
 
+// TestRebootKillsOldDaemons: a reboot starts a new set of daemons and
+// unwinds the previous incarnation's daemon coroutines, which nothing can
+// dispatch any more, instead of leaving their goroutines to Shutdown.
+func TestRebootKillsOldDaemons(t *testing.T) {
+	eng, k := fnode(t, Config{})
+	daemons := func() []*sim.Coro {
+		var cs []*sim.Coro
+		for _, c := range k.cpus {
+			for _, d := range c.daemons {
+				cs = append(cs, d.coro)
+			}
+		}
+		return cs
+	}
+	old := daemons()
+	if len(old) == 0 {
+		t.Fatal("no daemons after boot")
+	}
+	eng.RunUntilIdle()
+	if err := k.Reboot(nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range old {
+		if !c.Done() {
+			t.Errorf("daemon %d of the first boot (%s) is still live after the reboot", i, c.Name())
+		}
+	}
+	if now := daemons(); len(now) != len(old) {
+		t.Errorf("%d daemons after the reboot, want %d", len(now), len(old))
+	} else {
+		for i, c := range now {
+			if c.Done() {
+				t.Errorf("daemon %d of the second boot (%s) is done", i, c.Name())
+			}
+		}
+	}
+	eng.Shutdown()
+}
+
 func TestForkCreatesProcessWithCopiedMemory(t *testing.T) {
 	eng, k := fnode(t, Config{})
 	var childSaw string

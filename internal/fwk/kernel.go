@@ -203,9 +203,9 @@ func (k *Kernel) ResetJobState() {
 // allocator, tick phases and daemon schedules all restart exactly as a
 // fresh boot's would, just shifted to the new boot instant. fsys, when
 // non-nil, replaces the node's (NFS) filesystem — a partition reboot
-// remounts a clean export. The previous incarnation's daemon coroutines
-// stay parked forever (nothing dispatches them once cpus[i].daemons is
-// replaced); they are reclaimed at engine Shutdown.
+// remounts a clean export. The previous incarnation's daemon coroutines,
+// parked with nothing left to dispatch them, are killed. Reboot must be
+// called from host code on an idle engine.
 func (k *Kernel) Reboot(fsys *fs.FS) error {
 	k.ResetJobState()
 	k.booted = false
@@ -218,6 +218,9 @@ func (k *Kernel) Reboot(fsys *fs.FS) error {
 		k.FS = fsys
 	}
 	for _, c := range k.cpus {
+		for _, d := range c.daemons {
+			d.coro.Kill()
+		}
 		c.daemons = nil
 		c.nextTick = 0
 		c.Ticks, c.DaemonRuns = 0, 0

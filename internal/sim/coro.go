@@ -188,8 +188,22 @@ func (c *Coro) Wake() {
 	c.eng.resumeAt(c.eng.Now(), c, WakeSignal)
 }
 
+// Kill unwinds the coroutine through its deferred calls if it is still
+// parked, as Shutdown does for every coroutine, and does nothing to a
+// finished or killed one. A layer that abandons a parked coroutine kills
+// it, so its goroutine and stack do not live until Shutdown. Like
+// Shutdown, Kill is only legal on an idle engine, from host code; called
+// from inside an event or coroutine it panics.
+func (c *Coro) Kill() {
+	if c.eng.stepping {
+		panic("sim: Coro.Kill called from inside an event or coroutine; Kill is only legal on an idle engine from host code")
+	}
+	c.kill()
+}
+
 // kill unwinds the coroutine if it is still parked. Called only from
-// Engine.Shutdown (outside simulation context, with the engine idle).
+// Kill and Engine.Shutdown (outside simulation context, with the engine
+// idle).
 func (c *Coro) kill() {
 	if c.done || c.dead {
 		return

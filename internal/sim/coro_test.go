@@ -82,6 +82,33 @@ func TestCoroDoubleKill(t *testing.T) {
 	e.Shutdown() // idempotent
 }
 
+// TestCoroKillFromHost: Kill unwinds a parked coroutine at once from host
+// code, and panics, leaving it parked, when called inside an event.
+func TestCoroKillFromHost(t *testing.T) {
+	e := NewEngine()
+	cleaned := false
+	c := e.Go("p", func(c *Coro) {
+		defer func() { cleaned = true }()
+		c.Park(Forever)
+	})
+	e.RunUntilIdle()
+	panicked := false
+	e.At(e.Now(), func() {
+		defer func() { panicked = recover() != nil }()
+		c.Kill()
+	})
+	e.RunUntilIdle()
+	if !panicked || cleaned {
+		t.Fatalf("Kill inside an event: panicked=%v unwound=%v, want a panic and no unwind", panicked, cleaned)
+	}
+	c.Kill()
+	if !cleaned || !c.Done() {
+		t.Fatalf("Kill from host: unwound=%v done=%v, want both", cleaned, c.Done())
+	}
+	c.Kill() // a killed coroutine stays killed
+	e.Shutdown()
+}
+
 // TestCoroWakeAfterKillIsNoop: a killed coroutine is dead; a stray Wake
 // must neither panic nor schedule a resume.
 func TestCoroWakeAfterKillIsNoop(t *testing.T) {
