@@ -267,10 +267,11 @@ func TestLocalFileIO(t *testing.T) {
 }
 
 // TestHugeIOCount pins what a count no buffer can hold does: write
-// fails with EFAULT before the kernel allocates anything, and read
-// returns the short file's bytes through a buffer no larger than the
-// file can fill — under 1 MiB of host allocation on a default-size chip,
-// whose 256 MB of DDR would otherwise bound the buffer.
+// fails with EFAULT before the kernel allocates anything, read returns
+// the short file's bytes through a buffer no larger than the file can
+// fill, and read of a directory fails with EISDIR — each read under
+// 1 MiB of host allocation on a default-size chip, whose 256 MB of DDR
+// would otherwise bound the buffer.
 func TestHugeIOCount(t *testing.T) {
 	const huge = 1 << 62
 	eng, k := fnode(t, Config{})
@@ -293,19 +294,33 @@ func TestHugeIOCount(t *testing.T) {
 		}
 		ctx.Syscall(kernel.SysLseek, fd, 0, uint64(kernel.SeekSet))
 		rb := p.HeapBase + 12288
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		n, errno := ctx.Syscall(kernel.SysRead, fd, uint64(rb), huge)
-		runtime.ReadMemStats(&after)
-		if a := after.TotalAlloc - before.TotalAlloc; a >= 1<<20 {
-			t.Errorf("read of %#x bytes allocated %d bytes on the host, want under 1 MiB", uint64(huge), a)
+		hugeRead := func(fd uint64) (uint64, kernel.Errno) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			n, errno := ctx.Syscall(kernel.SysRead, fd, uint64(rb), huge)
+			runtime.ReadMemStats(&after)
+			if a := after.TotalAlloc - before.TotalAlloc; a >= 1<<20 {
+				t.Errorf("read of %#x bytes allocated %d bytes on the host, want under 1 MiB", uint64(huge), a)
+			}
+			return n, errno
 		}
+		n, errno := hugeRead(fd)
 		got := make([]byte, 11)
 		ctx.Load(rb, got)
 		if errno != kernel.OK || n != 11 || string(got) != "local write" {
 			t.Errorf("read of %#x bytes: %d %v %q, want 11 OK %q", uint64(huge), n, errno, got, "local write")
 		}
 		ctx.Syscall(kernel.SysClose, fd)
+		ctx.Store(pathVA, []byte{'/', 0})
+		dir, errno := ctx.Syscall(kernel.SysOpen, uint64(pathVA), kernel.ORdonly, 0)
+		if errno != kernel.OK {
+			t.Errorf("open /: %v", errno)
+			return
+		}
+		if n, errno := hugeRead(dir); errno != kernel.EISDIR || n != 0 {
+			t.Errorf("read of %#x bytes from a directory: %d %v, want 0 EISDIR", uint64(huge), n, errno)
+		}
+		ctx.Syscall(kernel.SysClose, dir)
 	}})
 }
 

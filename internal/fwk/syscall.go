@@ -187,12 +187,13 @@ func (k *Kernel) fileIO(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64
 	case kernel.SysClose:
 		return 0, p.fsc.Close(int(arg(0)))
 	case kernel.SysRead:
-		// A regular file can return no more than lies past the offset,
-		// so the buffer is cut to that as well.
-		count := min(arg(2), k.maxIO())
+		// Only a regular file returns bytes, and no more than lie past
+		// the offset, so the buffer is cut to that; a descriptor the read
+		// fails on gets none.
+		var count uint64
 		if ino, off, _, regular, errno := p.fsc.FileInfo(int(arg(0))); errno == kernel.OK && regular {
 			size, _ := p.fsc.FS.InodeSize(ino)
-			count = min(count, size-min(off, size))
+			count = min(arg(2), k.maxIO(), size-min(off, size))
 		}
 		buf := make([]byte, count)
 		n, errno := p.fsc.Read(int(arg(0)), buf)
