@@ -66,6 +66,28 @@ func runRandomEvents(seed uint64) workloadResult {
 // with timeouts, cross-coroutine wakes, and killed-at-shutdown parkers —
 // the full resume/yield machinery on top of the event queue.
 func runRandomCoros(seed uint64) workloadResult {
+	return runCoros(seed, (*Engine).RunUntilIdle)
+}
+
+// runCorosWindowed replays the runRandomCoros workload through short
+// Run(limit) windows, so timed parks that end past a window's limit take
+// the queue instead of resuming in place.
+func runCorosWindowed(seed uint64) workloadResult {
+	return runCoros(seed, func(e *Engine) int {
+		rng := NewRNG(^seed)
+		n := 0
+		limit := Cycles(0)
+		for e.Pending() > 0 {
+			limit += 1 + Cycles(rng.Intn(300))
+			n += e.Run(limit)
+		}
+		return n
+	})
+}
+
+// runCoros builds the seeded coroutine workload, drives it with run,
+// and shuts the engine down.
+func runCoros(seed uint64, run func(*Engine) int) workloadResult {
 	e := NewEngine()
 	rng := NewRNG(seed)
 	var coros []*Coro
@@ -93,7 +115,7 @@ func runRandomCoros(seed uint64) workloadResult {
 		})
 		coros = append(coros, c)
 	}
-	n := e.RunUntilIdle()
+	n := run(e)
 	out := workloadResult{hash: e.Trace().Hash(), count: e.Trace().Count(), end: e.Now(), nevents: n}
 	e.Shutdown()
 	return out
@@ -210,6 +232,15 @@ func TestDifferentialSchedulers(t *testing.T) {
 				want.check(t, w.name, w.run(want.seed))
 			}
 		})
+	}
+}
+
+// TestDifferentialCorosPinned holds the coroutine workload to pinnedCoros
+// when it runs in short Run(limit) windows: the window limits decide which
+// timed parks resume in place, and must change no trace, clock or count.
+func TestDifferentialCorosPinned(t *testing.T) {
+	for _, want := range pinnedCoros {
+		want.check(t, "coros windowed", runCorosWindowed(want.seed))
 	}
 }
 
