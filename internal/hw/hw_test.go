@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"bgcnk/internal/sim"
+	"bgcnk/internal/upc"
 )
 
 func TestMemoryReadWriteRoundTrip(t *testing.T) {
@@ -209,8 +210,9 @@ func TestCachePrivateL1SharedL3(t *testing.T) {
 	}
 }
 
-// cacheStream drives a seeded CacheSim and digests each (cost, event)
-// result it sees, plus every counter when asked.
+// cacheStream drives a seeded CacheSim, with a UPC unit attached as a
+// chip attaches its own, and digests each (cost, event) result it sees,
+// plus every counter when asked.
 type cacheStream struct {
 	cs  *CacheSim
 	rng *sim.RNG
@@ -222,6 +224,7 @@ type cacheStream struct {
 func newCacheStream(m L3Mapping, seed uint64) *cacheStream {
 	s := &cacheStream{cs: NewCacheSim(CoresPerChip), rng: sim.NewRNG(seed), h: fnv.New64a()}
 	s.cs.SetL3Mapping(m)
+	s.cs.upc = new(upc.Set)
 	return s
 }
 
@@ -233,12 +236,20 @@ func (s *cacheStream) put(vs ...uint64) {
 	s.h.Write(s.buf)
 }
 
+// counters digests the hit and miss counters the cache keeps and the
+// store-miss and refresh-stall counts its UPC unit keeps.
 func (s *cacheStream) counters() {
 	cs := s.cs
 	for c := range cs.L1Hits {
-		s.put(cs.L1Hits[c], cs.L1Misses[c], cs.StoreMisses[c])
+		s.put(cs.L1Hits[c], cs.L1Misses[c], cs.upc.Get(c, upc.StoreMiss))
 	}
-	s.put(cs.L3Hits, cs.L3Misses, cs.RefreshStalls, uint64(cs.RefreshStallCycles))
+	s.put(cs.L3Hits, cs.L3Misses, cs.upc.Get(upc.ChipScope, upc.RefreshStall))
+}
+
+// reset resets the cache and its UPC unit together, as Chip.Reset does.
+func (s *cacheStream) reset() {
+	s.cs.reset()
+	s.cs.upc.Reset()
 }
 
 var streamSizes = [...]uint32{0, 1, 8, 64, 100}
@@ -328,7 +339,7 @@ func cacheStreamDigest(m L3Mapping, seed uint64) uint64 {
 			s.cs.FlushAll()
 		case 1:
 			s.counters()
-			s.cs.reset()
+			s.reset()
 		}
 	}
 	s.counters()
@@ -387,7 +398,7 @@ func sparseStreamDigest(m L3Mapping, seed uint64) uint64 {
 		return s.cs.l3index(l) == target && page(l+1) == pages[1]
 	}), 4)
 	s.counters()
-	s.cs.reset()
+	s.reset()
 
 	absent(&s.cs.l3, pages[2])
 	s.mix(1000, append(s.lines(64, inPage(pages[2])), a...))
@@ -406,16 +417,16 @@ func TestCacheDeterministicCosts(t *testing.T) {
 		seed   uint64
 		want   uint64
 	}{
-		{false, L3ModuloMap, 1, 0x94fae5abe5388cdc},
-		{false, L3ModuloMap, 2, 0x199373728271c6df},
-		{false, L3ModuloMap, 3, 0xd3a3bffbc0738a1d},
-		{false, L3XorFoldMap, 1, 0x6b8ebaf69f03ac73},
-		{false, L3XorFoldMap, 2, 0xb464c9e016ee4b79},
-		{false, L3XorFoldMap, 3, 0x7ff39172cbcfdb97},
-		{true, L3ModuloMap, 1, 0x123b99c919e84fe7},
-		{true, L3ModuloMap, 2, 0x09e57f30af4c2faa},
-		{true, L3XorFoldMap, 1, 0xdbb2c545d8f6e0e6},
-		{true, L3XorFoldMap, 2, 0x8942d8efd6126fde},
+		{false, L3ModuloMap, 1, 0x0a261dd64a85de96},
+		{false, L3ModuloMap, 2, 0xdc8314e69c3a0252},
+		{false, L3ModuloMap, 3, 0xe609e893f9583790},
+		{false, L3XorFoldMap, 1, 0xa492eed890d6541d},
+		{false, L3XorFoldMap, 2, 0x09f1d0eababc178f},
+		{false, L3XorFoldMap, 3, 0x8903bf9b94766b21},
+		{true, L3ModuloMap, 1, 0x75795d68872e2871},
+		{true, L3ModuloMap, 2, 0x56be6881285eb397},
+		{true, L3XorFoldMap, 1, 0x23a104716fc9fd13},
+		{true, L3XorFoldMap, 2, 0x130ffd446530385b},
 	} {
 		name, digest := fmt.Sprintf("map%d/seed%d", tc.m, tc.seed), cacheStreamDigest
 		if tc.sparse {
@@ -455,6 +466,7 @@ func TestCacheTagRangeLimit(t *testing.T) {
 
 func TestCacheRefreshWindowStalls(t *testing.T) {
 	cs := NewCacheSim(1)
+	cs.upc = new(upc.Set)
 	// An access inside the refresh window costs more than one outside.
 	inWin, _ := cs.Access(0, 0x100000, 4, false, 0) // phase 0 < RefreshLen
 	cs2 := NewCacheSim(1)
@@ -462,8 +474,8 @@ func TestCacheRefreshWindowStalls(t *testing.T) {
 	if inWin <= outWin {
 		t.Fatalf("refresh stall missing: in=%d out=%d", inWin, outWin)
 	}
-	if cs.RefreshStalls != 1 {
-		t.Fatalf("RefreshStalls = %d", cs.RefreshStalls)
+	if n := cs.upc.Get(upc.ChipScope, upc.RefreshStall); n != 1 {
+		t.Fatalf("UPC RefreshStall = %d, want 1", n)
 	}
 }
 
