@@ -161,22 +161,20 @@ type CacheSim struct {
 	// refresh windows at the same run-relative offsets.
 	refreshBase sim.Cycles
 
-	L1Hits, L1Misses   []uint64
-	StoreMisses        []uint64
-	L3Hits, L3Misses   uint64
-	RefreshStalls      uint64
-	RefreshStallCycles sim.Cycles
+	// Hit and miss counts, which Chip.StateHash scans. Store misses and
+	// refresh stalls are counted on the UPC unit alone.
+	L1Hits, L1Misses []uint64
+	L3Hits, L3Misses uint64
 }
 
 // NewCacheSim builds the hierarchy for a chip with cores cores.
 func NewCacheSim(cores int) *CacheSim {
 	cs := &CacheSim{
-		l1:          newCacheArray(cores*L1Sets, L1Ways),
-		l3:          newCacheArray(L3Sets, L3Ways),
-		parityArm:   make([]bool, cores),
-		L1Hits:      make([]uint64, cores),
-		L1Misses:    make([]uint64, cores),
-		StoreMisses: make([]uint64, cores),
+		l1:        newCacheArray(cores*L1Sets, L1Ways),
+		l3:        newCacheArray(L3Sets, L3Ways),
+		parityArm: make([]bool, cores),
+		L1Hits:    make([]uint64, cores),
+		L1Misses:  make([]uint64, cores),
 	}
 	return cs
 }
@@ -230,7 +228,6 @@ func (cs *CacheSim) Access(core int, pa PAddr, size uint32, write bool, now sim.
 			// a store miss goes to the store queue and the L2/L3 without
 			// installing an L1 line (and without evicting anything). The
 			// store buffer absorbs the downstream latency.
-			cs.StoreMisses[core]++
 			u.Inc(core, upc.StoreMiss)
 			if !cs.l3.probe(l3set, l3line) {
 				cs.l3.fill(l3set, l3line)
@@ -280,10 +277,7 @@ func (cs *CacheSim) ddrFill(at sim.Cycles) (c sim.Cycles, uncorrectable bool) {
 	// for the remainder of the window.
 	phase := uint64(at-cs.refreshBase) % RefreshInt
 	if phase < RefreshLen {
-		stall := sim.Cycles(RefreshLen - phase)
-		c += stall
-		cs.RefreshStalls++
-		cs.RefreshStallCycles += stall
+		c += sim.Cycles(RefreshLen - phase)
 		u.Inc(upc.ChipScope, upc.RefreshStall)
 	}
 	return c, unc
@@ -305,9 +299,8 @@ func (cs *CacheSim) FlushAll() {
 func (cs *CacheSim) reset() {
 	cs.FlushAll()
 	for i := range cs.L1Hits {
-		cs.L1Hits[i], cs.L1Misses[i], cs.StoreMisses[i] = 0, 0, 0
+		cs.L1Hits[i], cs.L1Misses[i] = 0, 0
 		cs.parityArm[i] = false
 	}
 	cs.L3Hits, cs.L3Misses = 0, 0
-	cs.RefreshStalls, cs.RefreshStallCycles = 0, 0
 }
