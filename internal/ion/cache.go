@@ -163,61 +163,58 @@ func (ca *Cache) Truncate(co *sim.Coro, ino, size uint64) {
 // writeback path merges whatever adjacency is left). Costs are charged
 // to co; a nil co flushes for free (barrier quiesce, service-side).
 func (ca *Cache) Flush(co *sim.Coro, ino uint64) {
-	keys := ca.inoBlocks(ino)
-	dirty := keys[:0]
-	for _, k := range keys {
-		if ca.blocks[k].dirty {
-			dirty = append(dirty, k)
+	// Take the dirty blocks before the first write-back sleeps: an
+	// eviction during a sleep may drop a later block from the map.
+	var dirty []*block
+	for _, k := range ca.inoBlocks(ino) {
+		if b := ca.blocks[k]; b.dirty {
+			dirty = append(dirty, b)
 		}
 	}
 	if len(dirty) == 0 {
 		return
 	}
 	sz := ca.Size(ino)
-	run := []blockKey{dirty[0]}
-	emit := func() {
+	start := 0
+	for i := 1; i <= len(dirty); i++ {
+		if i < len(dirty) && dirty[i].key.idx == dirty[i-1].key.idx+1 {
+			continue
+		}
+		run := dirty[start:i]
 		ca.writeRun(co, run, sz)
 		if len(run) > 1 {
 			ca.ctr.Add(upc.ChipScope, upc.IONCoalesce, uint64(len(run)-1))
 		}
+		start = i
 	}
-	for _, k := range dirty[1:] {
-		if k.idx == run[len(run)-1].idx+1 {
-			run = append(run, k)
-			continue
-		}
-		emit()
-		run = []blockKey{k}
-	}
-	emit()
 	ca.ctr.Inc(upc.ChipScope, upc.IONFlush)
 }
 
 // writeRun writes one contiguous dirty run (trimmed to the effective
 // size) back in a single fs write of the blocks' own bytes and marks the
 // blocks clean.
-func (ca *Cache) writeRun(co *sim.Coro, run []blockKey, sz uint64) {
-	start := run[0].idx * BlockSize
-	end := (run[len(run)-1].idx + 1) * BlockSize
+func (ca *Cache) writeRun(co *sim.Coro, run []*block, sz uint64) {
+	start := run[0].key.idx * BlockSize
+	end := (run[len(run)-1].key.idx + 1) * BlockSize
 	if end > sz {
 		end = sz
 	}
 	if start < end {
 		parts := make([][]byte, len(run))
-		for i, k := range run {
-			bs := k.idx * BlockSize
+		for i, b := range run {
+			bs := b.key.idx * BlockSize
 			be := bs + BlockSize
 			if be > end {
 				be = end
 			}
-			parts[i] = ca.blocks[k].data[:be-bs]
+			parts[i] = b.data[:be-bs]
 		}
-		if errno := ca.fsys.WriteInode(run[0].ino, start, parts...); errno != kernel.OK {
+		if errno := ca.fsys.WriteInode(run[0].key.ino, start, parts...); errno != kernel.OK {
 			panic("ion: writeback to unknown inode")
 		}
 	}
-	for _, k := range run {
-		ca.blocks[k].dirty = false
+	for _, b := range run {
+		b.dirty = false
 	}
 	ca.ctr.Add(upc.ChipScope, upc.IONWriteback, uint64(len(run)))
 	if co != nil {
@@ -264,7 +261,10 @@ func (ca *Cache) Clear() {
 }
 
 // touch returns the block, filling it from the fs on a miss and evicting
-// LRU (with writeback if dirty) past capacity.
+// LRU (with writeback if dirty) past capacity. A fill reads the fs when
+// its sleep ends, so it gets what the store holds then; if another proxy
+// filled the block meanwhile, touch returns that block instead, and the
+// writes made to it stay.
 func (ca *Cache) touch(co *sim.Coro, ino, idx uint64) *block {
 	key := blockKey{ino: ino, idx: idx}
 	if b, ok := ca.blocks[key]; ok {
@@ -274,14 +274,19 @@ func (ca *Cache) touch(co *sim.Coro, ino, idx uint64) *block {
 		return b
 	}
 	ca.ctr.Inc(upc.ChipScope, upc.IONCacheMiss)
+	if co != nil {
+		co.Sleep(costFill)
+	}
+	if b, ok := ca.blocks[key]; ok {
+		ca.unlink(b)
+		ca.pushFront(b)
+		return b
+	}
 	data, errno := ca.fsys.ReadInode(ino, idx*BlockSize, BlockSize)
 	if errno != kernel.OK {
 		panic("ion: fill from unknown inode")
 	}
 	b := &block{key: key, data: append(data, make([]byte, BlockSize-len(data))...)}
-	if co != nil {
-		co.Sleep(costFill)
-	}
 	ca.blocks[key] = b
 	ca.pushFront(b)
 	for len(ca.blocks) > ca.cap {
@@ -290,17 +295,19 @@ func (ca *Cache) touch(co *sim.Coro, ino, idx uint64) *block {
 	return b
 }
 
-// evict drops the LRU block, writing it back first if dirty.
+// evict drops the LRU block, then writes it back if dirty. The block
+// leaves the cache before the write-back sleeps, so a write that comes
+// during the sleep fills a new block from what was written back.
 func (ca *Cache) evict(co *sim.Coro) {
 	v := ca.tail
 	if v == nil {
 		return
 	}
-	if v.dirty {
-		ca.writeRun(co, []blockKey{v.key}, ca.Size(v.key.ino))
-	}
 	ca.unlink(v)
 	delete(ca.blocks, v.key)
+	if v.dirty {
+		ca.writeRun(co, []*block{v}, ca.Size(v.key.ino))
+	}
 }
 
 // inoBlocks returns the file's cached block keys in ascending index

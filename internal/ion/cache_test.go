@@ -309,3 +309,67 @@ func TestReadAliasesOneBlock(t *testing.T) {
 		}
 	})
 }
+
+// lruLen counts the blocks linked in the cache's LRU list.
+func lruLen(ca *Cache) int {
+	n := 0
+	for b := ca.head; b != nil; b = b.next {
+		n++
+	}
+	return n
+}
+
+// Two proxies miss on the same block in the same cycle: A writes at
+// offset 0 while B reads at offset 100 of an uncached file. Both fills
+// sleep, so B's miss comes while A's fill is still in flight. B must get
+// A's block, not build a second one that replaces it and drops A's write.
+func TestConcurrentFillKeepsWrite(t *testing.T) {
+	ca, fsys, ino := newCacheFixture(t, 8)
+	if errno := fsys.WriteInode(ino, 0, make([]byte, 2*BlockSize)); errno != kernel.OK {
+		t.Fatal(errno)
+	}
+	eng := sim.NewEngine()
+	eng.Go("A", func(c *sim.Coro) { ca.Write(c, ino, 0, []byte("AAAA")) })
+	eng.Go("B", func(c *sim.Coro) { ca.Read(c, ino, 100, 10) })
+	eng.RunUntilIdle()
+	run(func(c *sim.Coro) {
+		if got := ca.Read(c, ino, 0, 4); string(got) != "AAAA" {
+			t.Errorf("read at 0 after the concurrent fill = %q, want %q", got, "AAAA")
+		}
+	})
+	if len(ca.blocks) != 1 || lruLen(ca) != 1 {
+		t.Errorf("cache maps %d blocks and links %d, want 1 and 1", len(ca.blocks), lruLen(ca))
+	}
+	ca.FlushAll(nil)
+	data, _ := fsys.ReadFile("/gpfs/f", fs.Root)
+	if string(data[:4]) != "AAAA" {
+		t.Fatalf("fs holds %q at 0 after FlushAll, want %q", data[:4], "AAAA")
+	}
+}
+
+// In a one-block cache, A's write to block 1 evicts A's dirty block 0
+// and sleeps in its write-back. D's write to block 0 during that sleep
+// must survive the eviction: after FlushAll the fs holds D's bytes at 0
+// and A's at BlockSize.
+func TestWriteDuringEvictionSurvives(t *testing.T) {
+	ca, fsys, ino := newCacheFixture(t, 1)
+	eng := sim.NewEngine()
+	eng.Go("A", func(c *sim.Coro) {
+		ca.Write(c, ino, 0, []byte("AAAA"))
+		ca.Write(c, ino, BlockSize, []byte("CCCC")) // fills block 1, evicts block 0
+	})
+	eng.Go("D", func(c *sim.Coro) {
+		c.Sleep(2*costFill + costWriteback/2) // inside block 0's write-back
+		ca.Write(c, ino, 0, []byte("BBBB"))
+	})
+	eng.RunUntilIdle()
+	ca.FlushAll(nil)
+	data, _ := fsys.ReadFile("/gpfs/f", fs.Root)
+	if len(data) != BlockSize+4 {
+		t.Fatalf("fs holds %d bytes, want %d", len(data), BlockSize+4)
+	}
+	if string(data[:4]) != "BBBB" || string(data[BlockSize:]) != "CCCC" {
+		t.Fatalf("fs holds %q at 0 and %q at BlockSize, want %q and %q",
+			data[:4], data[BlockSize:], "BBBB", "CCCC")
+	}
+}
