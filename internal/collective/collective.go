@@ -8,7 +8,6 @@ package collective
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"bgcnk/internal/obs"
 	"bgcnk/internal/ras"
@@ -330,27 +329,25 @@ func (e *Endpoint) Pending() int { return len(e.inbox) }
 // time is constant to the cycle under CNK (paper V-D).
 type Combine struct {
 	eng     *sim.Engine
-	n       int
 	latency sim.Cycles
 
-	entered map[int]*sim.Coro
+	// entered, results, dead, failed and upcs are indexed by participant:
+	// the coroutine blocked in the current combine (nil if it has not
+	// entered), the sum it resumes with, whether its node died, whether a
+	// death released it from its wait, and its chip's UPC unit.
+	entered []*sim.Coro
+	waiting int
 	sum     float64
-	results map[int]float64
-	dead    map[int]bool
-	failed  map[int]bool
-
-	// upcs routes per-participant combine counts to each node's UPC unit.
-	upcs map[int]*upc.Set
+	results []float64
+	dead    []bool
+	anyDead bool
+	failed  []bool
+	upcs    []*upc.Set
 }
 
 // AttachUPC routes participant id's combine-operation counter to a chip's
 // UPC unit.
-func (cb *Combine) AttachUPC(id int, u *upc.Set) {
-	if cb.upcs == nil {
-		cb.upcs = make(map[int]*upc.Set)
-	}
-	cb.upcs[id] = u
-}
+func (cb *Combine) AttachUPC(id int, u *upc.Set) { cb.upcs[id] = u }
 
 // NewCombine builds an n-participant combining route. latency 0 selects a
 // BG/P-like ~2.5us tree traversal.
@@ -358,9 +355,9 @@ func NewCombine(eng *sim.Engine, n int, latency sim.Cycles) *Combine {
 	if latency == 0 {
 		latency = sim.FromMicros(2.5)
 	}
-	return &Combine{eng: eng, n: n, latency: latency,
-		entered: make(map[int]*sim.Coro), results: make(map[int]float64),
-		dead: make(map[int]bool), failed: make(map[int]bool)}
+	return &Combine{eng: eng, latency: latency,
+		entered: make([]*sim.Coro, n), results: make([]float64, n),
+		dead: make([]bool, n), failed: make([]bool, n), upcs: make([]*upc.Set, n)}
 }
 
 // MarkDead declares participant id permanently gone (node failure):
@@ -372,19 +369,15 @@ func (cb *Combine) MarkDead(id int) {
 		return
 	}
 	cb.dead[id] = true
-	if len(cb.entered) == 0 {
-		return
+	cb.anyDead = true
+	for wid, w := range cb.entered {
+		if w != nil {
+			cb.failed[wid] = true
+			w.Wake()
+		}
 	}
-	ids := make([]int, 0, len(cb.entered))
-	for wid := range cb.entered {
-		ids = append(ids, wid)
-	}
-	sort.Ints(ids)
-	for _, wid := range ids {
-		cb.failed[wid] = true
-		cb.entered[wid].Wake()
-	}
-	cb.entered = make(map[int]*sim.Coro)
+	clear(cb.entered)
+	cb.waiting = 0
 	cb.sum = 0
 }
 
@@ -401,49 +394,41 @@ func (cb *Combine) Allreduce(c *sim.Coro, id int, v float64) float64 {
 // ErrDeadParticipant — instead of parking forever — when any participant
 // is already dead, or dies while this one waits.
 func (cb *Combine) AllreduceErr(c *sim.Coro, id int, v float64) (float64, error) {
-	if _, dup := cb.entered[id]; dup {
+	if cb.entered[id] != nil {
 		panic(fmt.Sprintf("collective: participant %d re-entered combine", id))
 	}
-	if len(cb.dead) > 0 {
+	if cb.anyDead {
 		return 0, ErrDeadParticipant
 	}
 	cb.entered[id] = c
+	cb.waiting++
 	cb.sum += v
 	cb.upcs[id].Inc(upc.ChipScope, upc.CombineOp)
-	if len(cb.entered) == cb.n {
-		sum := cb.sum
+	if cb.waiting == len(cb.entered) {
 		waiters := cb.entered
-		cb.entered = make(map[int]*sim.Coro)
-		cb.sum = 0
-		for wid := range waiters {
-			cb.results[wid] = sum
+		cb.entered = make([]*sim.Coro, len(waiters))
+		cb.waiting = 0
+		for i := range cb.results {
+			cb.results[i] = cb.sum
 		}
+		cb.sum = 0
 		me := c
 		cb.eng.At(cb.eng.Now()+cb.latency, func() {
-			// Wake in participant order: map iteration order would permute
-			// same-cycle wakeups and break cycle reproducibility.
-			ids := make([]int, 0, len(waiters))
-			for wid := range waiters {
-				ids = append(ids, wid)
-			}
-			sort.Ints(ids)
-			for _, wid := range ids {
-				if w := waiters[wid]; w != me {
+			// Wake in participant order, so same-cycle resumes do not
+			// depend on arrival order.
+			for _, w := range waiters {
+				if w != me {
 					w.Wake()
 				}
 			}
 		})
 		c.Sleep(cb.latency)
-		r := cb.results[id]
-		delete(cb.results, id)
-		return r, nil
+		return cb.results[id], nil
 	}
 	c.Park(sim.Forever)
 	if cb.failed[id] {
-		delete(cb.failed, id)
+		cb.failed[id] = false
 		return 0, ErrDeadParticipant
 	}
-	r := cb.results[id]
-	delete(cb.results, id)
-	return r, nil
+	return cb.results[id], nil
 }

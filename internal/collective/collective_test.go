@@ -161,3 +161,38 @@ func TestDeliveredDataIsSendersSlice(t *testing.T) {
 		}
 	}
 }
+
+// TestCombineResumesInParticipantOrder repeats a 6-participant combine
+// whose participants arrive in reverse order. The last arriver waits out
+// the tree latency and resumes first; the tree then releases everyone
+// else at the same cycle, woken in participant order, so every round of
+// every run resumes 0, 1, ..., 5, each with the round's sum.
+func TestCombineResumesInParticipantOrder(t *testing.T) {
+	const n, rounds, runs = 6, 3, 20
+	for run := 0; run < runs; run++ {
+		eng := sim.NewEngine()
+		cb := NewCombine(eng, n, 0)
+		var order []int
+		for i := 0; i < n; i++ {
+			i := i
+			eng.Go("p", func(c *sim.Coro) {
+				for r := 0; r < rounds; r++ {
+					c.Sleep(sim.Cycles(100 * (n - i)))
+					if got, want := cb.Allreduce(c, i, float64(r*n+i)), float64(r*n*n+n*(n-1)/2); got != want {
+						t.Errorf("run %d round %d: participant %d got %v, want %v", run, r, i, got, want)
+					}
+					order = append(order, i)
+				}
+			})
+		}
+		eng.RunUntilIdle()
+		if len(order) != n*rounds {
+			t.Fatalf("run %d: %d resumes, want %d", run, len(order), n*rounds)
+		}
+		for k, id := range order {
+			if id != k%n {
+				t.Fatalf("run %d: resume order %v, want participants 0..%d each round", run, order, n-1)
+			}
+		}
+	}
+}
