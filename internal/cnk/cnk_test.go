@@ -868,7 +868,6 @@ func TestRestartWithoutSelfRefreshFails(t *testing.T) {
 func TestTwoIdenticalRunsAreCycleIdentical(t *testing.T) {
 	runOnce := func() (uint64, sim.Cycles) {
 		eng := sim.NewEngine()
-		eng.Trace().SetEnabled(true)
 		chip := hw.NewChip(hw.ChipConfig{ID: 0})
 		k := New(eng, chip, Config{Reproducible: true, IO: ciod.NewLoopback(eng, fs.New())})
 		k.Boot()

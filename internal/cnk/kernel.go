@@ -47,11 +47,9 @@ type Config struct {
 	// returns ENOSYS (a compute node with no I/O node).
 	IO ciod.Transport
 	// Reproducible boots the kernel in cycle-reproducible mode: no
-	// service-node handshake, fully deterministic initialization.
+	// service-node handshake, fully deterministic initialization, and
+	// each syscall recorded in the engine trace.
 	Reproducible bool
-	// TraceSyscalls records each syscall in the engine trace. On by
-	// default in reproducible mode.
-	TraceSyscalls bool
 }
 
 // Kernel is one compute node's CNK instance.
@@ -91,9 +89,6 @@ func (k *Kernel) AttachObs(r *obs.Recorder) { k.obs = r }
 func New(eng *sim.Engine, chip *hw.Chip, cfg Config) *Kernel {
 	if cfg.MaxThreadsPerCore == 0 {
 		cfg.MaxThreadsPerCore = 1
-	}
-	if cfg.Reproducible {
-		cfg.TraceSyscalls = true
 	}
 	k := &Kernel{
 		Eng:     eng,

@@ -61,7 +61,6 @@ func (k *Kernel) RestartReproducible() error {
 		return &ResetError{Chip: k.Chip.ID, Reason: "DDR not in self-refresh; memory contents did not survive the reset"}
 	}
 	k.cfg.Reproducible = true
-	k.cfg.TraceSyscalls = true
 	if err := k.Boot(); err != nil {
 		return err
 	}

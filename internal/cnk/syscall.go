@@ -19,7 +19,7 @@ import (
 // exec do not exist (paper VII-B: "MPI cannot spawn dynamic tasks because
 // CNK does not allow fork/exec").
 func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint64, kernel.Errno) {
-	if k.cfg.TraceSyscalls {
+	if k.cfg.Reproducible {
 		k.trace(k.Eng.Now(), fmt.Sprintf("pid%d tid%d %v", t.PID(), t.TID(), num))
 	}
 	if k.obs != nil {

@@ -17,7 +17,6 @@ import (
 func BenchmarkSchedule(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
-	e.Trace().SetEnabled(false)
 	rng := NewRNG(1)
 	nop := func() {}
 	b.ResetTimer()
@@ -35,7 +34,6 @@ func BenchmarkSchedule(b *testing.B) {
 func BenchmarkStepDense(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
-	e.Trace().SetEnabled(false)
 	rng := NewRNG(2)
 	var tick func()
 	tick = func() { e.After(rng.Cycles(4), tick) }
@@ -53,7 +51,6 @@ func BenchmarkStepDense(b *testing.B) {
 func BenchmarkStepSparse(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
-	e.Trace().SetEnabled(false)
 	rng := NewRNG(3)
 	var tick func()
 	tick = func() { e.After(1+rng.Cycles(1_000_000_000), tick) }
