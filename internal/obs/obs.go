@@ -24,7 +24,7 @@ import (
 )
 
 // Cat is a span category; categories map onto Chrome trace-event "cat"
-// fields and can be masked off individually at recording time.
+// fields.
 type Cat uint8
 
 // Span categories.
@@ -48,26 +48,8 @@ func (c Cat) String() string {
 	return "cat?"
 }
 
-// Mask selects the categories a Recorder keeps; bit i covers Cat(i).
-type Mask uint16
-
-// AllCats enables every category.
-const AllCats Mask = 1<<NumCats - 1
-
-// CatMask builds a Mask from categories.
-func CatMask(cats ...Cat) Mask {
-	var m Mask
-	for _, c := range cats {
-		m |= 1 << c
-	}
-	return m
-}
-
 // Config arms a machine's (or service node's) span recorder.
 type Config struct {
-	// Mask selects the recorded categories; zero means all.
-	Mask Mask
-
 	// SampleEvery, when nonzero, arms the periodic UPC sampler: each time
 	// the simulation clock crosses a multiple of this interval, the
 	// machine-wide counter totals are snapshotted and the nonzero deltas
@@ -123,7 +105,6 @@ type Totals [upc.NumCounters]uint64
 // node. All methods are nil-receiver safe; a nil *Recorder records
 // nothing and costs one branch per call site.
 type Recorder struct {
-	mask      Mask
 	every     sim.Cycles
 	pidPrefix string
 
@@ -136,11 +117,7 @@ type Recorder struct {
 
 // New builds a recorder from cfg.
 func New(cfg Config) *Recorder {
-	mask := cfg.Mask
-	if mask == 0 {
-		mask = AllCats
-	}
-	return &Recorder{mask: mask, every: cfg.SampleEvery, pidPrefix: "node"}
+	return &Recorder{every: cfg.SampleEvery, pidPrefix: "node"}
 }
 
 // SetPidPrefix names non-negative span nodes in the JSON export
@@ -164,7 +141,7 @@ func (r *Recorder) SampleEvery() sim.Cycles {
 // given an end before start (spans are emitted at their closing edge,
 // with the start captured when the interval opened).
 func (r *Recorder) Emit(cat Cat, name string, node, tid int, start, end sim.Cycles, arg uint64) {
-	if r == nil || r.mask&(1<<cat) == 0 {
+	if r == nil {
 		return
 	}
 	if len(r.blocks) == 0 || len(r.blocks[len(r.blocks)-1]) == spanBlock {

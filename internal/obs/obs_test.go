@@ -20,16 +20,19 @@ func sampleTrace() Trace {
 	return r.Trace()
 }
 
+// Emit records a span of every category; CatCounts counts them per
+// category.
 func TestEmitMaskAndCounts(t *testing.T) {
-	r := New(Config{Mask: CatMask(CatBoot, CatMsg)})
+	r := New(Config{})
 	r.Emit(CatBoot, "b", 0, 0, 0, 1, 0)
-	r.Emit(CatSyscall, "s", 0, 0, 0, 1, 0) // masked off
+	r.Emit(CatSyscall, "s", 0, 0, 0, 1, 0)
 	r.Emit(CatMsg, "m", 0, 0, 2, 3, 0)
-	if got := r.SpanCount(); got != 2 {
-		t.Fatalf("SpanCount = %d, want 2 (syscall masked)", got)
+	r.Emit(CatMsg, "m", 0, 0, 4, 5, 0)
+	if got := r.SpanCount(); got != 4 {
+		t.Fatalf("SpanCount = %d, want 4", got)
 	}
 	cc := r.CatCounts()
-	if cc[CatBoot] != 1 || cc[CatMsg] != 1 || cc[CatSyscall] != 0 {
+	if cc[CatBoot] != 1 || cc[CatSyscall] != 1 || cc[CatMsg] != 2 || cc[CatIO] != 0 {
 		t.Fatalf("CatCounts = %v", cc)
 	}
 }
@@ -213,7 +216,7 @@ func TestCodecEmptyTrace(t *testing.T) {
 }
 
 func TestResetKeepsConfig(t *testing.T) {
-	r := New(Config{Mask: CatMask(CatBoot), SampleEvery: 100})
+	r := New(Config{SampleEvery: 100})
 	r.Emit(CatBoot, "b", 0, 0, 0, 1, 0)
 	tot := Totals{}
 	tot[upc.SyscallTotal] = 1
@@ -224,10 +227,6 @@ func TestResetKeepsConfig(t *testing.T) {
 	}
 	if r.SampleEvery() != 100 {
 		t.Fatal("Reset dropped the sampler config")
-	}
-	r.Emit(CatSyscall, "s", 0, 0, 0, 1, 0)
-	if r.SpanCount() != 0 {
-		t.Fatal("Reset dropped the category mask")
 	}
 	// The sampler's baseline rewinds too: the next sample is an absolute
 	// restart, as after a machine reboot.
