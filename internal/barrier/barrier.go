@@ -20,8 +20,7 @@ var ErrDeadParticipant = errors.New("barrier: participant dead, barrier can neve
 
 // Network is one global barrier channel over n participants.
 type Network struct {
-	eng     *sim.Engine
-	latency sim.Cycles
+	eng *sim.Engine
 
 	// entered, dead and failed are indexed by participant: the coroutine
 	// blocked in the current barrier (nil if it has not entered), whether
@@ -43,18 +42,15 @@ type Network struct {
 	Barriers uint64 // completed barriers
 }
 
-// DefaultLatency is the full-partition barrier latency (~1.3us).
-var DefaultLatency = sim.FromMicros(1.3)
+// latency is the full-partition barrier latency (~1.3us).
+var latency = sim.FromMicros(1.3)
 
 // New builds a barrier network over n participants.
-func New(eng *sim.Engine, n int, latency sim.Cycles) *Network {
+func New(eng *sim.Engine, n int) *Network {
 	if n <= 0 {
 		panic("barrier: need at least one participant")
 	}
-	if latency == 0 {
-		latency = DefaultLatency
-	}
-	return &Network{eng: eng, latency: latency, entered: make([]*sim.Coro, n),
+	return &Network{eng: eng, entered: make([]*sim.Coro, n),
 		dead: make([]bool, n), failed: make([]bool, n)}
 }
 
@@ -109,7 +105,7 @@ func (b *Network) EnterErr(c *sim.Coro, id int) error {
 		b.arbiterState++
 		b.Barriers++
 		me := c
-		b.eng.At(b.eng.Now()+b.latency, func() {
+		b.eng.At(b.eng.Now()+latency, func() {
 			// Wake in participant order, so same-cycle resumes do not
 			// depend on arrival order.
 			for _, w := range waiters {
@@ -119,7 +115,7 @@ func (b *Network) EnterErr(c *sim.Coro, id int) error {
 			}
 		})
 		// The last arriver also waits out the wire latency.
-		c.Sleep(b.latency)
+		c.Sleep(latency)
 		return nil
 	}
 	c.Park(sim.Forever)

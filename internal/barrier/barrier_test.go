@@ -8,7 +8,7 @@ import (
 
 func TestBarrierReleasesAllTogether(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 4, 1000)
+	b := New(eng, 4)
 	var release []sim.Cycles
 	for i := 0; i < 4; i++ {
 		i := i
@@ -23,9 +23,9 @@ func TestBarrierReleasesAllTogether(t *testing.T) {
 		t.Fatalf("released %d of 4", len(release))
 	}
 	for _, r := range release {
-		// Last arrival at 400, plus wire latency 1000.
-		if r != 1400 {
-			t.Fatalf("release at %d, want 1400 (all: %v)", r, release)
+		// Last arrival at 400, plus the wire latency.
+		if want := 400 + latency; r != want {
+			t.Fatalf("release at %d, want %d (all: %v)", r, want, release)
 		}
 	}
 	if b.Barriers != 1 {
@@ -35,7 +35,7 @@ func TestBarrierReleasesAllTogether(t *testing.T) {
 
 func TestBarrierReusable(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 2, 10)
+	b := New(eng, 2)
 	count := 0
 	for i := 0; i < 2; i++ {
 		i := i
@@ -54,7 +54,7 @@ func TestBarrierReusable(t *testing.T) {
 
 func TestDoubleEnterPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 2, 10)
+	b := New(eng, 2)
 	panicked := false
 	eng.Go("p", func(c *sim.Coro) {
 		defer func() {
@@ -84,7 +84,7 @@ func TestDoubleEnterPanics(t *testing.T) {
 
 func TestArbiterStateAndReset(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 1, 10)
+	b := New(eng, 1)
 	eng.Go("p", func(c *sim.Coro) {
 		b.Enter(c, 0)
 		b.Enter(c, 0)
@@ -101,7 +101,7 @@ func TestArbiterStateAndReset(t *testing.T) {
 
 func TestWaitingCount(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 3, 10)
+	b := New(eng, 3)
 	for i := 0; i < 2; i++ {
 		i := i
 		eng.Go("p", func(c *sim.Coro) { b.Enter(c, i) })
@@ -122,7 +122,7 @@ func TestBarrierResumesInParticipantOrder(t *testing.T) {
 	const n, rounds, runs = 6, 3, 20
 	for run := 0; run < runs; run++ {
 		eng := sim.NewEngine()
-		b := New(eng, n, 1000)
+		b := New(eng, n)
 		var order []int
 		for i := 0; i < n; i++ {
 			i := i

@@ -16,24 +16,18 @@ import (
 // required in CNK to implement the offload is minimal" (Section IV-A).
 const costMarshal = sim.Cycles(300)
 
-// RetryPolicy bounds how long a function-shipped call waits for its reply
-// and how persistently it resends. The zero value is the legacy blocking
-// protocol: wait forever, never resend — which schedules no timer events,
-// so fault-free runs are unchanged to the cycle.
-type RetryPolicy struct {
-	// Timeout is the per-attempt reply deadline; 0 waits forever.
-	Timeout sim.Cycles
-	// MaxRetries is how many resends follow the first attempt.
-	MaxRetries int
-	// Backoff is the delay before the first resend, doubling per retry.
-	Backoff sim.Cycles
-}
-
-// DefaultRetryPolicy covers a CIOD crash+restart: five attempts whose
-// window comfortably exceeds the default daemon respawn delay.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{Timeout: 60_000, MaxRetries: 4, Backoff: 4_000}
-}
+// A client with a fault source bounds how long a function-shipped call
+// waits for its reply and how persistently it resends: callAttempts
+// attempts of callTimeout cycles each, the first resend after
+// retryBackoff cycles and each further one after twice the last. The
+// window comfortably exceeds the default CIOD respawn delay. A client
+// without one keeps the blocking protocol: it waits forever and never
+// resends, which schedules no timer events.
+const (
+	callTimeout  = sim.Cycles(60_000)
+	callAttempts = 5
+	retryBackoff = sim.Cycles(4_000)
+)
 
 // Client ships requests from a compute node to CIOD over the collective
 // network and blocks the calling coroutine for the round trip. CNK does
@@ -43,7 +37,6 @@ type Client struct {
 	ep      *collective.Endpoint
 	nextTag uint32
 	upc     *upc.Set
-	policy  RetryPolicy
 	faults  *ras.NodeFaults
 	ion     *ion.Node
 	obs     *obs.Recorder
@@ -69,11 +62,9 @@ func NewClient(ep *collective.Endpoint) *Client {
 // every caller — shipIO and mmap copy-in alike — exactly once.
 func (cl *Client) AttachUPC(u *upc.Set) { cl.upc = u }
 
-// SetRetryPolicy arms function-ship timeouts and bounded retries.
-func (cl *Client) SetRetryPolicy(p RetryPolicy) { cl.policy = p }
-
-// AttachFaults routes the client's give-up events (retries exhausted,
-// EIO surfaced) to the machine's RAS log.
+// AttachFaults arms function-ship timeouts and bounded retries, and
+// routes the client's give-up events (retries exhausted, EIO surfaced)
+// to the machine's RAS log. A nil source leaves the client blocking.
 func (cl *Client) AttachFaults(f *ras.NodeFaults) { cl.faults = f }
 
 // AttachION names the I/O node this client's calls enter (nil:
@@ -83,8 +74,8 @@ func (cl *Client) AttachFaults(f *ras.NodeFaults) { cl.faults = f }
 // disposes of the message.
 func (cl *Client) AttachION(n *ion.Node) { cl.ion = n }
 
-// Call implements Transport. With a retry policy armed, each attempt uses
-// a fresh tag (so a late reply to an abandoned attempt can never be
+// Call implements Transport. With a fault source attached, each attempt
+// uses a fresh tag (so a late reply to an abandoned attempt can never be
 // mistaken for the current one; stale replies simply age in the inbox),
 // resends back off exponentially, and exhaustion surfaces EIO — the errno
 // the application would see from a dead I/O path on the real machine.
@@ -98,14 +89,14 @@ func (cl *Client) Call(c *sim.Coro, req *Request) *Reply {
 	}
 	c.Sleep(costMarshal)
 	data := MarshalRequest(req)
-	attempts := 1
-	if cl.policy.Timeout > 0 {
-		attempts += cl.policy.MaxRetries
+	attempts, timeout := 1, sim.Forever
+	if cl.faults != nil {
+		attempts, timeout = callAttempts, callTimeout
 	}
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			cl.upc.Inc(upc.ChipScope, upc.CIODRetry)
-			c.Sleep(cl.policy.Backoff << (a - 1))
+			c.Sleep(retryBackoff << (a - 1))
 		}
 		cl.nextTag++
 		tag := cl.nextTag
@@ -115,10 +106,6 @@ func (cl *Client) Call(c *sim.Coro, req *Request) *Reply {
 			cl.obs.Emit(obs.CatStall, "ion:credit", cl.node, int(req.PID), creditStart, waited, 0)
 		}
 		cl.ep.Send(-1, tag, data)
-		timeout := sim.Forever
-		if cl.policy.Timeout > 0 {
-			timeout = cl.policy.Timeout
-		}
 		msg, ok := cl.ep.RecvTagTimeout(c, tag, timeout)
 		if !ok {
 			cl.upc.Inc(upc.ChipScope, upc.CIODTimeout)
@@ -127,8 +114,8 @@ func (cl *Client) Call(c *sim.Coro, req *Request) *Reply {
 		rep, err := UnmarshalReply(msg.Data)
 		if err != nil {
 			// A truncated reply is indistinguishable from a lost one at
-			// this layer: resend if the policy allows.
-			if cl.policy.Timeout > 0 {
+			// this layer: resend if the client retries.
+			if cl.faults != nil {
 				cl.upc.Inc(upc.ChipScope, upc.CIODTimeout)
 				continue
 			}

@@ -116,7 +116,7 @@ func TestIONPathEndToEnd(t *testing.T) {
 // TestIONWriteCoalescing queues adjacent same-fd writes on one proxy
 // thread and checks the daemon merges them into one batch.
 func TestIONWriteCoalescing(t *testing.T) {
-	r := newIONRig(1, &ion.Config{QueueDepth: 8, CacheBlocks: 16, CoalesceMax: 4})
+	r := newIONRig(1, &ion.Config{QueueDepth: 8, CacheBlocks: 16})
 	cl := r.clients[0]
 	ep := r.tree.CN(0)
 	var fd int32
@@ -267,7 +267,7 @@ func TestIONCrashFlushesEIOAndDropsCache(t *testing.T) {
 			inj := ras.NewInjector(r.eng, ras.NewLog(), ras.Plan{Seed: 7, IONCrashEvery: 4})
 			r.srv.SetFaults(inj.Node(-1), 20_000)
 			cl := r.clients[0]
-			cl.SetRetryPolicy(DefaultRetryPolicy())
+			cl.AttachFaults(inj.Node(0))
 			var errs []kernel.Errno
 			finished := false
 			r.eng.Go("cn0", func(c *sim.Coro) {

@@ -328,8 +328,7 @@ func (e *Endpoint) Pending() int { return len(e.inbox) }
 // what MPI_Allreduce maps onto on Blue Gene, and why its per-iteration
 // time is constant to the cycle under CNK (paper V-D).
 type Combine struct {
-	eng     *sim.Engine
-	latency sim.Cycles
+	eng *sim.Engine
 
 	// entered, results, dead, failed and upcs are indexed by participant:
 	// the coroutine blocked in the current combine (nil if it has not
@@ -349,13 +348,12 @@ type Combine struct {
 // UPC unit.
 func (cb *Combine) AttachUPC(id int, u *upc.Set) { cb.upcs[id] = u }
 
-// NewCombine builds an n-participant combining route. latency 0 selects a
-// BG/P-like ~2.5us tree traversal.
-func NewCombine(eng *sim.Engine, n int, latency sim.Cycles) *Combine {
-	if latency == 0 {
-		latency = sim.FromMicros(2.5)
-	}
-	return &Combine{eng: eng, latency: latency,
+// combineLatency is the BG/P-like ~2.5us combining-tree traversal.
+var combineLatency = sim.FromMicros(2.5)
+
+// NewCombine builds an n-participant combining route.
+func NewCombine(eng *sim.Engine, n int) *Combine {
+	return &Combine{eng: eng,
 		entered: make([]*sim.Coro, n), results: make([]float64, n),
 		dead: make([]bool, n), failed: make([]bool, n), upcs: make([]*upc.Set, n)}
 }
@@ -413,7 +411,7 @@ func (cb *Combine) AllreduceErr(c *sim.Coro, id int, v float64) (float64, error)
 		}
 		cb.sum = 0
 		me := c
-		cb.eng.At(cb.eng.Now()+cb.latency, func() {
+		cb.eng.At(cb.eng.Now()+combineLatency, func() {
 			// Wake in participant order, so same-cycle resumes do not
 			// depend on arrival order.
 			for _, w := range waiters {
@@ -422,7 +420,7 @@ func (cb *Combine) AllreduceErr(c *sim.Coro, id int, v float64) (float64, error)
 				}
 			}
 		})
-		c.Sleep(cb.latency)
+		c.Sleep(combineLatency)
 		return cb.results[id], nil
 	}
 	c.Park(sim.Forever)

@@ -171,7 +171,7 @@ func TestCombineResumesInParticipantOrder(t *testing.T) {
 	const n, rounds, runs = 6, 3, 20
 	for run := 0; run < runs; run++ {
 		eng := sim.NewEngine()
-		cb := NewCombine(eng, n, 0)
+		cb := NewCombine(eng, n)
 		var order []int
 		for i := 0; i < n; i++ {
 			i := i

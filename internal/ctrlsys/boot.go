@@ -31,7 +31,6 @@ import (
 const (
 	cnkImageBytes         = 1 << 20            // CNK boot image (small static kernel)
 	fwkImageBytes         = 24 << 20           // full FWK image + initrd
-	fwkStrippedImage      = 6 << 20            // stripped build
 	ctrlLinkCyclesPerByte = 8                  // service-node control Ethernet, ~100 MB/s
 	fwkServiceStreams     = 4                  // parallel image-serving streams
 	fwkMountCost          = sim.Cycles(25_000) // per-node NFS mount, serialized at the server
@@ -43,8 +42,6 @@ type BootConfig struct {
 	Kind             machine.KernelKind
 	Nodes            int
 	NodesPerMidplane int
-	Stripped         bool // FWK only
-	Streams          int  // FWK image-serving streams (default 4)
 }
 
 // BootResult is the modelled cost of bringing one partition up, broken
@@ -78,9 +75,6 @@ func SimulateBoot(cfg BootConfig) BootResult {
 	if cfg.NodesPerMidplane <= 0 {
 		cfg.NodesPerMidplane = cfg.Nodes
 	}
-	if cfg.Streams <= 0 {
-		cfg.Streams = fwkServiceStreams
-	}
 	r := BootResult{Kind: cfg.Kind, Nodes: cfg.Nodes}
 	tree := collective.DefaultConfig()
 	if cfg.Kind == machine.KindCNK {
@@ -100,47 +94,32 @@ func SimulateBoot(cfg BootConfig) BootResult {
 			perMidplane = cfg.NodesPerMidplane
 		}
 		r.PerNodePhase = sim.Cycles(perMidplane * personalityWireBytes() * ctrlLinkCyclesPerByte)
-		r.InitPhase = sim.Cycles(kernelBootInstr(machine.KindCNK, false))
+		r.InitPhase = sim.Cycles(cnkBootInstr())
 	} else {
 		r.ImageBytes = fwkImageBytes
-		if cfg.Stripped {
-			r.ImageBytes = fwkStrippedImage
-		}
 		perLoad := sim.Cycles(r.ImageBytes * ctrlLinkCyclesPerByte)
-		waves := (cfg.Nodes + cfg.Streams - 1) / cfg.Streams
+		waves := (cfg.Nodes + fwkServiceStreams - 1) / fwkServiceStreams
 		r.Waves = waves
 		r.ImagePhase = sim.Cycles(waves) * perLoad
 		r.PerNodePhase = sim.Cycles(cfg.Nodes) * fwkMountCost
-		r.InitPhase = sim.Cycles(kernelBootInstr(machine.KindFWK, cfg.Stripped)) + fwkDaemonStartCost
+		r.InitPhase = sim.Cycles(fwkBootInstr()) + fwkDaemonStartCost
 	}
 	r.Total = r.ImagePhase + r.PerNodePhase + r.InitPhase
 	return r
 }
 
-// kernelBootInstr asks the kernel models themselves what node-local boot
-// costs, so the protocol model can never drift from the kernels it boots.
-// The answer depends only on the kernel kind and, for the FWK, on
-// stripped, so each probe runs once per process.
-func kernelBootInstr(kind machine.KernelKind, stripped bool) uint64 {
-	switch {
-	case kind == machine.KindCNK:
-		return cnkBootInstr()
-	case stripped:
-		return fwkStrippedBootInstr()
-	default:
-		return fwkBootInstr()
-	}
-}
-
+// cnkBootInstr and fwkBootInstr ask the kernel models themselves what
+// node-local boot costs, so the protocol model can never drift from the
+// kernels it boots. The answer depends only on the kernel kind, so each
+// probe runs once per process.
 var (
-	cnkBootInstr         = sync.OnceValue(func() uint64 { return probeBootInstr(machine.KindCNK, false) })
-	fwkBootInstr         = sync.OnceValue(func() uint64 { return probeBootInstr(machine.KindFWK, false) })
-	fwkStrippedBootInstr = sync.OnceValue(func() uint64 { return probeBootInstr(machine.KindFWK, true) })
+	cnkBootInstr = sync.OnceValue(func() uint64 { return probeBootInstr(machine.KindCNK) })
+	fwkBootInstr = sync.OnceValue(func() uint64 { return probeBootInstr(machine.KindFWK) })
 )
 
 // probeBootInstr boots a kernel of kind on a fresh chip and returns the
 // instructions its node-local boot took.
-func probeBootInstr(kind machine.KernelKind, stripped bool) uint64 {
+func probeBootInstr(kind machine.KernelKind) uint64 {
 	eng := sim.NewEngine()
 	chip := hw.NewChip(hw.ChipConfig{ID: 0})
 	if kind == machine.KindCNK {
@@ -152,7 +131,7 @@ func probeBootInstr(kind machine.KernelKind, stripped bool) uint64 {
 	}
 	// No daemon specs: this probe must not start coroutines it cannot
 	// reclaim. Daemon start is charged separately by the caller.
-	k := fwk.New(eng, chip, fwk.Config{Stripped: stripped, Daemons: []fwk.DaemonSpec{}})
+	k := fwk.New(eng, chip, fwk.Config{Daemons: []fwk.DaemonSpec{}})
 	if err := k.Boot(); err != nil {
 		panic(err)
 	}

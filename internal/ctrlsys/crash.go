@@ -86,8 +86,7 @@ func newWorld(cfg Config) *world {
 		st:    newDrainState(),
 	}
 	if cfg.Journal.Enabled {
-		jc := cfg.Journal.normalized()
-		jn, err := wal.Create(w.store, jc.Dir, jc.SegmentBytes)
+		jn, err := wal.Create(w.store, journalDir, cfg.Journal.SegmentBytes)
 		if err != nil {
 			// Impossible on a freshly created store; fail loudly if the
 			// wal package's contract ever changes.
@@ -154,7 +153,6 @@ type drainState struct {
 	completed   map[int]*JobResult
 	resume      map[int]*resumePoint
 	struck      map[int]map[int]bool // job ID -> attempt index committed
-	strikes     map[int]int          // midplane -> strike count
 	blacklisted map[int]bool
 	allocs      map[int][2]int // real partition ID -> {base, midplanes}
 	maxPID      int
@@ -168,7 +166,6 @@ func newDrainState() *drainState {
 		completed:   make(map[int]*JobResult),
 		resume:      make(map[int]*resumePoint),
 		struck:      make(map[int]map[int]bool),
-		strikes:     make(map[int]int),
 		blacklisted: make(map[int]bool),
 		allocs:      make(map[int][2]int),
 		maxPID:      -1,
@@ -244,12 +241,11 @@ func (st *drainState) applyRecord(r wal.Record) error {
 		}
 		delete(st.started, id)
 	case recStrike:
-		id, attempt, mp, err := decodeTriple(r.Body)
+		id, attempt, _, err := decodeTriple(r.Body)
 		if err != nil {
 			return err
 		}
 		st.markStruck(id, attempt)
-		st.strikes[mp]++
 	case recBlacklist:
 		mp, err := decodeID(r.Body)
 		if err != nil {
@@ -384,7 +380,6 @@ func (s *ServiceNode) drainPass(jobs []Job, workers int) error {
 		return &simOut{res: s.runJob(job)}
 	})
 
-	ck := s.cfg.Ckpt.normalized()
 	for i, job := range pend {
 		o := outs[i]
 		vid := -1 - job.ID // drain partitions are virtual: negative ID, base -1
@@ -411,8 +406,7 @@ func (s *ServiceNode) drainPass(jobs []Job, workers int) error {
 				return err
 			}
 			st.markStruck(job.ID, idx)
-			st.strikes[a.FaultMidplane]++
-			if st.strikes[a.FaultMidplane] >= ck.BlacklistAfter && !st.blacklisted[a.FaultMidplane] {
+			if !st.blacklisted[a.FaultMidplane] {
 				if err := s.appendRec(recBlacklist, idBody(a.FaultMidplane), ras.SiteAppend); err != nil {
 					return err
 				}
@@ -460,8 +454,7 @@ type RecoveryReport struct {
 // simply picks up where the corpse left off.
 func (s *ServiceNode) recoverInPlace(live []*Partition) (*RecoveryReport, error) {
 	w := s.w
-	jc := s.cfg.Journal.normalized()
-	jn, recs, err := wal.Open(w.store, jc.Dir, jc.SegmentBytes)
+	jn, recs, err := wal.Open(w.store, journalDir, s.cfg.Journal.SegmentBytes)
 	if err != nil {
 		return nil, err
 	}

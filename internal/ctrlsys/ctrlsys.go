@@ -85,8 +85,6 @@ type Config struct {
 	// Faults, when non-nil and enabled, arms each partition's fault
 	// injector with a per-job fork of the plan's seed.
 	Faults *ras.Plan
-	// Stripped selects the stripped FWK image (smaller, faster boot).
-	Stripped bool
 	// CNsPerION sets each partition's compute-to-I/O-node ratio (0 = one
 	// ION per partition).
 	CNsPerION int
@@ -275,13 +273,11 @@ func (s *ServiceNode) BootPartition(p *Partition, jobSeed uint64) error {
 		Kind:             s.cfg.Kind,
 		Nodes:            p.Nodes,
 		NodesPerMidplane: s.topo.NodesPerMidplane,
-		Stripped:         s.cfg.Stripped,
 	})
 	mcfg := machine.Config{
 		Nodes:     p.Nodes,
 		Kind:      s.cfg.Kind,
 		Seed:      jobSeed,
-		Stripped:  s.cfg.Stripped,
 		CNsPerION: s.cfg.CNsPerION,
 		ION:       s.cfg.ION,
 	}

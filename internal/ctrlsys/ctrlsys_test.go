@@ -64,14 +64,10 @@ func TestBootScalingShape(t *testing.T) {
 			t.Errorf("FWK boot %d->%d nodes grew only %.2fx; staggered load should be ~linear", n, 2*n, ratio)
 		}
 	}
-	// Phases must add up, and the stripped image must beat the full one.
+	// Phases must add up.
 	r := SimulateBoot(BootConfig{Kind: machine.KindFWK, Nodes: 128, NodesPerMidplane: 32})
 	if r.Total != r.ImagePhase+r.PerNodePhase+r.InitPhase {
 		t.Error("FWK boot phases do not sum to total")
-	}
-	stripped := SimulateBoot(BootConfig{Kind: machine.KindFWK, Nodes: 128, NodesPerMidplane: 32, Stripped: true})
-	if stripped.Total >= r.Total {
-		t.Error("stripped FWK boot is not faster than full")
 	}
 }
 
@@ -83,7 +79,7 @@ func replayQueue(topo Topology, jobs []Job, durs []sim.Cycles) Schedule {
 	for i, job := range jobs {
 		results[i] = &JobResult{Job: job, Run: durs[i]}
 	}
-	return ScheduleQueue(topo, jobs, results, CkptConfig{}.normalized())
+	return ScheduleQueue(topo, jobs, results)
 }
 
 // TestScheduleFIFOBackfill checks EASY backfill on a hand-built queue,
@@ -240,14 +236,14 @@ func TestPartitionPersonalities(t *testing.T) {
 }
 
 // TestKernelBootInstrMatchesProbe checks that each memoized boot probe
-// answers for its own kernel kind and stripped flag.
+// answers for its own kernel kind.
 func TestKernelBootInstrMatchesProbe(t *testing.T) {
 	for _, c := range []struct {
-		kind     machine.KernelKind
-		stripped bool
-	}{{machine.KindCNK, false}, {machine.KindFWK, false}, {machine.KindFWK, true}} {
-		if got, want := kernelBootInstr(c.kind, c.stripped), probeBootInstr(c.kind, c.stripped); got != want {
-			t.Errorf("kernelBootInstr(%v, stripped %v) = %d, want the probe's %d", c.kind, c.stripped, got, want)
+		kind machine.KernelKind
+		memo func() uint64
+	}{{machine.KindCNK, cnkBootInstr}, {machine.KindFWK, fwkBootInstr}} {
+		if got, want := c.memo(), probeBootInstr(c.kind); got != want {
+			t.Errorf("%v boot probe memo = %d, want the probe's %d", c.kind, got, want)
 		}
 	}
 }

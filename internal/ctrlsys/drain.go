@@ -122,7 +122,7 @@ func (s *ServiceNode) mergeResults(res *DrainResult, jobs []Job) {
 	}
 	res.RASHash = hash
 	res.Merged = upc.Merge(snaps...)
-	res.Sched = ScheduleQueue(s.topo, jobs, res.Results, s.cfg.Ckpt.normalized())
+	res.Sched = ScheduleQueue(s.topo, jobs, res.Results)
 }
 
 // JobsPerSecond is the drained throughput in simulated control time.

@@ -95,7 +95,7 @@ type JobResult struct {
 	Restarts        int        // restarts actually performed
 	Wasted          sim.Cycles // partition occupancy burned by failed attempts
 	RestartOverhead sim.Cycles // Wasted plus service-node backoffs
-	BudgetExhausted bool       // failed even after MaxRestarts restarts
+	BudgetExhausted bool       // failed even after maxRestarts restarts
 
 	// CrashAborted marks a job whose service node died before committing
 	// a result and — journaling being off — could not be recovered. Such

@@ -21,7 +21,7 @@ const (
 	recPartFree     = 7  // partition block released
 	recOrphanKill   = 8  // recovery killed a started-but-unfinished job
 	recStrike       = 9  // midplane struck by a job-killing fault
-	recBlacklist    = 10 // midplane drained after too many strikes
+	recBlacklist    = 10 // midplane drained by its strike
 	recRecoverBegin = 11 // recovery incarnation started reconciling
 	recRecoverEnd   = 12 // reconciliation finished
 )
@@ -29,19 +29,12 @@ const (
 // JournalConfig arms the service node's write-ahead journal.
 type JournalConfig struct {
 	Enabled bool
-	// Dir is the journal directory on the control store
-	// (default "/ctrl/wal").
-	Dir string
 	// SegmentBytes is the rotation threshold (default wal's).
 	SegmentBytes int
 }
 
-func (c JournalConfig) normalized() JournalConfig {
-	if c.Dir == "" {
-		c.Dir = "/ctrl/wal"
-	}
-	return c
-}
+// journalDir is the journal directory on the control store.
+const journalDir = "/ctrl/wal"
 
 // Journal bodies are written and read with internal/wire. A length or
 // count in a body is bounded only by the bytes left in it: the WAL bounds

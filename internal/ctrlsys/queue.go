@@ -45,8 +45,7 @@ type Schedule struct {
 //
 // The resilience protocol is visible to the scheduler too: a job's
 // failed attempt frees its block, the midplane the killing fault
-// localized to takes a strike and is drained (blacklisted) once it
-// accumulates cfg.BlacklistAfter of them, and the job re-enters at the
+// localized to is drained (blacklisted), and the job re-enters at the
 // head of the queue after its backoff — landing on whatever first-fit
 // block the degraded machine offers, which is how a restart migrates
 // away from sick hardware. EASY backfill keeps scheduling around the
@@ -57,14 +56,13 @@ type Schedule struct {
 //
 // Everything ties on (time, job ID) and consumes only the deterministic
 // per-attempt results, so the schedule is a pure function of its inputs.
-func ScheduleQueue(topo Topology, jobs []Job, results []*JobResult, cfg CkptConfig) Schedule {
+func ScheduleQueue(topo Topology, jobs []Job, results []*JobResult) Schedule {
 	total := topo.Midplanes()
 	free := make([]bool, total)
 	for i := range free {
 		free[i] = true
 	}
 	drained := make([]bool, total)
-	strikes := make([]int, total)
 
 	// An oversized request is trimmed to the full machine rather than
 	// wedging the queue head forever.
@@ -170,14 +168,13 @@ func ScheduleQueue(topo Topology, jobs []Job, results []*JobResult, cfg CkptConf
 		res := results[r.jobID]
 		last := r.attempt == attempts(r.jobID)-1
 		if !last {
-			// The attempt failed: strike (and maybe drain) the midplane
-			// the fault localized to, then resubmit at the queue head
-			// after the service node's backoff.
+			// The attempt failed: drain the midplane the fault localized
+			// to, then resubmit at the queue head after the service
+			// node's backoff.
 			at := res.Attempts[r.attempt]
 			if at.FaultMidplane >= 0 && at.FaultMidplane < r.span {
 				mp := r.base + at.FaultMidplane
-				strikes[mp]++
-				if strikes[mp] >= cfg.BlacklistAfter && !drained[mp] {
+				if !drained[mp] {
 					drained[mp] = true
 					if !healthyFit(maxSpan) {
 						drained[mp] = false // drain cap: keep the machine schedulable

@@ -31,33 +31,25 @@ type CkptConfig struct {
 	Enabled bool
 	// Interval checkpoints every N exchange rounds (default 1).
 	Interval int
-	// MaxRestarts bounds restart attempts after the initial run
-	// (default 3). Exhausting it yields ErrRestartBudgetExhausted.
-	MaxRestarts int
-	// Backoff is the service node's delay before the first restart,
-	// doubling per subsequent attempt (default 2,000,000 cycles).
-	Backoff sim.Cycles
-	// BlacklistAfter drains a midplane after it accumulates this many
-	// job-killing uncorrectable events (default 1); the resilient
-	// schedule re-allocates around drained midplanes.
-	BlacklistAfter int
 }
 
 func (c CkptConfig) normalized() CkptConfig {
 	if c.Interval <= 0 {
 		c.Interval = 1
 	}
-	if c.MaxRestarts <= 0 {
-		c.MaxRestarts = 3
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 2_000_000
-	}
-	if c.BlacklistAfter <= 0 {
-		c.BlacklistAfter = 1
-	}
 	return c
 }
+
+// The service node's restart policy: a job gets at most maxRestarts
+// restarts after its initial run (exhausting them yields
+// ErrRestartBudgetExhausted), the first restart waits restartBackoff
+// cycles and each further one twice the last, and a midplane is drained
+// at its first job-killing fault; the resilient schedule re-allocates
+// around drained midplanes.
+const (
+	maxRestarts    = 3
+	restartBackoff = sim.Cycles(2_000_000)
+)
 
 // resilientRunLimit bounds one attempt's simulation. A fault-killed rank
 // leaves the survivors parked in its allreduce forever; on an FWK the
@@ -120,7 +112,7 @@ type Attempt struct {
 // failed attempt with the marshalled resume point — the body the drain
 // later appends as a checkpoint-commit record.
 func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func([]byte)) *JobResult {
-	cfg := s.cfg.Ckpt.normalized()
+	interval := s.cfg.Ckpt.normalized().Interval
 	nodes := job.Midplanes * s.topo.NodesPerMidplane
 	res := &JobResult{Job: job, Nodes: nodes}
 	var resume *ckpt.Image
@@ -140,7 +132,7 @@ func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func(
 		}
 	}
 
-	for attempt := first; attempt <= cfg.MaxRestarts; attempt++ {
+	for attempt := first; attempt <= maxRestarts; attempt++ {
 		p := &Partition{
 			ID:        job.ID,
 			Base:      -1,
@@ -155,7 +147,7 @@ func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func(
 		}
 		m := p.M
 		res.Boot = p.Boot
-		m.ArmCheckpoints(job.ID, cfg.Interval)
+		m.ArmCheckpoints(job.ID, interval)
 		if resume != nil {
 			// Stage the harvested image onto the new partition's ION
 			// filesystem — the service node's copy of what the previous
@@ -167,7 +159,7 @@ func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func(
 		}
 		mark := m.RAS.Mark()
 		boot := bootInstant(m)
-		runErr := m.Run(jobApp(m, job, resume, resumeBlob, cfg.Interval), kernel.JobParams{}, resilientRunLimit)
+		runErr := m.Run(jobApp(m, job, resume, resumeBlob, interval), kernel.JobParams{}, resilientRunLimit)
 		run := m.Eng.Now() - boot
 		codes := m.ExitCodes()
 		ok := runErr == nil
@@ -219,12 +211,12 @@ func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func(
 		}
 		teardown := teardownBase + teardownPerMidplane*sim.Cycles(job.Midplanes)
 		res.Wasted += p.Boot.Total + run + teardown
-		if attempt < cfg.MaxRestarts {
+		if attempt < maxRestarts {
 			// Occupancy of a non-final failed attempt is pure overhead on
 			// top of the final attempt's Boot/Run/Teardown; the final
 			// attempt's occupancy is already carried by those fields.
 			res.RestartOverhead += p.Boot.Total + run + teardown
-			a.Backoff = cfg.Backoff << uint(attempt)
+			a.Backoff = restartBackoff << uint(attempt)
 			res.RestartOverhead += a.Backoff
 			res.Restarts++
 		}

@@ -190,7 +190,7 @@ func TestRestartBudgetExhaustedTyped(t *testing.T) {
 					t.Errorf("drain error %v does not wrap ErrRestartBudgetExhausted", err)
 				}
 			}
-			budget := (CkptConfig{}).normalized().MaxRestarts
+			budget := maxRestarts
 			exhausted := 0
 			for _, r := range res.Results {
 				if !r.BudgetExhausted {

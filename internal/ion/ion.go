@@ -30,8 +30,11 @@ import (
 const (
 	DefaultQueueDepth  = 16
 	DefaultCacheBlocks = 128
-	DefaultCoalesceMax = 8
 )
+
+// coalesceMax bounds how many queued same-fd writes the daemon merges
+// into one batch before touching the filesystem.
+const coalesceMax = 8
 
 // Config sizes one I/O node's aggregation machinery.
 type Config struct {
@@ -43,9 +46,6 @@ type Config struct {
 	// CacheBlocks is the write-back buffer cache capacity in BlockSize
 	// blocks.
 	CacheBlocks int
-	// CoalesceMax bounds how many queued same-fd writes the daemon merges
-	// into one batch before touching the filesystem.
-	CoalesceMax int
 }
 
 // WithDefaults fills zero fields with the defaults above.
@@ -55,9 +55,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.CacheBlocks <= 0 {
 		c.CacheBlocks = DefaultCacheBlocks
-	}
-	if c.CoalesceMax <= 0 {
-		c.CoalesceMax = DefaultCoalesceMax
 	}
 	return c
 }
@@ -98,12 +95,12 @@ func NewNode(cfg Config, cache *Cache) *Node {
 }
 
 // CoalesceMax bounds how many queued same-fd writes the daemon merges
-// into one batch; 1 on the unarmed node.
+// into one batch: 8, or 1 on the unarmed node.
 func (n *Node) CoalesceMax() int {
 	if n == nil {
 		return 1
 	}
-	return n.cfg.CoalesceMax
+	return coalesceMax
 }
 
 // Cache returns the write-back buffer cache; nil on the unarmed node.

@@ -65,7 +65,7 @@ func ionMachineRun(t *testing.T, kind KernelKind) ionRunFacts {
 	t.Helper()
 	m, err := New(Config{
 		Nodes: 4, Kind: kind, Seed: 11, CNsPerION: 2,
-		ION: &ion.Config{QueueDepth: 4, CacheBlocks: 16, CoalesceMax: 4},
+		ION: &ion.Config{QueueDepth: 4, CacheBlocks: 16},
 	})
 	if err != nil {
 		t.Fatal(err)

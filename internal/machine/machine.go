@@ -59,7 +59,6 @@ type Config struct {
 
 	// FWK options.
 	Seed      uint64
-	Stripped  bool
 	Daemons   []fwk.DaemonSpec // nil = defaults
 	FSLatency sim.Cycles
 
@@ -163,10 +162,10 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.Torus = torus.New(m.Eng, torus.DefaultConfig(dims))
 	m.Torus.AttachObs(m.Obs)
-	m.Bar = barrier.New(m.Eng, cfg.Nodes, 0)
+	m.Bar = barrier.New(m.Eng, cfg.Nodes)
 	if cfg.Kind == KindCNK {
 		// The combining tree is driven from user space under CNK only.
-		m.Comb = collective.NewCombine(m.Eng, cfg.Nodes, 0)
+		m.Comb = collective.NewCombine(m.Eng, cfg.Nodes)
 	}
 
 	for n := 0; n < cfg.Nodes; n++ {
@@ -266,14 +265,10 @@ func New(cfg Config) (*Machine, error) {
 			io.AttachUPC(chip.UPC)
 			io.AttachObs(m.Obs, n)
 			io.AttachION(nodes[treeIdx])
+			// A fault source arms timeouts and bounded retries: with a
+			// fallible I/O path the blocking protocol would hang forever
+			// on one lost reply. A perfect machine's nodes have none.
 			io.AttachFaults(m.inj.Node(n))
-			if cfg.Faults.Enabled() {
-				// With a fallible I/O path the blocking protocol would
-				// hang forever on one lost reply; arm timeouts and
-				// bounded retries wide enough to ride out a CIOD
-				// crash+restart.
-				io.SetRetryPolicy(ciod.DefaultRetryPolicy())
-			}
 			k := cnk.New(m.Eng, chip, cnk.Config{
 				MaxThreadsPerCore: cfg.MaxThreadsPerCore,
 				Reproducible:      cfg.Reproducible,
@@ -287,7 +282,6 @@ func New(cfg Config) (*Machine, error) {
 		case KindFWK:
 			fcfg := fwk.Config{
 				Seed:      cfg.Seed + uint64(n)*7919,
-				Stripped:  cfg.Stripped,
 				Daemons:   cfg.Daemons,
 				FS:        m.IONFS[treeIdx], // NFS-mounted shared fs
 				FSLatency: cfg.FSLatency,
