@@ -42,8 +42,8 @@ type Network struct {
 	Barriers uint64 // completed barriers
 }
 
-// latency is the full-partition barrier latency (~1.3us).
-var latency = sim.FromMicros(1.3)
+// latency is the full-partition barrier latency, 1.3 us.
+const latency = sim.Cycles(1.3 * sim.CyclesPerMicro)
 
 // New builds a barrier network over n participants.
 func New(eng *sim.Engine, n int) *Network {

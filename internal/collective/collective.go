@@ -348,8 +348,8 @@ type Combine struct {
 // UPC unit.
 func (cb *Combine) AttachUPC(id int, u *upc.Set) { cb.upcs[id] = u }
 
-// combineLatency is the BG/P-like ~2.5us combining-tree traversal.
-var combineLatency = sim.FromMicros(2.5)
+// combineLatency is the BG/P-like combining-tree traversal, 2.5 us.
+const combineLatency = sim.Cycles(2.5 * sim.CyclesPerMicro)
 
 // NewCombine builds an n-participant combining route.
 func NewCombine(eng *sim.Engine, n int) *Combine {
