@@ -62,7 +62,9 @@ go test -run 'TestGolden/fig5-7' ./internal/experiments/
 # against its committed reference row, and the recovery-under-fault
 # replay must hold; together they are the RAS layer's contract. A nil
 # injector, fault source, RAS log or counter set is the unarmed handle,
-# so every method must be callable on nil and read zero.
+# so every method must be callable on nil and read zero. A CIOD client
+# retries only with a fault source: one without never times out or
+# retries, and blocks for its reply.
 echo "== fault matrix"
 go test -run 'TestFaultMatrix|TestRecoveryUnderFaultDeterminism|TestFaultsOffChangesNothing|TestCIODRetryExhaustionSurfacesEIO|TestCIODCrashRecovery' ./internal/machine/
 go test -run 'TestNilReceivers' ./internal/ras/ ./internal/upc/
@@ -109,9 +111,11 @@ go test -run 'TestGolden/crashes' ./internal/experiments/
 # delivered message must be the sender's slice, a decoded payload must
 # lie inside its message with its capacity clipped (nil when empty), an
 # ION cache read inside one block must be that block's bytes with its
-# capacity clipped and one across blocks a fresh slice, and a write-back
-# of several block slices must equal one write of their concatenation
-# (under -race); with the subsystem armed, the whole machine (shared
+# capacity clipped and one across blocks a fresh slice, a write-back of
+# several block slices must equal one write of their concatenation, and
+# the ION cache must lose no write to a second proxy's fill of the same
+# block or to a write that lands during an eviction's write-back (under
+# -race); with the subsystem armed, the whole machine (shared
 # uplink, ingress credits, coalescer, write-back cache) must be
 # cycle-reproducible and survive reboot identically, and the checkpointed
 # drain through the ION cache must restart bit-identically at 1/2/8
@@ -121,7 +125,7 @@ go test -run 'TestGolden/crashes' ./internal/experiments/
 # byte-for-byte.
 echo "== I/O-node aggregation: pinned replies + payload ownership + determinism + ion_crash + ioscale golden"
 go test -race -run 'TestPinnedReplies|TestIONCrashFlushesEIOAndDropsCache|TestDecodedDataAliasesWire' ./internal/ciod/
-go test -race -run 'TestDeliveredDataIsSendersSlice|TestWriteInodeSeveralSlices|TestReadAliasesOneBlock' ./internal/collective/ ./internal/fs/ ./internal/ion/
+go test -race -run 'TestDeliveredDataIsSendersSlice|TestWriteInodeSeveralSlices|TestReadAliasesOneBlock|TestConcurrentFillKeepsWrite|TestWriteDuringEvictionSurvives' ./internal/collective/ ./internal/fs/ ./internal/ion/
 go test -race -run 'TestIONMachineDeterminism|TestIONRebootMatchesFresh|TestIONOffChangesNothing|TestSealCheckpointFlushesIONCache' ./internal/machine/
 go test -race -run 'TestRestartDeterminismThroughIONCache' ./internal/ctrlsys/
 go test -run 'TestFaultMatrix/.*/ion_crash' ./internal/machine/
@@ -153,13 +157,13 @@ go test -run 'TestGolden/degrade' ./internal/experiments/
 # every kernel x workload cell of the determinism battery must match its
 # pinned reference row, and the replica runner must merge bit-identical
 # results at 1, 2, and 8 workers — from the raw pool up through the
-# rendered experiment artifacts, and a barrier must resume its
-# participants in participant order on every run. All under -race.
-echo "== sim fast path: pinned event-queue references + queue-order model + pinned battery + replica worker invariance + barrier order"
+# rendered experiment artifacts, and a barrier and a combine must resume
+# their participants in participant order on every run. All under -race.
+echo "== sim fast path: pinned event-queue references + queue-order model + pinned battery + replica worker invariance + barrier and combine order"
 go test -race -run 'TestDifferential|TestDeterminismBattery' ./internal/sim/ ./internal/machine/
 go test -race -run 'TestReplicaWorkerInvariance' ./internal/sim/replica/
 go test -race -run 'TestRenderWorkerInvariance' ./internal/experiments/
-go test -race -count=5 -run 'TestBarrierResumesInParticipantOrder' ./internal/barrier/
+go test -race -count=5 -run 'TestBarrierResumesInParticipantOrder|TestCombineResumesInParticipantOrder' ./internal/barrier/ ./internal/collective/
 
 # Coroutine switch contracts: the iter.Pull handoff must keep kill/unwind,
 # shutdown order, the pinned workload tables (runRandomCoros among them),
@@ -173,7 +177,8 @@ go test -race -count=10 -run 'TestCoro|TestShutdown|TestEngineShutdown|TestDiffe
 # Cache model contracts: the tag pages, each allocated by the first fill
 # into one of its 256 sets and kept and cleared by a flush, must replay
 # the pinned CacheSim digests (dense and sparse streams, both L3
-# mappings) and reject lines beyond the tag width; a chip must build in a
+# mappings, store misses and refresh stalls read from the UPC unit) and
+# reject lines beyond the tag width; a chip must build in a
 # few dozen allocations and at most 64 KiB; DDR must keep its contents
 # across a reset in self-refresh and lose them otherwise, zeroing the
 # chunks it keeps; and a chip that touched a line per core and a DDR word
@@ -198,9 +203,10 @@ go test -run 'TestGolden/tracescale' ./internal/experiments/
 # the root experiment benchmarks, the sim engine and coroutine switch,
 # the hw cache model and TLB, the torus send path, the CIOD request
 # marshal and shipped write+read round trip, the checkpoint-image codec,
-# and the control-system boot, drain and journal-body codec.
+# the control-system boot, drain and journal-body codec, the obs trace
+# codec and JSON export, and the fs inode and descriptor paths.
 echo "== go test -bench (one iteration of every benchmark)"
-go test -run '^$' -bench . -benchtime 1x . ./internal/sim/ ./internal/hw/ ./internal/torus/ ./internal/ciod/ ./internal/ckpt/ ./internal/ctrlsys/
+go test -run '^$' -bench . -benchtime 1x . ./internal/sim/ ./internal/hw/ ./internal/torus/ ./internal/ciod/ ./internal/ckpt/ ./internal/ctrlsys/ ./internal/obs/ ./internal/fs/
 
 # perfbench is a nested module, so ./... above skips it: vet it and run
 # its tests, which include the workloads' pinned model digests.
