@@ -163,8 +163,6 @@ func (ca *Cache) Truncate(co *sim.Coro, ino, size uint64) {
 // writeback path merges whatever adjacency is left). Costs are charged
 // to co; a nil co flushes for free (barrier quiesce, service-side).
 func (ca *Cache) Flush(co *sim.Coro, ino uint64) {
-	// Take the dirty blocks before the first write-back sleeps: an
-	// eviction during a sleep may drop a later block from the map.
 	var dirty []*block
 	for _, k := range ca.inoBlocks(ino) {
 		if b := ca.blocks[k]; b.dirty {
@@ -174,18 +172,25 @@ func (ca *Cache) Flush(co *sim.Coro, ino uint64) {
 	if len(dirty) == 0 {
 		return
 	}
-	sz := ca.Size(ino)
-	start := 0
-	for i := 1; i <= len(dirty); i++ {
-		if i < len(dirty) && dirty[i].key.idx == dirty[i-1].key.idx+1 {
+	// Each write-back sleeps, and meanwhile another proxy may evict a
+	// later block (writing it back itself), truncate it away or clean
+	// it, or crash the node. Only a block still cached and dirty is
+	// written, trimmed to the size the file has then.
+	live := func(b *block) bool { return b.dirty && ca.blocks[b.key] == b }
+	for i := 0; i < len(dirty); {
+		if !live(dirty[i]) {
+			i++
 			continue
 		}
-		run := dirty[start:i]
-		ca.writeRun(co, run, sz)
-		if len(run) > 1 {
-			ca.ctr.Add(upc.ChipScope, upc.IONCoalesce, uint64(len(run)-1))
+		j := i + 1
+		for j < len(dirty) && dirty[j].key.idx == dirty[j-1].key.idx+1 && live(dirty[j]) {
+			j++
 		}
-		start = i
+		ca.writeRun(co, dirty[i:j], ca.Size(ino))
+		if j-i > 1 {
+			ca.ctr.Add(upc.ChipScope, upc.IONCoalesce, uint64(j-i-1))
+		}
+		i = j
 	}
 	ca.ctr.Inc(upc.ChipScope, upc.IONFlush)
 }
@@ -291,6 +296,10 @@ func (ca *Cache) touch(co *sim.Coro, ino, idx uint64) *block {
 	ca.pushFront(b)
 	for len(ca.blocks) > ca.cap {
 		ca.evict(co)
+	}
+	if ca.blocks[key] != b {
+		// Another proxy's fill evicted b while an eviction above slept.
+		return ca.touch(co, ino, idx)
 	}
 	return b
 }

@@ -373,3 +373,56 @@ func TestWriteDuringEvictionSurvives(t *testing.T) {
 			data[:4], data[BlockSize:], "BBBB", "CCCC")
 	}
 }
+
+// In a one-block cache, A's write to block 0 fills it and then evicts
+// A's dirty block 9, sleeping in its write-back. B's fill of block 5
+// during that sleep evicts the still-clean block 0. A must write into a
+// block the cache holds, so after FlushAll the fs holds A's bytes at 0.
+func TestFillEvictedByAnotherFillRefills(t *testing.T) {
+	ca, fsys, ino := newCacheFixture(t, 1)
+	if errno := fsys.WriteInode(ino, 0, make([]byte, 10*BlockSize)); errno != kernel.OK {
+		t.Fatal(errno)
+	}
+	eng := sim.NewEngine()
+	eng.Go("A", func(c *sim.Coro) {
+		ca.Write(c, ino, 9*BlockSize, []byte("VVVV"))
+		ca.Write(c, ino, 0, []byte("AAAA")) // fills block 0, evicts block 9
+	})
+	eng.Go("B", func(c *sim.Coro) {
+		c.Sleep(costFill + costFill/3) // fills during A's fill, inserts during its write-back
+		ca.Read(c, ino, 5*BlockSize, 4)
+	})
+	eng.RunUntilIdle()
+	ca.FlushAll(nil)
+	data, _ := fsys.ReadFile("/gpfs/f", fs.Root)
+	if string(data[:4]) != "AAAA" || string(data[9*BlockSize:9*BlockSize+4]) != "VVVV" {
+		t.Fatalf("fs holds %q at 0 and %q at 9*BlockSize, want %q and %q",
+			data[:4], data[9*BlockSize:9*BlockSize+4], "AAAA", "VVVV")
+	}
+}
+
+// A flushes a file with two dirty runs and sleeps in the first run's
+// write-back; B truncates the file to 100 bytes meanwhile, discarding
+// the second run's block. The flush must not write that block back: the
+// fs ends at 100 bytes, holding A's first write.
+func TestFlushSkipsTruncatedBlocks(t *testing.T) {
+	ca, fsys, ino := newCacheFixture(t, 8)
+	eng := sim.NewEngine()
+	eng.Go("A", func(c *sim.Coro) {
+		ca.Write(c, ino, 0, []byte("one"))
+		ca.Write(c, ino, 2*BlockSize, []byte("three"))
+		ca.Flush(c, ino)
+	})
+	eng.Go("B", func(c *sim.Coro) {
+		c.Sleep(2*costFill + costWriteback/2) // inside the first run's write-back
+		ca.Truncate(c, ino, 100)
+	})
+	eng.RunUntilIdle()
+	data, _ := fsys.ReadFile("/gpfs/f", fs.Root)
+	if len(data) != 100 || string(data[:3]) != "one" {
+		t.Fatalf("fs holds %d bytes starting %q, want 100 starting %q", len(data), data[:3], "one")
+	}
+	if n := ca.DirtyBlocks(); n != 0 {
+		t.Fatalf("%d dirty blocks remain", n)
+	}
+}

@@ -114,8 +114,9 @@ go test -run 'TestGolden/crashes' ./internal/experiments/
 # capacity clipped and one across blocks a fresh slice, a write-back of
 # several block slices must equal one write of their concatenation, and
 # the ION cache must lose no write to a second proxy's fill of the same
-# block or to a write that lands during an eviction's write-back (under
-# -race); with the subsystem armed, the whole machine (shared
+# block, to a write that lands during an eviction's write-back or to a
+# fill that another fill evicts, and a flush must not write back a block
+# truncated away during its sleep (under -race); with the subsystem armed, the whole machine (shared
 # uplink, ingress credits, coalescer, write-back cache) must be
 # cycle-reproducible and survive reboot identically, and the checkpointed
 # drain through the ION cache must restart bit-identically at 1/2/8
@@ -125,7 +126,7 @@ go test -run 'TestGolden/crashes' ./internal/experiments/
 # byte-for-byte.
 echo "== I/O-node aggregation: pinned replies + payload ownership + determinism + ion_crash + ioscale golden"
 go test -race -run 'TestPinnedReplies|TestIONCrashFlushesEIOAndDropsCache|TestDecodedDataAliasesWire' ./internal/ciod/
-go test -race -run 'TestDeliveredDataIsSendersSlice|TestWriteInodeSeveralSlices|TestReadAliasesOneBlock|TestConcurrentFillKeepsWrite|TestWriteDuringEvictionSurvives' ./internal/collective/ ./internal/fs/ ./internal/ion/
+go test -race -run 'TestDeliveredDataIsSendersSlice|TestWriteInodeSeveralSlices|TestReadAliasesOneBlock|TestConcurrentFillKeepsWrite|TestWriteDuringEvictionSurvives|TestFillEvictedByAnotherFillRefills|TestFlushSkipsTruncatedBlocks' ./internal/collective/ ./internal/fs/ ./internal/ion/
 go test -race -run 'TestIONMachineDeterminism|TestIONRebootMatchesFresh|TestIONOffChangesNothing|TestSealCheckpointFlushesIONCache' ./internal/machine/
 go test -race -run 'TestRestartDeterminismThroughIONCache' ./internal/ctrlsys/
 go test -run 'TestFaultMatrix/.*/ion_crash' ./internal/machine/
