@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"bgcnk/internal/hw"
 	"bgcnk/internal/sim"
@@ -202,11 +203,13 @@ func (t *Thread) RegisterSignal(sig Signal, h SigHandler) Errno {
 }
 
 // access performs the translation, permission, guard, and cache work for
-// one memory operation, chunked by mapping. move, when non-nil, copies
-// bytes between buf and physical memory.
-func (t *Thread) access(va hw.VAddr, size uint32, write bool, buf []byte) Errno {
+// one memory operation, chunked by mapping, and returns buf. When buf is
+// non-nil it moves bytes between buf and physical memory; a read into a
+// buf shorter than size grows it by each piece once that piece has
+// translated, so a buf that starts empty holds only what was loaded.
+func (t *Thread) access(va hw.VAddr, size uint32, write bool, buf []byte) ([]byte, Errno) {
 	if size == 0 {
-		return OK
+		return buf, OK
 	}
 	chip := t.core.Chip
 	off := uint32(0)
@@ -216,11 +219,11 @@ func (t *Thread) access(va hw.VAddr, size uint32, write bool, buf []byte) Errno 
 		// addresses (guard-page mechanism, paper Fig 4).
 		if write && t.core.CheckDAC(t.pid, cur) {
 			t.os.MemEvent(t, hw.EvNone, cur, write)
-			return EFAULT
+			return buf, EFAULT
 		}
 		pa, contig, perm, errno := t.os.Translate(t, cur, write)
 		if errno != OK {
-			return errno
+			return buf, errno
 		}
 		want := hw.PermRead
 		if write {
@@ -228,7 +231,7 @@ func (t *Thread) access(va hw.VAddr, size uint32, write bool, buf []byte) Errno 
 		}
 		if !perm.Has(want) {
 			t.os.MemEvent(t, hw.EvNone, cur, write)
-			return EFAULT
+			return buf, EFAULT
 		}
 		n := size - off
 		if uint64(n) > contig {
@@ -245,12 +248,19 @@ func (t *Thread) access(va hw.VAddr, size uint32, write bool, buf []byte) Errno 
 			if write {
 				chip.Mem.Write(pa, buf[off:off+n])
 			} else {
+				if end := int(off + n); len(buf) < end {
+					// Double the capacity, up to size: a load in 4 KiB
+					// pieces (the FWK's) allocates about twice its size
+					// in all, not the five times append's 1.25x would.
+					grow := min(int(size), max(end, 2*cap(buf))) - len(buf)
+					buf = slices.Grow(buf, grow)[:end]
+				}
 				chip.Mem.Read(pa, buf[off:off+n])
 			}
 		}
 		off += n
 	}
-	return OK
+	return buf, OK
 }
 
 // StoreKernel is a kernel-mode store: it bypasses the DAC watch and page
@@ -276,17 +286,29 @@ func (t *Thread) StoreKernel(va hw.VAddr, buf []byte) Errno {
 
 // Load implements Context.
 func (t *Thread) Load(va hw.VAddr, buf []byte) Errno {
-	return t.access(va, uint32(len(buf)), false, buf)
+	_, errno := t.access(va, uint32(len(buf)), false, buf)
+	return errno
+}
+
+// LoadNew loads size bytes at va into a new buffer that grows as each
+// piece of the range translates: a load from unmapped memory allocates
+// nothing, one that faults partway allocates about what it loaded, and
+// one that translates in one piece allocates once. The buffer starts
+// empty but not nil, since a nil one would move no data.
+func (t *Thread) LoadNew(va hw.VAddr, size uint32) ([]byte, Errno) {
+	return t.access(va, size, false, []byte{})
 }
 
 // Store implements Context.
 func (t *Thread) Store(va hw.VAddr, buf []byte) Errno {
-	return t.access(va, uint32(len(buf)), true, buf)
+	_, errno := t.access(va, uint32(len(buf)), true, buf)
+	return errno
 }
 
 // Touch implements Context.
 func (t *Thread) Touch(va hw.VAddr, size uint32, write bool) Errno {
-	return t.access(va, size, write, nil)
+	_, errno := t.access(va, size, write, nil)
+	return errno
 }
 
 // LoadU64 is a convenience big-endian load.
