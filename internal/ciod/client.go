@@ -129,7 +129,7 @@ func (cl *Client) Call(c *sim.Coro, req *Request) *Reply {
 
 // Loopback is a Transport that executes against a local filesystem with a
 // fixed modelled delay, for unit-testing the CN kernel without standing up
-// an I/O node. Semantics match the Server exactly (same execute path).
+// an I/O node. Semantics match the Server exactly: both run Execute.
 type Loopback struct {
 	srv   *Server
 	Delay sim.Cycles
@@ -137,7 +137,7 @@ type Loopback struct {
 
 // NewLoopback builds a loopback transport over f.
 func NewLoopback(eng *sim.Engine, f *fs.FS) *Loopback {
-	// A server without a dispatcher: we reuse only its execute logic.
+	// A server without a dispatcher: we reuse only its proxies.
 	s := &Server{eng: eng, fs: f, prox: make(map[proxyKey]*ioproxy)}
 	return &Loopback{srv: s, Delay: costMarshal + costDispatch + costExecute}
 }
@@ -159,5 +159,5 @@ func (l *Loopback) Call(c *sim.Coro, req *Request) *Reply {
 		return &Reply{Errno: kernel.ESRCH}
 	}
 	l.srv.Calls++
-	return l.srv.execute(c, p, req)
+	return Execute(c, p.client, l.srv.files(p), req)
 }

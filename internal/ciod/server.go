@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 
 	"bgcnk/internal/collective"
@@ -252,7 +253,7 @@ func (s *Server) proxyLoop(c *sim.Coro, p *ioproxy, t *proxyThread) {
 				s.ion.Release()
 				continue
 			}
-			rep := s.execute(c, p, pc.req)
+			rep := Execute(c, p.client, s.files(p), pc.req)
 			s.Calls++
 			if t.dead {
 				// Died during execution; the reply has nowhere to go (the
@@ -374,14 +375,14 @@ func (s *Server) Reset(fsys *fs.FS) {
 	s.down = false
 }
 
-// fileData is where a regular file's bytes live: offsets address the
+// FileData is where a regular file's bytes live: offsets address the
 // file by inode, permission checks having happened at open time. The
-// I/O node's write-back buffer cache is one; fsData, the filesystem
+// I/O node's write-back buffer cache is one; FSData, the filesystem
 // itself, is the other. Read may return the store's own bytes (the
 // cache returns a one-block span in place), so they are good only until
 // the next call on the store: proxyLoop marshals a read's reply before
 // the proxy can park or call again.
-type fileData interface {
+type FileData interface {
 	Read(c *sim.Coro, ino, off uint64, count int) []byte
 	Write(c *sim.Coro, ino, off uint64, data []byte)
 	Size(ino uint64) uint64
@@ -389,39 +390,37 @@ type fileData interface {
 	Truncate(c *sim.Coro, ino, size uint64)
 }
 
-// fsData reads and writes regular files straight through the filesystem,
-// at no cost beyond costExecute. The server passes it only inodes of open
-// regular files, which the filesystem always resolves. Nothing is ever
-// dirty, so Flush does nothing, and neither does Truncate: the path
+// FSData reads and writes regular files straight through the filesystem
+// at no cost: on the I/O node nothing beyond costExecute, and on the FWK
+// nothing beyond its own per-call cost. Execute passes it only inodes of
+// open regular files, which the filesystem always resolves. Nothing is
+// ever dirty, so Flush does nothing, and neither does Truncate: the path
 // operation already resized the inode.
-type fsData struct{ fs *fs.FS }
+type FSData struct{ FS *fs.FS }
 
-func (d fsData) Read(_ *sim.Coro, ino, off uint64, count int) []byte {
-	if count <= 0 {
-		return nil
-	}
-	b, _ := d.fs.ReadInode(ino, off, count)
+func (d FSData) Read(_ *sim.Coro, ino, off uint64, count int) []byte {
+	b, _ := d.FS.ReadInode(ino, off, count)
 	return b
 }
 
-func (d fsData) Write(_ *sim.Coro, ino, off uint64, data []byte) { d.fs.WriteInode(ino, off, data) }
+func (d FSData) Write(_ *sim.Coro, ino, off uint64, data []byte) { d.FS.WriteInode(ino, off, data) }
 
-func (d fsData) Size(ino uint64) uint64 {
-	n, _ := d.fs.InodeSize(ino)
+func (d FSData) Size(ino uint64) uint64 {
+	n, _ := d.FS.InodeSize(ino)
 	return n
 }
 
-func (fsData) Flush(*sim.Coro, uint64)            {}
-func (fsData) Truncate(*sim.Coro, uint64, uint64) {}
+func (FSData) Flush(*sim.Coro, uint64)            {}
+func (FSData) Truncate(*sim.Coro, uint64, uint64) {}
 
 // files picks where the proxy's regular-file bytes live: the I/O node's
 // buffer cache when it has one, otherwise the filesystem the proxy
 // opened them on.
-func (s *Server) files(p *ioproxy) fileData {
+func (s *Server) files(p *ioproxy) FileData {
 	if ca := s.ion.Cache(); ca != nil {
 		return ca
 	}
-	return fsData{p.client.FS}
+	return FSData{p.client.FS}
 }
 
 // regular resolves fd to the inode and offset a read or write addresses,
@@ -442,7 +441,7 @@ func regular(cl *fs.Client, fd int32, deny uint64) (ino, off, flags uint64, errn
 
 // flush writes back the dirty data of fd when it names a regular file,
 // and returns EBADF when it names nothing.
-func flush(c *sim.Coro, cl *fs.Client, files fileData, fd int) kernel.Errno {
+func flush(c *sim.Coro, cl *fs.Client, files FileData, fd int) kernel.Errno {
 	ino, _, _, isFile, errno := cl.FileInfo(fd)
 	if errno == kernel.OK && isFile {
 		files.Flush(c, ino)
@@ -450,15 +449,15 @@ func flush(c *sim.Coro, cl *fs.Client, files fileData, fd int) kernel.Errno {
 	return errno
 }
 
-// execute performs the request against the proxy's filesystem client —
-// "the ioproxy decodes the message, demarshals the arguments, and performs
-// the system call that was requested by the compute node process".
-// Regular-file bytes and sizes come from the proxy's fileData, and stat
+// Execute performs the request against a process's filesystem client cl
+// — "the ioproxy decodes the message, demarshals the arguments, and
+// performs the system call that was requested by the compute node
+// process". An ioproxy runs it on its mirrored client, the FWK on the
+// process's own. Regular-file bytes and sizes come from files, and stat
 // and fstat flush the file first, so every answer is POSIX over unflushed
-// data.
-func (s *Server) execute(c *sim.Coro, p *ioproxy, r *Request) *Reply {
-	cl := p.client
-	files := s.files(p)
+// data. A read's count is cut to what an int holds before anything
+// converts it, since a count from the wire may be any 64-bit value.
+func Execute(c *sim.Coro, cl *fs.Client, files FileData, r *Request) *Reply {
 	switch r.Op {
 	case OpOpen:
 		fd, errno := cl.Open(r.Path, r.Flags, fs.Mode(r.Mode))
@@ -480,7 +479,7 @@ func (s *Server) execute(c *sim.Coro, p *ioproxy, r *Request) *Reply {
 		if errno != kernel.OK {
 			return &Reply{Errno: errno}
 		}
-		data := files.Read(c, ino, off, int(r.Size))
+		data := files.Read(c, ino, off, int(min(r.Size, math.MaxInt)))
 		cl.SetOffset(int(r.FD), off+uint64(len(data)))
 		return &Reply{Ret: uint64(len(data)), Data: data}
 	case OpWrite:

@@ -2,6 +2,7 @@ package cnk
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"bgcnk/internal/ciod"
@@ -537,6 +538,10 @@ func TestFunctionShippedFileIO(t *testing.T) {
 // fails with EFAULT before the kernel allocates or ships anything, and
 // read returns the short file's bytes, since CIOD reads at most what the
 // file holds.
+// TestHugeIOCount: a write whose count no buffer can hold fails with
+// EFAULT, and a read of any larger count, up to 1<<63, returns the short
+// file's bytes. A 64 MiB write from unmapped memory fails with EFAULT
+// without allocating its count on the host.
 func TestHugeIOCount(t *testing.T) {
 	const huge = 1 << 62
 	eng, k, _ := node(t, Config{})
@@ -558,13 +563,26 @@ func TestHugeIOCount(t *testing.T) {
 			if n, errno := ctx.Syscall(kernel.SysWrite, fd, uint64(buf), huge); errno != kernel.EFAULT || n != 0 {
 				t.Errorf("write of %#x bytes: %d %v, want 0 EFAULT", uint64(huge), n, errno)
 			}
-			ctx.Syscall(kernel.SysLseek, fd, 0, kernel.SeekSet)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			n, errno := ctx.Syscall(kernel.SysWrite, fd, 0x100, 64<<20)
+			runtime.ReadMemStats(&after)
+			if errno != kernel.EFAULT || n != 0 {
+				t.Errorf("write of 64 MiB from unmapped memory: %d %v, want 0 EFAULT", n, errno)
+			}
+			if a := after.TotalAlloc - before.TotalAlloc; a >= 1<<20 {
+				t.Errorf("write of 64 MiB from unmapped memory allocated %d bytes on the host, want under 1 MiB", a)
+			}
 			rbuf := p.Layout.HeapBase + 3<<20
-			n, errno := ctx.Syscall(kernel.SysRead, fd, uint64(rbuf), huge)
-			got := make([]byte, 17)
-			ctx.Load(rbuf, got)
-			if errno != kernel.OK || n != 17 || string(got) != "simulation output" {
-				t.Errorf("read of %#x bytes: %d %v %q, want 17 OK %q", uint64(huge), n, errno, got, "simulation output")
+			for _, count := range []uint64{huge, 1 << 63} {
+				ctx.Syscall(kernel.SysLseek, fd, 0, kernel.SeekSet)
+				ctx.Store(rbuf, make([]byte, 17))
+				n, errno := ctx.Syscall(kernel.SysRead, fd, uint64(rbuf), count)
+				got := make([]byte, 17)
+				ctx.Load(rbuf, got)
+				if errno != kernel.OK || n != 17 || string(got) != "simulation output" {
+					t.Errorf("read of %#x bytes: %d %v %q, want 17 OK %q", count, n, errno, got, "simulation output")
+				}
 			}
 			ctx.Syscall(kernel.SysClose, fd)
 		},

@@ -154,7 +154,9 @@ func (c *Client) Dup(fd int) (int, kernel.Errno) {
 	return c.allocFD(of)
 }
 
-// Read reads up to len(buf) bytes at the descriptor's offset.
+// Read reads up to len(buf) bytes at the descriptor's offset. No kernel
+// calls it: both read by inode through the I/O node's executor
+// (ciod.Execute). perfbench's fs row times it.
 func (c *Client) Read(fd int, buf []byte) (int, kernel.Errno) {
 	of, errno := c.file(fd)
 	if errno != kernel.OK {
@@ -175,6 +177,8 @@ func (c *Client) Read(fd int, buf []byte) (int, kernel.Errno) {
 }
 
 // Write writes buf at the descriptor's offset (or at EOF with O_APPEND).
+// Like Read, it serves perfbench's fs row only: both kernels write by
+// inode through ciod.Execute.
 func (c *Client) Write(fd int, buf []byte) (int, kernel.Errno) {
 	of, errno := c.file(fd)
 	if errno != kernel.OK {
@@ -197,12 +201,12 @@ func (c *Client) Write(fd int, buf []byte) (int, kernel.Errno) {
 	return len(buf), kernel.OK
 }
 
-// FileInfo exposes a descriptor's identity to the I/O-node daemon: the
-// inode number, the description's current offset and flags, and whether
-// it names a regular file (only a regular file's bytes are addressed by
-// inode, through the buffer cache or straight through the filesystem).
-// Permission checks already happened at open time, so the daemon may
-// address the inode directly.
+// FileInfo exposes a descriptor's identity to the file-call executor
+// (ciod.Execute): the inode number, the description's current offset and
+// flags, and whether it names a regular file (only a regular file's bytes
+// are addressed by inode, through the buffer cache or straight through
+// the filesystem). Permission checks already happened at open time, so
+// the executor may address the inode directly.
 func (c *Client) FileInfo(fd int) (ino, offset, flags uint64, regular bool, errno kernel.Errno) {
 	of, e := c.file(fd)
 	if e != kernel.OK {
@@ -211,7 +215,7 @@ func (c *Client) FileInfo(fd int) (ino, offset, flags uint64, regular bool, errn
 	return of.node.ino, of.Offset, of.Flags, of.node.typ == TypeFile, kernel.OK
 }
 
-// SetOffset stores the descriptor's offset after the daemon read or
+// SetOffset stores the descriptor's offset after the executor read or
 // wrote the file's bytes by inode.
 func (c *Client) SetOffset(fd int, off uint64) kernel.Errno {
 	of, errno := c.file(fd)

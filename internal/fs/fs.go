@@ -4,8 +4,8 @@
 // call to a CIOD ioproxy on an I/O node running Linux, thereby inheriting
 // POSIX semantics ("the calls produce the same result codes, network
 // filesystem nuances, etc."). This package is the "Linux filesystem" those
-// ioproxies call into; the FWK kernel also uses it directly as its local
-// filesystem.
+// ioproxies call into; the FWK kernel runs the same ioproxy executor on it
+// as its local filesystem.
 package fs
 
 import (

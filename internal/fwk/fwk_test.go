@@ -1,6 +1,7 @@
 package fwk
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -272,6 +273,11 @@ func TestLocalFileIO(t *testing.T) {
 // fill, and read of a directory fails with EISDIR — each read under
 // 1 MiB of host allocation on a default-size chip, whose 256 MB of DDR
 // would otherwise bound the buffer.
+// TestHugeIOCount: a write whose count no buffer can hold fails with
+// EFAULT, a read of any larger count, up to 1<<63, returns the short
+// file's bytes, and a read of such a count from a directory fails with
+// EISDIR; none of them allocates the count on the host, and neither does
+// a 64 MiB write from unmapped memory, which fails with EFAULT.
 func TestHugeIOCount(t *testing.T) {
 	const huge = 1 << 62
 	eng, k := fnode(t, Config{})
@@ -292,23 +298,31 @@ func TestHugeIOCount(t *testing.T) {
 		if n, errno := ctx.Syscall(kernel.SysWrite, fd, uint64(buf), huge); errno != kernel.EFAULT || n != 0 {
 			t.Errorf("write of %#x bytes: %d %v, want 0 EFAULT", uint64(huge), n, errno)
 		}
-		ctx.Syscall(kernel.SysLseek, fd, 0, uint64(kernel.SeekSet))
-		rb := p.HeapBase + 12288
-		hugeRead := func(fd uint64) (uint64, kernel.Errno) {
+		// hostAlloced runs a syscall and fails the test if it allocated
+		// 1 MiB or more on the host.
+		hostAlloced := func(what string, num kernel.Sys, args ...uint64) (uint64, kernel.Errno) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			n, errno := ctx.Syscall(kernel.SysRead, fd, uint64(rb), huge)
+			n, errno := ctx.Syscall(num, args...)
 			runtime.ReadMemStats(&after)
 			if a := after.TotalAlloc - before.TotalAlloc; a >= 1<<20 {
-				t.Errorf("read of %#x bytes allocated %d bytes on the host, want under 1 MiB", uint64(huge), a)
+				t.Errorf("%s allocated %d bytes on the host, want under 1 MiB", what, a)
 			}
 			return n, errno
 		}
-		n, errno := hugeRead(fd)
-		got := make([]byte, 11)
-		ctx.Load(rb, got)
-		if errno != kernel.OK || n != 11 || string(got) != "local write" {
-			t.Errorf("read of %#x bytes: %d %v %q, want 11 OK %q", uint64(huge), n, errno, got, "local write")
+		if n, errno := hostAlloced("write of 64 MiB from unmapped memory", kernel.SysWrite, fd, 0x100, 64<<20); errno != kernel.EFAULT || n != 0 {
+			t.Errorf("write of 64 MiB from unmapped memory: %d %v, want 0 EFAULT", n, errno)
+		}
+		rb := p.HeapBase + 12288
+		for _, count := range []uint64{huge, 1 << 63} {
+			ctx.Syscall(kernel.SysLseek, fd, 0, uint64(kernel.SeekSet))
+			ctx.Store(rb, make([]byte, 11))
+			n, errno := hostAlloced(fmt.Sprintf("read of %#x bytes", count), kernel.SysRead, fd, uint64(rb), count)
+			got := make([]byte, 11)
+			ctx.Load(rb, got)
+			if errno != kernel.OK || n != 11 || string(got) != "local write" {
+				t.Errorf("read of %#x bytes: %d %v %q, want 11 OK %q", count, n, errno, got, "local write")
+			}
 		}
 		ctx.Syscall(kernel.SysClose, fd)
 		ctx.Store(pathVA, []byte{'/', 0})
@@ -317,7 +331,7 @@ func TestHugeIOCount(t *testing.T) {
 			t.Errorf("open /: %v", errno)
 			return
 		}
-		if n, errno := hugeRead(dir); errno != kernel.EISDIR || n != 0 {
+		if n, errno := hostAlloced("read from a directory", kernel.SysRead, dir, uint64(rb), huge); errno != kernel.EISDIR || n != 0 {
 			t.Errorf("read of %#x bytes from a directory: %d %v, want 0 EISDIR", uint64(huge), n, errno)
 		}
 		ctx.Syscall(kernel.SysClose, dir)

@@ -1,9 +1,9 @@
 package fwk
 
 import (
-	"math"
+	"encoding/binary"
 
-	"bgcnk/internal/fs"
+	"bgcnk/internal/ciod"
 	"bgcnk/internal/hw"
 	"bgcnk/internal/kernel"
 	"bgcnk/internal/obs"
@@ -40,27 +40,19 @@ func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint6
 	}
 	if num.IsFileIO() {
 		t.Coro().Sleep(fsOpCost + k.cfg.FSLatency)
-		ret, errno := k.fileIO(t, p, num, args)
-		if k.cfg.Uplink != nil && errno == kernel.OK {
+		ret, errno := p.fileCall(t, num, args)
+		if k.cfg.Uplink != nil && errno == kernel.OK && ret > 0 && (num == kernel.SysRead || num == kernel.SysWrite) {
 			// Data operations cross the shared I/O-node uplink as a
 			// synchronous RPC: the caller sits in the kernel for the whole
-			// transfer, and link contention lands on this chip's stall
-			// counters. Metadata stays local (NFS attribute caching).
-			var bytes int
-			switch num {
-			case kernel.SysRead:
-				bytes = int(ret)
-			case kernel.SysWrite:
-				bytes = int(arg(2))
-			}
-			if bytes > 0 {
-				uplinkStart := k.Eng.Now()
-				if stall := k.cfg.Uplink(t.Coro(), bytes); stall > 0 {
-					u := k.Chip.UPC
-					u.Inc(upc.ChipScope, upc.IONStall)
-					u.Add(upc.ChipScope, upc.IONStallCycles, uint64(stall))
-					k.obs.Emit(obs.CatStall, "fwk:uplink", k.Chip.ID, t.CoreID(), uplinkStart, uplinkStart+stall, uint64(bytes))
-				}
+			// transfer of the ret bytes moved, and link contention lands on
+			// this chip's stall counters. Metadata stays local (NFS
+			// attribute caching).
+			uplinkStart := k.Eng.Now()
+			if stall := k.cfg.Uplink(t.Coro(), int(ret)); stall > 0 {
+				u := k.Chip.UPC
+				u.Inc(upc.ChipScope, upc.IONStall)
+				u.Add(upc.ChipScope, upc.IONStallCycles, uint64(stall))
+				k.obs.Emit(obs.CatStall, "fwk:uplink", k.Chip.ID, t.CoreID(), uplinkStart, uplinkStart+stall, ret)
 			}
 		}
 		return ret, errno
@@ -92,7 +84,7 @@ func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint6
 			va = a
 		}
 		if flags&kernel.MapAnonymous == 0 && int64(arg(4)) >= 0 {
-			if errno := k.mmapFile(t, p, va, length, int(arg(4)), int64(arg(5)), perms); errno != kernel.OK {
+			if errno := k.mmapFile(t, p, va, length, int32(arg(4)), int64(arg(5))); errno != kernel.OK {
 				p.vmas.Free(va, length)
 				return 0, errno
 			}
@@ -158,177 +150,34 @@ func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint6
 	return 0, kernel.ENOSYS
 }
 
-// maxIO is the largest count a read or write can move through user
-// memory: no more than the node's DDR holds, nor than Thread.access's
-// 32-bit size can address. A larger write fails with EFAULT before any
-// buffer exists, and a read's buffer is cut to it.
-func (k *Kernel) maxIO() uint64 { return min(k.Chip.Mem.Size(), math.MaxUint32) }
+// fileCall runs a filesystem call on the process's own client (the local
+// or NFS-modelled filesystem) through the ioproxy's executor: the same
+// decode from user memory, execution and store back as a call CNK ships.
+// Only the stat buffer differs: the FWK stores the file size alone, as a
+// big-endian u64.
+func (p *Proc) fileCall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint64, kernel.Errno) {
+	req, out, errno := ciod.Decode(t, num, args)
+	if errno != kernel.OK {
+		return 0, errno
+	}
+	rep := p.execute(t.Coro(), req)
+	if rep.Errno == kernel.OK && (req.Op == ciod.OpStat || req.Op == ciod.OpFstat) {
+		rep.Data = binary.BigEndian.AppendUint64(nil, rep.Ret)
+	}
+	return ciod.Store(t, req.Op, out, rep)
+}
 
-// fileIO executes a filesystem call against the local (or NFS-modelled)
-// filesystem through the process's own client.
-func (k *Kernel) fileIO(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64) (uint64, kernel.Errno) {
-	arg := func(i int) uint64 {
-		if i < len(args) {
-			return args[i]
-		}
-		return 0
-	}
-	path := func(i int) (string, kernel.Errno) {
-		return t.LoadCString(hw.VAddr(arg(i)), 1024)
-	}
-	switch num {
-	case kernel.SysOpen:
-		pth, errno := path(0)
-		if errno != kernel.OK {
-			return 0, errno
-		}
-		fd, errno := p.fsc.Open(pth, arg(1), fs.Mode(arg(2)))
-		return uint64(int64(fd)), errno
-	case kernel.SysClose:
-		return 0, p.fsc.Close(int(arg(0)))
-	case kernel.SysRead:
-		// Only a regular file returns bytes, and no more than lie past
-		// the offset, so the buffer is cut to that; a descriptor the read
-		// fails on gets none.
-		var count uint64
-		if ino, off, _, regular, errno := p.fsc.FileInfo(int(arg(0))); errno == kernel.OK && regular {
-			size, _ := p.fsc.FS.InodeSize(ino)
-			count = min(arg(2), k.maxIO(), size-min(off, size))
-		}
-		buf := make([]byte, count)
-		n, errno := p.fsc.Read(int(arg(0)), buf)
-		if errno != kernel.OK {
-			return 0, errno
-		}
-		if n > 0 {
-			if errno := t.Store(hw.VAddr(arg(1)), buf[:n]); errno != kernel.OK {
-				return 0, errno
-			}
-		}
-		return uint64(n), kernel.OK
-	case kernel.SysWrite:
-		if arg(2) > k.maxIO() {
-			return 0, kernel.EFAULT
-		}
-		buf := make([]byte, arg(2))
-		if errno := t.Load(hw.VAddr(arg(1)), buf); errno != kernel.OK {
-			return 0, errno
-		}
-		n, errno := p.fsc.Write(int(arg(0)), buf)
-		return uint64(n), errno
-	case kernel.SysLseek:
-		pos, errno := p.fsc.Lseek(int(arg(0)), int64(arg(1)), int(arg(2)))
-		return pos, errno
-	case kernel.SysStat, kernel.SysFstat:
-		var st fs.Stat
-		var errno kernel.Errno
-		if num == kernel.SysStat {
-			pth, e := path(0)
-			if e != kernel.OK {
-				return 0, e
-			}
-			st, errno = p.fsc.Stat(pth)
-		} else {
-			st, errno = p.fsc.Fstat(int(arg(0)))
-		}
-		if errno != kernel.OK {
-			return 0, errno
-		}
-		if hw.VAddr(arg(1)) != 0 {
-			if errno := t.StoreU64(hw.VAddr(arg(1)), st.Size); errno != kernel.OK {
-				return 0, errno
-			}
-		}
-		return st.Size, kernel.OK
-	case kernel.SysUnlink:
-		pth, errno := path(0)
-		if errno != kernel.OK {
-			return 0, errno
-		}
-		return 0, p.fsc.Unlink(pth)
-	case kernel.SysRename:
-		o, errno := path(0)
-		if errno != kernel.OK {
-			return 0, errno
-		}
-		n, errno := path(1)
-		if errno != kernel.OK {
-			return 0, errno
-		}
-		return 0, p.fsc.Rename(o, n)
-	case kernel.SysMkdir:
-		pth, errno := path(0)
-		if errno != kernel.OK {
-			return 0, errno
-		}
-		return 0, p.fsc.Mkdir(pth, fs.Mode(arg(1)))
-	case kernel.SysRmdir:
-		pth, errno := path(0)
-		if errno != kernel.OK {
-			return 0, errno
-		}
-		return 0, p.fsc.Rmdir(pth)
-	case kernel.SysDup:
-		fd, errno := p.fsc.Dup(int(arg(0)))
-		return uint64(int64(fd)), errno
-	case kernel.SysFsync:
-		// The local/NFS-modelled fs is always stable storage; validate the
-		// descriptor like the real kernel would.
-		return 0, p.fsc.Fsync(int(arg(0)))
-	case kernel.SysGetcwd:
-		return t.StoreCwd(hw.VAddr(arg(0)), arg(1), p.fsc.Cwd())
-	case kernel.SysChdir:
-		pth, errno := path(0)
-		if errno != kernel.OK {
-			return 0, errno
-		}
-		return 0, p.fsc.Chdir(pth)
-	case kernel.SysTruncate:
-		pth, errno := path(0)
-		if errno != kernel.OK {
-			return 0, errno
-		}
-		return 0, p.fsc.Truncate(pth, arg(1))
-	case kernel.SysReaddir:
-		pth, errno := path(0)
-		if errno != kernel.OK {
-			return 0, errno
-		}
-		names, errno := p.fsc.Readdir(pth)
-		if errno != kernel.OK {
-			return 0, errno
-		}
-		return t.StoreNames(hw.VAddr(arg(1)), arg(2), names)
-	}
-	return 0, kernel.ENOSYS
+// execute runs one request on the process's client, straight through
+// the filesystem.
+func (p *Proc) execute(c *sim.Coro, req *ciod.Request) *ciod.Reply {
+	return ciod.Execute(c, p.fsc, ciod.FSData{FS: p.fsc.FS}, req)
 }
 
 // mmapFile reads file contents into the mapping (model simplification:
-// eager read; the FWK does honour the mapping's permissions, unlike CNK).
-func (k *Kernel) mmapFile(t *kernel.Thread, p *Proc, va hw.VAddr, length uint64, fd int, off int64, perms hw.Perm) kernel.Errno {
-	if _, errno := p.fsc.Lseek(fd, off, kernel.SeekSet); errno != kernel.OK {
-		return errno
-	}
-	buf := make([]byte, 64<<10)
-	var done uint64
-	for done < length {
-		chunk := length - done
-		if chunk > uint64(len(buf)) {
-			chunk = uint64(len(buf))
-		}
-		n, errno := p.fsc.Read(fd, buf[:chunk])
-		if errno != kernel.OK {
-			return errno
-		}
-		if n == 0 {
-			break
-		}
-		// Store via kernel mode: the mapping may be read-only for the
-		// user, but the kernel populates it.
-		if errno := t.StoreKernel(va+hw.VAddr(done), buf[:n]); errno != kernel.OK {
-			return errno
-		}
-		done += uint64(n)
-	}
-	return kernel.OK
+// eager read; the FWK does honour the mapping's permissions, unlike CNK,
+// so it stores in kernel mode: the mapping may be read-only for the
+// user, but the kernel populates it).
+func (k *Kernel) mmapFile(t *kernel.Thread, p *Proc, va hw.VAddr, length uint64, fd int32, off int64) kernel.Errno {
+	run := func(req *ciod.Request) *ciod.Reply { return p.execute(t.Coro(), req) }
+	return ciod.CopyIn(t, fd, off, va, length, run, t.StoreKernel)
 }
