@@ -42,9 +42,10 @@ type CloneArgs struct {
 }
 
 // Context is a user thread's view of the machine: the only way application
-// and runtime-library code interacts with a kernel. Implementations exist
-// for CNK and for the FWK; user-level packages (nptl, libc, dcmf, apps)
-// must compile against this interface only.
+// and runtime-library code interacts with a kernel. *Thread is its one
+// implementation, on either kernel; user-level packages (nptl, libc, dcmf,
+// apps) compile against this interface only, which keeps them away from
+// the kernel-mode calls a Thread also offers, such as StoreKernel.
 type Context interface {
 	// Compute burns c CPU cycles of pure computation. On a preemptive
 	// kernel the thread may be interrupted and rescheduled during the

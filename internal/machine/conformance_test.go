@@ -7,8 +7,9 @@ package machine
 // where the two kernels intentionally diverge, so an accidental
 // divergence anywhere else fails loudly. Running ONE script in order on
 // both kernels keeps the filesystem state aligned call by call, which is
-// what makes full-value comparison meaningful for the file I/O set
-// (function-shipped on CNK, local VFS on the FWK).
+// what makes full-value comparison meaningful for the file I/O set: both
+// kernels run one executor (ciod.Execute), which CNK reaches over the
+// collective tree through CIOD and the FWK calls on its own client.
 
 import (
 	"fmt"

@@ -41,19 +41,24 @@ echo "== durable formats: wire codec + pinned encodings + large journal bodies"
 go test ./internal/wire/
 go test -run 'TestPinnedEncodings|TestJournalReplaysLargeBodies' ./internal/ctrlsys/
 
-# Thread runtime: CNK and the FWK share one futex table, thread exit and
-# signal delivery (kernel.Runtime), and each kernel supplies only its
-# scheduler hooks. The lifecycle script must match its pinned rows on
-# both kernels (every step's cycle, return value and errno, the trace
-# hash, the merged counters and the obs JSON), the kernel, CNK, FWK and
-# NPTL suites must pass repeatedly under -race (among them
-# TestHugeIOCount on both kernels: a write whose count no buffer can hold
-# fails with EFAULT, and a read of it returns the short file's bytes, on
-# the FWK through a buffer no larger than the file can fill),
-# and the FWQ render, the one golden that runs pthreads on both kernels,
-# must match byte-for-byte.
-echo "== kernels: pinned thread lifecycle + kernel suites + fig5-7 golden"
-go test -race -count=3 -run 'TestPinnedThreadLifecycle' ./internal/machine/
+# Thread runtime and file calls: CNK and the FWK share one futex table,
+# thread exit and signal delivery (kernel.Runtime), and each kernel
+# supplies only its scheduler hooks; they also share one file-call path,
+# ciod's decode from user memory, executor and store back, which CNK
+# reaches by shipping and the FWK calls on its own client. The lifecycle
+# script must match its pinned rows on both kernels (every step's cycle,
+# return value and errno, the trace hash, the merged counters and the obs
+# JSON), and so must the file-call script on CNK and the FWK, each with
+# and without an ION (every call's return cycle and output digest too);
+# the kernel, CNK, FWK and NPTL suites must pass repeatedly under -race
+# (among them TestHugeIOCount on both kernels, which read through the
+# executor: a write whose count no buffer can hold fails with EFAULT, a
+# read of any larger count, 1<<63 included, returns the short file's
+# bytes, and a 64 MiB write from unmapped memory fails with EFAULT
+# without allocating its count on the host), and the FWQ render, the one
+# golden that runs pthreads on both kernels, must match byte-for-byte.
+echo "== kernels: pinned thread lifecycle + file calls + kernel suites + fig5-7 golden"
+go test -race -count=3 -run 'TestPinnedThreadLifecycle|TestPinnedFileCalls' ./internal/machine/
 go test -race -count=3 ./internal/kernel/ ./internal/cnk/ ./internal/fwk/ ./internal/nptl/
 go test -run 'TestGolden/fig5-7' ./internal/experiments/
 
