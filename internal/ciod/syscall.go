@@ -107,8 +107,8 @@ func Decode(t *kernel.Thread, num kernel.Sys, args []uint64) (*Request, Out, ker
 		req.Op = OpDup
 		req.FD = int32(arg(0))
 	case kernel.SysFsync:
-		// With the ION cache armed the daemon writes the descriptor's
-		// dirty blocks back before replying.
+		// Execute writes the descriptor's dirty ION-cache blocks back
+		// before it replies.
 		req.Op = OpFsync
 		req.FD = int32(arg(0))
 	case kernel.SysGetcwd:
