@@ -159,5 +159,6 @@ func (l *Loopback) Call(c *sim.Coro, req *Request) *Reply {
 		return &Reply{Errno: kernel.ESRCH}
 	}
 	l.srv.Calls++
-	return Execute(c, p.client, l.srv.files(p), req)
+	rep := Execute(c, p.client, l.srv.files(p), req)
+	return &rep
 }

@@ -262,7 +262,7 @@ func (s *Server) proxyLoop(c *sim.Coro, p *ioproxy, t *proxyThread) {
 				continue
 			}
 			if !s.faults.ReplyDrop() {
-				s.ep.Send(pc.from, pc.tag, MarshalReply(rep))
+				s.ep.Send(pc.from, pc.tag, MarshalReply(&rep))
 			}
 			s.ion.Release()
 			if s.faults.CrashDue() {
@@ -457,7 +457,7 @@ func flush(c *sim.Coro, cl *fs.Client, files FileData, fd int) kernel.Errno {
 // and fstat flush the file first, so every answer is POSIX over unflushed
 // data. A read's count is cut to what an int holds before anything
 // converts it, since a count from the wire may be any 64-bit value.
-func Execute(c *sim.Coro, cl *fs.Client, files FileData, r *Request) *Reply {
+func Execute(c *sim.Coro, cl *fs.Client, files FileData, r *Request) Reply {
 	switch r.Op {
 	case OpOpen:
 		fd, errno := cl.Open(r.Path, r.Flags, fs.Mode(r.Mode))
@@ -468,31 +468,31 @@ func Execute(c *sim.Coro, cl *fs.Client, files FileData, r *Request) *Reply {
 				files.Truncate(c, ino, 0)
 			}
 		}
-		return &Reply{Ret: uint64(int64(fd)), Errno: errno}
+		return Reply{Ret: uint64(int64(fd)), Errno: errno}
 	case OpClose:
 		// Flush-on-close (close-to-open consistency, as NFS gives the
 		// real ION): data must be durable once the descriptor is gone.
 		flush(c, cl, files, int(r.FD))
-		return &Reply{Errno: cl.Close(int(r.FD))}
+		return Reply{Errno: cl.Close(int(r.FD))}
 	case OpRead:
 		ino, off, _, errno := regular(cl, r.FD, kernel.OWronly)
 		if errno != kernel.OK {
-			return &Reply{Errno: errno}
+			return Reply{Errno: errno}
 		}
 		data := files.Read(c, ino, off, int(min(r.Size, math.MaxInt)))
 		cl.SetOffset(int(r.FD), off+uint64(len(data)))
-		return &Reply{Ret: uint64(len(data)), Data: data}
+		return Reply{Ret: uint64(len(data)), Data: data}
 	case OpWrite:
 		ino, off, flags, errno := regular(cl, r.FD, kernel.ORdonly)
 		if errno != kernel.OK {
-			return &Reply{Errno: errno}
+			return Reply{Errno: errno}
 		}
 		if flags&kernel.OAppend != 0 {
 			off = files.Size(ino) // effective EOF, unflushed extents included
 		}
 		files.Write(c, ino, off, r.Data)
 		cl.SetOffset(int(r.FD), off+uint64(len(r.Data)))
-		return &Reply{Ret: uint64(len(r.Data))}
+		return Reply{Ret: uint64(len(r.Data))}
 	case OpLseek:
 		off, whence := r.Off, int(r.Whence)
 		if whence == kernel.SeekEnd {
@@ -502,38 +502,38 @@ func Execute(c *sim.Coro, cl *fs.Client, files FileData, r *Request) *Reply {
 			}
 		}
 		pos, errno := cl.Lseek(int(r.FD), off, whence)
-		return &Reply{Ret: pos, Errno: errno}
+		return Reply{Ret: pos, Errno: errno}
 	case OpStat:
 		if st, errno := cl.Stat(r.Path); errno == kernel.OK && st.Type == fs.TypeFile {
 			files.Flush(c, st.Ino)
 		}
 		st, errno := cl.Stat(r.Path)
 		if errno != kernel.OK {
-			return &Reply{Errno: errno}
+			return Reply{Errno: errno}
 		}
-		return &Reply{Ret: st.Size, Data: MarshalStat(st)}
+		return Reply{Ret: st.Size, Data: MarshalStat(st)}
 	case OpFstat:
 		flush(c, cl, files, int(r.FD))
 		st, errno := cl.Fstat(int(r.FD))
 		if errno != kernel.OK {
-			return &Reply{Errno: errno}
+			return Reply{Errno: errno}
 		}
-		return &Reply{Ret: st.Size, Data: MarshalStat(st)}
+		return Reply{Ret: st.Size, Data: MarshalStat(st)}
 	case OpUnlink:
-		return &Reply{Errno: cl.Unlink(r.Path)}
+		return Reply{Errno: cl.Unlink(r.Path)}
 	case OpRename:
-		return &Reply{Errno: cl.Rename(r.Path, r.Path2)}
+		return Reply{Errno: cl.Rename(r.Path, r.Path2)}
 	case OpMkdir:
-		return &Reply{Errno: cl.Mkdir(r.Path, fs.Mode(r.Mode))}
+		return Reply{Errno: cl.Mkdir(r.Path, fs.Mode(r.Mode))}
 	case OpRmdir:
-		return &Reply{Errno: cl.Rmdir(r.Path)}
+		return Reply{Errno: cl.Rmdir(r.Path)}
 	case OpDup:
 		fd, errno := cl.Dup(int(r.FD))
-		return &Reply{Ret: uint64(int64(fd)), Errno: errno}
+		return Reply{Ret: uint64(int64(fd)), Errno: errno}
 	case OpGetcwd:
-		return &Reply{Str: cl.Cwd()}
+		return Reply{Str: cl.Cwd()}
 	case OpChdir:
-		return &Reply{Errno: cl.Chdir(r.Path)}
+		return Reply{Errno: cl.Chdir(r.Path)}
 	case OpTruncate:
 		// Stat resolves the path as Truncate does, so st names the
 		// truncated file whenever Truncate succeeds.
@@ -542,17 +542,17 @@ func Execute(c *sim.Coro, cl *fs.Client, files FileData, r *Request) *Reply {
 		if errno == kernel.OK {
 			files.Truncate(c, st.Ino, r.Size)
 		}
-		return &Reply{Errno: errno}
+		return Reply{Errno: errno}
 	case OpReaddir:
 		names, errno := cl.Readdir(r.Path)
 		if errno != kernel.OK {
-			return &Reply{Errno: errno}
+			return Reply{Errno: errno}
 		}
-		return &Reply{Data: encodeNames(names)}
+		return Reply{Data: encodeNames(names)}
 	case OpFsync:
-		return &Reply{Errno: flush(c, cl, files, int(r.FD))}
+		return Reply{Errno: flush(c, cl, files, int(r.FD))}
 	}
-	return &Reply{Errno: kernel.ENOSYS}
+	return Reply{Errno: kernel.ENOSYS}
 }
 
 // encodeNames renders an OpReaddir reply payload: a u32 count, then each

@@ -164,12 +164,12 @@ func (p *Proc) fileCall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint64
 	if rep.Errno == kernel.OK && (req.Op == ciod.OpStat || req.Op == ciod.OpFstat) {
 		rep.Data = binary.BigEndian.AppendUint64(nil, rep.Ret)
 	}
-	return ciod.Store(t, req.Op, out, rep)
+	return ciod.Store(t, req.Op, out, &rep)
 }
 
 // execute runs one request on the process's client, straight through
 // the filesystem.
-func (p *Proc) execute(c *sim.Coro, req *ciod.Request) *ciod.Reply {
+func (p *Proc) execute(c *sim.Coro, req *ciod.Request) ciod.Reply {
 	return ciod.Execute(c, p.fsc, ciod.FSData{FS: p.fsc.FS}, req)
 }
 
@@ -178,6 +178,9 @@ func (p *Proc) execute(c *sim.Coro, req *ciod.Request) *ciod.Reply {
 // so it stores in kernel mode: the mapping may be read-only for the
 // user, but the kernel populates it).
 func (k *Kernel) mmapFile(t *kernel.Thread, p *Proc, va hw.VAddr, length uint64, fd int32, off int64) kernel.Errno {
-	run := func(req *ciod.Request) *ciod.Reply { return p.execute(t.Coro(), req) }
+	run := func(req *ciod.Request) *ciod.Reply {
+		rep := p.execute(t.Coro(), req)
+		return &rep
+	}
 	return ciod.CopyIn(t, fd, off, va, length, run, t.StoreKernel)
 }
