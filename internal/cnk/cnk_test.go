@@ -535,13 +535,10 @@ func TestFunctionShippedFileIO(t *testing.T) {
 }
 
 // TestHugeIOCount pins what a count no buffer can hold does: write
-// fails with EFAULT before the kernel allocates or ships anything, and
-// read returns the short file's bytes, since CIOD reads at most what the
-// file holds.
-// TestHugeIOCount: a write whose count no buffer can hold fails with
-// EFAULT, and a read of any larger count, up to 1<<63, returns the short
-// file's bytes. A 64 MiB write from unmapped memory fails with EFAULT
-// without allocating its count on the host.
+// fails with EFAULT before the kernel allocates or ships anything, and a
+// read of any count up to 1<<63 returns the short file's bytes, since
+// CIOD reads at most what the file holds. A 64 MiB write from unmapped
+// memory fails with EFAULT without allocating its count on the host.
 func TestHugeIOCount(t *testing.T) {
 	const huge = 1 << 62
 	eng, k, _ := node(t, Config{})

@@ -268,16 +268,12 @@ func TestLocalFileIO(t *testing.T) {
 }
 
 // TestHugeIOCount pins what a count no buffer can hold does: write
-// fails with EFAULT before the kernel allocates anything, read returns
-// the short file's bytes through a buffer no larger than the file can
-// fill, and read of a directory fails with EISDIR — each read under
-// 1 MiB of host allocation on a default-size chip, whose 256 MB of DDR
-// would otherwise bound the buffer.
-// TestHugeIOCount: a write whose count no buffer can hold fails with
-// EFAULT, a read of any larger count, up to 1<<63, returns the short
-// file's bytes, and a read of such a count from a directory fails with
-// EISDIR; none of them allocates the count on the host, and neither does
-// a 64 MiB write from unmapped memory, which fails with EFAULT.
+// fails with EFAULT before the kernel allocates anything, a read of any
+// count up to 1<<63 returns the short file's bytes through a buffer no
+// larger than the file can fill, and read of a directory fails with
+// EISDIR — each read under 1 MiB of host allocation on a default-size
+// chip, whose 256 MB of DDR would otherwise bound the buffer. A 64 MiB
+// write from unmapped memory fails with EFAULT under that bound too.
 func TestHugeIOCount(t *testing.T) {
 	const huge = 1 << 62
 	eng, k := fnode(t, Config{})
