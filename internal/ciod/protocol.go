@@ -5,7 +5,8 @@
 // the I/O node. CIOD routes the message to an ioproxy dedicated to that
 // compute-node process (with one proxy thread per application thread),
 // which performs the real call against the I/O node's filesystem and ships
-// the results back.
+// the results back. The FWK runs the same decode, executor and store on
+// its own filesystem client, so both kernels share one file-call path.
 package ciod
 
 import (
