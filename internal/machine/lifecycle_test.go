@@ -181,15 +181,18 @@ var lifecycleRef = map[KernelKind][]string{
 	},
 }
 
-func runLifecycle(t *testing.T, kind KernelKind) []string {
+// runPinned runs script on a machine built from cfg and returns its rows
+// followed by the run summary: exit codes, end cycle, trace hash and
+// FNV-64a digests of the merged counter table and of the obs Chrome JSON.
+func runPinned(t *testing.T, cfg Config, script func(*Machine, *[]string) App, params kernel.JobParams) []string {
 	t.Helper()
-	m, err := New(Config{Nodes: 1, Kind: kind, Reproducible: kind == KindCNK, Obs: &obs.Config{}})
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Shutdown()
 	var rows []string
-	if err := m.Run(lifecycleScript(m, &rows), kernel.JobParams{}, 0); err != nil {
+	if err := m.Run(script(m, &rows), params, 0); err != nil {
 		t.Fatal(err)
 	}
 	digest := func(b []byte) uint64 {
@@ -207,23 +210,30 @@ func runLifecycle(t *testing.T, kind KernelKind) []string {
 func TestPinnedThreadLifecycle(t *testing.T) {
 	for _, kind := range []KernelKind{KindCNK, KindFWK} {
 		t.Run(kind.String(), func(t *testing.T) {
-			got, want := runLifecycle(t, kind), lifecycleRef[kind]
-			for i := 0; i < max(len(got), len(want)); i++ {
-				g, w := "(none)", "(none)"
-				if i < len(got) {
-					g = got[i]
-				}
-				if i < len(want) {
-					w = want[i]
-				}
-				if g != w {
-					t.Errorf("row %d:\n got  %s\n want %s", i, g, w)
-				}
-			}
-			if t.Failed() {
-				t.Logf("rows as a Go literal:\n\t%s", strings.Join(quoteRows(got), "\n\t"))
-			}
+			cfg := Config{Nodes: 1, Kind: kind, Reproducible: kind == KindCNK, Obs: &obs.Config{}}
+			checkRows(t, runPinned(t, cfg, lifecycleScript, kernel.JobParams{}), lifecycleRef[kind])
 		})
+	}
+}
+
+// checkRows reports each row of got that differs from want and, on any
+// difference, logs got as a Go literal.
+func checkRows(t *testing.T, got, want []string) {
+	t.Helper()
+	for i := 0; i < max(len(got), len(want)); i++ {
+		g, w := "(none)", "(none)"
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w {
+			t.Errorf("row %d:\n got  %s\n want %s", i, g, w)
+		}
+	}
+	if t.Failed() {
+		t.Logf("rows as a Go literal:\n\t%s", strings.Join(quoteRows(got), "\n\t"))
 	}
 }
 
