@@ -30,7 +30,7 @@ func node(t *testing.T, cfg Config) (*sim.Engine, *Kernel, *fs.FS) {
 }
 
 // run launches the job and drives the engine until idle.
-func run(t *testing.T, eng *sim.Engine, k *Kernel, spec JobSpec) *Job {
+func run(t *testing.T, eng *sim.Engine, k *Kernel, spec kernel.JobSpec) *Job {
 	t.Helper()
 	job, err := k.Launch(spec)
 	if err != nil {
@@ -81,7 +81,7 @@ func TestBootWithBrokenUnits(t *testing.T) {
 func TestJobRunsAndExits(t *testing.T) {
 	eng, k, _ := node(t, Config{})
 	ran := false
-	job := run(t, eng, k, JobSpec{
+	job := run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			ctx.Compute(10_000)
 			ran = true
@@ -95,7 +95,7 @@ func TestJobRunsAndExits(t *testing.T) {
 func TestVNModeFourProcesses(t *testing.T) {
 	eng, k, _ := node(t, Config{})
 	ranks := map[int]uint32{}
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Params: kernel.JobParams{ProcsPerNode: 4},
 		Main: func(ctx kernel.Context, rank int) {
 			ranks[rank] = ctx.PID()
@@ -117,7 +117,7 @@ func TestVNModeFourProcesses(t *testing.T) {
 func TestComputeAdvancesExactCycles(t *testing.T) {
 	eng, k, _ := node(t, Config{})
 	var start, end sim.Cycles
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			start = ctx.Now()
 			ctx.Compute(123_456)
@@ -131,7 +131,7 @@ func TestComputeAdvancesExactCycles(t *testing.T) {
 
 func TestNoTLBMissesUnderStaticMap(t *testing.T) {
 	eng, k, _ := node(t, Config{})
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			p := k.Proc(ctx.PID())
 			// Touch memory all over the heap.
@@ -152,7 +152,7 @@ func TestNoTLBMissesUnderStaticMap(t *testing.T) {
 
 func TestLoadStoreRoundTrip(t *testing.T) {
 	eng, k, _ := node(t, Config{})
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			p := k.Proc(ctx.PID())
 			va := p.Layout.HeapBase + 4096
@@ -173,7 +173,7 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 func TestBrkGrowsAndGuardRepositions(t *testing.T) {
 	eng, k, _ := node(t, Config{})
 	var ipisBefore, ipisAfter uint64
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			ipisBefore = k.Chip.Cores[0].IPIs
 			old, errno := ctx.Syscall(kernel.SysBrk, 0)
@@ -201,7 +201,7 @@ func TestBrkGrowsAndGuardRepositions(t *testing.T) {
 func TestGuardPageCatchesStackOverflow(t *testing.T) {
 	eng, k, _ := node(t, Config{})
 	caught := false
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			ctx.RegisterSignal(kernel.SIGSEGV, func(c kernel.Context, info kernel.SigInfo) {
 				caught = true
@@ -220,7 +220,7 @@ func TestGuardPageCatchesStackOverflow(t *testing.T) {
 
 func TestMmapAnonymousAndFree(t *testing.T) {
 	eng, k, _ := node(t, Config{})
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			va, errno := ctx.Syscall(kernel.SysMmap, 0, 1<<20, kernel.ProtRead|kernel.ProtWrite, kernel.MapAnonymous|kernel.MapPrivate, ^uint64(0), 0)
 			if errno != kernel.OK {
@@ -246,7 +246,7 @@ func TestShmSharedAcrossProcs(t *testing.T) {
 	got := make(chan string, 1)
 	_ = got
 	var readBack string
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Params: kernel.JobParams{ProcsPerNode: 2, ShmBytes: 1 << 20},
 		Main: func(ctx kernel.Context, rank int) {
 			base, errno := ctx.Syscall(kernel.SysShmGet, 0)
@@ -271,7 +271,7 @@ func TestShmSharedAcrossProcs(t *testing.T) {
 
 func TestCloneValidatesNPTLFlags(t *testing.T) {
 	eng, k, _ := node(t, Config{MaxThreadsPerCore: 3})
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			_, errno := ctx.Clone(kernel.CloneArgs{Flags: kernel.CloneVM, Fn: func(kernel.Context) {}})
 			if errno != kernel.EINVAL {
@@ -287,7 +287,7 @@ func TestCloneRunsThreadOnAnotherCore(t *testing.T) {
 	childRan := make(chan struct{})
 	_ = childRan
 	done := uint32(0)
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			mainCore = ctx.CoreID()
 			tid, errno := ctx.Clone(kernel.CloneArgs{
@@ -314,7 +314,7 @@ func TestCloneRunsThreadOnAnotherCore(t *testing.T) {
 
 func TestThreadBudgetEnforced(t *testing.T) {
 	eng, k, _ := node(t, Config{MaxThreadsPerCore: 1})
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			// 3 more threads fit (4 cores x 1); the 4th clone must fail —
 			// CNK does not overcommit threads to cores (paper VII-B).
@@ -333,7 +333,7 @@ func TestThreadBudgetEnforced(t *testing.T) {
 func TestFutexWaitWake(t *testing.T) {
 	eng, k, _ := node(t, Config{})
 	var waiterWoke, order bool
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			p := k.Proc(ctx.PID())
 			futexVA := p.Layout.HeapBase + 8192
@@ -364,7 +364,7 @@ func TestFutexWaitWake(t *testing.T) {
 
 func TestFutexValMismatchReturnsEAGAIN(t *testing.T) {
 	eng, k, _ := node(t, Config{})
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			p := k.Proc(ctx.PID())
 			futexVA := p.Layout.HeapBase + 8192
@@ -380,7 +380,7 @@ func TestFutexTimeout(t *testing.T) {
 	eng, k, _ := node(t, Config{})
 	var errno kernel.Errno
 	var took sim.Cycles
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			p := k.Proc(ctx.PID())
 			futexVA := p.Layout.HeapBase + 8192
@@ -403,7 +403,7 @@ func TestThreadsShareCoreViaFutex(t *testing.T) {
 	// core usage by saturating): the scheduler's only real decision.
 	eng, k, _ := node(t, Config{MaxThreadsPerCore: 3})
 	counts := 0
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Params: kernel.JobParams{ProcsPerNode: 4}, // 1 core per proc
 		Main: func(ctx kernel.Context, rank int) {
 			if rank != 0 {
@@ -443,7 +443,7 @@ func TestThreadsShareCoreViaFutex(t *testing.T) {
 
 func TestSetTidAddressAndGettid(t *testing.T) {
 	eng, k, _ := node(t, Config{})
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			tid, _ := ctx.Syscall(kernel.SysGettid, 0)
 			p := k.Proc(ctx.PID())
@@ -458,7 +458,7 @@ func TestSetTidAddressAndGettid(t *testing.T) {
 func TestUnameReportsNPTLVersion(t *testing.T) {
 	eng, k, _ := node(t, Config{})
 	var got string
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			p := k.Proc(ctx.PID())
 			va := p.Layout.HeapBase + 8192
@@ -475,7 +475,7 @@ func TestUnameReportsNPTLVersion(t *testing.T) {
 
 func TestForkExecAbsent(t *testing.T) {
 	eng, k, _ := node(t, Config{})
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			if _, errno := ctx.Syscall(kernel.SysFork); errno != kernel.ENOSYS {
 				t.Errorf("fork: %v, want ENOSYS", errno)
@@ -497,7 +497,7 @@ func writeString(ctx kernel.Context, k *Kernel, off uint64, s string) hw.VAddr {
 
 func TestFunctionShippedFileIO(t *testing.T) {
 	eng, k, filesystem := node(t, Config{})
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			path := writeString(ctx, k, 0, "/results.dat")
 			fd, errno := ctx.Syscall(kernel.SysOpen, uint64(path), kernel.OCreat|kernel.ORdwr, 0644)
@@ -542,7 +542,7 @@ func TestFunctionShippedFileIO(t *testing.T) {
 func TestHugeIOCount(t *testing.T) {
 	const huge = 1 << 62
 	eng, k, _ := node(t, Config{})
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			path := writeString(ctx, k, 0, "/huge.dat")
 			fd, errno := ctx.Syscall(kernel.SysOpen, uint64(path), kernel.OCreat|kernel.ORdwr, 0644)
@@ -597,7 +597,7 @@ func TestFileIOOverRealCollectiveNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wrote uint64
-	job, err := k.Launch(JobSpec{Main: func(ctx kernel.Context, rank int) {
+	job, err := k.Launch(kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		path := writeString(ctx, k, 0, "/net.dat")
 		fd, errno := ctx.Syscall(kernel.SysOpen, uint64(path), kernel.OCreat|kernel.OWronly, 0644)
 		if errno != kernel.OK {
@@ -631,7 +631,7 @@ func TestStatThroughProxy(t *testing.T) {
 	eng, k, filesystem := node(t, Config{})
 	filesystem.WriteFile("/input.bin", make([]byte, 12345), 0644, fs.Root)
 	var size uint64
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			path := writeString(ctx, k, 0, "/input.bin")
 			p := k.Proc(ctx.PID())
@@ -660,7 +660,7 @@ func TestStatThroughProxy(t *testing.T) {
 func TestMmapFileCopyInReadOnly(t *testing.T) {
 	eng, k, filesystem := node(t, Config{})
 	filesystem.WriteFile("/lib.so", []byte("SHAREDLIBRARYCODE"), 0755, fs.Root)
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			path := writeString(ctx, k, 0, "/lib.so")
 			fd, errno := ctx.Syscall(kernel.SysOpen, uint64(path), kernel.ORdonly, 0)
@@ -682,7 +682,7 @@ func TestMmapFileCopyInReadOnly(t *testing.T) {
 func TestPersistentMemoryAcrossJobs(t *testing.T) {
 	eng, k, _ := node(t, Config{})
 	var va1, va2 uint64
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			name := writeString(ctx, k, 0, "table")
 			va, errno := ctx.Syscall(kernel.SysPersistOpen, uint64(name), 1<<20)
@@ -698,7 +698,7 @@ func TestPersistentMemoryAcrossJobs(t *testing.T) {
 	// Second job on the same node (same kernel instance — persistence
 	// lives on the node).
 	eng2 := k.Eng
-	job2, err := k.Launch(JobSpec{
+	job2, err := k.Launch(kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			name := writeString(ctx, k, 0, "table")
 			va, errno := ctx.Syscall(kernel.SysPersistOpen, uint64(name), 0)
@@ -730,7 +730,7 @@ func TestPersistentMemoryAcrossJobs(t *testing.T) {
 func TestL1ParityDeliveredAsSignal(t *testing.T) {
 	eng, k, _ := node(t, Config{})
 	recovered := false
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Main: func(ctx kernel.Context, rank int) {
 			ctx.RegisterSignal(kernel.SIGBUS, func(c kernel.Context, info kernel.SigInfo) {
 				recovered = true
@@ -752,7 +752,7 @@ func TestExtendedThreadAffinity(t *testing.T) {
 	eng, k, _ := node(t, Config{MaxThreadsPerCore: 3})
 	var borrowedCore int
 	borrowedRan := false
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Params: kernel.JobParams{ProcsPerNode: 2},
 		Main: func(ctx kernel.Context, rank int) {
 			if rank != 0 {
@@ -790,7 +790,7 @@ func TestExtendedThreadAffinity(t *testing.T) {
 
 func TestLendCoreValidation(t *testing.T) {
 	eng, k, _ := node(t, Config{})
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Params: kernel.JobParams{ProcsPerNode: 2},
 		Main: func(ctx kernel.Context, rank int) {
 			if rank != 0 {
@@ -886,7 +886,7 @@ func TestTwoIdenticalRunsAreCycleIdentical(t *testing.T) {
 		chip := hw.NewChip(hw.ChipConfig{ID: 0})
 		k := New(eng, chip, Config{Reproducible: true, IO: ciod.NewLoopback(eng, fs.New())})
 		k.Boot()
-		job, _ := k.Launch(JobSpec{
+		job, _ := k.Launch(kernel.JobSpec{
 			Params: kernel.JobParams{ProcsPerNode: 4},
 			Main: func(ctx kernel.Context, rank int) {
 				p := k.Proc(ctx.PID())
@@ -920,7 +920,7 @@ func TestIOProxyPerThread(t *testing.T) {
 	k.Boot()
 	var pid uint32
 	var gotThreads int
-	job, _ := k.Launch(JobSpec{Main: func(ctx kernel.Context, rank int) {
+	job, _ := k.Launch(kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		pid = ctx.PID()
 		doIO := func(c kernel.Context, name string) {
 			p := k.Proc(c.PID())

@@ -66,7 +66,7 @@ type Kernel struct {
 	BootInstr uint64
 	booted    bool
 
-	rt      kernel.Runtime // futexes, thread exit, signal delivery
+	rt      kernel.Runtime // thread start and exit, futexes, signals, obs spans
 	cores   []*coreSched
 	procs   map[uint32]*Proc
 	nextPID uint32
@@ -75,15 +75,12 @@ type Kernel struct {
 	// IOUnavailable reports which units boot found broken (bringup on
 	// partial hardware, paper Section III).
 	UnitsDown []hw.Unit
-
-	// obs, when non-nil, receives boot, syscall and IPI spans. Emitting
-	// charges no cycles; a nil recorder is the off switch.
-	obs *obs.Recorder
 }
 
-// AttachObs wires the machine-wide span recorder (call before Boot so
-// the boot span is captured; nil is a no-op recorder).
-func (k *Kernel) AttachObs(r *obs.Recorder) { k.obs = r }
+// AttachObs wires the machine-wide span recorder, which receives boot,
+// syscall and IPI spans (call before Boot so the boot span is captured;
+// nil is a no-op recorder).
+func (k *Kernel) AttachObs(r *obs.Recorder) { k.rt.Obs = r }
 
 // New constructs a CNK instance for chip. Call Boot before launching jobs.
 func New(eng *sim.Engine, chip *hw.Chip, cfg Config) *Kernel {
@@ -97,11 +94,11 @@ func New(eng *sim.Engine, chip *hw.Chip, cfg Config) *Kernel {
 		procs:   make(map[uint32]*Proc),
 		Persist: mem.NewPersistRegistry(hw.PAddr(chip.Mem.Size()-64<<20), hw.PAddr(chip.Mem.Size())),
 	}
-	k.rt = kernel.NewRuntime(eng, sigFrameCost, func(t *kernel.Thread, sig kernel.Signal) {
+	k.rt = kernel.NewRuntime(eng, sigFrameCost, kernel.UnameVersion, func(t *kernel.Thread, sig kernel.Signal) {
 		k.trace(k.Eng.Now(), fmt.Sprintf("fatal %v in pid %d tid %d", sig, t.PID(), t.TID()))
 	})
 	for _, c := range chip.Cores {
-		k.cores = append(k.cores, &coreSched{k: k, core: c})
+		k.cores = append(k.cores, &coreSched{CPU: kernel.CPU{Core: c}, k: k})
 	}
 	return k
 }
@@ -145,7 +142,7 @@ func (k *Kernel) Boot() error {
 	k.BootedAt = k.Eng.Now() + sim.Cycles(instr)
 	k.booted = true
 	tr.Record(k.BootedAt, k.tag(), "boot: complete")
-	k.obs.Emit(obs.CatBoot, "cnk:boot", k.Chip.ID, 0, k.Eng.Now(), k.BootedAt, instr)
+	k.rt.Obs.Emit(obs.CatBoot, "cnk:boot", k.Chip.ID, 0, k.Eng.Now(), k.BootedAt, instr)
 	return nil
 }
 
@@ -159,8 +156,8 @@ func (k *Kernel) ResetJobState() {
 	k.rt.Reset()
 	k.nextPID, k.nextTID = 0, 0
 	for _, cs := range k.cores {
-		cs.assigned, cs.cur, cs.ready = nil, nil, nil
-		cs.pendingIPIs = nil
+		cs.Reset()
+		cs.assigned, cs.pendingIPIs = nil, nil
 		cs.lentTo = 0
 	}
 }
@@ -204,14 +201,14 @@ func (k *Kernel) ServiceInterrupt(t *kernel.Thread) {
 	for len(cs.pendingIPIs) > 0 {
 		fn := cs.pendingIPIs[0]
 		cs.pendingIPIs = cs.pendingIPIs[1:]
-		cs.core.Interrupts++
-		cs.core.IPIs++
-		u.Inc(cs.core.ID, upc.Interrupt)
-		u.Inc(cs.core.ID, upc.IPI)
+		cs.Core.Interrupts++
+		cs.Core.IPIs++
+		u.Inc(cs.Core.ID, upc.Interrupt)
+		u.Inc(cs.Core.ID, upc.IPI)
 		ipiStart := k.Eng.Now()
 		t.Coro().Sleep(ipiCost)
 		fn(t)
-		k.obs.Emit(obs.CatSched, "cnk:ipi", k.Chip.ID, t.CoreID(), ipiStart, k.Eng.Now(), 0)
+		k.rt.Obs.Emit(obs.CatSched, "cnk:ipi", k.Chip.ID, t.CoreID(), ipiStart, k.Eng.Now(), 0)
 	}
 	k.rt.DeliverSignals(t)
 }

@@ -11,19 +11,14 @@ import (
 
 // Proc is one CNK process: a rank of the job on this node.
 type Proc struct {
-	PID  uint32
+	kernel.Process
 	Rank int // process slot on the node
-	UID  uint32
-	GID  uint32
 
 	Layout *mem.ProcLayout
 	Mmap   *mem.MmapTracker
 	Brk    *mem.Brk
-	Sig    kernel.SignalTable
 
-	Threads map[uint32]*kernel.Thread
-	Main    *kernel.Thread
-	cores   []*coreSched // cores assigned to this process
+	cores []*coreSched // cores assigned to this process
 
 	// lastMprotect is CNK's guard-page heuristic state: NPTL mprotects
 	// the guard range just before clone, and CNK assumes the last
@@ -48,17 +43,8 @@ type Proc struct {
 	// extended thread-affinity model (paper Section VIII).
 	remoteCores []*coreSched
 
-	liveThreads int
-	exitCode    int
-	done        bool
-	ioStarted   bool
+	ioStarted bool
 }
-
-// Done reports whether every thread of the process has exited.
-func (p *Proc) Done() bool { return p.done }
-
-// ExitCode returns the process exit status (main thread's).
-func (p *Proc) ExitCode() int { return p.exitCode }
 
 // contigFrom reports how many bytes are mapped contiguously from va.
 func (p *Proc) contigFrom(va hw.VAddr) uint64 {
@@ -102,48 +88,20 @@ func (p *Proc) persistRange(va hw.VAddr, size uint64) ([]kernel.PhysRange, bool)
 	return nil, false
 }
 
-// JobSpec describes a job launch on one node.
-type JobSpec struct {
-	Params    kernel.JobParams
-	TextBytes uint64
-	DataBytes uint64
-	UID, GID  uint32
-	// Main runs as each process's initial thread.
-	Main func(ctx kernel.Context, rank int)
-}
-
-// Job tracks a launched job.
+// Job tracks a launched job: its processes and the node's partition.
 type Job struct {
-	Procs  []*Proc
+	kernel.Job[*Proc]
 	Layout *mem.NodeLayout
-}
-
-// Done reports whether every process has exited.
-func (j *Job) Done() bool {
-	for _, p := range j.Procs {
-		if !p.done {
-			return false
-		}
-	}
-	return true
 }
 
 // Launch partitions memory, creates the job's processes with their static
 // TLB maps installed, starts ioproxies, and schedules the main threads.
 // The engine must then be run to execute the job.
-func (k *Kernel) Launch(spec JobSpec) (*Job, error) {
+func (k *Kernel) Launch(spec kernel.JobSpec) (*Job, error) {
 	if !k.booted {
 		return nil, fmt.Errorf("cnk: launch before boot")
 	}
-	if spec.Params.ProcsPerNode == 0 {
-		spec.Params.ProcsPerNode = 1
-	}
-	if spec.Params.GuardBytes == 0 {
-		spec.Params.GuardBytes = 4096
-	}
-	if spec.TextBytes == 0 {
-		spec.TextBytes = 1 << 20
-	}
+	spec = spec.WithDefaults()
 	nl, err := mem.Partition(mem.PartitionConfig{
 		DDRBytes:  k.Chip.Mem.Size() - (64 << 20), // top window reserved for persistent memory
 		Procs:     spec.Params.ProcsPerNode,
@@ -159,9 +117,9 @@ func (k *Kernel) Launch(spec JobSpec) (*Job, error) {
 	for i := 0; i < spec.Params.ProcsPerNode; i++ {
 		k.nextPID++
 		p := &Proc{
-			PID: k.nextPID, Rank: i, UID: spec.UID, GID: spec.GID,
+			Process: kernel.Process{PID: k.nextPID, UID: spec.UID, GID: spec.GID},
+			Rank:    i,
 			Layout:  &nl.Procs[i],
-			Threads: make(map[uint32]*kernel.Thread),
 		}
 		// The mmap arena sits in the upper half of heap+stack, between
 		// brk (growing up) and the stacks (growing down from the top).
@@ -176,7 +134,7 @@ func (k *Kernel) Launch(spec JobSpec) (*Job, error) {
 		// Install the static map on every core assigned to the process.
 		for _, cs := range p.cores {
 			for _, e := range p.Layout.TLBEntries(p.PID) {
-				cs.core.TLB.InsertPinned(e)
+				cs.Core.TLB.InsertPinned(e)
 			}
 		}
 		k.procs[p.PID] = p
@@ -188,19 +146,16 @@ func (k *Kernel) Launch(spec JobSpec) (*Job, error) {
 }
 
 // startMain creates the process's initial thread on its first core.
-func (k *Kernel) startMain(p *Proc, spec JobSpec) {
+func (k *Kernel) startMain(p *Proc, spec kernel.JobSpec) {
 	k.nextTID++
-	t := kernel.NewThread(k, k.nextTID, p.PID, &p.Sig)
+	t := p.NewThread(k, k.nextTID)
 	cs := p.cores[0]
-	p.Threads[t.TID()] = t
-	p.Main = t
-	p.liveThreads++
 	// The main thread's guard page sits at the heap boundary (paper Fig
 	// 4); reposition on heap growth is handled in the brk syscall.
 	guard := spec.Params.GuardBytes
 	p.mainGuard.size = guard
 	p.mainGuard.set = true
-	cs.core.DAC[0] = hw.DACRange{
+	cs.Core.DAC[0] = hw.DACRange{
 		Enabled: true, PID: p.PID,
 		Lo: p.Brk.Cur, Hi: p.Brk.Cur + hw.VAddr(guard),
 	}
@@ -209,11 +164,7 @@ func (k *Kernel) startMain(p *Proc, spec JobSpec) {
 	p.Brk.Cur = p.Brk.Base
 
 	cs.place(t)
-	k.rt.Spawn(fmt.Sprintf("pid%d.main", p.PID), t, cs.core, func() {
-		if now := t.Now(); now < k.BootedAt {
-			t.Coro().Sleep(k.BootedAt - now) // jobs start once the kernel is up
-		}
-		cs.acquire(t)
+	k.rt.Spawn(fmt.Sprintf("pid%d.main", p.PID), t, &cs.CPU, k.BootedAt, func() {
 		k.ioProcStart(t, p)
 		spec.Main(t, p.Rank)
 	})
@@ -235,17 +186,15 @@ func (k *Kernel) Clone(t *kernel.Thread, args kernel.CloneArgs) (uint32, kernel.
 		return 0, kernel.EAGAIN // thread budget exhausted (paper VII-B: no overcommit)
 	}
 	k.nextTID++
-	nt := kernel.NewThread(k, k.nextTID, p.PID, &p.Sig)
+	nt := p.NewThread(k, k.nextTID)
 	nt.ClearTID = args.ChildTID
-	p.Threads[nt.TID()] = nt
-	p.liveThreads++
 	if args.ParentTID != 0 {
 		t.StoreU32(args.ParentTID, nt.TID())
 	}
 	// Guard-page heuristic: the last mprotect before clone covers the new
 	// thread's stack guard; arm a DAC range on the child's core.
 	if p.lastMprotect.valid {
-		cs.core.DAC[1] = hw.DACRange{
+		cs.Core.DAC[1] = hw.DACRange{
 			Enabled: true, PID: p.PID,
 			Lo: p.lastMprotect.va, Hi: p.lastMprotect.va + hw.VAddr(p.lastMprotect.size),
 		}
@@ -253,10 +202,7 @@ func (k *Kernel) Clone(t *kernel.Thread, args kernel.CloneArgs) (uint32, kernel.
 	}
 	fn := args.Fn
 	cs.place(nt)
-	k.rt.Spawn(fmt.Sprintf("pid%d.tid%d", p.PID, nt.TID()), nt, cs.core, func() {
-		cs.acquire(nt)
-		fn(nt)
-	})
+	k.rt.Spawn(fmt.Sprintf("pid%d.tid%d", p.PID, nt.TID()), nt, &cs.CPU, k.BootedAt, func() { fn(nt) })
 	return nt.TID(), kernel.OK
 }
 
@@ -307,25 +253,23 @@ func (k *Kernel) LendCore(coreID int, from, to *Proc) error {
 	to.remoteCores = append(to.remoteCores, cs)
 	// The remote process's static map must be visible on the lent core.
 	for _, e := range to.Layout.TLBEntries(to.PID) {
-		cs.core.TLB.InsertPinned(e)
+		cs.Core.TLB.InsertPinned(e)
 	}
 	k.trace(k.Eng.Now(), fmt.Sprintf("core %d lent from pid %d to pid %d", coreID, from.PID, to.PID))
 	return nil
 }
 
-// finishProc tears the process down: ioproxy exit, TLB invalidation on its
-// cores, accounting. last is the thread performing the teardown (the final
-// one to exit).
+// finishProc tears the process down once its last thread has exited with
+// code: ioproxy exit, TLB invalidation on its cores, the trace line. last
+// is the thread performing the teardown.
 func (k *Kernel) finishProc(p *Proc, code int, last *kernel.Thread) {
-	p.done = true
-	p.exitCode = code
 	if p.ioStarted && k.cfg.IO != nil {
 		k.cfg.IO.Call(last.Coro(), &ciod.Request{Op: ciod.OpProcExit, PID: p.PID})
 	}
 	for _, cs := range p.cores {
-		cs.core.TLB.InvalidateASID(p.PID)
-		cs.core.DAC[0].Enabled = false
-		cs.core.DAC[1].Enabled = false
+		cs.Core.TLB.InvalidateASID(p.PID)
+		cs.Core.DAC[0].Enabled = false
+		cs.Core.DAC[1].Enabled = false
 	}
 	k.trace(k.Eng.Now(), fmt.Sprintf("pid %d exited code %d", p.PID, code))
 }

@@ -5,91 +5,52 @@ import (
 
 	"bgcnk/internal/hw"
 	"bgcnk/internal/kernel"
-	"bgcnk/internal/obs"
 )
 
-// Syscall implements kernel.OS. Argument conventions follow the Linux ABI
-// shape: buffers and paths are virtual addresses in the calling process.
-//
-// CNK implements locally only what the paper lists (Section IV): memory
-// (brk/mmap/munmap/mprotect/shmget), threads (clone via the typed path,
-// futex, set_tid_address, sigaction via the typed path, yield, exit),
-// identity (getpid/gettid/uname/gettimeofday), and the persistent-memory
-// extension. Every file-I/O call is function-shipped (io.go). fork and
-// exec do not exist (paper VII-B: "MPI cannot spawn dynamic tasks because
-// CNK does not allow fork/exec").
+// Syscall implements kernel.OS. In reproducible mode it records each
+// call in the engine trace, then runs the shared front end (kernel.Serve),
+// which hands CNK's own calls to call.
 func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint64, kernel.Errno) {
 	if k.cfg.Reproducible {
 		k.trace(k.Eng.Now(), fmt.Sprintf("pid%d tid%d %v", t.PID(), t.TID(), num))
 	}
-	if k.obs != nil {
-		// Deferred so the span survives exit's thread unwind (Runtime.Exit
-		// panics through this frame).
-		start := k.Eng.Now()
-		core := t.CoreID()
-		defer func() {
-			k.obs.Emit(obs.CatSyscall, num.String(), k.Chip.ID, core, start, k.Eng.Now(), uint64(num))
-		}()
-	}
-	p := k.procs[t.PID()]
-	if p == nil {
-		return 0, kernel.ESRCH
-	}
+	return kernel.Serve(&k.rt, t, num, args, k.procs[t.PID()], k.call)
+}
+
+// call serves the calls that are CNK's own. Argument conventions follow
+// the Linux ABI shape: buffers and paths are virtual addresses in the
+// calling process.
+//
+// CNK implements locally only what the paper lists (Section IV): memory
+// (brk/mmap/munmap/mprotect/shmget), yield, and the persistent-memory
+// extension; the front end serves the thread and identity calls. Every
+// file-I/O call is function-shipped (io.go). fork and exec do not exist
+// and return ENOSYS like any other call CNK lacks (paper VII-B: "MPI
+// cannot spawn dynamic tasks because CNK does not allow fork/exec").
+func (k *Kernel) call(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64) (uint64, kernel.Errno) {
 	if num.IsFileIO() {
 		return k.shipIO(t, p, num, args)
 	}
-	arg := func(i int) uint64 {
-		if i < len(args) {
-			return args[i]
-		}
-		return 0
-	}
 	switch num {
 	case kernel.SysBrk:
-		return k.sysBrk(t, p, hw.VAddr(arg(0)))
+		return k.sysBrk(t, p, hw.VAddr(kernel.Arg(args, 0)))
 	case kernel.SysMmap:
 		return k.sysMmap(t, p, args)
 	case kernel.SysMunmap:
-		p.Mmap.Free(hw.VAddr(arg(0)), arg(1))
+		p.Mmap.Free(hw.VAddr(kernel.Arg(args, 0)), kernel.Arg(args, 1))
 		return 0, kernel.OK
 	case kernel.SysMprotect:
-		return k.sysMprotect(t, p, hw.VAddr(arg(0)), arg(1), arg(2))
+		return k.sysMprotect(t, p, hw.VAddr(kernel.Arg(args, 0)), kernel.Arg(args, 1), kernel.Arg(args, 2))
 	case kernel.SysShmGet:
-		if outVA := hw.VAddr(arg(0)); outVA != 0 {
+		if outVA := hw.VAddr(kernel.Arg(args, 0)); outVA != 0 {
 			t.StoreU64(outVA, p.Layout.Shm.Req)
 		}
 		return uint64(p.Layout.Shm.VBase), kernel.OK
-	case kernel.SysFutex:
-		return k.rt.Futex(t, args)
-	case kernel.SysSetTidAddress:
-		t.ClearTID = hw.VAddr(arg(0))
-		return uint64(t.TID()), kernel.OK
 	case kernel.SysYield:
-		k.cores[t.CoreID()].yield(t)
+		k.cores[t.CoreID()].Yield(t)
 		return 0, kernel.OK
-	case kernel.SysExit:
-		k.rt.Exit(t, int(arg(0)))
-		return 0, kernel.OK // unreachable: Exit unwinds
-	case kernel.SysGetpid:
-		return uint64(t.PID()), kernel.OK
-	case kernel.SysGettid:
-		return uint64(t.TID()), kernel.OK
-	case kernel.SysUname:
-		// glibc checks the version to decide NPTL support (paper IV-B1).
-		if errno := t.StoreCString(hw.VAddr(arg(0)), kernel.UnameVersion); errno != kernel.OK {
-			return 0, errno
-		}
-		return 0, kernel.OK
-	case kernel.SysGettimeofday:
-		return uint64(k.Eng.Now()), kernel.OK
 	case kernel.SysPersistOpen:
 		return k.sysPersistOpen(t, p, args)
-	case kernel.SysFork, kernel.SysExec:
-		return 0, kernel.ENOSYS
-	case kernel.SysSigaction, kernel.SysSigreturn:
-		return 0, kernel.EINVAL // use the typed RegisterSignal path
-	case kernel.SysClone:
-		return 0, kernel.EINVAL // use the typed Clone path
 	}
 	return 0, kernel.ENOSYS
 }
@@ -111,7 +72,7 @@ func (k *Kernel) sysBrk(t *kernel.Thread, p *Proc, to hw.VAddr) (uint64, kernel.
 		newLo := cur
 		mainCore.postIPI(func(mt *kernel.Thread) {
 			mt.Coro().Sleep(guardRepositionCost)
-			mainCore.core.DAC[0] = hw.DACRange{
+			mainCore.Core.DAC[0] = hw.DACRange{
 				Enabled: true, PID: pid,
 				Lo: newLo, Hi: newLo + hw.VAddr(guard),
 			}
@@ -119,7 +80,7 @@ func (k *Kernel) sysBrk(t *kernel.Thread, p *Proc, to hw.VAddr) (uint64, kernel.
 		// The DAC hardware is updated immediately so the allocating
 		// thread cannot fault on legitimately allocated storage; the IPI
 		// models the interrupt cost the main thread observes.
-		mainCore.core.DAC[0] = hw.DACRange{
+		mainCore.Core.DAC[0] = hw.DACRange{
 			Enabled: true, PID: pid,
 			Lo: cur, Hi: cur + hw.VAddr(guard),
 		}
@@ -131,14 +92,9 @@ func (k *Kernel) sysBrk(t *kernel.Thread, p *Proc, to hw.VAddr) (uint64, kernel.
 // the application" (paper IV-C). File-backed mappings copy the whole file
 // in at map time and are read-only (paper VI-A).
 func (k *Kernel) sysMmap(t *kernel.Thread, p *Proc, args []uint64) (uint64, kernel.Errno) {
-	arg := func(i int) uint64 {
-		if i < len(args) {
-			return args[i]
-		}
-		return 0
-	}
-	addr, length, prot, flags := hw.VAddr(arg(0)), arg(1), arg(2), arg(3)
-	fd, off := int64(arg(4)), int64(arg(5))
+	addr, length := hw.VAddr(kernel.Arg(args, 0)), kernel.Arg(args, 1)
+	prot, flags := kernel.Arg(args, 2), kernel.Arg(args, 3)
+	fd, off := int64(kernel.Arg(args, 4)), int64(kernel.Arg(args, 5))
 	if length == 0 {
 		return 0, kernel.EINVAL
 	}

@@ -13,7 +13,7 @@ import (
 // end against the ioproxy.
 func TestShippedDirectoryOperations(t *testing.T) {
 	eng, k, filesystem := node(t, Config{})
-	run(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	run(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		p := k.Proc(ctx.PID())
 		scratch := p.Layout.HeapBase + 1<<20
 		put := func(off uint64, s string) uint64 {
@@ -81,7 +81,7 @@ func TestShippedDirectoryOperations(t *testing.T) {
 func TestPersistPrivilegesViaSyscall(t *testing.T) {
 	eng, k, _ := node(t, Config{})
 	// Job 1 (uid 100) creates a region.
-	job, err := k.Launch(JobSpec{UID: 100, Main: func(ctx kernel.Context, rank int) {
+	job, err := k.Launch(kernel.JobSpec{UID: 100, Main: func(ctx kernel.Context, rank int) {
 		name := writeString(ctx, k, 0, "secret")
 		if _, errno := ctx.Syscall(kernel.SysPersistOpen, uint64(name), 4096); errno != kernel.OK {
 			t.Errorf("create: %v", errno)
@@ -96,7 +96,7 @@ func TestPersistPrivilegesViaSyscall(t *testing.T) {
 	}
 	// Job 2 (uid 200) must be denied (paper IV-D: "assuming the correct
 	// privileges").
-	job2, err := k.Launch(JobSpec{UID: 200, Main: func(ctx kernel.Context, rank int) {
+	job2, err := k.Launch(kernel.JobSpec{UID: 200, Main: func(ctx kernel.Context, rank int) {
 		name := writeString(ctx, k, 0, "secret")
 		if _, errno := ctx.Syscall(kernel.SysPersistOpen, uint64(name), 0); errno != kernel.EACCES {
 			t.Errorf("foreign uid open: %v, want EACCES", errno)
@@ -114,7 +114,7 @@ func TestPersistPrivilegesViaSyscall(t *testing.T) {
 
 func TestMmapRejectsZeroLength(t *testing.T) {
 	eng, k, _ := node(t, Config{})
-	run(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	run(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		if _, errno := ctx.Syscall(kernel.SysMmap, 0, 0, kernel.ProtRead, kernel.MapAnonymous, ^uint64(0), 0); errno != kernel.EINVAL {
 			t.Errorf("mmap(0): %v", errno)
 		}
@@ -123,7 +123,7 @@ func TestMmapRejectsZeroLength(t *testing.T) {
 
 func TestYieldWithoutSiblingIsNoop(t *testing.T) {
 	eng, k, _ := node(t, Config{})
-	run(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	run(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		before := ctx.Now()
 		if _, errno := ctx.Syscall(kernel.SysYield); errno != kernel.OK {
 			t.Errorf("yield: %v", errno)
@@ -138,7 +138,7 @@ func TestYieldWithoutSiblingIsNoop(t *testing.T) {
 func TestDUALModeLayout(t *testing.T) {
 	eng, k, _ := node(t, Config{})
 	cores := map[int]int{}
-	run(t, eng, k, JobSpec{
+	run(t, eng, k, kernel.JobSpec{
 		Params: kernel.JobParams{ProcsPerNode: 2},
 		Main: func(ctx kernel.Context, rank int) {
 			cores[rank] = ctx.CoreID()
@@ -154,7 +154,7 @@ func TestDUALModeLayout(t *testing.T) {
 func TestSyscallTraceRecordsInReproducibleMode(t *testing.T) {
 	eng, k, _ := node(t, Config{Reproducible: true})
 	count0 := eng.Trace().Count()
-	run(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	run(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		ctx.Syscall(kernel.SysGetpid)
 		ctx.Syscall(kernel.SysGettid)
 	}})

@@ -73,7 +73,7 @@ func (k *Kernel) RestoreImage(pid uint32, regions []ckpt.Region) {
 		delete(p.pages, vp)
 	}
 	for _, c := range k.cpus {
-		c.core.TLB.InvalidateASID(pid)
+		c.Core.TLB.InvalidateASID(pid)
 	}
 	for _, r := range regions {
 		for off := uint64(0); off < r.Size; off += pageSize {

@@ -23,7 +23,7 @@ func fnode(t *testing.T, cfg Config) (*sim.Engine, *Kernel) {
 	return eng, k
 }
 
-func frun(t *testing.T, eng *sim.Engine, k *Kernel, spec JobSpec) *Job {
+func frun(t *testing.T, eng *sim.Engine, k *Kernel, spec kernel.JobSpec) *Job {
 	t.Helper()
 	job, err := k.Launch(spec)
 	if err != nil {
@@ -63,7 +63,7 @@ func TestBootNeedsWorkingUnits(t *testing.T) {
 func TestJobRunsToCompletion(t *testing.T) {
 	eng, k := fnode(t, Config{})
 	ran := false
-	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	frun(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		ctx.Compute(100_000)
 		ran = true
 	}})
@@ -76,7 +76,7 @@ func TestComputeIsNoisy(t *testing.T) {
 	// The defining FWK property: fixed work takes variable wall time.
 	eng, k := fnode(t, Config{Seed: 42})
 	var durations []sim.Cycles
-	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	frun(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		for i := 0; i < 300; i++ {
 			start := ctx.Now()
 			ctx.Compute(658_958)
@@ -105,7 +105,7 @@ func TestComputeIsNoisy(t *testing.T) {
 
 func TestDemandPagingCountsFaults(t *testing.T) {
 	eng, k := fnode(t, Config{})
-	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	frun(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		p := k.Proc(ctx.PID())
 		for off := uint64(0); off < 1<<20; off += pageSize {
 			ctx.Touch(p.HeapBase+hw.VAddr(off), 8, true)
@@ -126,7 +126,7 @@ func TestDemandPagingCountsFaults(t *testing.T) {
 func TestMemoryProtectionEnforced(t *testing.T) {
 	eng, k := fnode(t, Config{})
 	var faulted bool
-	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	frun(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		ctx.RegisterSignal(kernel.SIGSEGV, func(c kernel.Context, info kernel.SigInfo) {
 			faulted = true
 		})
@@ -149,7 +149,7 @@ func TestMemoryProtectionEnforced(t *testing.T) {
 
 func TestMprotectChangesEnforcement(t *testing.T) {
 	eng, k := fnode(t, Config{})
-	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	frun(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		va, _ := ctx.Syscall(kernel.SysMmap, 0, 4096, kernel.ProtRead|kernel.ProtWrite, kernel.MapAnonymous, ^uint64(0), 0)
 		if errno := ctx.Store(hw.VAddr(va), []byte{1}); errno != kernel.OK {
 			t.Errorf("initial write: %v", errno)
@@ -167,7 +167,7 @@ func TestMprotectChangesEnforcement(t *testing.T) {
 func TestVtoPScattered(t *testing.T) {
 	eng, k := fnode(t, Config{})
 	var ranges int
-	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	frun(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		p := k.Proc(ctx.PID())
 		// Fault pages in an interleaved order so physical frames are
 		// scattered (as they generally are on a busy FWK).
@@ -190,7 +190,7 @@ func TestOvercommitThreadsAllProgress(t *testing.T) {
 	eng, k := fnode(t, Config{Seed: 1})
 	const nThreads = 8 // 2x the cores
 	done := 0
-	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	frun(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		for i := 0; i < nThreads; i++ {
 			_, errno := ctx.Clone(kernel.CloneArgs{
 				Flags: kernel.NPTLCloneFlags,
@@ -213,7 +213,7 @@ func TestOvercommitThreadsAllProgress(t *testing.T) {
 func TestFutexAcrossThreads(t *testing.T) {
 	eng, k := fnode(t, Config{})
 	woke := false
-	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	frun(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		p := k.Proc(ctx.PID())
 		futexVA := p.HeapBase + 4096
 		ctx.StoreU32(futexVA, 0)
@@ -235,7 +235,7 @@ func TestFutexAcrossThreads(t *testing.T) {
 
 func TestLocalFileIO(t *testing.T) {
 	eng, k := fnode(t, Config{})
-	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	frun(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		p := k.Proc(ctx.PID())
 		pathVA := p.HeapBase + 4096
 		ctx.Store(pathVA, append([]byte("/local.txt"), 0))
@@ -277,7 +277,7 @@ func TestLocalFileIO(t *testing.T) {
 func TestHugeIOCount(t *testing.T) {
 	const huge = 1 << 62
 	eng, k := fnode(t, Config{})
-	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	frun(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		p := k.Proc(ctx.PID())
 		pathVA := p.HeapBase + 4096
 		ctx.Store(pathVA, append([]byte("/huge.txt"), 0))
@@ -377,7 +377,7 @@ func TestForkCreatesProcessWithCopiedMemory(t *testing.T) {
 	eng, k := fnode(t, Config{})
 	var childSaw string
 	var childPID uint32
-	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	frun(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		p := k.Proc(ctx.PID())
 		va := p.HeapBase + 4096
 		ctx.Store(va, []byte("inherited"))
@@ -410,7 +410,7 @@ func TestForkCreatesProcessWithCopiedMemory(t *testing.T) {
 
 func TestParityKillsTaskOnFWK(t *testing.T) {
 	eng, k := fnode(t, Config{})
-	job, err := k.Launch(JobSpec{Main: func(ctx kernel.Context, rank int) {
+	job, err := k.Launch(kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		ctx.RegisterSignal(kernel.SIGBUS, func(kernel.Context, kernel.SigInfo) {
 			t.Error("FWK must not offer application parity recovery")
 		})
@@ -440,7 +440,7 @@ func TestSeedChangesTiming(t *testing.T) {
 		k := New(eng, hw.NewChip(hw.ChipConfig{ID: 0}), Config{Seed: seed})
 		k.Boot()
 		var d sim.Cycles
-		job, _ := k.Launch(JobSpec{Main: func(ctx kernel.Context, rank int) {
+		job, _ := k.Launch(kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 			start := ctx.Now()
 			ctx.Compute(50_000_000)
 			d = ctx.Now() - start
@@ -462,7 +462,7 @@ func TestSeedChangesTiming(t *testing.T) {
 
 func TestTickCounterAdvances(t *testing.T) {
 	eng, k := fnode(t, Config{})
-	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	frun(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		ctx.Compute(10 * 850_000) // ~10ms
 	}})
 	if k.cpus[0].Ticks < 8 {
@@ -473,7 +473,7 @@ func TestTickCounterAdvances(t *testing.T) {
 func TestExecReplacesImage(t *testing.T) {
 	eng, k := fnode(t, Config{})
 	var oldData, newData string
-	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	frun(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		p := k.Proc(ctx.PID())
 		ctx.Store(p.HeapBase, []byte("old image"))
 		buf := make([]byte, 9)
@@ -502,7 +502,7 @@ func TestShellScriptPattern(t *testing.T) {
 	// executables. (CNK returns ENOSYS for fork/exec; see the cnk tests.)
 	eng, k := fnode(t, Config{})
 	var outputs []string
-	frun(t, eng, k, JobSpec{Main: func(ctx kernel.Context, rank int) {
+	frun(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		for _, prog := range []string{"preprocess", "solve"} {
 			prog := prog
 			_, errno := k.Fork(ctx.(*kernel.Thread), func(c kernel.Context) {

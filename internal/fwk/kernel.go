@@ -31,6 +31,7 @@ const (
 	bootStripInstr = 2_500_000           // stripped-down boot (days at 10 Hz)
 	fwkScrubBase   = sim.Cycles(40_000)  // DDR scrub-and-remap floor
 	fwkScrubJitter = sim.Cycles(120_000) // allocator-state-dependent spread
+	unameVersion   = "2.6.30-fwk"        // what the uname call reports
 )
 
 // DaemonSpec describes one background kernel daemon: which core it is
@@ -101,7 +102,7 @@ type Kernel struct {
 	BootInstr uint64
 	booted    bool
 
-	rt      kernel.Runtime // futexes, thread exit, signal delivery
+	rt      kernel.Runtime // thread start and exit, futexes, signals, obs spans
 	cpus    []*cpu
 	procs   map[uint32]*Proc
 	nextPID uint32
@@ -115,15 +116,12 @@ type Kernel struct {
 	physLimit uint64
 	physIdx   uint64
 	physFree  []hw.PAddr
-
-	// obs, when non-nil, receives boot, syscall, tick, daemon and
-	// uplink-stall spans; emitting charges no cycles.
-	obs *obs.Recorder
 }
 
-// AttachObs wires the machine-wide span recorder (call before Boot so
-// the boot span is captured; nil is a no-op recorder).
-func (k *Kernel) AttachObs(r *obs.Recorder) { k.obs = r }
+// AttachObs wires the machine-wide span recorder, which receives boot,
+// syscall, tick, daemon and uplink-stall spans (call before Boot so the
+// boot span is captured; nil is a no-op recorder).
+func (k *Kernel) AttachObs(r *obs.Recorder) { k.rt.Obs = r }
 
 // New constructs an FWK instance for chip.
 func New(eng *sim.Engine, chip *hw.Chip, cfg Config) *Kernel {
@@ -137,13 +135,13 @@ func New(eng *sim.Engine, chip *hw.Chip, cfg Config) *Kernel {
 		Eng: eng, Chip: chip, cfg: cfg,
 		rng:       sim.NewRNG(cfg.Seed ^ 0xf00dface),
 		FS:        cfg.FS,
-		rt:        kernel.NewRuntime(eng, sigFrameCost, nil),
+		rt:        kernel.NewRuntime(eng, sigFrameCost, unameVersion, nil),
 		procs:     make(map[uint32]*Proc),
 		physNext:  64 << 20, // kernel image + page tables below
 		physLimit: chip.Mem.Size(),
 	}
 	for _, c := range chip.Cores {
-		k.cpus = append(k.cpus, &cpu{k: k, core: c})
+		k.cpus = append(k.cpus, &cpu{CPU: kernel.CPU{Core: c}, k: k})
 	}
 	return k
 }
@@ -169,7 +167,7 @@ func (k *Kernel) Boot() error {
 	k.BootedAt = k.Eng.Now() + sim.Cycles(k.BootInstr)
 	k.booted = true
 	k.Eng.Trace().Record(k.BootedAt, k.tag(), "boot: complete")
-	k.obs.Emit(obs.CatBoot, "fwk:boot", k.Chip.ID, 0, k.Eng.Now(), k.BootedAt, k.BootInstr)
+	k.rt.Obs.Emit(obs.CatBoot, "fwk:boot", k.Chip.ID, 0, k.Eng.Now(), k.BootedAt, k.BootInstr)
 	// Start ticks and daemons.
 	for i, c := range k.cpus {
 		c.nextTick = k.BootedAt + tickPeriod + k.rng.Cycles(tickPeriod) + sim.Cycles(i*997)
@@ -194,7 +192,7 @@ func (k *Kernel) ResetJobState() {
 	k.rt.Reset()
 	k.nextPID, k.nextTID = 0, 0
 	for _, c := range k.cpus {
-		c.cur, c.ready = nil, nil
+		c.Reset()
 	}
 }
 

@@ -23,89 +23,59 @@ const (
 
 // Proc is one FWK process: VMAs, page table, file table.
 type Proc struct {
-	PID uint32
-	UID uint32
-	GID uint32
+	kernel.Process
 
 	vmas  *mem.MmapTracker // all mappings, 4KB granularity
 	pages map[uint64]hw.PAddr
 	Brk   *mem.Brk
-	Sig   kernel.SignalTable
 
 	fsc *fs.Client
-
-	Threads     map[uint32]*kernel.Thread
-	Main        *kernel.Thread
-	liveThreads int
-	exitCode    int
-	done        bool
 
 	StackTop hw.VAddr
 	HeapBase hw.VAddr
 }
 
-// Done reports process completion.
-func (p *Proc) Done() bool { return p.done }
-
-// ExitCode returns the exit status.
-func (p *Proc) ExitCode() int { return p.exitCode }
-
-// JobSpec mirrors cnk.JobSpec so experiments can run the same workload on
-// both kernels.
-type JobSpec struct {
-	Params    kernel.JobParams
-	TextBytes uint64
-	DataBytes uint64
-	UID, GID  uint32
-	Main      func(ctx kernel.Context, rank int)
-}
-
 // Job tracks the launched processes.
-type Job struct{ Procs []*Proc }
-
-// Done reports whether all processes exited.
-func (j *Job) Done() bool {
-	for _, p := range j.Procs {
-		if !p.done {
-			return false
-		}
-	}
-	return true
-}
+type Job = kernel.Job[*Proc]
 
 // Launch creates the requested processes. Unlike CNK there is no static
 // partition: every process gets the full (3GB) address space, demand-paged.
-func (k *Kernel) Launch(spec JobSpec) (*Job, error) {
+func (k *Kernel) Launch(spec kernel.JobSpec) (*Job, error) {
 	if !k.booted {
 		return nil, fmt.Errorf("fwk: launch before boot")
 	}
-	if spec.Params.ProcsPerNode == 0 {
-		spec.Params.ProcsPerNode = 1
-	}
-	if spec.TextBytes == 0 {
-		spec.TextBytes = 1 << 20
-	}
+	spec = spec.WithDefaults()
 	job := &Job{}
 	for i := 0; i < spec.Params.ProcsPerNode; i++ {
-		p := k.newProc(spec)
+		p := k.newProc(spec.UID, spec.GID)
+		p.mapImage(spec.TextBytes, spec.DataBytes)
+		k.procs[p.PID] = p
 		job.Procs = append(job.Procs, p)
 		rank := i
-		k.startThread(p, nil, func(ctx kernel.Context) { spec.Main(ctx, rank) }, true)
+		k.startThread(p, func(ctx kernel.Context) { spec.Main(ctx, rank) })
 	}
 	return job, nil
 }
 
-func (k *Kernel) newProc(spec JobSpec) *Proc {
+// newProc makes a process of uid and gid with the next PID, no memory and
+// an empty file table; the caller maps its image and registers it.
+func (k *Kernel) newProc(uid, gid uint32) *Proc {
 	k.nextPID++
-	p := &Proc{
-		PID: k.nextPID, UID: spec.UID, GID: spec.GID,
-		vmas:    mem.NewMmapTracker(vTextBase, vUserTop, pageSize),
-		pages:   make(map[uint64]hw.PAddr),
-		fsc:     fs.NewClient(k.FS, fs.Cred{UID: spec.UID, GID: spec.GID}),
-		Threads: make(map[uint32]*kernel.Thread),
+	return &Proc{
+		Process:  kernel.Process{PID: k.nextPID, UID: uid, GID: gid},
+		pages:    make(map[uint64]hw.PAddr),
+		fsc:      fs.NewClient(k.FS, fs.Cred{UID: uid, GID: gid}),
+		StackTop: vUserTop,
 	}
-	text := hw.AlignUp(spec.TextBytes, pageSize)
-	data := hw.AlignUp(maxU64(spec.DataBytes, pageSize), pageSize)
+}
+
+// mapImage gives p a fresh address space holding a program image: text
+// and data from vTextBase, each at least a page, a 512 MiB heap above
+// them, and the stack below vUserTop.
+func (p *Proc) mapImage(textBytes, dataBytes uint64) {
+	p.vmas = mem.NewMmapTracker(vTextBase, vUserTop, pageSize)
+	text := hw.AlignUp(max(textBytes, pageSize), pageSize)
+	data := hw.AlignUp(max(dataBytes, pageSize), pageSize)
 	p.vmas.AllocFixed(vTextBase, text, hw.PermRX)
 	dataBase := vTextBase + hw.VAddr(text)
 	p.vmas.AllocFixed(dataBase, data, hw.PermRW)
@@ -113,32 +83,15 @@ func (k *Kernel) newProc(spec JobSpec) *Proc {
 	heapMax := uint64(512 << 20)
 	p.vmas.AllocFixed(p.HeapBase, heapMax, hw.PermRW)
 	p.Brk = mem.NewBrk(p.HeapBase, p.HeapBase+hw.VAddr(heapMax))
-	p.StackTop = vUserTop
 	p.vmas.AllocFixed(vUserTop-hw.VAddr(stackSize), stackSize, hw.PermRW)
-	k.procs[p.PID] = p
-	return p
 }
 
-// startThread creates a thread in p. pin, when non-nil, forces the CPU.
-func (k *Kernel) startThread(p *Proc, pin *cpu, fn kernel.ThreadFunc, isMain bool) *kernel.Thread {
+// startThread creates a thread in p on the least-loaded core.
+func (k *Kernel) startThread(p *Proc, fn kernel.ThreadFunc) *kernel.Thread {
 	k.nextTID++
-	t := kernel.NewThread(k, k.nextTID, p.PID, &p.Sig)
-	p.Threads[t.TID()] = t
-	p.liveThreads++
-	if isMain {
-		p.Main = t
-	}
-	c := pin
-	if c == nil {
-		c = k.pickCPU()
-	}
-	k.rt.Spawn(fmt.Sprintf("fwk.pid%d.tid%d", p.PID, t.TID()), t, c.core, func() {
-		if now := t.Now(); now < k.BootedAt {
-			t.Coro().Sleep(k.BootedAt - now) // jobs start once the kernel is up
-		}
-		c.acquire(t)
-		fn(t)
-	})
+	t := p.NewThread(k, k.nextTID)
+	c := k.pickCPU()
+	k.rt.Spawn(fmt.Sprintf("fwk.pid%d.tid%d", p.PID, t.TID()), t, &c.CPU, k.BootedAt, func() { fn(t) })
 	return t
 }
 
@@ -153,7 +106,7 @@ func (k *Kernel) Clone(t *kernel.Thread, args kernel.CloneArgs) (uint32, kernel.
 	if args.Flags&kernel.CloneVM == 0 {
 		return 0, kernel.EINVAL // process-style clone goes through Fork
 	}
-	nt := k.startThread(p, nil, args.Fn, false)
+	nt := k.startThread(p, args.Fn)
 	nt.ClearTID = args.ChildTID
 	if args.ParentTID != 0 {
 		t.StoreU32(args.ParentTID, nt.TID())
@@ -170,18 +123,11 @@ func (k *Kernel) Fork(t *kernel.Thread, childMain kernel.ThreadFunc) (uint32, ke
 	if parent == nil {
 		return 0, kernel.ESRCH
 	}
-	k.nextPID++
-	child := &Proc{
-		PID: k.nextPID, UID: parent.UID, GID: parent.GID,
-		vmas:     mem.NewMmapTracker(vTextBase, vUserTop, pageSize),
-		pages:    make(map[uint64]hw.PAddr),
-		fsc:      fs.NewClient(k.FS, fs.Cred{UID: parent.UID, GID: parent.GID}),
-		Threads:  make(map[uint32]*kernel.Thread),
-		Brk:      mem.NewBrk(parent.Brk.Base, parent.Brk.Limit),
-		HeapBase: parent.HeapBase,
-		StackTop: parent.StackTop,
-	}
+	child := k.newProc(parent.UID, parent.GID)
+	child.vmas = mem.NewMmapTracker(vTextBase, vUserTop, pageSize)
+	child.Brk = mem.NewBrk(parent.Brk.Base, parent.Brk.Limit)
 	child.Brk.Cur = parent.Brk.Cur
+	child.HeapBase = parent.HeapBase
 	for _, r := range parent.vmas.Allocated() {
 		child.vmas.AllocFixed(r.VA, r.Size, r.Perms)
 	}
@@ -199,15 +145,8 @@ func (k *Kernel) Fork(t *kernel.Thread, childMain kernel.ThreadFunc) (uint32, ke
 	}
 	t.Coro().Sleep(sim.Cycles(uint64(len(parent.pages)))*40 + 8000)
 	k.procs[child.PID] = child
-	k.startThread(child, nil, childMain, true)
+	k.startThread(child, childMain)
 	return child.PID, kernel.OK
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Proc returns the process with the given PID.
@@ -293,7 +232,7 @@ func (k *Kernel) Exec(t *kernel.Thread, textBytes, dataBytes uint64, newMain ker
 	if p == nil {
 		return kernel.ESRCH
 	}
-	if p.liveThreads > 1 {
+	if p.Live() > 1 {
 		return kernel.EBUSY // exec with live sibling threads unsupported in the model
 	}
 	// Release the old image.
@@ -302,20 +241,9 @@ func (k *Kernel) Exec(t *kernel.Thread, textBytes, dataBytes uint64, newMain ker
 		delete(p.pages, vp)
 	}
 	for _, c := range k.cpus {
-		c.core.TLB.InvalidateASID(p.PID)
+		c.Core.TLB.InvalidateASID(p.PID)
 	}
-	// Fresh VMAs.
-	p.vmas = mem.NewMmapTracker(vTextBase, vUserTop, pageSize)
-	text := hw.AlignUp(maxU64(textBytes, pageSize), pageSize)
-	data := hw.AlignUp(maxU64(dataBytes, pageSize), pageSize)
-	p.vmas.AllocFixed(vTextBase, text, hw.PermRX)
-	dataBase := vTextBase + hw.VAddr(text)
-	p.vmas.AllocFixed(dataBase, data, hw.PermRW)
-	p.HeapBase = dataBase + hw.VAddr(data)
-	heapMax := uint64(512 << 20)
-	p.vmas.AllocFixed(p.HeapBase, heapMax, hw.PermRW)
-	p.Brk = mem.NewBrk(p.HeapBase, p.HeapBase+hw.VAddr(heapMax))
-	p.vmas.AllocFixed(vUserTop-hw.VAddr(stackSize), stackSize, hw.PermRW)
+	p.mapImage(textBytes, dataBytes)
 	p.Sig = kernel.SignalTable{}
 	t.Coro().Sleep(12_000) // image load
 	newMain(t)

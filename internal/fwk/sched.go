@@ -10,13 +10,11 @@ import (
 	"bgcnk/internal/upc"
 )
 
-// cpu is one core's preemptive scheduler state.
+// cpu is one core's preemptive scheduler state: the shared owner/ready
+// handoff plus the timer tick and the daemons that preempt its owner.
 type cpu struct {
-	k    *Kernel
-	core *hw.Core
-
-	cur   *kernel.Thread
-	ready []*kernel.Thread
+	kernel.CPU
+	k *Kernel
 
 	nextTick sim.Cycles
 	daemons  []*daemon
@@ -63,13 +61,13 @@ func (d *daemon) loop(c *sim.Coro) {
 		// set walking through L1.
 		runStart := c.Now()
 		burst := d.spec.Burst + d.jitter.Cycles(d.spec.Burst/8)
-		if cost, _ := d.cpu.core.Chip.Cache.Access(d.cpu.core.ID, d.wsBase, d.spec.WorkingSet, false, c.Now()); cost > 0 {
+		if cost, _ := d.cpu.Core.Chip.Cache.Access(d.cpu.Core.ID, d.wsBase, d.spec.WorkingSet, false, c.Now()); cost > 0 {
 			c.Sleep(cost)
 		}
 		c.Sleep(burst)
 		d.cpu.DaemonRuns++
-		d.cpu.core.Chip.UPC.Inc(d.cpu.core.ID, upc.DaemonRun)
-		d.cpu.k.obs.Emit(obs.CatSched, d.spec.Name, d.cpu.k.Chip.ID, d.spec.Core, runStart, c.Now(), d.cpu.DaemonRuns)
+		d.cpu.Core.Chip.UPC.Inc(d.cpu.Core.ID, upc.DaemonRun)
+		d.cpu.k.rt.Obs.Emit(obs.CatSched, d.spec.Name, d.cpu.k.Chip.ID, d.spec.Core, runStart, c.Now(), d.cpu.DaemonRuns)
 		d.nextRun = c.Now() + d.spec.Period + d.jitter.Cycles(d.spec.Period/16)
 		d.active = false
 		if t := d.resumeMe; t != nil {
@@ -96,19 +94,19 @@ func (k *Kernel) ServiceInterrupt(t *kernel.Thread) {
 			c.nextTick += tickPeriod
 		}
 		c.Ticks++
-		c.core.Interrupts++
+		c.Core.Interrupts++
 		u := k.Chip.UPC
-		u.Inc(c.core.ID, upc.TimerTick)
-		u.Inc(c.core.ID, upc.Interrupt)
+		u.Inc(c.Core.ID, upc.TimerTick)
+		u.Inc(c.Core.ID, upc.Interrupt)
 		t.Coro().Sleep(tickISRCost)
-		k.obs.Emit(obs.CatSched, "fwk:tick", k.Chip.ID, t.CoreID(), now, k.Eng.Now(), uint64(c.Ticks))
+		k.rt.Obs.Emit(obs.CatSched, "fwk:tick", k.Chip.ID, t.CoreID(), now, k.Eng.Now(), uint64(c.Ticks))
 
 		// Dispatch due daemons: the user thread waits while they run.
 		for _, d := range c.daemons {
 			if k.Eng.Now() >= d.nextRun && !d.active {
 				// The user thread is involuntarily descheduled for the
 				// daemon's burst: that is a preemption as FWQ sees it.
-				u.Inc(c.core.ID, upc.Preemption)
+				u.Inc(c.Core.ID, upc.Preemption)
 				d.active = true
 				d.resumeMe = t
 				d.coro.Wake()
@@ -120,80 +118,21 @@ func (k *Kernel) ServiceInterrupt(t *kernel.Thread) {
 
 		// Round-robin among user threads sharing the core (overcommit is
 		// allowed on an FWK — Table II).
-		if len(c.ready) > 0 && c.cur == t {
-			t.Coro().Sleep(ctxSwitchCost)
-			c.rotate(t)
-		}
+		c.rotate(t)
 	}
 	k.rt.DeliverSignals(t)
 }
 
-// rotate moves t to the tail of the run queue and grants the core to the
-// next ready thread; t blocks until granted again.
+// rotate round-robins the core when another thread is ready for it and t
+// owns it: t pays a context switch, is preempted, and queues behind the
+// ready threads until the core comes back.
 func (c *cpu) rotate(t *kernel.Thread) {
-	u := c.core.Chip.UPC
-	u.Inc(c.core.ID, upc.ContextSwitch)
-	u.Inc(c.core.ID, upc.Preemption)
-	next := c.ready[0]
-	c.ready = c.ready[1:]
-	c.ready = append(c.ready, t)
-	c.cur = next
-	next.Coro().Wake()
-	for c.cur != t {
-		t.Coro().Park(sim.Forever)
-	}
-}
-
-// acquire blocks t until it owns the core.
-func (c *cpu) acquire(t *kernel.Thread) {
-	if c.cur == t {
-		t.State = kernel.ThreadRunning
+	if c.Waiting() == 0 || c.Owner() != t {
 		return
 	}
-	if c.cur == nil && len(c.ready) == 0 {
-		c.cur = t
-		t.State = kernel.ThreadRunning
-		return
-	}
-	c.ready = append(c.ready, t)
-	if c.cur == nil && c.ready[0] == t {
-		c.ready = c.ready[1:]
-		c.cur = t
-		t.State = kernel.ThreadRunning
-		return
-	}
-	c.grant()
-	for c.cur != t {
-		t.Coro().Park(sim.Forever)
-	}
-	t.State = kernel.ThreadRunning
-}
-
-func (c *cpu) grant() {
-	if c.cur != nil || len(c.ready) == 0 {
-		return
-	}
-	c.cur = c.ready[0]
-	c.ready = c.ready[1:]
-	c.core.Chip.UPC.Inc(c.core.ID, upc.ContextSwitch)
-	c.cur.Coro().Wake()
-}
-
-func (c *cpu) release(t *kernel.Thread) {
-	if c.cur != t {
-		panic("fwk: release by non-owner")
-	}
-	c.cur = nil
-	c.grant()
-}
-
-func (c *cpu) remove(t *kernel.Thread) {
-	for i, x := range c.ready {
-		if x == t {
-			c.ready = append(c.ready[:i], c.ready[i+1:]...)
-			return
-		}
-	}
+	t.Coro().Sleep(ctxSwitchCost)
+	c.Core.Chip.UPC.Inc(c.Core.ID, upc.Preemption)
+	c.Yield(t)
 }
 
 // pickCPU places a new thread on the least-loaded core (an FWK balances
@@ -210,39 +149,26 @@ func (k *Kernel) pickCPU() *cpu {
 	return best
 }
 
+// load is the number of threads running on or ready for the core.
 func (c *cpu) load() int {
-	n := len(c.ready)
-	if c.cur != nil {
+	n := c.Waiting()
+	if c.Owner() != nil {
 		n++
 	}
 	return n
 }
 
-// Block implements kernel.OS: a thread waiting on a futex gives its core
-// to the next ready thread.
-func (k *Kernel) Block(t *kernel.Thread) { k.cpus[t.CoreID()].release(t) }
-
 // Resume implements kernel.OS: the woken thread waits for its core, then
 // takes the signals that arrived while it was blocked.
 func (k *Kernel) Resume(t *kernel.Thread) {
-	k.cpus[t.CoreID()].acquire(t)
+	k.cpus[t.CoreID()].Acquire(t)
 	k.rt.DeliverSignals(t)
 }
 
-// Leave implements kernel.OS: the exiting thread leaves its core's run
-// queue, and the process is done when its last thread leaves.
+// Leave implements kernel.OS: the process is done when its last thread
+// leaves.
 func (k *Kernel) Leave(t *kernel.Thread, code int) {
-	c := k.cpus[t.CoreID()]
-	if c.cur == t {
-		c.release(t)
-	}
-	c.remove(t)
-	if p := k.procs[t.PID()]; p != nil {
-		p.liveThreads--
-		if p.liveThreads == 0 {
-			p.done = true
-			p.exitCode = code
-			k.Eng.Trace().Record(k.Eng.Now(), k.tag(), fmt.Sprintf("pid %d exited %d", p.PID, code))
-		}
+	if p := k.procs[t.PID()]; p != nil && p.ThreadExited(code) {
+		k.Eng.Trace().Record(k.Eng.Now(), k.tag(), fmt.Sprintf("pid %d exited %d", p.PID, code))
 	}
 }

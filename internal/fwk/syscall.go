@@ -15,29 +15,19 @@ import (
 // syscall entry and any configured network-filesystem latency.
 const fsOpCost = sim.Cycles(900)
 
-// Syscall implements kernel.OS: the same numbers as CNK, but file I/O runs
-// locally against the node's filesystem (VFS + NFS client in the model),
-// fork/exec exist, and mmap is fully honoured including permissions.
+// Syscall implements kernel.OS through the shared front end
+// (kernel.Serve), which hands the FWK's own calls to call.
 func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint64, kernel.Errno) {
-	if k.obs != nil {
-		// Deferred so the span survives exit's thread unwind (Runtime.Exit
-		// panics through this frame).
-		start := k.Eng.Now()
-		core := t.CoreID()
-		defer func() {
-			k.obs.Emit(obs.CatSyscall, num.String(), k.Chip.ID, core, start, k.Eng.Now(), uint64(num))
-		}()
-	}
-	p := k.procs[t.PID()]
-	if p == nil {
-		return 0, kernel.ESRCH
-	}
-	arg := func(i int) uint64 {
-		if i < len(args) {
-			return args[i]
-		}
-		return 0
-	}
+	return kernel.Serve(&k.rt, t, num, args, k.procs[t.PID()], k.call)
+}
+
+// call serves the calls that are the FWK's own: the same numbers as CNK,
+// but file I/O runs locally against the node's filesystem (VFS + NFS
+// client in the model), mmap is fully honoured including permissions,
+// yield round-robins the core, and fork/exec exist as typed calls. shmget
+// and persist_open are CNK's and return ENOSYS here, like any other call
+// the FWK lacks.
+func (k *Kernel) call(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64) (uint64, kernel.Errno) {
 	if num.IsFileIO() {
 		t.Coro().Sleep(fsOpCost + k.cfg.FSLatency)
 		ret, errno := p.fileCall(t, num, args)
@@ -52,20 +42,21 @@ func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint6
 				u := k.Chip.UPC
 				u.Inc(upc.ChipScope, upc.IONStall)
 				u.Add(upc.ChipScope, upc.IONStallCycles, uint64(stall))
-				k.obs.Emit(obs.CatStall, "fwk:uplink", k.Chip.ID, t.CoreID(), uplinkStart, uplinkStart+stall, ret)
+				k.rt.Obs.Emit(obs.CatStall, "fwk:uplink", k.Chip.ID, t.CoreID(), uplinkStart, uplinkStart+stall, ret)
 			}
 		}
 		return ret, errno
 	}
 	switch num {
 	case kernel.SysBrk:
-		cur, ok := p.Brk.Set(hw.VAddr(arg(0)))
+		cur, ok := p.Brk.Set(hw.VAddr(kernel.Arg(args, 0)))
 		if !ok {
 			return uint64(p.Brk.Cur), kernel.ENOMEM
 		}
 		return uint64(cur), kernel.OK
 	case kernel.SysMmap:
-		addr, length, prot, flags := hw.VAddr(arg(0)), arg(1), arg(2), arg(3)
+		addr, length := hw.VAddr(kernel.Arg(args, 0)), kernel.Arg(args, 1)
+		prot, flags := kernel.Arg(args, 2), kernel.Arg(args, 3)
 		if length == 0 {
 			return 0, kernel.EINVAL
 		}
@@ -83,15 +74,15 @@ func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint6
 			}
 			va = a
 		}
-		if flags&kernel.MapAnonymous == 0 && int64(arg(4)) >= 0 {
-			if errno := k.mmapFile(t, p, va, length, int32(arg(4)), int64(arg(5))); errno != kernel.OK {
+		if fd := int64(kernel.Arg(args, 4)); flags&kernel.MapAnonymous == 0 && fd >= 0 {
+			if errno := k.mmapFile(t, p, va, length, int32(fd), int64(kernel.Arg(args, 5))); errno != kernel.OK {
 				p.vmas.Free(va, length)
 				return 0, errno
 			}
 		}
 		return uint64(va), kernel.OK
 	case kernel.SysMunmap:
-		va, length := hw.VAddr(arg(0)), arg(1)
+		va, length := hw.VAddr(kernel.Arg(args, 0)), kernel.Arg(args, 1)
 		for vp := uint64(va) / pageSize; vp < (uint64(va)+length+pageSize-1)/pageSize; vp++ {
 			if f, ok := p.pages[vp]; ok {
 				k.freeFrame(f)
@@ -105,47 +96,18 @@ func (k *Kernel) Syscall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint6
 		// Full permission enforcement (Table II: "Full memory
 		// protection: easy" on Linux): the VMA perms change AND the TLB
 		// entries are shot down so the next access re-checks.
-		if err := p.vmas.Protect(hw.VAddr(arg(0)), arg(1), kernel.ProtPerm(arg(2))); err != nil {
+		if err := p.vmas.Protect(hw.VAddr(kernel.Arg(args, 0)), kernel.Arg(args, 1), kernel.ProtPerm(kernel.Arg(args, 2))); err != nil {
 			return 0, kernel.ENOMEM
 		}
 		for _, c := range k.cpus {
-			c.core.TLB.InvalidateASID(p.PID)
+			c.Core.TLB.InvalidateASID(p.PID)
 		}
 		return 0, kernel.OK
-	case kernel.SysShmGet:
-		return 0, kernel.ENOSYS // use mmap(MAP_SHARED); not needed by the experiments
-	case kernel.SysFutex:
-		return k.rt.Futex(t, args)
-	case kernel.SysSetTidAddress:
-		t.ClearTID = hw.VAddr(arg(0))
-		return uint64(t.TID()), kernel.OK
 	case kernel.SysYield:
-		c := k.cpus[t.CoreID()]
-		if len(c.ready) > 0 && c.cur == t {
-			t.Coro().Sleep(ctxSwitchCost)
-			c.rotate(t)
-		}
+		k.cpus[t.CoreID()].rotate(t)
 		return 0, kernel.OK
-	case kernel.SysExit:
-		k.rt.Exit(t, int(arg(0)))
-		return 0, kernel.OK // unreachable: Exit unwinds
-	case kernel.SysGetpid:
-		return uint64(t.PID()), kernel.OK
-	case kernel.SysGettid:
-		return uint64(t.TID()), kernel.OK
-	case kernel.SysUname:
-		if errno := t.StoreCString(hw.VAddr(arg(0)), "2.6.30-fwk"); errno != kernel.OK {
-			return 0, errno
-		}
-		return 0, kernel.OK
-	case kernel.SysGettimeofday:
-		return uint64(k.Eng.Now()), kernel.OK
-	case kernel.SysPersistOpen:
-		return 0, kernel.ENOSYS // no persistent-memory extension on the FWK
 	case kernel.SysFork, kernel.SysExec:
 		return 0, kernel.EINVAL // use the typed Fork/Exec helpers
-	case kernel.SysClone, kernel.SysSigaction, kernel.SysSigreturn:
-		return 0, kernel.EINVAL // typed paths
 	}
 	return 0, kernel.ENOSYS
 }

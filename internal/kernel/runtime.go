@@ -2,40 +2,55 @@ package kernel
 
 import (
 	"bgcnk/internal/hw"
+	"bgcnk/internal/obs"
 	"bgcnk/internal/sim"
 	"bgcnk/internal/upc"
 )
 
-// Runtime is the thread mechanism CNK and the FWK share: the futex table,
-// thread start and exit with its CLONE_CHILD_CLEARTID wake, and signal
-// delivery. The kernels differ in their schedulers, which the runtime
-// reaches through OS.Block, OS.Resume and OS.Leave, in what a signal frame
-// costs, and in what they record when a signal kills a thread.
+// Runtime is the thread mechanism CNK and the FWK share: thread start
+// and exit with its CLONE_CHILD_CLEARTID wake, the futex table, signal
+// delivery and, through Serve, the system-call front end. The kernels
+// differ in their schedulers, which the runtime reaches through each
+// thread's CPU and through OS.Resume and OS.Leave, in what a signal
+// frame costs, in the version uname reports, and in what they record when
+// a signal kills a thread.
 type Runtime struct {
+	// Obs, when non-nil, receives each system call's span; each kernel
+	// emits its own spans through it too. Emitting charges no cycles; a
+	// nil recorder is the off switch.
+	Obs *obs.Recorder
+
 	eng       *sim.Engine
 	frameCost sim.Cycles
+	uname     string
 	fatal     func(t *Thread, sig Signal)
 	futexes   map[futexKey][]*futexWaiter
 }
 
 // NewRuntime builds a kernel's runtime. frameCost is charged before each
-// signal handler runs; fatal, when non-nil, runs before a thread dies of a
-// signal it has no handler for.
-func NewRuntime(eng *sim.Engine, frameCost sim.Cycles, fatal func(t *Thread, sig Signal)) Runtime {
-	return Runtime{eng: eng, frameCost: frameCost, fatal: fatal,
+// signal handler runs; uname is the version the uname call reports;
+// fatal, when non-nil, runs before a thread dies of a signal it has no
+// handler for.
+func NewRuntime(eng *sim.Engine, frameCost sim.Cycles, uname string, fatal func(t *Thread, sig Signal)) Runtime {
+	return Runtime{eng: eng, frameCost: frameCost, uname: uname, fatal: fatal,
 		futexes: make(map[futexKey][]*futexWaiter)}
 }
 
 // Reset forgets every futex waiter, as a kernel's per-job reset does.
 func (r *Runtime) Reset() { r.futexes = make(map[futexKey][]*futexWaiter) }
 
-// Spawn starts t on a new coroutine bound to core. body runs the thread;
-// when it returns, t exits with status 0. An Exit anywhere below body
-// unwinds to here.
-func (r *Runtime) Spawn(name string, t *Thread, core *hw.Core, body func()) {
+// Spawn starts t on a new coroutine bound to cpu. Once the kernel is up
+// (at bootedAt) and t owns the core, body runs the thread; when it
+// returns, t exits with status 0. An Exit anywhere below body unwinds to
+// here.
+func (r *Runtime) Spawn(name string, t *Thread, cpu *CPU, bootedAt sim.Cycles, body func()) {
 	r.eng.Go(name, func(c *sim.Coro) {
 		defer recoverExit()
-		t.coro, t.core = c, core
+		t.coro, t.cpu = c, cpu
+		if now := c.Now(); now < bootedAt {
+			c.Sleep(bootedAt - now)
+		}
+		cpu.Acquire(t)
 		body()
 		r.Exit(t, 0)
 	})
@@ -43,8 +58,8 @@ func (r *Runtime) Spawn(name string, t *Thread, core *hw.Core, body func()) {
 
 // Exit ends t with status code and does not return. It stores 0 to t's
 // CLONE_CHILD_CLEARTID word and futex-wakes its joiners (pthread_join
-// relies on it), has the kernel take t off its core and tear its process
-// down (OS.Leave), and unwinds t's coroutine.
+// relies on it), gives up t's core, has the kernel tear its process down
+// (OS.Leave), and unwinds t's coroutine.
 func (r *Runtime) Exit(t *Thread, code int) {
 	if t.State == ThreadExited {
 		panic(threadExit{}) // already torn down; just unwind
@@ -57,6 +72,9 @@ func (r *Runtime) Exit(t *Thread, code int) {
 		var zero [4]byte
 		t.StoreKernel(addr, zero[:])
 		r.futexWake(t, addr, 1<<30)
+	}
+	if t.cpu.cur == t {
+		t.cpu.Release(t)
 	}
 	t.os.Leave(t, code)
 	panic(threadExit{})
@@ -87,18 +105,12 @@ type futexWaiter struct {
 // Futex is the futex system call: args are uaddr, op and val, and for
 // FUTEX_WAIT a timeout in cycles (0 waits until woken).
 func (r *Runtime) Futex(t *Thread, args []uint64) (uint64, Errno) {
-	arg := func(i int) uint64 {
-		if i < len(args) {
-			return args[i]
-		}
-		return 0
-	}
-	uaddr := hw.VAddr(arg(0))
-	switch arg(1) {
+	uaddr := hw.VAddr(Arg(args, 0))
+	switch Arg(args, 1) {
 	case FutexWait:
-		return 0, r.futexWait(t, uaddr, uint32(arg(2)), sim.Cycles(arg(3)))
+		return 0, r.futexWait(t, uaddr, uint32(Arg(args, 2)), sim.Cycles(Arg(args, 3)))
 	case FutexWake:
-		return r.futexWake(t, uaddr, uint32(arg(2))), OK
+		return r.futexWake(t, uaddr, uint32(Arg(args, 2))), OK
 	}
 	return 0, EINVAL
 }
@@ -117,8 +129,8 @@ func (r *Runtime) futexWait(t *Thread, uaddr hw.VAddr, val uint32, timeout sim.C
 	key := futexKey{t.pid, uaddr}
 	w := &futexWaiter{t: t}
 	r.futexes[key] = append(r.futexes[key], w)
-	t.core.Chip.UPC.Inc(t.core.ID, upc.FutexWait)
-	t.os.Block(t)
+	t.cpu.Core.Chip.UPC.Inc(t.cpu.Core.ID, upc.FutexWait)
+	t.cpu.Release(t)
 	t.State = ThreadBlocked
 
 	deadline := sim.Forever
@@ -164,7 +176,7 @@ func (r *Runtime) futexWait(t *Thread, uaddr hw.VAddr, val uint32, timeout sim.C
 // futexWake implements FUTEX_WAKE: wake up to n waiters in arrival order,
 // returning the number woken.
 func (r *Runtime) futexWake(t *Thread, uaddr hw.VAddr, n uint32) uint64 {
-	t.core.Chip.UPC.Inc(t.core.ID, upc.FutexWake)
+	t.cpu.Core.Chip.UPC.Inc(t.cpu.Core.ID, upc.FutexWake)
 	key := futexKey{t.pid, uaddr}
 	ws := r.futexes[key]
 	woken := uint64(0)

@@ -10,7 +10,9 @@ import (
 
 // OS is the kernel-side contract Thread and Runtime execute against. CNK
 // and the FWK each implement it; Thread provides the user-visible Context
-// on top.
+// on top. The kernels share the core handoff (CPU), the process
+// bookkeeping (Process) and the system-call front end (Serve); each
+// supplies only Resume, the process half of Leave and its own calls.
 type OS interface {
 	// Name identifies the kernel ("CNK", "FWK").
 	Name() string
@@ -29,7 +31,7 @@ type OS interface {
 	// bytes valid from va within the mapping, and the page permissions.
 	Translate(t *Thread, va hw.VAddr, write bool) (hw.PAddr, uint64, hw.Perm, Errno)
 
-	// Syscall handles a numeric system call.
+	// Syscall handles a numeric system call, through Serve.
 	Syscall(t *Thread, num Sys, args []uint64) (uint64, Errno)
 
 	// Clone creates a thread (or process) per args.
@@ -46,15 +48,13 @@ type OS interface {
 	// SyscallEntryCost is the kernel entry/exit overhead in cycles.
 	SyscallEntryCost() sim.Cycles
 
-	// Block gives up t's core before t sleeps on a futex.
-	Block(t *Thread)
-
 	// Resume takes t's core back after a futex sleep and services what
 	// arrived meanwhile (CNK: IPIs, then signals; the FWK: signals).
 	Resume(t *Thread)
 
-	// Leave takes an exiting thread off its core and, when it was the
-	// last thread of its process, tears the process down.
+	// Leave is the process half of a thread's exit, after the runtime
+	// has taken t off its core: the kernel drops its own record of t and,
+	// when t was the last thread of its process, tears the process down.
 	Leave(t *Thread, code int)
 }
 
@@ -80,7 +80,7 @@ type Thread struct {
 	id   uint32
 	pid  uint32
 	sig  *SignalTable // the process's handlers
-	core *hw.Core
+	cpu  *CPU         // the core the thread is bound to
 	coro *sim.Coro
 
 	State    ThreadState
@@ -95,17 +95,11 @@ type Thread struct {
 	pendingSigs []SigInfo
 }
 
-// NewThread wires a thread of process pid, whose signal handlers are sig;
-// Runtime.Spawn binds it to a coroutine and core and runs it.
-func NewThread(os OS, id, pid uint32, sig *SignalTable) *Thread {
-	return &Thread{os: os, id: id, pid: pid, sig: sig, State: ThreadReady}
-}
-
 // Coro exposes the coroutine to the owning kernel.
 func (t *Thread) Coro() *sim.Coro { return t.coro }
 
 // HWCore exposes the bound core to the owning kernel.
-func (t *Thread) HWCore() *hw.Core { return t.core }
+func (t *Thread) HWCore() *hw.Core { return t.cpu.Core }
 
 // PostSignal queues an asynchronous signal and pokes the thread.
 func (t *Thread) PostSignal(info SigInfo) {
@@ -124,7 +118,7 @@ func (t *Thread) PID() uint32 { return t.pid }
 func (t *Thread) TID() uint32 { return t.id }
 
 // CoreID implements Context.
-func (t *Thread) CoreID() int { return t.core.ID }
+func (t *Thread) CoreID() int { return t.cpu.Core.ID }
 
 // Now implements Context.
 func (t *Thread) Now() sim.Cycles { return t.coro.Now() }
@@ -163,10 +157,10 @@ func (t *Thread) Compute(c sim.Cycles) {
 // lives here, on the kernel-neutral path, so both CNK and the FWK are
 // counted once per entry with no per-kernel bookkeeping.
 func (t *Thread) countSyscall(num Sys) {
-	if t.core == nil || t.core.Chip == nil {
+	if t.cpu == nil || t.cpu.Core.Chip == nil {
 		return
 	}
-	t.core.Chip.UPC.Syscall(t.core.ID, int(num))
+	t.cpu.Core.Chip.UPC.Syscall(t.cpu.Core.ID, int(num))
 }
 
 // Syscall implements Context.
@@ -211,13 +205,13 @@ func (t *Thread) access(va hw.VAddr, size uint32, write bool, buf []byte) ([]byt
 	if size == 0 {
 		return buf, OK
 	}
-	chip := t.core.Chip
+	chip := t.cpu.Core.Chip
 	off := uint32(0)
 	for off < size {
 		cur := va + hw.VAddr(off)
 		// The DAC watch precedes translation: it matches on virtual
 		// addresses (guard-page mechanism, paper Fig 4).
-		if write && t.core.CheckDAC(t.pid, cur) {
+		if write && t.cpu.Core.CheckDAC(t.pid, cur) {
 			t.os.MemEvent(t, hw.EvNone, cur, write)
 			return buf, EFAULT
 		}
@@ -237,7 +231,7 @@ func (t *Thread) access(va hw.VAddr, size uint32, write bool, buf []byte) ([]byt
 		if uint64(n) > contig {
 			n = uint32(contig)
 		}
-		cost, ev := chip.Cache.Access(t.core.ID, pa, n, write, t.coro.Now())
+		cost, ev := chip.Cache.Access(t.cpu.Core.ID, pa, n, write, t.coro.Now())
 		if cost > 0 {
 			t.coro.Sleep(cost)
 		}
@@ -278,7 +272,7 @@ func (t *Thread) StoreKernel(va hw.VAddr, buf []byte) Errno {
 		if uint64(n) > contig {
 			n = int(contig)
 		}
-		t.core.Chip.Mem.Write(pa, buf[off:off+n])
+		t.cpu.Core.Chip.Mem.Write(pa, buf[off:off+n])
 		off += n
 	}
 	return OK
@@ -407,7 +401,7 @@ func (t *Thread) StoreNames(va hw.VAddr, size uint64, names []string) (uint64, E
 // translation, read, and conditional write occur with no scheduling point
 // in between, then the cache cost is charged. This models lwarx/stwcx.
 func (t *Thread) atomicRMW(va hw.VAddr, fn func(cur uint32) (uint32, bool)) (uint32, Errno) {
-	if write := true; t.core.CheckDAC(t.pid, va) && write {
+	if write := true; t.cpu.Core.CheckDAC(t.pid, va) && write {
 		t.os.MemEvent(t, hw.EvNone, va, true)
 		return 0, EFAULT
 	}
@@ -419,7 +413,7 @@ func (t *Thread) atomicRMW(va hw.VAddr, fn func(cur uint32) (uint32, bool)) (uin
 		t.os.MemEvent(t, hw.EvNone, va, true)
 		return 0, EFAULT
 	}
-	chip := t.core.Chip
+	chip := t.cpu.Core.Chip
 	var b [4]byte
 	chip.Mem.Read(pa, b[:])
 	cur := uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
@@ -428,7 +422,7 @@ func (t *Thread) atomicRMW(va hw.VAddr, fn func(cur uint32) (uint32, bool)) (uin
 		b = [4]byte{byte(nv >> 24), byte(nv >> 16), byte(nv >> 8), byte(nv)}
 		chip.Mem.Write(pa, b[:])
 	}
-	cost, ev := chip.Cache.Access(t.core.ID, pa, 4, doWrite, t.coro.Now())
+	cost, ev := chip.Cache.Access(t.cpu.Core.ID, pa, 4, doWrite, t.coro.Now())
 	t.coro.Sleep(cost + 8) // reservation pair cost
 	if ev != hw.EvNone {
 		t.os.MemEvent(t, ev, va, true)

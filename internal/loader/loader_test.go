@@ -86,7 +86,7 @@ func withCNK(t *testing.T, libs []*Image, fn func(ctx kernel.Context)) {
 	if err := k.Boot(); err != nil {
 		t.Fatal(err)
 	}
-	job, err := k.Launch(cnk.JobSpec{Main: func(ctx kernel.Context, rank int) { fn(ctx) }})
+	job, err := k.Launch(kernel.JobSpec{Main: func(ctx kernel.Context, rank int) { fn(ctx) }})
 	if err != nil {
 		t.Fatal(err)
 	}

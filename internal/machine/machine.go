@@ -122,7 +122,7 @@ type Machine struct {
 	Obs *obs.Recorder
 
 	inj  *ras.Injector
-	jobs []doneable
+	jobs []launched
 	ck   ckptState
 }
 
@@ -348,7 +348,11 @@ type Env struct {
 // App is a machine-level application: one instance per rank.
 type App func(ctx kernel.Context, env *Env)
 
-type doneable interface{ Done() bool }
+// launched is a job either kernel launched (a *cnk.Job or a *fwk.Job).
+type launched interface {
+	Done() bool
+	ExitCode() int
+}
 
 // Launch starts app as one process per node (SMP mode: rank == node)
 // without driving the simulation; callers that need to stop at an exact
@@ -369,20 +373,18 @@ func (m *Machine) Launch(app App, params kernel.JobParams) error {
 			}
 			app(ctx, env)
 		}
-		switch m.Cfg.Kind {
-		case KindCNK:
-			job, err := m.CNKs[n].Launch(cnk.JobSpec{Params: params, Main: main})
-			if err != nil {
-				return err
-			}
-			m.jobs = append(m.jobs, job)
-		case KindFWK:
-			job, err := m.FWKs[n].Launch(fwk.JobSpec{Params: params, Main: main})
-			if err != nil {
-				return err
-			}
-			m.jobs = append(m.jobs, job)
+		spec := kernel.JobSpec{Params: params, Main: main}
+		var job launched
+		var err error
+		if m.Cfg.Kind == KindCNK {
+			job, err = m.CNKs[n].Launch(spec)
+		} else {
+			job, err = m.FWKs[n].Launch(spec)
 		}
+		if err != nil {
+			return err
+		}
+		m.jobs = append(m.jobs, job)
 	}
 	return nil
 }
@@ -499,18 +501,7 @@ func (m *Machine) Reboot() error {
 func (m *Machine) ExitCodes() []int {
 	out := make([]int, 0, len(m.jobs))
 	for _, j := range m.jobs {
-		code := -1
-		switch job := j.(type) {
-		case *cnk.Job:
-			if job.Done() && len(job.Procs) > 0 {
-				code = job.Procs[0].ExitCode()
-			}
-		case *fwk.Job:
-			if job.Done() && len(job.Procs) > 0 {
-				code = job.Procs[0].ExitCode()
-			}
-		}
-		out = append(out, code)
+		out = append(out, j.ExitCode())
 	}
 	return out
 }

@@ -23,7 +23,7 @@ func onCNK(t *testing.T, main func(ctx kernel.Context)) {
 	if err := k.Boot(); err != nil {
 		t.Fatal(err)
 	}
-	job, err := k.Launch(cnk.JobSpec{Main: func(ctx kernel.Context, rank int) { main(ctx) }})
+	job, err := k.Launch(kernel.JobSpec{Main: func(ctx kernel.Context, rank int) { main(ctx) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func onFWK(t *testing.T, main func(ctx kernel.Context)) {
 	if err := k.Boot(); err != nil {
 		t.Fatal(err)
 	}
-	job, err := k.Launch(fwk.JobSpec{Main: func(ctx kernel.Context, rank int) { main(ctx) }})
+	job, err := k.Launch(kernel.JobSpec{Main: func(ctx kernel.Context, rank int) { main(ctx) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestGuardPageArmsOnClone(t *testing.T) {
 	})
 	k.Boot()
 	caught := false
-	job, _ := k.Launch(cnk.JobSpec{Main: func(ctx kernel.Context, rank int) {
+	job, _ := k.Launch(kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
 		ctx.RegisterSignal(kernel.SIGSEGV, func(kernel.Context, kernel.SigInfo) { caught = true })
 		l, _ := Init(ctx)
 		var pt *PThread
