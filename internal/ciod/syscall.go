@@ -40,15 +40,9 @@ type Out struct {
 // buffer data"), so a write from unmapped memory allocates nothing. A
 // call that is not a file call is ENOSYS.
 func Decode(t *kernel.Thread, num kernel.Sys, args []uint64) (*Request, Out, kernel.Errno) {
-	arg := func(i int) uint64 {
-		if i < len(args) {
-			return args[i]
-		}
-		return 0
-	}
 	req := &Request{PID: t.PID(), TID: t.TID()}
 	loadPath := func(i int) (string, kernel.Errno) {
-		return t.LoadCString(hw.VAddr(arg(i)), maxPath)
+		return t.LoadCString(hw.VAddr(kernel.Arg(args, i)), maxPath)
 	}
 	var out Out
 	var errno kernel.Errno
@@ -56,37 +50,37 @@ func Decode(t *kernel.Thread, num kernel.Sys, args []uint64) (*Request, Out, ker
 	case kernel.SysOpen:
 		req.Op = OpOpen
 		req.Path, errno = loadPath(0)
-		req.Flags = arg(1)
-		req.Mode = uint16(arg(2))
+		req.Flags = kernel.Arg(args, 1)
+		req.Mode = uint16(kernel.Arg(args, 2))
 	case kernel.SysClose:
 		req.Op = OpClose
-		req.FD = int32(arg(0))
+		req.FD = int32(kernel.Arg(args, 0))
 	case kernel.SysRead:
 		req.Op = OpRead
-		req.FD = int32(arg(0))
-		req.Size = min(arg(2), maxIO(t))
-		out = Out{hw.VAddr(arg(1)), req.Size}
+		req.FD = int32(kernel.Arg(args, 0))
+		req.Size = min(kernel.Arg(args, 2), maxIO(t))
+		out = Out{hw.VAddr(kernel.Arg(args, 1)), req.Size}
 	case kernel.SysWrite:
 		req.Op = OpWrite
-		req.FD = int32(arg(0))
-		if arg(2) > maxIO(t) {
+		req.FD = int32(kernel.Arg(args, 0))
+		if kernel.Arg(args, 2) > maxIO(t) {
 			errno = kernel.EFAULT
 			break
 		}
-		req.Data, errno = t.LoadNew(hw.VAddr(arg(1)), uint32(arg(2)))
+		req.Data, errno = t.LoadNew(hw.VAddr(kernel.Arg(args, 1)), uint32(kernel.Arg(args, 2)))
 	case kernel.SysLseek:
 		req.Op = OpLseek
-		req.FD = int32(arg(0))
-		req.Off = int64(arg(1))
-		req.Whence = int32(arg(2))
+		req.FD = int32(kernel.Arg(args, 0))
+		req.Off = int64(kernel.Arg(args, 1))
+		req.Whence = int32(kernel.Arg(args, 2))
 	case kernel.SysStat:
 		req.Op = OpStat
 		req.Path, errno = loadPath(0)
-		out.VA = hw.VAddr(arg(1))
+		out.VA = hw.VAddr(kernel.Arg(args, 1))
 	case kernel.SysFstat:
 		req.Op = OpFstat
-		req.FD = int32(arg(0))
-		out.VA = hw.VAddr(arg(1))
+		req.FD = int32(kernel.Arg(args, 0))
+		out.VA = hw.VAddr(kernel.Arg(args, 1))
 	case kernel.SysUnlink:
 		req.Op = OpUnlink
 		req.Path, errno = loadPath(0)
@@ -99,32 +93,32 @@ func Decode(t *kernel.Thread, num kernel.Sys, args []uint64) (*Request, Out, ker
 	case kernel.SysMkdir:
 		req.Op = OpMkdir
 		req.Path, errno = loadPath(0)
-		req.Mode = uint16(arg(1))
+		req.Mode = uint16(kernel.Arg(args, 1))
 	case kernel.SysRmdir:
 		req.Op = OpRmdir
 		req.Path, errno = loadPath(0)
 	case kernel.SysDup:
 		req.Op = OpDup
-		req.FD = int32(arg(0))
+		req.FD = int32(kernel.Arg(args, 0))
 	case kernel.SysFsync:
 		// Execute writes the descriptor's dirty ION-cache blocks back
 		// before it replies.
 		req.Op = OpFsync
-		req.FD = int32(arg(0))
+		req.FD = int32(kernel.Arg(args, 0))
 	case kernel.SysGetcwd:
 		req.Op = OpGetcwd
-		out = Out{hw.VAddr(arg(0)), arg(1)}
+		out = Out{hw.VAddr(kernel.Arg(args, 0)), kernel.Arg(args, 1)}
 	case kernel.SysChdir:
 		req.Op = OpChdir
 		req.Path, errno = loadPath(0)
 	case kernel.SysTruncate:
 		req.Op = OpTruncate
 		req.Path, errno = loadPath(0)
-		req.Size = arg(1)
+		req.Size = kernel.Arg(args, 1)
 	case kernel.SysReaddir:
 		req.Op = OpReaddir
 		req.Path, errno = loadPath(0)
-		out = Out{hw.VAddr(arg(1)), arg(2)}
+		out = Out{hw.VAddr(kernel.Arg(args, 1)), kernel.Arg(args, 2)}
 	default:
 		errno = kernel.ENOSYS
 	}
