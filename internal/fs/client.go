@@ -226,14 +226,6 @@ func (c *Client) SetOffset(fd int, off uint64) kernel.Errno {
 	return kernel.OK
 }
 
-// Fsync validates the descriptor. The in-memory fs is always "stable
-// storage"; when an ION buffer cache sits in front of it, the cache
-// intercepts fsync to write back the file's dirty blocks first.
-func (c *Client) Fsync(fd int) kernel.Errno {
-	_, errno := c.file(fd)
-	return errno
-}
-
 // Lseek repositions the descriptor's offset.
 func (c *Client) Lseek(fd int, off int64, whence int) (uint64, kernel.Errno) {
 	of, errno := c.file(fd)

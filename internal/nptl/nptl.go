@@ -274,15 +274,6 @@ func (c *Cond) Signal(ctx kernel.Context) kernel.Errno {
 	return kernel.OK
 }
 
-// Broadcast wakes all waiters.
-func (c *Cond) Broadcast(ctx kernel.Context) kernel.Errno {
-	if _, errno := ctx.AddU32(c.seq, 1); errno != kernel.OK {
-		return errno
-	}
-	ctx.Syscall(kernel.SysFutex, uint64(c.seq), kernel.FutexWake, 1<<30)
-	return kernel.OK
-}
-
 // Barrier is a pthread_barrier over (count, generation) words.
 type Barrier struct {
 	n     uint32
