@@ -41,24 +41,31 @@ echo "== durable formats: wire codec + pinned encodings + large journal bodies"
 go test ./internal/wire/
 go test -run 'TestPinnedEncodings|TestJournalReplaysLargeBodies' ./internal/ctrlsys/
 
-# Thread runtime and file calls: CNK and the FWK share one futex table,
-# thread exit and signal delivery (kernel.Runtime), and each kernel
-# supplies only its scheduler hooks; they also share one file-call path,
-# ciod's decode from user memory, executor and store back, which CNK
-# reaches by shipping and the FWK calls on its own client. The lifecycle
-# script must match its pinned rows on both kernels (every step's cycle,
-# return value and errno, the trace hash, the merged counters and the obs
-# JSON), and so must the file-call script on CNK and the FWK, each with
-# and without an ION (every call's return cycle and output digest too);
-# the kernel, CNK, FWK and NPTL suites must pass repeatedly under -race
+# Kernels: CNK and the FWK share the core handoff (kernel.CPU), the
+# process bookkeeping (kernel.Process, JobSpec and Job), the thread
+# runtime (futexes, thread start and exit, signal delivery) and the
+# syscall front end (kernel.Serve: the syscall span, ESRCH for a missing
+# process, and the calls both answer alike); each kernel supplies only
+# Resume, the process half of Leave and its own calls. They also share
+# one file-call path, ciod's decode from user memory, executor and store
+# back, which CNK reaches by shipping and the FWK calls on its own
+# client. The lifecycle script must match its pinned rows on both
+# kernels (every step's cycle, return value and errno, the trace hash,
+# the merged counters and the obs JSON), and so must the shared-core
+# script (two threads on one core: a futex wait handing the core over,
+# yields with and without a waiting thread, an exit while another thread
+# waits, the FWK's tick round-robin, and one call of each non-file
+# syscall) and the file-call script on CNK and the FWK, each with and
+# without an ION (every call's return cycle and output digest too); the
+# kernel, CNK, FWK and NPTL suites must pass repeatedly under -race
 # (among them TestHugeIOCount on both kernels, which read through the
 # executor: a write whose count no buffer can hold fails with EFAULT, a
 # read of any larger count, 1<<63 included, returns the short file's
 # bytes, and a 64 MiB write from unmapped memory fails with EFAULT
 # without allocating its count on the host), and the FWQ render, the one
 # golden that runs pthreads on both kernels, must match byte-for-byte.
-echo "== kernels: pinned thread lifecycle + file calls + kernel suites + fig5-7 golden"
-go test -race -count=3 -run 'TestPinnedThreadLifecycle|TestPinnedFileCalls' ./internal/machine/
+echo "== kernels: pinned thread lifecycle + shared cores + file calls + kernel suites + fig5-7 golden"
+go test -race -count=3 -run 'TestPinnedThreadLifecycle|TestPinnedSharedCores|TestPinnedFileCalls' ./internal/machine/
 go test -race -count=3 ./internal/kernel/ ./internal/cnk/ ./internal/fwk/ ./internal/nptl/
 go test -run 'TestGolden/fig5-7' ./internal/experiments/
 
