@@ -2,9 +2,11 @@
 // (the nptl, libc, and messaging layers, and the applications) and a
 // compute-node kernel (CNK or the Linux-like FWK): syscall numbers, errno
 // values, clone flags, futex operations, signals, and the Context interface
-// a user thread executes against. It also holds the thread runtime both
-// kernels share (Runtime: futexes, thread exit, signal delivery), so each
-// kernel supplies only its scheduler hooks.
+// a user thread executes against. It also holds every mechanism both
+// kernels share, each once: the per-core owner/ready handoff (CPU), the
+// process bookkeeping (Process, JobSpec, Job), the thread runtime
+// (Runtime: thread start and exit, futexes, signal delivery) and the
+// system-call front end (Serve), so each kernel supplies only its policy.
 //
 // Keeping this boundary stable mirrors the paper's observation (Section IV)
 // that "the interface between glibc and the kernel tends to be more stable,
