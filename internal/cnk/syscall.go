@@ -40,7 +40,8 @@ func (k *Kernel) call(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64) 
 		p.Mmap.Free(hw.VAddr(kernel.Arg(args, 0)), kernel.Arg(args, 1))
 		return 0, kernel.OK
 	case kernel.SysMprotect:
-		return k.sysMprotect(t, p, hw.VAddr(kernel.Arg(args, 0)), kernel.Arg(args, 1), kernel.Arg(args, 2))
+		va, length, prot := hw.VAddr(kernel.Arg(args, 0)), kernel.Arg(args, 1), kernel.Arg(args, 2)
+		return k.sysMprotect(t, p, va, length, prot)
 	case kernel.SysShmGet:
 		if outVA := hw.VAddr(kernel.Arg(args, 0)); outVA != 0 {
 			t.StoreU64(outVA, p.Layout.Shm.Req)

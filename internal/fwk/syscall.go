@@ -96,7 +96,8 @@ func (k *Kernel) call(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64) 
 		// Full permission enforcement (Table II: "Full memory
 		// protection: easy" on Linux): the VMA perms change AND the TLB
 		// entries are shot down so the next access re-checks.
-		if err := p.vmas.Protect(hw.VAddr(kernel.Arg(args, 0)), kernel.Arg(args, 1), kernel.ProtPerm(kernel.Arg(args, 2))); err != nil {
+		va, length, perms := hw.VAddr(kernel.Arg(args, 0)), kernel.Arg(args, 1), kernel.ProtPerm(kernel.Arg(args, 2))
+		if err := p.vmas.Protect(va, length, perms); err != nil {
 			return 0, kernel.ENOMEM
 		}
 		for _, c := range k.cpus {
