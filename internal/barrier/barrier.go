@@ -1,8 +1,15 @@
-// Package barrier models the Blue Gene/P global barrier/interrupt
-// network: a dedicated AND/OR wire spanning the partition with
-// ~microsecond latency. MPI_Barrier maps onto it, and the multichip
-// reproducible-reboot protocol of paper Section III uses it to coordinate
-// reboots so that chips restart on exactly the same relative cycle.
+// Package barrier models Blue Gene/P's two wired rendezvous. The global
+// barrier/interrupt network is a dedicated AND/OR wire spanning the
+// partition with ~microsecond latency: MPI_Barrier maps onto it, and the
+// multichip reproducible-reboot protocol of paper Section III uses it to
+// coordinate reboots so that chips restart on exactly the same relative
+// cycle. The collective network's arithmetic-combine (ALU) class route
+// sums one double from every participant on the way up the tree and
+// broadcasts the sum on the way down: MPI_Allreduce maps onto it, which is
+// why its per-iteration time is constant to the cycle under CNK (paper
+// V-D). Both are one mechanism, a Network: n participants enter, and the
+// last arrival releases everyone a fixed wire latency later. New and
+// NewCombine differ only in that latency.
 package barrier
 
 import (
@@ -10,54 +17,77 @@ import (
 	"fmt"
 
 	"bgcnk/internal/sim"
+	"bgcnk/internal/upc"
 )
 
-// ErrDeadParticipant is returned by EnterErr when a participant's torus
-// interface has died: a wired-AND with a permanently-low input can never
-// fire, so waiting is hopeless and the caller must fail the job instead
-// of parking forever.
-var ErrDeadParticipant = errors.New("barrier: participant dead, barrier can never complete")
+// ErrDeadParticipant is returned by EnterErr and AllreduceErr when a
+// participant's node has died: a wired-AND with a permanently-low input
+// can never fire, and the tree can never finish a sum with a contribution
+// permanently missing, so waiting is hopeless and the caller must fail
+// the job instead of parking forever.
+var ErrDeadParticipant = errors.New("barrier: participant dead, rendezvous can never complete")
 
-// Network is one global barrier channel over n participants.
+// Network is one rendezvous over n participants.
 type Network struct {
-	eng *sim.Engine
+	eng     *sim.Engine
+	latency sim.Cycles
 
-	// entered, dead and failed are indexed by participant: the coroutine
-	// blocked in the current barrier (nil if it has not entered), whether
-	// its node died, and whether a death released it from its wait.
+	// entered, results, dead, failed and upcs are indexed by participant:
+	// the coroutine blocked in the current round (nil if it has not
+	// entered), the sum it resumes with, whether its node died, whether a
+	// death released it from its wait, and its chip's UPC unit (nil
+	// counts nothing).
 	entered []*sim.Coro
 	waiting int
+	sum     float64
+	results []float64
 	dead    []bool
 	anyDead bool
 	failed  []bool
+	upcs    []*upc.Set
 
 	// ArbiterState models the hardware arbiter/state-machine content that
 	// the multichip reproducible reboot must leave consistent (paper:
 	// "special code ensured a consistent state in all arbiters and state
 	// machines involved in the barrier network hardware"). Every
-	// completed barrier advances it; ResetArbiters restores the
+	// completed round advances it; ResetArbiters restores the
 	// power-on value.
 	arbiterState uint64
 
-	Barriers uint64 // completed barriers
+	Barriers uint64 // completed rounds
 }
 
-// latency is the full-partition barrier latency, 1.3 us.
-const latency = sim.Cycles(1.3 * sim.CyclesPerMicro)
+const (
+	// barrierLatency is the full-partition barrier latency, 1.3 us.
+	barrierLatency = sim.Cycles(1.3 * sim.CyclesPerMicro)
+	// combineLatency is the combining-tree traversal, 2.5 us.
+	combineLatency = sim.Cycles(2.5 * sim.CyclesPerMicro)
+)
 
-// New builds a barrier network over n participants.
-func New(eng *sim.Engine, n int) *Network {
+// New builds a global barrier network over n participants.
+func New(eng *sim.Engine, n int) *Network { return newNetwork(eng, n, barrierLatency) }
+
+// NewCombine builds the collective network's combine route over n
+// participants.
+func NewCombine(eng *sim.Engine, n int) *Network { return newNetwork(eng, n, combineLatency) }
+
+func newNetwork(eng *sim.Engine, n int, latency sim.Cycles) *Network {
 	if n <= 0 {
 		panic("barrier: need at least one participant")
 	}
-	return &Network{eng: eng, entered: make([]*sim.Coro, n),
-		dead: make([]bool, n), failed: make([]bool, n)}
+	return &Network{eng: eng, latency: latency,
+		entered: make([]*sim.Coro, n), results: make([]float64, n),
+		dead: make([]bool, n), failed: make([]bool, n), upcs: make([]*upc.Set, n)}
 }
 
+// AttachUPC routes participant id's combine-operation counter to a chip's
+// UPC unit.
+func (b *Network) AttachUPC(id int, u *upc.Set) { b.upcs[id] = u }
+
 // MarkDead declares participant id permanently gone (node failure).
-// Everyone currently blocked in the barrier is released immediately with
+// Everyone currently blocked in the round is released immediately with
 // ErrDeadParticipant — woken in participant order so same-cycle wakeups
-// stay reproducible — and every future EnterErr fails fast. Idempotent.
+// stay reproducible — and every future entry fails fast. Idempotent.
 func (b *Network) MarkDead(id int) {
 	if b.dead[id] {
 		return
@@ -72,21 +102,26 @@ func (b *Network) MarkDead(id int) {
 	}
 	clear(b.entered)
 	b.waiting = 0
+	b.sum = 0
 }
 
-// Enter blocks participant id until all n participants have entered, then
-// releases everyone latency cycles after the last arrival. Entering twice
-// concurrently with the same id panics (a wired-AND cannot distinguish).
-// If a participant has died the entry returns immediately (legacy void
-// entry point; callers that must distinguish use EnterErr).
-func (b *Network) Enter(c *sim.Coro, id int) {
-	_ = b.EnterErr(c, id)
+// Enter is EnterErr for callers that need no error: after a death it
+// returns at once.
+func (b *Network) Enter(c *sim.Coro, id int) { _, _ = b.AllreduceErr(c, id, 0) }
+
+// EnterErr is AllreduceErr contributing nothing.
+func (b *Network) EnterErr(c *sim.Coro, id int) error {
+	_, err := b.AllreduceErr(c, id, 0)
+	return err
 }
 
-// EnterErr is Enter with node-failure semantics: it returns
+// AllreduceErr contributes v for participant id and blocks until all n
+// participants have entered, then releases everyone latency cycles after
+// the last arrival with the round's sum. Entering twice concurrently with
+// the same id panics (a wired-AND cannot distinguish). It returns
 // ErrDeadParticipant — instead of parking forever — when any participant
 // is already dead, or dies while this one waits.
-func (b *Network) EnterErr(c *sim.Coro, id int) error {
+func (b *Network) AllreduceErr(c *sim.Coro, id int, v float64) (float64, error) {
 	if id < 0 || id >= len(b.entered) {
 		panic(fmt.Sprintf("barrier: participant %d of %d", id, len(b.entered)))
 	}
@@ -94,18 +129,24 @@ func (b *Network) EnterErr(c *sim.Coro, id int) error {
 		panic(fmt.Sprintf("barrier: participant %d entered twice", id))
 	}
 	if b.anyDead {
-		return ErrDeadParticipant
+		return 0, ErrDeadParticipant
 	}
 	b.entered[id] = c
 	b.waiting++
+	b.sum += v
+	b.upcs[id].Inc(upc.ChipScope, upc.CombineOp)
 	if b.waiting == len(b.entered) {
 		waiters := b.entered
 		b.entered = make([]*sim.Coro, len(waiters))
 		b.waiting = 0
+		for i := range b.results {
+			b.results[i] = b.sum
+		}
+		b.sum = 0
 		b.arbiterState++
 		b.Barriers++
 		me := c
-		b.eng.At(b.eng.Now()+latency, func() {
+		b.eng.At(b.eng.Now()+b.latency, func() {
 			// Wake in participant order, so same-cycle resumes do not
 			// depend on arrival order.
 			for _, w := range waiters {
@@ -115,15 +156,15 @@ func (b *Network) EnterErr(c *sim.Coro, id int) error {
 			}
 		})
 		// The last arriver also waits out the wire latency.
-		c.Sleep(latency)
-		return nil
+		c.Sleep(b.latency)
+		return b.results[id], nil
 	}
 	c.Park(sim.Forever)
 	if b.failed[id] {
 		b.failed[id] = false
-		return ErrDeadParticipant
+		return 0, ErrDeadParticipant
 	}
-	return nil
+	return b.results[id], nil
 }
 
 // ArbiterState exposes the hardware state machines' content.

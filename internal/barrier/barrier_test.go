@@ -24,7 +24,7 @@ func TestBarrierReleasesAllTogether(t *testing.T) {
 	}
 	for _, r := range release {
 		// Last arrival at 400, plus the wire latency.
-		if want := 400 + latency; r != want {
+		if want := 400 + barrierLatency; r != want {
 			t.Fatalf("release at %d, want %d (all: %v)", r, want, release)
 		}
 	}
@@ -130,6 +130,42 @@ func TestBarrierResumesInParticipantOrder(t *testing.T) {
 				for r := 0; r < rounds; r++ {
 					c.Sleep(sim.Cycles(100 * (n - i)))
 					b.Enter(c, i)
+					order = append(order, i)
+				}
+			})
+		}
+		eng.RunUntilIdle()
+		if len(order) != n*rounds {
+			t.Fatalf("run %d: %d resumes, want %d", run, len(order), n*rounds)
+		}
+		for k, id := range order {
+			if id != k%n {
+				t.Fatalf("run %d: resume order %v, want participants 0..%d each round", run, order, n-1)
+			}
+		}
+	}
+}
+
+// TestCombineResumesInParticipantOrder repeats a 6-participant combine
+// whose participants arrive in reverse order. The last arriver waits out
+// the tree latency and resumes first; the tree then releases everyone
+// else at the same cycle, woken in participant order, so every round of
+// every run resumes 0, 1, ..., 5, each with the round's sum.
+func TestCombineResumesInParticipantOrder(t *testing.T) {
+	const n, rounds, runs = 6, 3, 20
+	for run := 0; run < runs; run++ {
+		eng := sim.NewEngine()
+		cb := NewCombine(eng, n)
+		var order []int
+		for i := 0; i < n; i++ {
+			i := i
+			eng.Go("p", func(c *sim.Coro) {
+				for r := 0; r < rounds; r++ {
+					c.Sleep(sim.Cycles(100 * (n - i)))
+					got, err := cb.AllreduceErr(c, i, float64(r*n+i))
+					if want := float64(r*n*n + n*(n-1)/2); got != want || err != nil {
+						t.Errorf("run %d round %d: participant %d got %v, %v, want %v", run, r, i, got, err, want)
+					}
 					order = append(order, i)
 				}
 			})

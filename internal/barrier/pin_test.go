@@ -15,7 +15,6 @@ import (
 	"strings"
 	"testing"
 
-	"bgcnk/internal/collective"
 	"bgcnk/internal/sim"
 	"bgcnk/internal/upc"
 )
@@ -78,7 +77,7 @@ func TestPinnedRendezvous(t *testing.T) {
 	checkPinnedRows(t, "barrier", got, pinnedBarrierRows)
 
 	eng = sim.NewEngine()
-	cb := collective.NewCombine(eng, 4)
+	cb := NewCombine(eng, 4)
 	sets := make([]*upc.Set, 4)
 	for i := range sets {
 		sets[i] = new(upc.Set)

@@ -3,10 +3,12 @@
 // system calls over this network to CIOD (paper Fig 2). The model carries
 // real bytes in 256-byte packets over per-endpoint serialized links, so
 // protocol cost, aggregation, and bandwidth contention are observable.
+// The network's arithmetic-combine route, onto which MPI_Allreduce maps,
+// is a rendezvous like the global barrier and is modelled with it
+// (barrier.NewCombine).
 package collective
 
 import (
-	"errors"
 	"fmt"
 
 	"bgcnk/internal/obs"
@@ -14,12 +16,6 @@ import (
 	"bgcnk/internal/sim"
 	"bgcnk/internal/upc"
 )
-
-// ErrDeadParticipant is returned by Combine.AllreduceErr when a
-// participant's node has died: the tree can never finish summing with a
-// contribution permanently missing, so the caller must fail the job
-// instead of parking forever.
-var ErrDeadParticipant = errors.New("collective: participant dead, combine can never complete")
 
 // PacketBytes is the collective network packet payload size.
 const PacketBytes = 256
@@ -321,112 +317,3 @@ func (e *Endpoint) removeWaiter(c *sim.Coro) {
 
 // Pending reports queued inbox messages (for tests).
 func (e *Endpoint) Pending() int { return len(e.inbox) }
-
-// Combine is the collective network's arithmetic-combine (ALU) class
-// route: all n participants contribute a double, the tree sums on the way
-// up and broadcasts on the way down with a fixed hardware latency. This is
-// what MPI_Allreduce maps onto on Blue Gene, and why its per-iteration
-// time is constant to the cycle under CNK (paper V-D).
-type Combine struct {
-	eng *sim.Engine
-
-	// entered, results, dead, failed and upcs are indexed by participant:
-	// the coroutine blocked in the current combine (nil if it has not
-	// entered), the sum it resumes with, whether its node died, whether a
-	// death released it from its wait, and its chip's UPC unit.
-	entered []*sim.Coro
-	waiting int
-	sum     float64
-	results []float64
-	dead    []bool
-	anyDead bool
-	failed  []bool
-	upcs    []*upc.Set
-}
-
-// AttachUPC routes participant id's combine-operation counter to a chip's
-// UPC unit.
-func (cb *Combine) AttachUPC(id int, u *upc.Set) { cb.upcs[id] = u }
-
-// combineLatency is the BG/P-like combining-tree traversal, 2.5 us.
-const combineLatency = sim.Cycles(2.5 * sim.CyclesPerMicro)
-
-// NewCombine builds an n-participant combining route.
-func NewCombine(eng *sim.Engine, n int) *Combine {
-	return &Combine{eng: eng,
-		entered: make([]*sim.Coro, n), results: make([]float64, n),
-		dead: make([]bool, n), failed: make([]bool, n), upcs: make([]*upc.Set, n)}
-}
-
-// MarkDead declares participant id permanently gone (node failure):
-// everyone currently blocked in the combine is released immediately with
-// ErrDeadParticipant — woken in participant order for reproducibility —
-// and every future AllreduceErr fails fast. Idempotent.
-func (cb *Combine) MarkDead(id int) {
-	if cb.dead[id] {
-		return
-	}
-	cb.dead[id] = true
-	cb.anyDead = true
-	for wid, w := range cb.entered {
-		if w != nil {
-			cb.failed[wid] = true
-			w.Wake()
-		}
-	}
-	clear(cb.entered)
-	cb.waiting = 0
-	cb.sum = 0
-}
-
-// Allreduce contributes v for participant id and blocks until the global
-// sum returns down the tree. On a dead combine (a participant's node has
-// failed) it returns 0 immediately; callers that must distinguish use
-// AllreduceErr.
-func (cb *Combine) Allreduce(c *sim.Coro, id int, v float64) float64 {
-	r, _ := cb.AllreduceErr(c, id, v)
-	return r
-}
-
-// AllreduceErr is Allreduce with node-failure semantics: it returns
-// ErrDeadParticipant — instead of parking forever — when any participant
-// is already dead, or dies while this one waits.
-func (cb *Combine) AllreduceErr(c *sim.Coro, id int, v float64) (float64, error) {
-	if cb.entered[id] != nil {
-		panic(fmt.Sprintf("collective: participant %d re-entered combine", id))
-	}
-	if cb.anyDead {
-		return 0, ErrDeadParticipant
-	}
-	cb.entered[id] = c
-	cb.waiting++
-	cb.sum += v
-	cb.upcs[id].Inc(upc.ChipScope, upc.CombineOp)
-	if cb.waiting == len(cb.entered) {
-		waiters := cb.entered
-		cb.entered = make([]*sim.Coro, len(waiters))
-		cb.waiting = 0
-		for i := range cb.results {
-			cb.results[i] = cb.sum
-		}
-		cb.sum = 0
-		me := c
-		cb.eng.At(cb.eng.Now()+combineLatency, func() {
-			// Wake in participant order, so same-cycle resumes do not
-			// depend on arrival order.
-			for _, w := range waiters {
-				if w != me {
-					w.Wake()
-				}
-			}
-		})
-		c.Sleep(combineLatency)
-		return cb.results[id], nil
-	}
-	c.Park(sim.Forever)
-	if cb.failed[id] {
-		cb.failed[id] = false
-		return 0, ErrDeadParticipant
-	}
-	return cb.results[id], nil
-}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"bgcnk/internal/barrier"
-	"bgcnk/internal/collective"
 	"bgcnk/internal/hw"
 	"bgcnk/internal/kernel"
 	"bgcnk/internal/torus"
@@ -22,11 +21,12 @@ type Comm struct {
 	// Bar is the global barrier network.
 	Bar *barrier.Network
 
-	// Comb is the collective network's combining-tree route (nil =
-	// software recursive doubling). CNK exposes it to user space; the
-	// FWK path cannot (no user-space collective-device access), which is
-	// part of why its allreduce is slower and noisier.
-	Comb *collective.Combine
+	// Comb is the collective network's combine route, a rendezvous
+	// like Bar that sums one double per round (nil = software recursive
+	// doubling). CNK exposes it to user space; the FWK path cannot (no
+	// user-space collective-device access), which is part of why its
+	// allreduce is slower and noisier.
+	Comb *barrier.Network
 
 	// Tag spaces: user tags live below collectiveBase.
 	nextCollTag uint32

@@ -111,8 +111,9 @@ type Machine struct {
 	CNKs []*cnk.Kernel
 	FWKs []*fwk.Kernel
 
-	// Comb is the collective combining-tree route (CNK machines only).
-	Comb *collective.Combine
+	// Comb is the collective network's combine route, a rendezvous like
+	// Bar with the tree's longer latency (CNK machines only).
+	Comb *barrier.Network
 
 	// RAS is the machine-wide reliability event log; nil (records
 	// nothing, reads zero) unless Cfg.Faults is armed.
@@ -165,7 +166,7 @@ func New(cfg Config) (*Machine, error) {
 	m.Bar = barrier.New(m.Eng, cfg.Nodes)
 	if cfg.Kind == KindCNK {
 		// The combining tree is driven from user space under CNK only.
-		m.Comb = collective.NewCombine(m.Eng, cfg.Nodes)
+		m.Comb = barrier.NewCombine(m.Eng, cfg.Nodes)
 	}
 
 	for n := 0; n < cfg.Nodes; n++ {
