@@ -253,28 +253,16 @@ func (e *Endpoint) take(tag uint32, anyTag bool) (Message, bool) {
 // Recv blocks the calling coroutine until any message arrives and returns
 // it.
 func (e *Endpoint) Recv(c *sim.Coro) Message {
-	for {
-		if m, ok := e.take(0, true); ok {
-			return m
-		}
-		e.waiters = append(e.waiters, waiter{coro: c, anyTag: true})
-		c.Park(sim.Forever)
-		e.removeWaiter(c)
-	}
+	m, _ := e.recv(c, 0, true, sim.Forever)
+	return m
 }
 
 // RecvTag blocks until a message with the given tag arrives. Multiple
 // coroutines may wait on the same endpoint with different tags (one I/O
 // proxy thread per application thread — paper Section IV-A).
 func (e *Endpoint) RecvTag(c *sim.Coro, tag uint32) Message {
-	for {
-		if m, ok := e.take(tag, false); ok {
-			return m
-		}
-		e.waiters = append(e.waiters, waiter{coro: c, tag: tag})
-		c.Park(sim.Forever)
-		e.removeWaiter(c)
-	}
+	m, _ := e.recv(c, tag, false, sim.Forever)
+	return m
 }
 
 // RecvTagTimeout is RecvTag with a deadline: it returns ok=false if no
@@ -282,27 +270,31 @@ func (e *Endpoint) RecvTag(c *sim.Coro, tag uint32) Message {
 // sim.Forever behaves exactly like RecvTag (and schedules no timer event,
 // so fault-free runs are unchanged to the cycle).
 func (e *Endpoint) RecvTagTimeout(c *sim.Coro, tag uint32, timeout sim.Cycles) (Message, bool) {
-	if timeout >= sim.Forever {
-		return e.RecvTag(c, tag), true
-	}
+	return e.recv(c, tag, false, timeout)
+}
+
+// recv takes the first inbox message matching (tag, anyTag), parking
+// until one arrives, and gives up with ok=false once timeout cycles have
+// passed. A timeout of sim.Forever parks with no deadline, so it never
+// queues a timer event.
+func (e *Endpoint) recv(c *sim.Coro, tag uint32, anyTag bool, timeout sim.Cycles) (Message, bool) {
+	timed := timeout < sim.Forever
 	deadline := e.tree.eng.Now() + timeout
 	for {
-		if m, ok := e.take(tag, false); ok {
+		if m, ok := e.take(tag, anyTag); ok {
 			return m, true
 		}
-		now := e.tree.eng.Now()
-		if now >= deadline {
-			return Message{}, false
-		}
-		e.waiters = append(e.waiters, waiter{coro: c, tag: tag})
-		r := c.Park(deadline - now)
-		e.removeWaiter(c)
-		if r == sim.WakeTimeout {
-			if m, ok := e.take(tag, false); ok {
-				return m, true
+		wait := sim.Forever
+		if timed {
+			now := e.tree.eng.Now()
+			if now >= deadline {
+				return Message{}, false
 			}
-			return Message{}, false
+			wait = deadline - now
 		}
+		e.waiters = append(e.waiters, waiter{coro: c, tag: tag, anyTag: anyTag})
+		c.Park(wait)
+		e.removeWaiter(c)
 	}
 }
 
