@@ -146,46 +146,3 @@ func (c *Comm) Barrier(ctx kernel.Context) kernel.Errno {
 	}
 	return kernel.OK
 }
-
-// Bcast distributes root's value to every rank. With the combining tree
-// attached it is a single hardware traversal (non-roots contribute the
-// additive identity); otherwise a binomial software tree of eager sends.
-func (c *Comm) Bcast(ctx kernel.Context, root int, x float64) (float64, kernel.Errno) {
-	if c.Comb != nil {
-		v := 0.0
-		if c.Rank() == root {
-			v = x
-		}
-		ctx.Compute(160)
-		r, err := c.Comb.AllreduceErr(coro(ctx), c.Rank(), v)
-		if err != nil {
-			return 0, kernel.EIO
-		}
-		return r, kernel.OK
-	}
-	c.nextCollTag += 256
-	tag := c.nextCollTag
-	// Binomial tree rooted at root: relative ranks.
-	rel := (c.Rank() - root + c.Size) % c.Size
-	val := x
-	if rel != 0 {
-		data, _, errno := c.Dev.Recv(ctx, tag)
-		if errno != kernel.OK {
-			return 0, errno
-		}
-		val = math.Float64frombits(binary.BigEndian.Uint64(data))
-	}
-	for step := 1; step < c.Size; step <<= 1 {
-		if rel < step {
-			child := rel + step
-			if child < c.Size {
-				buf := make([]byte, 8)
-				binary.BigEndian.PutUint64(buf, math.Float64bits(val))
-				if errno := c.Dev.Send(ctx, (child+root)%c.Size, tag, buf); errno != kernel.OK {
-					return 0, errno
-				}
-			}
-		}
-	}
-	return val, kernel.OK
-}

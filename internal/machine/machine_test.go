@@ -372,29 +372,3 @@ func TestCombiningTreeAllreduceConstantTime(t *testing.T) {
 		t.Fatal("hardware combine never used")
 	}
 }
-
-func TestBcastBothPaths(t *testing.T) {
-	for _, kind := range []KernelKind{KindCNK, KindFWK} {
-		m, err := New(Config{Nodes: 4, Kind: kind, Seed: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]float64, 4)
-		err = m.Run(func(ctx kernel.Context, env *Env) {
-			v, errno := env.MPI.Bcast(ctx, 2, 42.5)
-			if errno != kernel.OK {
-				t.Errorf("bcast: %v", errno)
-			}
-			got[env.Rank] = v
-		}, kernel.JobParams{}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r, v := range got {
-			if v != 42.5 {
-				t.Fatalf("%v rank %d got %v", kind, r, v)
-			}
-		}
-		m.Shutdown()
-	}
-}
