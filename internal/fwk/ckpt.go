@@ -1,8 +1,6 @@
 package fwk
 
 import (
-	"sort"
-
 	"bgcnk/internal/ckpt"
 	"bgcnk/internal/fs"
 	"bgcnk/internal/sim"
@@ -31,13 +29,8 @@ func (k *Kernel) CheckpointRegions(pid uint32) ([]ckpt.Region, uint64) {
 	if p == nil {
 		return nil, 0
 	}
-	vps := make([]uint64, 0, len(p.pages))
-	for vp := range p.pages {
-		vps = append(vps, vp)
-	}
-	sort.Slice(vps, func(i, j int) bool { return vps[i] < vps[j] })
 	var out []ckpt.Region
-	for _, vp := range vps {
+	for _, vp := range p.residentPages() {
 		va := vp * pageSize
 		if n := len(out); n > 0 && out[n-1].VBase+out[n-1].Size == va {
 			out[n-1].Size += pageSize
@@ -63,18 +56,7 @@ func (k *Kernel) RestoreImage(pid uint32, regions []ckpt.Region) {
 	if p == nil {
 		return
 	}
-	vps := make([]uint64, 0, len(p.pages))
-	for vp := range p.pages {
-		vps = append(vps, vp)
-	}
-	sort.Slice(vps, func(i, j int) bool { return vps[i] < vps[j] })
-	for _, vp := range vps {
-		k.freeFrame(p.pages[vp])
-		delete(p.pages, vp)
-	}
-	for _, c := range k.cpus {
-		c.Core.TLB.InvalidateASID(pid)
-	}
+	k.releasePages(p)
 	for _, r := range regions {
 		for off := uint64(0); off < r.Size; off += pageSize {
 			f, ok := k.allocFrame()

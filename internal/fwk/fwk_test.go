@@ -2,7 +2,10 @@ package fwk
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"bgcnk/internal/fs"
@@ -519,5 +522,58 @@ func TestShellScriptPattern(t *testing.T) {
 	}})
 	if len(outputs) != 2 {
 		t.Fatalf("executables that ran: %v", outputs)
+	}
+}
+
+// TestForkExecFramesReproducible runs one fork and one exec in fresh
+// kernels: a job touches 64 heap pages, forks, then execs and touches 64
+// pages of its new image. The frame each page of the child and of the
+// new image gets must be the same in every run, whatever order Go's map
+// iteration visits the resident pages in.
+func TestForkExecFramesReproducible(t *testing.T) {
+	const runs, pages = 6, 64
+	frameMap := func(p *Proc) string {
+		var b strings.Builder
+		for _, vp := range slices.Sorted(maps.Keys(p.pages)) {
+			fmt.Fprintf(&b, "%x:%x ", vp, p.pages[vp])
+		}
+		return b.String()
+	}
+	var first [2]string
+	for run := 0; run < runs; run++ {
+		eng, k := fnode(t, Config{})
+		var got [2]string
+		frun(t, eng, k, kernel.JobSpec{Main: func(ctx kernel.Context, rank int) {
+			heap := k.Proc(ctx.PID()).HeapBase
+			for i := uint64(0); i < pages; i++ {
+				ctx.Store(heap+hw.VAddr(i*pageSize), []byte{1})
+			}
+			pid, errno := k.Fork(ctx.(*kernel.Thread), func(kernel.Context) {})
+			if errno != kernel.OK {
+				t.Errorf("fork: %v", errno)
+				return
+			}
+			got[0] = frameMap(k.Proc(pid))
+			k.Exec(ctx.(*kernel.Thread), 1<<20, 1<<20, func(c kernel.Context) {
+				np := k.Proc(c.PID())
+				for i := uint64(0); i < pages; i++ {
+					c.Store(np.HeapBase+hw.VAddr(i*pageSize), []byte{2})
+				}
+				got[1] = frameMap(np)
+			})
+		}})
+		if got[0] == "" || got[1] == "" {
+			t.Fatalf("run %d: fork or exec did not run", run)
+		}
+		if run == 0 {
+			first = got
+			continue
+		}
+		if got[0] != first[0] {
+			t.Errorf("run %d: the forked child's page-to-frame map differs from run 0's", run)
+		}
+		if got[1] != first[1] {
+			t.Errorf("run %d: the exec'd image's page-to-frame map differs from run 0's", run)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package fwk
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"bgcnk/internal/fs"
 	"bgcnk/internal/hw"
@@ -134,12 +136,12 @@ func (k *Kernel) Fork(t *kernel.Thread, childMain kernel.ThreadFunc) (uint32, ke
 	// Copy resident pages (eager copy; COW is an optimization the model
 	// doesn't need). Charged per page.
 	buf := make([]byte, pageSize)
-	for vp, frame := range parent.pages {
+	for _, vp := range parent.residentPages() {
 		nf, ok := k.allocFrame()
 		if !ok {
 			return 0, kernel.ENOMEM
 		}
-		k.Chip.Mem.Read(frame, buf)
+		k.Chip.Mem.Read(parent.pages[vp], buf)
 		k.Chip.Mem.Write(nf, buf)
 		child.pages[vp] = nf
 	}
@@ -147,6 +149,29 @@ func (k *Kernel) Fork(t *kernel.Thread, childMain kernel.ThreadFunc) (uint32, ke
 	k.procs[child.PID] = child
 	k.startThread(child, childMain)
 	return child.PID, kernel.OK
+}
+
+// residentPages returns p's resident virtual page numbers in ascending
+// order. Every walk of the resident set goes through it, so the frames a
+// fork hands out and the order a release pushes frames onto the LIFO free
+// list, and with it the frames later faults get, are the same on every
+// run.
+func (p *Proc) residentPages() []uint64 {
+	vps := slices.AppendSeq(make([]uint64, 0, len(p.pages)), maps.Keys(p.pages))
+	slices.Sort(vps)
+	return vps
+}
+
+// releasePages frees every resident page of p and shoots its entries
+// down from each core's TLB.
+func (k *Kernel) releasePages(p *Proc) {
+	for _, vp := range p.residentPages() {
+		k.freeFrame(p.pages[vp])
+	}
+	clear(p.pages)
+	for _, c := range k.cpus {
+		c.Core.TLB.InvalidateASID(p.PID)
+	}
 }
 
 // Proc returns the process with the given PID.
@@ -235,14 +260,7 @@ func (k *Kernel) Exec(t *kernel.Thread, textBytes, dataBytes uint64, newMain ker
 	if p.Live() > 1 {
 		return kernel.EBUSY // exec with live sibling threads unsupported in the model
 	}
-	// Release the old image.
-	for vp, f := range p.pages {
-		k.freeFrame(f)
-		delete(p.pages, vp)
-	}
-	for _, c := range k.cpus {
-		c.Core.TLB.InvalidateASID(p.PID)
-	}
+	k.releasePages(p)
 	p.mapImage(textBytes, dataBytes)
 	p.Sig = kernel.SignalTable{}
 	t.Coro().Sleep(12_000) // image load
