@@ -110,6 +110,9 @@ func Unmarshal(data []byte) (Trace, error) {
 
 	var t Trace
 	var prev sim.Cycles
+	// names holds each distinct span name decoded so far, so spans that
+	// share a name share one string.
+	names := make(map[string]string)
 	for i := uint64(0); i < nSpans; i++ {
 		var s Span
 		cat := d.byte()
@@ -121,7 +124,13 @@ func Unmarshal(data []byte) (Trace, error) {
 		if d.err == nil && nameLen > maxNameLen {
 			return Trace{}, fmt.Errorf("%w: span name length %d", ErrTraceCorrupt, nameLen)
 		}
-		s.Name = string(d.bytes(int(nameLen)))
+		raw := d.bytes(int(nameLen))
+		name, ok := names[string(raw)]
+		if !ok {
+			name = string(raw)
+			names[name] = name
+		}
+		s.Name = name
 		s.Node = int32(d.zigzag32())
 		s.Tid = int32(d.zigzag32())
 		s.Start = prev + sim.Cycles(unzigzag(d.uvarint()))
