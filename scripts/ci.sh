@@ -62,11 +62,14 @@ go test -run 'TestPinnedEncodings|TestJournalReplaysLargeBodies' ./internal/ctrl
 # executor: a write whose count no buffer can hold fails with EFAULT, a
 # read of any larger count, 1<<63 included, returns the short file's
 # bytes, and a 64 MiB write from unmapped memory fails with EFAULT
-# without allocating its count on the host), and the FWQ render, the one
+# without allocating its count on the host); the FWK's fork and exec
+# must hand out the same frames in every fresh kernel, so repeated runs
+# must give identical page-to-frame maps; and the FWQ render, the one
 # golden that runs pthreads on both kernels, must match byte-for-byte.
-echo "== kernels: pinned thread lifecycle + shared cores + file calls + kernel suites + fig5-7 golden"
+echo "== kernels: pinned thread lifecycle + shared cores + file calls + kernel suites + fork/exec frames + fig5-7 golden"
 go test -race -count=3 -run 'TestPinnedThreadLifecycle|TestPinnedSharedCores|TestPinnedFileCalls' ./internal/machine/
 go test -race -count=3 ./internal/kernel/ ./internal/cnk/ ./internal/fwk/ ./internal/nptl/
+go test -count=5 -run 'TestForkExecFramesReproducible' ./internal/fwk/
 go test -run 'TestGolden/fig5-7' ./internal/experiments/
 
 # The fault matrix is part of the -race suite above, but gate on it
@@ -170,13 +173,17 @@ go test -run 'TestGolden/degrade' ./internal/experiments/
 # every kernel x workload cell of the determinism battery must match its
 # pinned reference row, and the replica runner must merge bit-identical
 # results at 1, 2, and 8 workers — from the raw pool up through the
-# rendered experiment artifacts, and a barrier and a combine must resume
-# their participants in participant order on every run. All under -race.
-echo "== sim fast path: pinned event-queue references + queue-order model + pinned battery + replica worker invariance + barrier and combine order"
+# rendered experiment artifacts. The global barrier and the combine route
+# are one rendezvous (barrier.Network): both must resume their
+# participants in participant order on every run, and one script of
+# rounds broken by a node death must match its pinned rows on each; the
+# collective tree's receives (any tag, by tag, and with a deadline met,
+# expired or sim.Forever) must match theirs. All under -race.
+echo "== sim fast path: pinned event-queue references + queue-order model + pinned battery + replica worker invariance + rendezvous order and pins + tree receives"
 go test -race -run 'TestDifferential|TestDeterminismBattery' ./internal/sim/ ./internal/machine/
 go test -race -run 'TestReplicaWorkerInvariance' ./internal/sim/replica/
 go test -race -run 'TestRenderWorkerInvariance' ./internal/experiments/
-go test -race -count=5 -run 'TestBarrierResumesInParticipantOrder|TestCombineResumesInParticipantOrder' ./internal/barrier/ ./internal/collective/
+go test -race -count=5 -run 'TestBarrierResumesInParticipantOrder|TestCombineResumesInParticipantOrder|TestPinnedRendezvous|TestPinnedTreeReceives' ./internal/barrier/ ./internal/collective/
 
 # Coroutine switch contracts: the iter.Pull handoff must keep kill/unwind,
 # shutdown order, the pinned workload tables (runRandomCoros among them),
