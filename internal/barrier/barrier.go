@@ -32,19 +32,14 @@ type Network struct {
 	eng     *sim.Engine
 	latency sim.Cycles
 
-	// entered, results, dead, failed and upcs are indexed by participant:
-	// the coroutine blocked in the current round (nil if it has not
-	// entered), the sum it resumes with, whether its node died, whether a
-	// death released it from its wait, and its chip's UPC unit (nil
-	// counts nothing).
+	// entered and parts are indexed by participant: the coroutine blocked
+	// in the current round (nil if it has not entered), and the rest of
+	// its state.
 	entered []*sim.Coro
+	parts   []participant
 	waiting int
 	sum     float64
-	results []float64
-	dead    []bool
 	anyDead bool
-	failed  []bool
-	upcs    []*upc.Set
 
 	// ArbiterState models the hardware arbiter/state-machine content that
 	// the multichip reproducible reboot must leave consistent (paper:
@@ -55,6 +50,14 @@ type Network struct {
 	arbiterState uint64
 
 	Barriers uint64 // completed rounds
+}
+
+// participant is one participant's state beyond its current entry.
+type participant struct {
+	result float64  // the sum it resumes with
+	dead   bool     // its node died
+	failed bool     // a death released it from its wait
+	upc    *upc.Set // its chip's UPC unit; nil counts nothing
 }
 
 const (
@@ -76,27 +79,26 @@ func newNetwork(eng *sim.Engine, n int, latency sim.Cycles) *Network {
 		panic("barrier: need at least one participant")
 	}
 	return &Network{eng: eng, latency: latency,
-		entered: make([]*sim.Coro, n), results: make([]float64, n),
-		dead: make([]bool, n), failed: make([]bool, n), upcs: make([]*upc.Set, n)}
+		entered: make([]*sim.Coro, n), parts: make([]participant, n)}
 }
 
 // AttachUPC routes participant id's combine-operation counter to a chip's
 // UPC unit.
-func (b *Network) AttachUPC(id int, u *upc.Set) { b.upcs[id] = u }
+func (b *Network) AttachUPC(id int, u *upc.Set) { b.parts[id].upc = u }
 
 // MarkDead declares participant id permanently gone (node failure).
 // Everyone currently blocked in the round is released immediately with
 // ErrDeadParticipant — woken in participant order so same-cycle wakeups
 // stay reproducible — and every future entry fails fast. Idempotent.
 func (b *Network) MarkDead(id int) {
-	if b.dead[id] {
+	if b.parts[id].dead {
 		return
 	}
-	b.dead[id] = true
+	b.parts[id].dead = true
 	b.anyDead = true
 	for wid, w := range b.entered {
 		if w != nil {
-			b.failed[wid] = true
+			b.parts[wid].failed = true
 			w.Wake()
 		}
 	}
@@ -134,13 +136,13 @@ func (b *Network) AllreduceErr(c *sim.Coro, id int, v float64) (float64, error) 
 	b.entered[id] = c
 	b.waiting++
 	b.sum += v
-	b.upcs[id].Inc(upc.ChipScope, upc.CombineOp)
+	b.parts[id].upc.Inc(upc.ChipScope, upc.CombineOp)
 	if b.waiting == len(b.entered) {
 		waiters := b.entered
 		b.entered = make([]*sim.Coro, len(waiters))
 		b.waiting = 0
-		for i := range b.results {
-			b.results[i] = b.sum
+		for i := range b.parts {
+			b.parts[i].result = b.sum
 		}
 		b.sum = 0
 		b.arbiterState++
@@ -157,14 +159,14 @@ func (b *Network) AllreduceErr(c *sim.Coro, id int, v float64) (float64, error) 
 		})
 		// The last arriver also waits out the wire latency.
 		c.Sleep(b.latency)
-		return b.results[id], nil
+		return b.parts[id].result, nil
 	}
 	c.Park(sim.Forever)
-	if b.failed[id] {
-		b.failed[id] = false
+	if b.parts[id].failed {
+		b.parts[id].failed = false
 		return 0, ErrDeadParticipant
 	}
-	return b.results[id], nil
+	return b.parts[id].result, nil
 }
 
 // ArbiterState exposes the hardware state machines' content.
