@@ -22,7 +22,6 @@ import (
 	"bgcnk/internal/ckpt"
 	"bgcnk/internal/ctrlsys"
 	"bgcnk/internal/experiments"
-	"bgcnk/internal/fs"
 	"bgcnk/internal/ion"
 	"bgcnk/internal/kernel"
 	"bgcnk/internal/machine"
@@ -342,12 +341,13 @@ func WorkSignature(s CounterSnapshot) uint64 { return ckpt.WorkSignature(s) }
 // Crash-only service node: with ControlConfig.Journal enabled, every
 // scheduler state transition is made durable in a write-ahead journal on
 // the control store before it is applied, and a service node killed at
-// any point — even mid-recovery — is rebuilt by replaying the journal
-// and reconciling against the live machine (orphaned partitions killed,
-// interrupted jobs resumed from their last durable checkpoint). Crashes
-// themselves are injected deterministically (ControlConfig.Crashes),
-// keyed to journal sequence numbers, so every crash-and-recover drain is
-// replayable and must finish bit-identical to a crash-free drain.
+// any point — even mid-recovery — recovers in place inside Drain by
+// replaying the journal (orphaned jobs killed, interrupted jobs resumed
+// from their last durable checkpoint or requeued). Crashes themselves
+// are injected deterministically (ControlConfig.Crashes, which needs the
+// journal), keyed to journal sequence numbers, so every
+// crash-and-recover drain is replayable and must finish bit-identical to
+// a crash-free drain.
 
 // JournalConfig arms the write-ahead journal (ControlConfig.Journal).
 type JournalConfig = ctrlsys.JournalConfig
@@ -375,21 +375,8 @@ type CrashStats = ctrlsys.CrashStats
 // JournalStats accounts the journal a drain wrote (DrainResult.Journal).
 type JournalStats = ctrlsys.JournalStats
 
-// RecoveryReport describes one journal replay + reconciliation pass.
-type RecoveryReport = ctrlsys.RecoveryReport
-
-// ControlStore is the service node's durable store (ServiceNode.Store);
-// it survives the node and is what RecoverServiceNode replays from.
-type ControlStore = fs.FS
-
-// ErrServiceNodeCrash is wrapped into DrainResult.Errs for jobs lost to
-// a service-node crash with journaling off; test with errors.Is.
+// ErrServiceNodeCrash is what ServiceNode.Allocate and BootPartition
+// return when an armed crash plan kills the journaled service node under
+// them; test with errors.Is. Drain never returns it: it recovers and
+// finishes the queue.
 var ErrServiceNodeCrash = ctrlsys.ErrServiceNodeCrash
-
-// RecoverServiceNode rebuilds a service node from a dead node's control
-// store by journal replay, reconciling against any still-live partitions
-// (scanned read-only, then destroyed and freed). The recovered node
-// finishes a re-drained queue bit-identically to the original.
-func RecoverServiceNode(cfg ControlConfig, store *ControlStore, live []*ControlPartition) (*ServiceNode, *RecoveryReport, error) {
-	return ctrlsys.Recover(cfg, store, live)
-}

@@ -131,27 +131,6 @@ func TestFacadeCrashRecovery(t *testing.T) {
 	if crashed.Crash.Crashes == 0 || crashed.Crash.Recoveries == 0 {
 		t.Fatalf("no crash/recovery exercised: %+v — retune the plan", crashed.Crash)
 	}
-
-	// A successor node recovers the dead node's store and re-drains
-	// purely from journal replay.
-	s := NewServiceNode(cfg)
-	if _, err := s.Drain(jobs); err != nil {
-		t.Fatal(err)
-	}
-	s2, rep, err := RecoverServiceNode(cfg, s.Store(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Completed != len(jobs) {
-		t.Fatalf("recovery report %+v, want %d completed", rep, len(jobs))
-	}
-	redrain, err := s2.Drain(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if redrain.Signature() != base.Signature() {
-		t.Fatalf("recovered re-drain signature %016x, crash-free %016x", redrain.Signature(), base.Signature())
-	}
 }
 
 func TestExperimentRegistryAccessible(t *testing.T) {

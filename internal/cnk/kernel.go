@@ -106,9 +106,6 @@ func New(eng *sim.Engine, chip *hw.Chip, cfg Config) *Kernel {
 // Name implements kernel.OS.
 func (k *Kernel) Name() string { return "CNK" }
 
-// Config returns the kernel configuration.
-func (k *Kernel) Config() Config { return k.cfg }
-
 // Boot runs the kernel's startup sequence, charging its (small,
 // deterministic) cost and probing functional units. With broken optional
 // units CNK still comes up; only DDR is mandatory.

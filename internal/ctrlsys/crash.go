@@ -13,13 +13,11 @@ import (
 	"bgcnk/internal/sim/replica"
 )
 
-// ErrServiceNodeCrash is the typed face of a service-node death. With
-// journaling on it never escapes Drain — the crash-only loop recovers and
-// finishes the drain — but with journaling off, Drain surfaces one
-// wrapped instance per crash-aborted job in DrainResult.Errs (test with
-// errors.Is), alongside the ordinary merged errors. It is also what the
-// interactive Allocate/BootPartition paths return when the injector fires
-// under them.
+// ErrServiceNodeCrash is the typed face of a service-node death. It never
+// escapes Drain — the crash-only loop recovers from the journal and
+// finishes the drain — but Allocate and BootPartition return it (and
+// Release swallows it) when the injector fires under them. Only a
+// journaled node has a crash plan, so only a journaled node dies.
 var ErrServiceNodeCrash = errors.New("ctrlsys: service node crashed")
 
 // Recovery cost model, in simulated cycles of service-node downtime: a
@@ -66,9 +64,9 @@ type JournalStats struct {
 }
 
 // world is the state that survives a service-node death: the control
-// store (and the journal on it), the crash injector whose generation
-// counts deaths, and the drain state. ServiceNode incarnations come and
-// go; the world persists.
+// store and the journal on it (both nil with the journal off), the crash
+// injector whose generation counts deaths, and the drain state.
+// ServiceNode incarnations come and go; the world persists.
 type world struct {
 	store *fs.FS
 	jn    *wal.Journal
@@ -79,13 +77,14 @@ type world struct {
 	st    *drainState
 }
 
+// newWorld builds the world a node starts with. The crash plan reaches
+// the injector only on a journaled node: recovery replays the journal,
+// so a node without one must never die (Drain refuses the combination).
 func newWorld(cfg Config) *world {
-	w := &world{
-		store: fs.New(),
-		inj:   ras.NewCrashInjector(cfg.Crashes),
-		st:    newDrainState(),
-	}
+	w := &world{st: newDrainState()}
+	var plan *ras.CrashPlan
 	if cfg.Journal.Enabled {
+		w.store = fs.New()
 		jn, err := wal.Create(w.store, journalDir, cfg.Journal.SegmentBytes)
 		if err != nil {
 			// Impossible on a freshly created store; fail loudly if the
@@ -93,14 +92,11 @@ func newWorld(cfg Config) *world {
 			panic(fmt.Sprintf("ctrlsys: create journal: %v", err))
 		}
 		w.jn = jn
+		plan = cfg.Crashes
 	}
+	w.inj = ras.NewCrashInjector(plan)
 	return w
 }
-
-// Store exposes the service node's control store — the filesystem holding
-// the journal, empty when the journal is off — so a successor incarnation
-// can be built over it with Recover.
-func (s *ServiceNode) Store() *fs.FS { return s.w.store }
 
 // appendRec is the single gate every scheduler state transition passes
 // through: consult the crash injector at the record's LSN, then make the
@@ -115,20 +111,19 @@ func (s *ServiceNode) appendRec(kind uint8, body []byte, site ras.CrashSite) err
 		lsn = w.jn.NextLSN()
 	}
 	if class, died := w.inj.At(lsn, site); died {
-		if w.jn != nil {
-			switch class {
-			case ras.CrashPreAppend:
-				// The record never reached the store.
-			case ras.CrashMidCkptCommit:
-				if err := w.jn.AppendTorn(kind, body); err != nil {
-					return err
-				}
-			default:
-				// Post-append flavors: durable, but the incarnation dies
-				// before applying it.
-				if _, err := w.jn.Append(kind, body); err != nil {
-					return err
-				}
+		// Only a journaled node's injector fires, so w.jn is set.
+		switch class {
+		case ras.CrashPreAppend:
+			// The record never reached the store.
+		case ras.CrashMidCkptCommit:
+			if err := w.jn.AppendTorn(kind, body); err != nil {
+				return err
+			}
+		default:
+			// Post-append flavors: durable, but the incarnation dies
+			// before applying it.
+			if _, err := w.jn.Append(kind, body); err != nil {
+				return err
 			}
 		}
 		w.crash.Crashes++
@@ -263,10 +258,10 @@ func (st *drainState) applyRecord(r wal.Record) error {
 }
 
 // drain is the crash-only drain loop every Drain runs: run passes until
-// one completes; on a service-node death, either recover from the journal
-// and keep going, or — with journaling off — surface the wreck with typed
-// errors. Recovery itself may die (double crash); it is simply retried,
-// and the injector's MaxCrashes cap guarantees the loop terminates.
+// one completes; on a service-node death, recover from the journal in
+// place and keep going. Recovery itself may die (double crash); it is
+// simply retried, and the injector's MaxCrashes cap guarantees the loop
+// terminates.
 func (s *ServiceNode) drain(jobs []Job, workers int) (*DrainResult, error) {
 	w := s.w
 	start := time.Now()
@@ -285,11 +280,8 @@ func (s *ServiceNode) drain(jobs []Job, workers int) (*DrainResult, error) {
 		if !errors.Is(err, ErrServiceNodeCrash) {
 			return nil, err
 		}
-		if w.jn == nil {
-			return s.assembleAborted(jobs, workers, start, err)
-		}
 		for {
-			_, rerr := s.recoverInPlace(nil)
+			rerr := s.recoverInPlace()
 			if rerr == nil {
 				break
 			}
@@ -313,29 +305,6 @@ func (s *ServiceNode) attachStats(res *DrainResult) {
 			TornDropped: w.torn,
 		}
 	}
-}
-
-// assembleAborted builds the partial result of a crash with journaling
-// off: committed jobs keep their results; everything else is a
-// crash-aborted stub whose Errs entry wraps ErrServiceNodeCrash.
-func (s *ServiceNode) assembleAborted(jobs []Job, workers int, start time.Time, cause error) (*DrainResult, error) {
-	res := &DrainResult{Results: make([]*JobResult, len(jobs)), Workers: workers}
-	for i, job := range jobs {
-		if r := s.w.st.completed[job.ID]; r != nil {
-			res.Results[i] = r
-			continue
-		}
-		res.Results[i] = &JobResult{
-			Job:          job,
-			Nodes:        job.Midplanes * s.topo.NodesPerMidplane,
-			Err:          cause.Error(),
-			CrashAborted: true,
-		}
-	}
-	res.Wall = time.Since(start)
-	s.mergeResults(res, jobs)
-	s.attachStats(res)
-	return res, nil
 }
 
 // drainPass is one service-node incarnation's attempt to finish the
@@ -426,54 +395,29 @@ func (s *ServiceNode) drainPass(jobs []Job, workers int) error {
 	return nil
 }
 
-// RecoveryReport is what one recovery found and did.
-type RecoveryReport struct {
-	Records     int // journal records replayed
-	TornDropped int
-
-	Submitted int // jobs with durable submit records
-	Completed int // jobs with durable results
-	Pending   int // submitted but not completed
-
-	OrphansKilled int // started-but-unfinished jobs killed
-	Resumed       int // orphans with a journaled checkpoint to resume from
-	Requeued      int // orphans restarted from scratch
-
-	LiveScanned   int // live partitions scanned during reconciliation
-	LiveDestroyed int
-
-	Latency sim.Cycles // modelled downtime this recovery cost
-}
-
 // recoverInPlace is one recovery incarnation: reopen the journal (which
 // repairs any torn tail), replay every record into a fresh state, then
-// reconcile — scan and tear down live partitions, kill orphaned jobs,
-// bracket the reconciliation in RecoverBegin/End records. Reconciliation
-// appends pass through the crash injector too (SiteRecovery), so recovery
-// itself can die; every step is idempotent under replay, so the retry
-// simply picks up where the corpse left off.
-func (s *ServiceNode) recoverInPlace(live []*Partition) (*RecoveryReport, error) {
+// reconcile — kill orphaned jobs, bracketed in RecoverBegin/End records.
+// Reconciliation appends pass through the crash injector too
+// (SiteRecovery), so recovery itself can die; every step is idempotent
+// under replay, so the retry simply picks up where the corpse left off.
+func (s *ServiceNode) recoverInPlace() error {
 	w := s.w
 	jn, recs, err := wal.Open(w.store, journalDir, s.cfg.Journal.SegmentBytes)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	w.jn = jn
 	w.torn += jn.Torn()
 	st := newDrainState()
 	for _, r := range recs {
 		if err := st.applyRecord(r); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	w.st = st
 	w.crash.Recoveries++
 	w.crash.RecordsReplayed += len(recs)
-
-	rep := &RecoveryReport{Records: len(recs), TornDropped: jn.Torn()}
-	rep.Submitted = len(st.submitted)
-	rep.Completed = len(st.completed)
-	rep.Pending = rep.Submitted - rep.Completed
 
 	// Rebuild the midplane map from the durable allocations.
 	for i := range s.owner {
@@ -487,31 +431,7 @@ func (s *ServiceNode) recoverInPlace(live []*Partition) (*RecoveryReport, error)
 	}
 
 	if err := s.appendRec(recRecoverBegin, nil, ras.SiteRecovery); err != nil {
-		return nil, err
-	}
-
-	// Reconcile live partitions: the dead incarnation's booted blocks.
-	// Whatever their machines were doing, their controlling state is
-	// gone; kill the orphaned job, free the block.
-	sort.Slice(live, func(i, j int) bool { return live[i].ID < live[j].ID })
-	for _, p := range live {
-		if p == nil {
-			continue
-		}
-		rep.LiveScanned++
-		p.Destroy()
-		if _, ok := st.allocs[p.ID]; ok {
-			if err := s.appendRec(recPartFree, idBody(p.ID), ras.SiteRecovery); err != nil {
-				return nil, err
-			}
-			delete(st.allocs, p.ID)
-			for i := p.Base; i < p.Base+p.Midplanes && i < len(s.owner); i++ {
-				if i >= 0 && s.owner[i] == p.ID {
-					s.owner[i] = -1
-				}
-			}
-		}
-		rep.LiveDestroyed++
+		return err
 	}
 
 	// Kill orphaned jobs: a start record with no completion. The job
@@ -524,70 +444,21 @@ func (s *ServiceNode) recoverInPlace(live []*Partition) (*RecoveryReport, error)
 	sort.Ints(orphans)
 	for _, id := range orphans {
 		if err := s.appendRec(recOrphanKill, idBody(id), ras.SiteRecovery); err != nil {
-			return nil, err
+			return err
 		}
 		delete(st.started, id)
 		w.crash.OrphansKilled++
-		rep.OrphansKilled++
 		if st.resume[id] != nil {
 			w.crash.Resumed++
-			rep.Resumed++
 		} else {
 			w.crash.Requeued++
-			rep.Requeued++
 		}
 	}
 	if err := s.appendRec(recRecoverEnd, nil, ras.SiteRecovery); err != nil {
-		return nil, err
+		return err
 	}
 
-	lat := recoverBaseCost + recoverPerRecord*sim.Cycles(len(recs)) +
-		recoverPerOrphan*sim.Cycles(rep.OrphansKilled)
-	w.crash.RecoveryLatency += lat
-	rep.Latency = lat
-	return rep, nil
-}
-
-// Recover builds a successor service node over a dead one's control
-// store: open and replay the journal, reconcile against whatever live
-// partitions survived the crash (their machines are scanned and torn
-// down, their jobs orphan-killed), and return a node ready to Drain the
-// same queue — completed jobs keep their durable results; interrupted
-// ones resume from their last journaled checkpoint; never-started ones
-// run fresh. cfg must arm the journal and should otherwise match the
-// dead node's (same seed, kernel, topology — recovery cannot conjure
-// results for a queue it never journaled).
-func Recover(cfg Config, store *fs.FS, live []*Partition) (*ServiceNode, *RecoveryReport, error) {
-	if !cfg.Journal.Enabled {
-		return nil, nil, fmt.Errorf("ctrlsys: Recover needs Journal.Enabled")
-	}
-	if store == nil {
-		return nil, nil, fmt.Errorf("ctrlsys: Recover needs the dead node's control store")
-	}
-	topo := cfg.Topology.normalized()
-	s := &ServiceNode{cfg: cfg, topo: topo, owner: make([]int, topo.Midplanes())}
-	for i := range s.owner {
-		s.owner[i] = -1
-	}
-	s.w = &world{
-		store: store,
-		inj:   ras.NewCrashInjector(cfg.Crashes),
-		st:    newDrainState(),
-	}
-	// With a crash plan armed, recovery itself is a target. Each retry is
-	// a new incarnation over the SAME world — the injector's generation
-	// advances on every fire, so the schedule moves and the loop
-	// terminates (a fresh Recover call per attempt would rebuild a fresh
-	// injector and die identically forever). Retries re-present the live
-	// list: partitions the dead recovery already freed are skipped (their
-	// free records replay out of st.allocs), the rest get torn down now.
-	for {
-		rep, err := s.recoverInPlace(live)
-		if err == nil {
-			return s, rep, nil
-		}
-		if !errors.Is(err, ErrServiceNodeCrash) {
-			return nil, nil, err
-		}
-	}
+	w.crash.RecoveryLatency += recoverBaseCost + recoverPerRecord*sim.Cycles(len(recs)) +
+		recoverPerOrphan*sim.Cycles(len(orphans))
+	return nil
 }

@@ -1,7 +1,6 @@
 package ctrlsys
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -106,9 +105,6 @@ func TestCrashMatrixDeterminism(t *testing.T) {
 						fired += res.Crash.ByClass[class]
 						if res.Crash.Crashes > 0 && res.Crash.Recoveries == 0 {
 							t.Errorf("%s: %d crashes but no recovery", label, res.Crash.Crashes)
-						}
-						if res.CrashAborted != 0 {
-							t.Errorf("%s: journaled drain aborted %d jobs", label, res.CrashAborted)
 						}
 						if workers == 1 {
 							ref = res
@@ -221,43 +217,14 @@ func TestFaultFreeCkptDrainMatchesPinned(t *testing.T) {
 	}
 }
 
-// TestRecoverReplaysCompletedDrain is the codec's end-to-end proof: a
-// successor node built over the dead node's store must reconstruct every
-// committed JobResult purely from journal replay — re-draining the same
-// queue simulates nothing and must produce the identical signature.
-func TestRecoverReplaysCompletedDrain(t *testing.T) {
-	cfg := crashConfig(machine.KindCNK, 2, 0xd00d, nil)
-	s := New(cfg)
-	jobs := resilienceJobs()
-	res1, err := s.Drain(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, rep, err := Recover(cfg, s.Store(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Completed != len(jobs) || rep.OrphansKilled != 0 || rep.Pending != 0 {
-		t.Fatalf("recovery report %+v; want %d completed, no orphans", rep, len(jobs))
-	}
-	res2, err := s2.Drain(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Signature() != res1.Signature() {
-		t.Errorf("replayed drain signature %016x, original %016x", res2.Signature(), res1.Signature())
-	}
-	if res2.Crash.Recoveries != 1 {
-		t.Errorf("recoveries = %d, want 1", res2.Crash.Recoveries)
-	}
-}
-
 // TestRedrainRejectsChangedQueue: a node keeps the submit record of every
 // job it accepted, so a second Drain of a different queue must fail,
 // naming the first job that differs and appending nothing, instead of
 // handing back the first queue's results. Journal on and off alike; the
-// node still drains its own queue again, a fresh node drains the second
-// one, and a node recovered from the journal rejects it too.
+// node still drains its own queue again, and a fresh node drains the
+// second one. A journaled node recovered in place, whose state then
+// comes from replay alone, rejects the second queue too and hands back
+// the first queue's committed results.
 func TestRedrainRejectsChangedQueue(t *testing.T) {
 	first, second := GenerateJobs(1, 4, 2), GenerateJobs(2, 4, 2)
 	for _, journal := range []bool{true, false} {
@@ -305,132 +272,46 @@ func TestRedrainRejectsChangedQueue(t *testing.T) {
 		if !journal {
 			continue
 		}
-		// A successor rebuilds the submit records from the journal.
-		s2, _, err := Recover(cfg, s.Store(), nil)
+		if err := s.recoverInPlace(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Drain(second); err == nil {
+			t.Error("recovered node drained a queue its journal never accepted")
+		}
+		replayed, err := s.Drain(first)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s2.Drain(second); err == nil {
-			t.Error("recovered node drained a queue its journal never accepted")
+		if replayed.Signature() != orig.Signature() {
+			t.Errorf("recovered node's re-drain %016x, first drain %016x", replayed.Signature(), orig.Signature())
 		}
 	}
 }
 
-// TestRecoverKillsOrphansAndScansLive drives the reconciliation protocol
-// by hand: a journal holding a started-but-unfinished job, plus a live
-// booted partition the dead node left behind. Recovery must kill the
-// orphan (requeueing the job), scan and destroy the live partition, free
-// its midplanes, and leave the successor able to finish the queue.
-func TestRecoverKillsOrphansAndScansLive(t *testing.T) {
-	cfg := Config{
-		Topology: resilienceTopo(), Kind: machine.KindCNK, Seed: 42,
-		Journal: JournalConfig{Enabled: true},
-	}
-	s := New(cfg)
-	jobs := resilienceJobs()[:2]
-	for _, job := range jobs {
-		if err := s.appendRec(recJobSubmit, marshalJob(job), ras.SiteAppend); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Job 1 started but never completed: the orphan.
-	if err := s.appendRec(recJobStart, idBody(1), ras.SiteAppend); err != nil {
-		t.Fatal(err)
-	}
-	// A real partition, allocated and booted through the journaled paths,
-	// still live at crash time.
+// TestCrashPlanNeedsJournal: a node recovers only by replaying its
+// journal, so a node without one never takes the crash plan (its
+// injector stays quiet even at rate 1), and Drain refuses the plan,
+// naming both fields, before it appends anything.
+func TestCrashPlanNeedsJournal(t *testing.T) {
+	s := New(Config{
+		Topology: Topology{Racks: 1, MidplanesPerRack: 2, NodesPerMidplane: 2},
+		Kind:     machine.KindCNK, Seed: 3,
+		Crashes: &ras.CrashPlan{Seed: 1, Rate: 1},
+	})
 	p, err := s.Allocate(1)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("a node without the journal died allocating: %v", err)
 	}
-	if err := s.BootPartition(p, 0x1234); err != nil {
-		t.Fatal(err)
+	s.Release(p)
+	lsn := s.w.vlsn + 1
+	res, err := s.Drain(GenerateJobs(1, 4, 2))
+	if err == nil || !strings.Contains(err.Error(), "Crashes") || !strings.Contains(err.Error(), "Journal") {
+		t.Errorf("Drain with Crashes and no Journal returned error %v; want one naming both fields", err)
 	}
-	if p.M == nil {
-		t.Fatal("partition has no machine")
+	if res != nil {
+		t.Errorf("refused drain returned a result with signature %016x", res.Signature())
 	}
-	scan := p.M.Scan()
-	if scan.Nodes != p.Nodes || scan.JobsLaunched != 0 {
-		t.Fatalf("pre-crash scan %+v; want %d idle nodes", scan, p.Nodes)
-	}
-
-	s2, rep, err := Recover(cfg, s.Store(), []*Partition{p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OrphansKilled != 1 || rep.Requeued != 1 || rep.Resumed != 0 {
-		t.Errorf("orphan accounting %+v; want 1 killed, 1 requeued", rep)
-	}
-	if rep.LiveScanned != 1 || rep.LiveDestroyed != 1 {
-		t.Errorf("live accounting %+v; want 1 scanned, 1 destroyed", rep)
-	}
-	if p.M != nil {
-		t.Error("live partition's machine survived reconciliation")
-	}
-	if free, want := s2.FreeMidplanes(), s2.Topology().Midplanes(); free != want {
-		t.Errorf("free midplanes after recovery = %d, want %d", free, want)
-	}
-	res, err := s2.Drain(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := New(Config{Topology: resilienceTopo(), Kind: machine.KindCNK, Seed: 42})
-	want, err := fresh.Drain(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Signature() != want.Signature() {
-		t.Errorf("post-recovery drain signature %016x, fresh %016x", res.Signature(), want.Signature())
-	}
-}
-
-// TestServiceNodeCrashTyped covers the journal-off contract: a crash
-// aborts the drain, committed jobs keep their results, and the wreckage
-// is typed — crash-aborted jobs surface ErrServiceNodeCrash in Errs
-// (distinguishable from ErrRestartBudgetExhausted, which a job that
-// burned its whole restart budget before the crash still reports) and
-// are counted in CrashAborted, not Failures.
-func TestServiceNodeCrashTyped(t *testing.T) {
-	cfg := Config{
-		Topology: resilienceTopo(), Kind: machine.KindCNK, Seed: 42, Workers: 2,
-		// A fault plan hot enough that job(s) exhaust the restart budget.
-		Faults:  &ras.Plan{Seed: 0xdead, DDRUncorrectable: 5e-2, DDRCorrectable: 0.05},
-		Ckpt:    CkptConfig{Enabled: true, Interval: 1},
-		Crashes: &ras.CrashPlan{Seed: 0x5e7d, Rate: 0.02, MaxCrashes: 1},
-	}
-	s := New(cfg)
-	res, err := s.Drain(resilienceJobs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CrashAborted == 0 {
-		t.Fatalf("no job crash-aborted (crash stats %+v); retune the crash seed", res.Crash)
-	}
-	if res.CrashAborted == len(res.Results) {
-		t.Fatalf("every job aborted; the committed-results path is untested — retune the crash seed")
-	}
-	var crashErrs, budgetErrs int
-	for _, e := range res.Errs {
-		if errors.Is(e, ErrServiceNodeCrash) {
-			crashErrs++
-		}
-		if errors.Is(e, ErrRestartBudgetExhausted) {
-			budgetErrs++
-		}
-	}
-	if crashErrs != res.CrashAborted {
-		t.Errorf("%d ErrServiceNodeCrash entries for %d aborted jobs", crashErrs, res.CrashAborted)
-	}
-	if budgetErrs == 0 {
-		t.Error("no ErrRestartBudgetExhausted entry survived the crash; the interaction is untested — retune")
-	}
-	for _, r := range res.Results {
-		if r.CrashAborted && r.BudgetExhausted {
-			t.Errorf("job %d is both crash-aborted and budget-exhausted", r.Job.ID)
-		}
-	}
-	// Failures must count real job failures only, never the aborted ones.
-	if res.Failures+res.CrashAborted > len(res.Results) {
-		t.Errorf("failures %d + aborted %d exceed %d jobs", res.Failures, res.CrashAborted, len(res.Results))
+	if after := s.w.vlsn + 1; after != lsn {
+		t.Errorf("refused drain moved the next virtual LSN from %d to %d", lsn, after)
 	}
 }

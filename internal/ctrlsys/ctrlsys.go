@@ -62,9 +62,6 @@ func (t Topology) normalized() Topology {
 // Midplanes returns the total midplane count.
 func (t Topology) Midplanes() int { return t.Racks * t.MidplanesPerRack }
 
-// Nodes returns the total compute-node count.
-func (t Topology) Nodes() int { return t.Midplanes() * t.NodesPerMidplane }
-
 // BlockName names a midplane in control-system notation ("R01-M2").
 func (t Topology) BlockName(midplane int) string {
 	return fmt.Sprintf("R%02d-M%d", midplane/t.MidplanesPerRack, midplane%t.MidplanesPerRack)
@@ -96,16 +93,15 @@ type Config struct {
 	Ckpt CkptConfig
 	// Journal arms the write-ahead journal: every scheduler state
 	// transition is made durable on the control store before it is
-	// applied, and a crashed service node recovers by replay (crash-only
-	// operation). Off, the drain runs the same commit pipeline, but its
-	// records only advance a virtual LSN and the service node is the
-	// single point of failure it always was.
+	// applied, and a crashed service node recovers in place by replay
+	// (crash-only operation). Off, the drain runs the same commit
+	// pipeline, but its records only advance a virtual LSN, and the node
+	// takes no crash plan.
 	Journal JournalConfig
 	// Crashes, when non-nil and enabled, arms deterministic service-node
-	// crash injection: seeded deaths keyed to journal LSNs. With Journal
-	// on, Drain recovers and completes bit-identically to a crash-free
-	// drain; with Journal off, crash-aborted jobs surface
-	// ErrServiceNodeCrash in DrainResult.Errs.
+	// crash injection: seeded deaths keyed to journal LSNs, after which
+	// Drain recovers and completes bit-identically to a crash-free
+	// drain. It needs Journal: Drain refuses an enabled plan without it.
 	Crashes *ras.CrashPlan
 	// Obs, when non-nil, arms the service node's span recorder: Drain
 	// emits each job's lifecycle (submit/boot/run/restart/teardown) as

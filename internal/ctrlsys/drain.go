@@ -38,12 +38,6 @@ type DrainResult struct {
 	// drains differ here and nowhere else.
 	Wall time.Duration
 
-	// CrashAborted counts jobs lost to a service-node crash with
-	// journaling off (each contributes an ErrServiceNodeCrash entry to
-	// Errs and is NOT counted in Failures: the control system died, the
-	// job didn't). Always zero when the journal is on — recovery replays
-	// the drain to completion instead.
-	CrashAborted int
 	// Crash and Journal account the crash-only machinery. Both are
 	// deterministic for a given config but deliberately excluded from
 	// Signature: a crashed-and-recovered drain must Signature-equal the
@@ -67,8 +61,12 @@ type DrainResult struct {
 // results and runs any job that has none yet, which is how a recovered
 // node finishes an interrupted queue; a queue with a job that differs
 // from the one the node accepted under that ID is rejected before
-// anything is appended.
+// anything is appended. So is an enabled crash plan on a node without
+// the journal: the node would die with nothing to recover from.
 func (s *ServiceNode) Drain(jobs []Job) (*DrainResult, error) {
+	if s.cfg.Crashes.Enabled() && !s.cfg.Journal.Enabled {
+		return nil, fmt.Errorf("ctrlsys: Config.Crashes needs Config.Journal: a crashed node recovers only by replaying its journal")
+	}
 	workers := s.cfg.Workers
 	if workers < 1 {
 		workers = 1
@@ -104,20 +102,13 @@ func (s *ServiceNode) mergeResults(res *DrainResult, jobs []Job) {
 		hash = hash*1099511628211 ^ r.RASHash
 		res.Restarts += r.Restarts
 		res.Wasted += r.Wasted
-		switch {
-		case r.CrashAborted:
-			res.CrashAborted++
-		case r.Failed():
+		if r.Failed() {
 			res.Failures++
 		}
 		if r.BudgetExhausted {
 			res.Errs = append(res.Errs, fmt.Errorf(
 				"job %d (%s): %w after %d attempts",
 				r.Job.ID, r.Job.Name, ErrRestartBudgetExhausted, len(r.Attempts)))
-		}
-		if r.CrashAborted {
-			res.Errs = append(res.Errs, fmt.Errorf(
-				"job %d (%s): aborted: %w", r.Job.ID, r.Job.Name, ErrServiceNodeCrash))
 		}
 	}
 	res.RASHash = hash

@@ -167,6 +167,25 @@ func FuzzJournalBody(f *testing.F) {
 	})
 }
 
+// TestCompletionReservedByte: a completion body ends in a reserved byte
+// the node always writes as 0, and replay rejects any other value.
+func TestCompletionReservedByte(t *testing.T) {
+	_, complete, _ := fuzzSeedBodies()
+	if last := complete[len(complete)-1]; last != 0 {
+		t.Fatalf("completion body ends in %d, want the reserved 0", last)
+	}
+	if _, _, err := decodeComplete(complete); err != nil {
+		t.Fatalf("completion with reserved byte 0 rejected: %v", err)
+	}
+	for _, v := range []byte{1, 2, 0xff} {
+		bad := bytes.Clone(complete)
+		bad[len(bad)-1] = v
+		if _, _, err := decodeComplete(bad); err == nil {
+			t.Errorf("completion with reserved byte %d accepted", v)
+		}
+	}
+}
+
 // requireCanonical fails the test unless wire, the re-encoding of an
 // accepted body, is the body itself.
 func requireCanonical(t *testing.T, what string, body, wire []byte) {
@@ -205,10 +224,13 @@ func TestWriteJournalBodyCorpus(t *testing.T) {
 	write("seed_ckpt_commit", commit)
 	write("seed_complete_trunc_tail", complete[:len(complete)-1])
 	write("seed_commit_trunc_half", commit[:len(commit)/2])
-	// The last byte of a completion is its CrashAborted bool.
+	// The last byte of a completion is reserved and must be 0.
 	boolTwo := bytes.Clone(complete)
 	boolTwo[len(boolTwo)-1] = 2
 	write("seed_complete_bool_two", boolTwo)
+	reservedOne := bytes.Clone(complete)
+	reservedOne[len(reservedOne)-1] = 1
+	write("seed_complete_reserved_one", reservedOne)
 	// Bytes 4..7 of a job body are the name's length.
 	hostile := bytes.Clone(job)
 	hostile[4], hostile[5], hostile[6], hostile[7] = 0xff, 0xff, 0xff, 0x7f

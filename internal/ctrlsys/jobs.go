@@ -96,12 +96,6 @@ type JobResult struct {
 	Wasted          sim.Cycles // partition occupancy burned by failed attempts
 	RestartOverhead sim.Cycles // Wasted plus service-node backoffs
 	BudgetExhausted bool       // failed even after maxRestarts restarts
-
-	// CrashAborted marks a job whose service node died before committing
-	// a result and — journaling being off — could not be recovered. Such
-	// jobs are control-system casualties, not job failures: Drain counts
-	// them separately and surfaces ErrServiceNodeCrash for each.
-	CrashAborted bool
 }
 
 // Duration is how long the partition is occupied: boot protocol, the

@@ -187,7 +187,9 @@ func getAttempt(d *wire.Decoder) Attempt {
 // marshalJobResult flattens a complete JobResult into a journal body.
 // Everything that enters DrainResult.Signature must round-trip exactly:
 // a recovered drain's accounting is only bit-identical if replay hands
-// back precisely what the dead node committed.
+// back precisely what the dead node committed. The body ends in a
+// reserved byte, written as 0 and rejected on replay otherwise, which
+// keeps the journal's bytes as pinned.
 func marshalJobResult(r *JobResult) []byte {
 	var e wire.Encoder
 	putJob(&e, r.Job)
@@ -211,7 +213,7 @@ func marshalJobResult(r *JobResult) []byte {
 	e.U64(uint64(r.Wasted))
 	e.U64(uint64(r.RestartOverhead))
 	e.Bool(r.BudgetExhausted)
-	e.Bool(r.CrashAborted)
+	e.U8(0) // reserved
 	return e.Bytes()
 }
 
@@ -235,7 +237,9 @@ func unmarshalJobResult(b []byte) (*JobResult, error) {
 	r.Wasted = sim.Cycles(d.U64())
 	r.RestartOverhead = sim.Cycles(d.U64())
 	r.BudgetExhausted = d.Bool()
-	r.CrashAborted = d.Bool()
+	if v := d.U8(); v != 0 {
+		d.Fail("reserved byte %d, want 0", v)
+	}
 	return r, d.Finish()
 }
 

@@ -147,7 +147,7 @@ func (s *ServiceNode) runJobResilientFrom(job Job, rp *resumePoint, commit func(
 		}
 		m := p.M
 		res.Boot = p.Boot
-		m.ArmCheckpoints(job.ID, interval)
+		m.ArmCheckpoints(job.ID)
 		if resume != nil {
 			// Stage the harvested image onto the new partition's ION
 			// filesystem — the service node's copy of what the previous

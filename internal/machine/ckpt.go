@@ -24,42 +24,21 @@ func CkptPath(jobID int) string { return fmt.Sprintf("%s/job%06d.img", CkptDir, 
 // never race; pending simply accumulates per-node states between a
 // barrier capture and the rank-0 seal.
 type ckptState struct {
-	armed    bool
-	jobID    int
-	interval int
-	epoch    uint32
-	pending  map[int]ckpt.NodeState
-	last     *ckpt.Image
-	restores int
+	armed   bool
+	jobID   int
+	epoch   uint32
+	pending map[int]ckpt.NodeState
 }
 
-// ArmCheckpoints enables checkpointing for jobID with the given interval
-// (in application epochs; the application decides what an epoch is) and
-// prepares the checkpoint directory on every ION filesystem.
-func (m *Machine) ArmCheckpoints(jobID, interval int) {
-	if interval <= 0 {
-		interval = 1
-	}
-	m.ck = ckptState{armed: true, jobID: jobID, interval: interval,
-		pending: make(map[int]ckpt.NodeState)}
+// ArmCheckpoints enables checkpointing for jobID and prepares the
+// checkpoint directory on every ION filesystem. The application decides
+// when to capture: CaptureNode takes the epoch it has reached.
+func (m *Machine) ArmCheckpoints(jobID int) {
+	m.ck = ckptState{armed: true, jobID: jobID, pending: make(map[int]ckpt.NodeState)}
 	for _, fsys := range m.IONFS {
 		fsys.MustMkdirAll(CkptDir)
 	}
 }
-
-// CheckpointsArmed reports whether a checkpoint schedule is armed.
-func (m *Machine) CheckpointsArmed() bool { return m.ck.armed }
-
-// CheckpointInterval returns the armed epoch interval (0 = disarmed).
-func (m *Machine) CheckpointInterval() int {
-	if !m.ck.armed {
-		return 0
-	}
-	return m.ck.interval
-}
-
-// Restores reports how many node restores this machine performed.
-func (m *Machine) Restores() int { return m.ck.restores }
 
 // CaptureNode snapshots the calling rank's node — memory-region
 // descriptors, thread register state, the full UPC block, the mirrored
@@ -111,9 +90,9 @@ func threadRegs(threads map[uint32]*kernel.Thread, stackTop hw.VAddr, epoch uint
 }
 
 // SealCheckpoint assembles the pending node captures into a complete
-// image (nodes sorted), remembers it as the machine's last image, and
-// clears the pending buffer. Rank 0 calls this after the post-capture
-// barrier, when every node's capture is guaranteed present.
+// image (nodes sorted) and clears the pending buffer; it returns nil when
+// no checkpoint schedule is armed. Rank 0 calls this after the
+// post-capture barrier, when every node's capture is guaranteed present.
 func (m *Machine) SealCheckpoint() *ckpt.Image {
 	if !m.ck.armed {
 		return nil
@@ -139,12 +118,8 @@ func (m *Machine) SealCheckpoint() *ckpt.Image {
 		img.Nodes = append(img.Nodes, m.ck.pending[n])
 	}
 	m.ck.pending = make(map[int]ckpt.NodeState)
-	m.ck.last = img
 	return img
 }
-
-// LastImage returns the most recently sealed image, nil if none.
-func (m *Machine) LastImage() *ckpt.Image { return m.ck.last }
 
 // RestoreNode rolls the calling rank's node back to its state in img:
 // the UPC block is reloaded from the image (the restored run continues
@@ -187,9 +162,7 @@ func (m *Machine) RestoreNode(ctx kernel.Context, img *ckpt.Image) error {
 		}
 	}
 	m.Chips[node].UPC.Load(ns.Counters)
-	m.ck.last = img
 	m.ck.epoch = img.Epoch
-	m.ck.restores++
 	return nil
 }
 
@@ -217,12 +190,12 @@ func (m *Machine) RestoreCost(ctx kernel.Context) sim.Cycles {
 }
 
 // clearCkptJobState drops per-job checkpoint residue — pending capture
-// buffers, the sealed image, epoch and restore counters — while keeping
-// the armed schedule itself, mirroring ClearJobs semantics (job state
-// goes, machine configuration stays).
+// buffers and the epoch — while keeping the armed schedule itself,
+// mirroring ClearJobs semantics (job state goes, machine configuration
+// stays).
 func (m *Machine) clearCkptJobState() {
-	armed, jobID, interval := m.ck.armed, m.ck.jobID, m.ck.interval
-	m.ck = ckptState{armed: armed, jobID: jobID, interval: interval}
+	armed, jobID := m.ck.armed, m.ck.jobID
+	m.ck = ckptState{armed: armed, jobID: jobID}
 	if armed {
 		m.ck.pending = make(map[int]ckpt.NodeState)
 	}

@@ -217,7 +217,7 @@ func TestSealCheckpointFlushesIONCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Shutdown()
-	m.ArmCheckpoints(7, 1)
+	m.ArmCheckpoints(7)
 	payload := bytes.Repeat([]byte{0x5a}, 1024)
 	app := func(ctx kernel.Context, env *Env) {
 		base := m.HeapBase(ctx)

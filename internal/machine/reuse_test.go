@@ -8,7 +8,6 @@ package machine
 // codes and (boot-relative) RAS event stream as job 1 on a fresh machine.
 
 import (
-	"fmt"
 	"testing"
 
 	"bgcnk/internal/hw"
@@ -124,13 +123,13 @@ func TestRebootedMachineMatchesFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer a.Shutdown()
-			a.ArmCheckpoints(7, 2)
+			a.ArmCheckpoints(7)
 			first := runReuseJob(t, a)
 			if err := a.Reboot(); err != nil {
 				t.Fatal(err)
 			}
-			if a.CheckpointsArmed() || a.CheckpointInterval() != 0 || a.LastImage() != nil {
-				t.Error("rebooted machine still remembers a checkpoint schedule")
+			if img := a.SealCheckpoint(); img != nil {
+				t.Errorf("rebooted machine still remembers a checkpoint schedule: sealed %+v", img)
 			}
 			second := runReuseJob(t, a)
 
@@ -154,9 +153,9 @@ func TestRebootedMachineMatchesFresh(t *testing.T) {
 // crash-recovery cycle: a machine that captured a checkpoint, sealed it,
 // was cleared, and relaunched restoring from the image — the full
 // recovered-job lifecycle — must, after Reboot, be byte-identical to a
-// fresh machine. Scan() is the witness: it must show the recovery residue
-// (restores, armed schedule) before the reboot and a clean machine after,
-// without perturbing anything (scanning is read-only and idempotent).
+// fresh machine. SealCheckpoint is the witness: before the reboot it
+// seals the armed job's image at the restored epoch, and after it
+// returns nil.
 func TestRecoveredMachineMatchesFresh(t *testing.T) {
 	for _, kind := range []KernelKind{KindCNK, KindFWK} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -168,7 +167,7 @@ func TestRecoveredMachineMatchesFresh(t *testing.T) {
 			defer a.Shutdown()
 
 			// Phase 1: a job that checkpoints mid-run.
-			a.ArmCheckpoints(7, 2)
+			a.ArmCheckpoints(7)
 			capture := func(ctx kernel.Context, env *Env) {
 				ctx.Compute(20_000)
 				a.CaptureNode(ctx, 1)
@@ -185,38 +184,36 @@ func TestRecoveredMachineMatchesFresh(t *testing.T) {
 			// Phase 2: the recovery — clear job state, relaunch restoring
 			// every node from the sealed image.
 			a.ClearJobs()
+			restores := 0
 			restore := func(ctx kernel.Context, env *Env) {
 				if err := a.RestoreNode(ctx, img); err != nil {
 					t.Error(err)
+				} else {
+					restores++
 				}
 				ctx.Compute(20_000)
 			}
 			if err := a.Run(restore, kernel.JobParams{}, 0); err != nil {
 				t.Fatal(err)
 			}
-			if a.Restores() != cfg.Nodes {
-				t.Fatalf("restores = %d, want %d; the recovery cycle is vacuous", a.Restores(), cfg.Nodes)
+			if restores != cfg.Nodes {
+				t.Fatalf("restores = %d, want %d; the recovery cycle is vacuous", restores, cfg.Nodes)
 			}
-
-			// The scan sees the residue, twice identically (idempotent).
-			scan := a.Scan()
-			if !scan.CheckpointsArmed || scan.CheckpointJobID != 7 || scan.Restores != cfg.Nodes {
-				t.Errorf("post-recovery scan missed the residue: %+v", scan)
+			if !a.JobsDone() {
+				t.Error("the restoring job did not finish")
 			}
-			if scan.JobsLaunched != cfg.Nodes || !scan.JobsDone {
-				t.Errorf("post-recovery scan job state: %+v", scan)
-			}
-			if again := a.Scan(); fmt.Sprint(again) != fmt.Sprint(scan) {
-				t.Errorf("second scan differs: %+v vs %+v", again, scan)
+			// The schedule survived ClearJobs, and the restore moved the
+			// epoch to the image's.
+			if got := a.SealCheckpoint(); got == nil || got.JobID != 7 || got.Epoch != img.Epoch || len(got.Nodes) != 0 {
+				t.Errorf("post-recovery seal %+v, want job 7 at epoch %d with no captures", got, img.Epoch)
 			}
 
 			// Phase 3: reboot. All recovery residue must be gone...
 			if err := a.Reboot(); err != nil {
 				t.Fatal(err)
 			}
-			scan = a.Scan()
-			if scan.CheckpointsArmed || scan.Restores != 0 || scan.JobsLaunched != 0 {
-				t.Errorf("rebooted scan still shows recovery residue: %+v", scan)
+			if got := a.SealCheckpoint(); got != nil {
+				t.Errorf("rebooted machine still seals checkpoints: %+v", got)
 			}
 
 			// ... and the next job must be byte-identical to a fresh
@@ -234,17 +231,17 @@ func TestRecoveredMachineMatchesFresh(t *testing.T) {
 }
 
 // TestClearJobsKeepsCheckpointSchedule pins the narrower ClearJobs
-// contract for the checkpoint layer: per-job residue (pending captures,
-// the sealed image, restore counts) is dropped, but the armed schedule
-// survives — ClearJobs clears job state, not machine configuration.
-// Reboot, by contrast, disarms everything.
+// contract for the checkpoint layer: per-job residue (pending captures
+// and their epoch) is dropped, but the armed schedule survives —
+// ClearJobs clears job state, not machine configuration. Reboot, by
+// contrast, disarms everything.
 func TestClearJobsKeepsCheckpointSchedule(t *testing.T) {
 	m, err := New(Config{Nodes: 2, Kind: KindCNK})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Shutdown()
-	m.ArmCheckpoints(3, 2)
+	m.ArmCheckpoints(3)
 	app := func(ctx kernel.Context, env *Env) {
 		ctx.Compute(10_000)
 		m.CaptureNode(ctx, 1)
@@ -252,29 +249,31 @@ func TestClearJobsKeepsCheckpointSchedule(t *testing.T) {
 	if err := m.Run(app, kernel.JobParams{}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if img := m.SealCheckpoint(); img == nil || len(img.Nodes) != 2 {
-		t.Fatalf("sealed image %+v, want 2 nodes", img)
+
+	// Both captures are pending, unsealed, when the job state goes.
+	m.ClearJobs()
+	img := m.SealCheckpoint()
+	if img == nil {
+		t.Fatal("ClearJobs dropped the armed checkpoint schedule")
 	}
-	if m.LastImage() == nil {
-		t.Fatal("no last image after seal")
+	if img.JobID != 3 || img.Epoch != 0 || len(img.Nodes) != 0 {
+		t.Errorf("sealed %+v after ClearJobs, want job 3 at epoch 0 with no captures", img)
 	}
 
-	m.ClearJobs()
-	if !m.CheckpointsArmed() || m.CheckpointInterval() != 2 {
-		t.Error("ClearJobs dropped the armed checkpoint schedule")
+	// The same job relaunched captures again, so the empty seal above is
+	// ClearJobs' doing.
+	if err := m.Run(app, kernel.JobParams{}, 0); err != nil {
+		t.Fatal(err)
 	}
-	if m.LastImage() != nil || m.Restores() != 0 {
-		t.Error("ClearJobs kept per-job checkpoint residue")
-	}
-	if img := m.SealCheckpoint(); img == nil || len(img.Nodes) != 0 {
-		t.Errorf("pending captures survived ClearJobs: %+v", img)
+	if img := m.SealCheckpoint(); img == nil || img.JobID != 3 || img.Epoch != 1 || len(img.Nodes) != 2 {
+		t.Fatalf("sealed image %+v, want job 3 at epoch 1 with 2 nodes", img)
 	}
 
 	if err := m.Reboot(); err != nil {
 		t.Fatal(err)
 	}
-	if m.CheckpointsArmed() || m.CheckpointInterval() != 0 {
-		t.Error("Reboot kept the checkpoint schedule armed")
+	if img := m.SealCheckpoint(); img != nil {
+		t.Errorf("Reboot kept the checkpoint schedule armed: sealed %+v", img)
 	}
 }
 

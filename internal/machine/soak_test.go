@@ -83,9 +83,6 @@ func TestSoakControlSystem(t *testing.T) {
 						t.Errorf("journaled drain surfaced a non-budget error: %v", e)
 					}
 				}
-				if res.CrashAborted != 0 {
-					t.Errorf("%d jobs crash-aborted despite the journal", res.CrashAborted)
-				}
 				if got, want := s.FreeMidplanes(), cfg.Topology.Midplanes(); got != want {
 					t.Errorf("leaked partitions: %d midplanes free, machine has %d", got, want)
 				}

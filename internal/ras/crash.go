@@ -116,9 +116,6 @@ func NewCrashInjector(plan *CrashPlan) *CrashInjector {
 	return &CrashInjector{plan: plan}
 }
 
-// Crashes returns how many times the injector has fired.
-func (ci *CrashInjector) Crashes() int { return ci.fired }
-
 // At consults the injector at the append of journal record lsn from
 // site. It returns the crash class and true if the service node dies
 // here, advancing the generation so the next incarnation draws a

@@ -87,9 +87,6 @@ func (c *Coro) Name() string { return c.name }
 // Done reports whether the coroutine's function has returned.
 func (c *Coro) Done() bool { return c.done }
 
-// Engine returns the engine this coroutine runs on.
-func (c *Coro) Engine() *Engine { return c.eng }
-
 // Now returns the current simulation time.
 func (c *Coro) Now() Cycles { return c.eng.Now() }
 
