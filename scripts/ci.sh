@@ -10,6 +10,30 @@ set -eu
 cd "$(dirname "$0")/.."
 FUZZTIME="${FUZZTIME:-10s}"
 
+# gate runs `go test` with its arguments, but first checks each
+# alternative of the first level of the -run pattern (the part before
+# any /) with `go test -list` and fails if one names no test, benchmark,
+# fuzz target or example in the packages given: a -run that matches
+# nothing passes silently, so a renamed or deleted test would leave its
+# gate green with nothing run.
+gate() {
+	pattern= pkgs= prev=
+	for arg in "$@"; do
+		if [ "$prev" = -run ]; then pattern=$arg; fi
+		case $arg in ./*) pkgs="$pkgs $arg" ;; esac
+		prev=$arg
+	done
+	set -f # an alternative such as .* must not expand as a glob
+	for alt in $(printf '%s' "${pattern%%/*}" | tr '|' ' '); do
+		if ! go test -list "$alt" $pkgs | grep -Eq '^(Test|Benchmark|Fuzz|Example)'; then
+			echo "-run alternative $alt matches no test in$pkgs" >&2
+			exit 1
+		fi
+	done
+	set +f
+	go test "$@"
+}
+
 echo "== go vet"
 go vet ./...
 
@@ -28,18 +52,19 @@ echo "== go test -race"
 go test -race ./...
 
 echo "== fuzz seed-corpus regressions"
-go test -run 'Fuzz' ./internal/fs/ ./internal/ciod/ ./internal/ctrlsys/ ./internal/ctrlsys/wal/ ./internal/ckpt/ ./internal/obs/
+gate -run 'Fuzz' ./internal/fs/ ./internal/ciod/ ./internal/ctrlsys/ ./internal/ctrlsys/wal/ ./internal/ckpt/ ./internal/obs/
 
 # Durable formats: the checkpoint image, the boot personality, the
 # journal bodies and the WAL record framing all encode and decode through
 # internal/wire. Each primitive must keep its byte layout and the decoder
 # each rejection (truncation, a length or count beyond the bytes left, a
 # bool byte other than 0 or 1, trailing bytes); every format must encode
-# to digests pinned before the formats shared the codec; and replay must
-# accept every body the node writes, up to the WAL's body cap.
+# to digests pinned before the formats shared the codec; replay must
+# accept every body the node writes, up to the WAL's body cap; and a
+# completion whose reserved last byte is not 0 must be rejected.
 echo "== durable formats: wire codec + pinned encodings + large journal bodies"
 go test ./internal/wire/
-go test -run 'TestPinnedEncodings|TestJournalReplaysLargeBodies' ./internal/ctrlsys/
+gate -run 'TestPinnedEncodings|TestJournalReplaysLargeBodies|TestCompletionReservedByte' ./internal/ctrlsys/
 
 # Kernels: CNK and the FWK share the core handoff (kernel.CPU), the
 # process bookkeeping (kernel.Process, JobSpec and Job), the thread
@@ -67,10 +92,10 @@ go test -run 'TestPinnedEncodings|TestJournalReplaysLargeBodies' ./internal/ctrl
 # must give identical page-to-frame maps; and the FWQ render, the one
 # golden that runs pthreads on both kernels, must match byte-for-byte.
 echo "== kernels: pinned thread lifecycle + shared cores + file calls + kernel suites + fork/exec frames + fig5-7 golden"
-go test -race -count=3 -run 'TestPinnedThreadLifecycle|TestPinnedSharedCores|TestPinnedFileCalls' ./internal/machine/
+gate -race -count=3 -run 'TestPinnedThreadLifecycle|TestPinnedSharedCores|TestPinnedFileCalls' ./internal/machine/
 go test -race -count=3 ./internal/kernel/ ./internal/cnk/ ./internal/fwk/ ./internal/nptl/
-go test -count=5 -run 'TestForkExecFramesReproducible' ./internal/fwk/
-go test -run 'TestGolden/fig5-7' ./internal/experiments/
+gate -count=5 -run 'TestForkExecFramesReproducible' ./internal/fwk/
+gate -run 'TestGolden/fig5-7' ./internal/experiments/
 
 # The fault matrix is part of the -race suite above, but gate on it
 # explicitly: every cell's fault must fire and replay bit-identically
@@ -81,8 +106,8 @@ go test -run 'TestGolden/fig5-7' ./internal/experiments/
 # retries only with a fault source: one without never times out or
 # retries, and blocks for its reply.
 echo "== fault matrix"
-go test -run 'TestFaultMatrix|TestRecoveryUnderFaultDeterminism|TestFaultsOffChangesNothing|TestCIODRetryExhaustionSurfacesEIO|TestCIODCrashRecovery' ./internal/machine/
-go test -run 'TestNilReceivers' ./internal/ras/ ./internal/upc/
+gate -run 'TestFaultMatrix|TestRecoveryUnderFaultDeterminism|TestFaultsOffChangesNothing|TestCIODRetryExhaustionSurfacesEIO|TestCIODCrashRecovery' ./internal/machine/
+gate -run 'TestNilReceivers' ./internal/ras/ ./internal/upc/
 
 # Control-system contracts, gated explicitly for the same reason: every
 # drain runs one commit pipeline and one queue replay, so the parallel
@@ -94,30 +119,33 @@ go test -run 'TestNilReceivers' ./internal/ras/ ./internal/upc/
 # boot-scaling table and the throughput drain must match their goldens
 # byte-for-byte (regenerate with -update after model changes).
 echo "== control system: determinism + pinned drains + boot and throughput goldens"
-go test -race -run 'TestParallelDrainMatchesSerial|TestCkptOffSignatureUnchanged|TestFaultFreeCkptDrainMatchesPinned|TestScheduleFIFOBackfill|TestRedrainRejectsChangedQueue' ./internal/ctrlsys/
-go test -run 'TestRebootedMachineMatchesFresh' ./internal/machine/
-go test -run 'TestGolden/boot' ./internal/experiments/
-go test -run 'TestGolden/throughput' ./internal/experiments/
+gate -race -run 'TestParallelDrainMatchesSerial|TestCkptOffSignatureUnchanged|TestFaultFreeCkptDrainMatchesPinned|TestScheduleFIFOBackfill|TestRedrainRejectsChangedQueue' ./internal/ctrlsys/
+gate -run 'TestRebootedMachineMatchesFresh' ./internal/machine/
+gate -run 'TestGolden/boot' ./internal/experiments/
+gate -run 'TestGolden/throughput' ./internal/experiments/
 
 # Resilience contracts: a checkpoint/restart run must be bit-identical to
 # the fault-free run (work signature + exit codes, both kernels, under
 # -race), every fault class must recover or fail with the typed budget
 # error, and the mtbf sweep must match its golden byte-for-byte.
 echo "== resilience: restart determinism + mtbf golden"
-go test -race -run 'TestRestartDeterminism|TestResilienceFaultClassMatrix' ./internal/ctrlsys/
-go test -run 'TestGolden/mtbf' ./internal/experiments/
+gate -race -run 'TestRestartDeterminism|TestResilienceFaultClassMatrix' ./internal/ctrlsys/
+gate -run 'TestGolden/mtbf' ./internal/experiments/
 
-# Crash-only control system: every crash class x seed must recover to a
-# drain bit-identical to the crash-free one at 1/2/8 workers (under
-# -race), double-crash-during-recovery included, and that crash-free
+# Crash-only control system: Drain's in-place recovery is the one
+# recovery path. Every crash class x seed must recover to a drain
+# bit-identical to the crash-free one at 1/2/8 workers (under -race),
+# double-crash-during-recovery included, replaying committed results and
+# killing, resuming or requeueing orphaned jobs; that crash-free
 # reference, journaled or not, must match its pinned signature; a crash
-# with the journal off must surface the typed ErrServiceNodeCrash next to
-# any budget errors; a recovered-then-rebooted machine must match a fresh
-# one; and the crash-rate sweep must match its golden byte-for-byte.
+# plan needs the journal, so Drain must refuse one without it before
+# appending anything, and the node must not take the plan; a
+# recovered-then-rebooted machine must match a fresh one; and the
+# crash-rate sweep must match its golden byte-for-byte.
 echo "== crash-only service node: crash matrix + recovery + crashes golden"
-go test -race -run 'TestCrashMatrixDeterminism|TestDoubleCrashDuringRecovery|TestServiceNodeCrashTyped|TestRecoverReplaysCompletedDrain|TestRecoverKillsOrphansAndScansLive|TestJournaledDrainMatchesPinned' ./internal/ctrlsys/
-go test -run 'TestRecoveredMachineMatchesFresh' ./internal/machine/
-go test -run 'TestGolden/crashes' ./internal/experiments/
+gate -race -run 'TestCrashMatrixDeterminism|TestDoubleCrashDuringRecovery|TestJournaledDrainMatchesPinned|TestCrashPlanNeedsJournal' ./internal/ctrlsys/
+gate -run 'TestRecoveredMachineMatchesFresh' ./internal/machine/
+gate -run 'TestGolden/crashes' ./internal/experiments/
 
 # I/O-node contracts: armed and unarmed I/O nodes share one CIOD serve
 # path, so every reply of a fixed script of shipped calls must match its
@@ -140,12 +168,12 @@ go test -run 'TestGolden/crashes' ./internal/experiments/
 # must replay cycle-exactly; and the ioscale sweep must match its golden
 # byte-for-byte.
 echo "== I/O-node aggregation: pinned replies + payload ownership + determinism + ion_crash + ioscale golden"
-go test -race -run 'TestPinnedReplies|TestIONCrashFlushesEIOAndDropsCache|TestDecodedDataAliasesWire' ./internal/ciod/
-go test -race -run 'TestDeliveredDataIsSendersSlice|TestWriteInodeSeveralSlices|TestReadAliasesOneBlock|TestConcurrentFillKeepsWrite|TestWriteDuringEvictionSurvives|TestFillEvictedByAnotherFillRefills|TestFlushSkipsTruncatedBlocks' ./internal/collective/ ./internal/fs/ ./internal/ion/
-go test -race -run 'TestIONMachineDeterminism|TestIONRebootMatchesFresh|TestIONOffChangesNothing|TestSealCheckpointFlushesIONCache' ./internal/machine/
-go test -race -run 'TestRestartDeterminismThroughIONCache' ./internal/ctrlsys/
-go test -run 'TestFaultMatrix/.*/ion_crash' ./internal/machine/
-go test -run 'TestGolden/ioscale' ./internal/experiments/
+gate -race -run 'TestPinnedReplies|TestIONCrashFlushesEIOAndDropsCache|TestDecodedDataAliasesWire' ./internal/ciod/
+gate -race -run 'TestDeliveredDataIsSendersSlice|TestWriteInodeSeveralSlices|TestReadAliasesOneBlock|TestConcurrentFillKeepsWrite|TestWriteDuringEvictionSurvives|TestFillEvictedByAnotherFillRefills|TestFlushSkipsTruncatedBlocks' ./internal/collective/ ./internal/fs/ ./internal/ion/
+gate -race -run 'TestIONMachineDeterminism|TestIONRebootMatchesFresh|TestIONOffChangesNothing|TestSealCheckpointFlushesIONCache' ./internal/machine/
+gate -race -run 'TestRestartDeterminismThroughIONCache' ./internal/ctrlsys/
+gate -run 'TestFaultMatrix/.*/ion_crash' ./internal/machine/
+gate -run 'TestGolden/ioscale' ./internal/experiments/
 
 # Fault-tolerant torus contracts: every transfer must arrive at its
 # pinned reference cycle on the one send path, armed or not, a healthy
@@ -160,10 +188,10 @@ go test -run 'TestGolden/ioscale' ./internal/experiments/
 # (localization, blacklist, typed budget error) must hold; and the
 # degrade sweep must match its golden byte-for-byte.
 echo "== fault-tolerant torus: cost table + fault matrix + degrade golden"
-go test -race -run 'TestTransferCosts|TestSendPacketAllocs|TestHealthyRoutesAreDimensionOrdered|TestCoordOutsideDimsPanics' ./internal/torus/
-go test -race -run 'TestTorusFaultMatrix|TestTorusFaultsOffChangesNothing|TestUnroutablePartitionFailsBoot' ./internal/machine/
-go test -race -run 'TestLinkFaultLocalizedAndSurvived|TestNodeFaultExhaustsBudgetTyped' ./internal/ctrlsys/
-go test -run 'TestGolden/degrade' ./internal/experiments/
+gate -race -run 'TestTransferCosts|TestSendPacketAllocs|TestHealthyRoutesAreDimensionOrdered|TestCoordOutsideDimsPanics' ./internal/torus/
+gate -race -run 'TestTorusFaultMatrix|TestTorusFaultsOffChangesNothing|TestUnroutablePartitionFailsBoot' ./internal/machine/
+gate -race -run 'TestLinkFaultLocalizedAndSurvived|TestNodeFaultExhaustsBudgetTyped' ./internal/ctrlsys/
+gate -run 'TestGolden/degrade' ./internal/experiments/
 
 # Sim fast-path contracts, gated explicitly: the event queue must replay
 # seeded event and coroutine workloads AND full machine fault-replay
@@ -180,10 +208,10 @@ go test -run 'TestGolden/degrade' ./internal/experiments/
 # collective tree's receives (any tag, by tag, and with a deadline met,
 # expired or sim.Forever) must match theirs. All under -race.
 echo "== sim fast path: pinned event-queue references + queue-order model + pinned battery + replica worker invariance + rendezvous order and pins + tree receives"
-go test -race -run 'TestDifferential|TestDeterminismBattery' ./internal/sim/ ./internal/machine/
-go test -race -run 'TestReplicaWorkerInvariance' ./internal/sim/replica/
-go test -race -run 'TestRenderWorkerInvariance' ./internal/experiments/
-go test -race -count=5 -run 'TestBarrierResumesInParticipantOrder|TestCombineResumesInParticipantOrder|TestPinnedRendezvous|TestPinnedTreeReceives' ./internal/barrier/ ./internal/collective/
+gate -race -run 'TestDifferential|TestDeterminismBattery' ./internal/sim/ ./internal/machine/
+gate -race -run 'TestReplicaWorkerInvariance' ./internal/sim/replica/
+gate -race -run 'TestRenderWorkerInvariance' ./internal/experiments/
+gate -race -count=5 -run 'TestBarrierResumesInParticipantOrder|TestCombineResumesInParticipantOrder|TestPinnedRendezvous|TestPinnedTreeReceives' ./internal/barrier/ ./internal/collective/
 
 # Coroutine switch contracts: the iter.Pull handoff must keep kill/unwind,
 # shutdown order, the pinned workload tables (runRandomCoros among them),
@@ -192,7 +220,7 @@ go test -race -count=5 -run 'TestBarrierResumesInParticipantOrder|TestCombineRes
 # Run limits, same-cycle events, pending signals, the pinned advance-hook
 # table), repeated under -race.
 echo "== coroutine switch: kill/unwind + pinned coros + in-place parks + alloc-free park/wake"
-go test -race -count=10 -run 'TestCoro|TestShutdown|TestEngineShutdown|TestDifferential|TestPark' ./internal/sim/
+gate -race -count=10 -run 'TestCoro|TestShutdown|TestEngineShutdown|TestDifferential|TestPark' ./internal/sim/
 
 # Cache model contracts: the tag pages, each allocated by the first fill
 # into one of its 256 sets and kept and cleared by a flush, must replay
@@ -204,7 +232,7 @@ go test -race -count=10 -run 'TestCoro|TestShutdown|TestEngineShutdown|TestDiffe
 # chunks it keeps; and a chip that touched a line per core and a DDR word
 # must touch them again after a reset without allocating. Under -race.
 echo "== hw cache model: pinned digests + tag range + chip allocations + DDR reset"
-go test -race -run 'TestCache|TestChip|TestNewChip|TestSelfRefresh|TestResetWithoutSelfRefresh' ./internal/hw/
+gate -race -run 'TestCache|TestChip|TestNewChip|TestSelfRefresh|TestResetWithoutSelfRefresh' ./internal/hw/
 
 # Observability contracts: arming the span/sampler layer must change
 # NOTHING (cycle-exact vs the unarmed machine, fault injector on), the
@@ -215,9 +243,9 @@ go test -race -run 'TestCache|TestChip|TestNewChip|TestSelfRefresh|TestResetWith
 # leaked partitions, journaled-crash completion) must hold, and the
 # tracescale sweep must match its golden byte-for-byte.
 echo "== observability: inertness + trace determinism + conformance + soak + tracescale golden"
-go test -race -run 'TestObsOffChangesNothing|TestObsArmedDeterminism|TestObsSurvivesClearJobsResetsOnReboot|TestSyscallConformance|TestSoak' ./internal/machine/
-go test -race -run 'TestObsDrainWorkerInvariance|TestObsDrainResilientSpans' ./internal/ctrlsys/
-go test -run 'TestGolden/tracescale' ./internal/experiments/
+gate -race -run 'TestObsOffChangesNothing|TestObsArmedDeterminism|TestObsSurvivesClearJobsResetsOnReboot|TestSyscallConformance|TestSoak' ./internal/machine/
+gate -race -run 'TestObsDrainWorkerInvariance|TestObsDrainResilientSpans' ./internal/ctrlsys/
+gate -run 'TestGolden/tracescale' ./internal/experiments/
 
 # Every Go benchmark in the module must still run (one iteration each):
 # the root experiment benchmarks, the sim engine and coroutine switch,
