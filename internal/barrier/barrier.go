@@ -41,6 +41,14 @@ type Network struct {
 	sum     float64
 	anyDead bool
 
+	// released holds the completed round's waiters until its release
+	// event wakes them and clears it; the next completed round swaps it
+	// with entered. No participant can enter a new round before that
+	// release, so two slices and one callback, bound at construction,
+	// serve every round.
+	released []*sim.Coro
+	release  func()
+
 	// ArbiterState models the hardware arbiter/state-machine content that
 	// the multichip reproducible reboot must leave consistent (paper:
 	// "special code ensured a consistent state in all arbiters and state
@@ -78,8 +86,22 @@ func newNetwork(eng *sim.Engine, n int, latency sim.Cycles) *Network {
 	if n <= 0 {
 		panic("barrier: need at least one participant")
 	}
-	return &Network{eng: eng, latency: latency,
-		entered: make([]*sim.Coro, n), parts: make([]participant, n)}
+	b := &Network{eng: eng, latency: latency, entered: make([]*sim.Coro, n),
+		released: make([]*sim.Coro, n), parts: make([]participant, n)}
+	b.release = b.wakeReleased
+	return b
+}
+
+// wakeReleased is a completed round's release: it wakes the round's
+// waiters in participant order, so same-cycle resumes do not depend on
+// arrival order, and clears the slice for the round after next.
+func (b *Network) wakeReleased() {
+	for _, w := range b.released {
+		if w != nil {
+			w.Wake()
+		}
+	}
+	clear(b.released)
 }
 
 // AttachUPC routes participant id's combine-operation counter to a chip's
@@ -138,8 +160,8 @@ func (b *Network) AllreduceErr(c *sim.Coro, id int, v float64) (float64, error) 
 	b.sum += v
 	b.parts[id].upc.Inc(upc.ChipScope, upc.CombineOp)
 	if b.waiting == len(b.entered) {
-		waiters := b.entered
-		b.entered = make([]*sim.Coro, len(waiters))
+		b.entered[id] = nil // the release wakes the others; this one sleeps below
+		b.entered, b.released = b.released, b.entered
 		b.waiting = 0
 		for i := range b.parts {
 			b.parts[i].result = b.sum
@@ -147,16 +169,7 @@ func (b *Network) AllreduceErr(c *sim.Coro, id int, v float64) (float64, error) 
 		b.sum = 0
 		b.arbiterState++
 		b.Barriers++
-		me := c
-		b.eng.At(b.eng.Now()+b.latency, func() {
-			// Wake in participant order, so same-cycle resumes do not
-			// depend on arrival order.
-			for _, w := range waiters {
-				if w != me {
-					w.Wake()
-				}
-			}
-		})
+		b.eng.At(b.eng.Now()+b.latency, b.release)
 		// The last arriver also waits out the wire latency.
 		c.Sleep(b.latency)
 		return b.parts[id].result, nil

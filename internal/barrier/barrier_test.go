@@ -1,6 +1,7 @@
 package barrier
 
 import (
+	"runtime"
 	"testing"
 
 	"bgcnk/internal/sim"
@@ -179,5 +180,39 @@ func TestCombineResumesInParticipantOrder(t *testing.T) {
 				t.Fatalf("run %d: resume order %v, want participants 0..%d each round", run, order, n-1)
 			}
 		}
+	}
+}
+
+// TestRoundsAllocateNothing checks that a completed round allocates
+// nothing on the host: a 16-way combine run for 1 000 more rounds makes
+// exactly as many allocations, counted while its engine runs.
+func TestRoundsAllocateNothing(t *testing.T) {
+	const n = 16
+	mallocs := func(rounds int) uint64 {
+		eng := sim.NewEngine()
+		b := NewCombine(eng, n)
+		for i := 0; i < n; i++ {
+			eng.Go("p", func(c *sim.Coro) {
+				for r := 0; r < rounds; r++ {
+					c.Sleep(sim.Cycles(1 + (7*i+r)%5))
+					if _, err := b.AllreduceErr(c, i, 1); err != nil {
+						panic(err)
+					}
+				}
+			})
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		eng.RunUntilIdle()
+		runtime.ReadMemStats(&after)
+		if b.Barriers != uint64(rounds) {
+			t.Fatalf("%d rounds completed, want %d", b.Barriers, rounds)
+		}
+		eng.Shutdown()
+		return after.Mallocs - before.Mallocs
+	}
+	mallocs(10) // warm the runtime's caches
+	if base, more := mallocs(10), mallocs(1010); more != base {
+		t.Fatalf("1 000 more rounds made %d more allocations, want 0", int64(more)-int64(base))
 	}
 }

@@ -79,6 +79,57 @@ func FuzzCheckpointImage(f *testing.F) {
 	})
 }
 
+// TestMarshalExactSize checks that every image Unmarshal accepts from the
+// committed FuzzCheckpointImage corpus, and every seed image the fuzz
+// target adds, marshals in one allocation of exactly its encoding's
+// length.
+func TestMarshalExactSize(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzCheckpointImage")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := map[string][]byte{}
+	for _, ent := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+		if len(lines) != 2 || lines[0] != "go test fuzz v1" ||
+			!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+			t.Fatalf("%s: not a one-value corpus file", ent.Name())
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", ent.Name(), err)
+		}
+		inputs["corpus/"+ent.Name()] = []byte(data)
+	}
+	seeds := fuzzSeedImages()
+	for i, img := range seeds {
+		inputs[fmt.Sprintf("seed/%d", i)] = img.Marshal()
+	}
+	accepted := 0
+	for name, data := range inputs {
+		img, err := Unmarshal(data)
+		if err != nil {
+			continue
+		}
+		accepted++
+		wire := img.Marshal()
+		if len(wire) != len(data) || cap(wire) != len(wire) {
+			t.Errorf("%s: marshal has len %d cap %d, want both %d", name, len(wire), cap(wire), len(data))
+		}
+		if n := testing.AllocsPerRun(10, func() { img.Marshal() }); n != 1 {
+			t.Errorf("%s: marshal makes %v allocations, want 1", name, n)
+		}
+	}
+	if accepted < len(seeds) {
+		t.Fatalf("Unmarshal accepted %d inputs, want at least the %d seed images", accepted, len(seeds))
+	}
+}
+
 // TestWriteCheckpointCorpus regenerates the committed seed corpus under
 // testdata/fuzz/FuzzCheckpointImage. Skipped unless GEN_CORPUS=1; rerun
 // after changing the wire format or the seed set.

@@ -101,9 +101,9 @@ func RegionDigest(name string, vbase, size uint64) uint64 {
 	return h.Sum64()
 }
 
-// Marshal encodes the image.
+// Marshal encodes the image into one buffer of the encoding's length.
 func (img *Image) Marshal() []byte {
-	var e wire.Encoder
+	e := wire.NewEncoder(img.wireSize())
 	e.U32(imageMagic)
 	e.U8(imageVersion)
 	e.I32(img.JobID)
@@ -130,7 +130,7 @@ func (img *Image) Marshal() []byte {
 			e.U64(t.PC)
 			e.U64(t.SP)
 		}
-		EncodeCounters(&e, &n.Counters)
+		EncodeCounters(e, &n.Counters)
 		e.U32(uint32(len(n.Files)))
 		for _, f := range n.Files {
 			e.I32(f.FD)
@@ -142,9 +142,25 @@ func (img *Image) Marshal() []byte {
 	return e.Bytes()
 }
 
-// Minimum wire sizes, against which Unmarshal checks each table's count
-// before allocating it.
+// wireSize returns the length of the image's encoding: the fixed header,
+// then each node's fixed part, its tables and its file paths.
+func (img *Image) wireSize() int {
+	n := headerBytes + len(img.Nodes)*nodeBytes
+	for i := range img.Nodes {
+		ns := &img.Nodes[i]
+		n += len(ns.Regions)*regionBytes + len(ns.Threads)*threadBytes + len(ns.Files)*fileBytes
+		for _, f := range ns.Files {
+			n += min(len(f.Path), MaxPath)
+		}
+	}
+	return n
+}
+
+// Wire sizes: the header up to and including the node count, and the
+// minimum sizes against which Unmarshal checks each table's count before
+// allocating it.
 const (
+	headerBytes       = 21
 	regionBytes       = 24
 	threadBytes       = 20
 	fileBytes         = 24 // with an empty path

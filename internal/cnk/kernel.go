@@ -265,7 +265,7 @@ func (k *Kernel) Translate(t *kernel.Thread, va hw.VAddr, write bool) (hw.PAddr,
 		// its entry (TLB parity): the static map is fully installed at
 		// launch and never evicted. CNK's recovery is a re-install from
 		// the map — cheap, deterministic, and logged to RAS.
-		for _, e := range p.Layout.TLBEntries(p.PID) {
+		for _, e := range p.tlb {
 			if va >= e.VBase && uint64(va-e.VBase) < uint64(e.Size) {
 				t.Coro().Sleep(tlbReinstallCost)
 				core.TLB.InsertPinned(e)

@@ -18,6 +18,10 @@ type Proc struct {
 	Mmap   *mem.MmapTracker
 	Brk    *mem.Brk
 
+	// tlb is the static map as pinned TLB entries, rendered once at
+	// launch and installed from here on every core that runs the process.
+	tlb []hw.TLBEntry
+
 	cores []*coreSched // cores assigned to this process
 
 	// lastMprotect is CNK's guard-page heuristic state: NPTL mprotects
@@ -132,8 +136,9 @@ func (k *Kernel) Launch(spec kernel.JobSpec) (*Job, error) {
 			p.cores = append(p.cores, k.cores[i*coresPerProc+c])
 		}
 		// Install the static map on every core assigned to the process.
+		p.tlb = p.Layout.TLBEntries(p.PID)
 		for _, cs := range p.cores {
-			for _, e := range p.Layout.TLBEntries(p.PID) {
+			for _, e := range p.tlb {
 				cs.Core.TLB.InsertPinned(e)
 			}
 		}
@@ -252,7 +257,7 @@ func (k *Kernel) LendCore(coreID int, from, to *Proc) error {
 	cs.lentTo = to.PID
 	to.remoteCores = append(to.remoteCores, cs)
 	// The remote process's static map must be visible on the lent core.
-	for _, e := range to.Layout.TLBEntries(to.PID) {
+	for _, e := range to.tlb {
 		cs.Core.TLB.InsertPinned(e)
 	}
 	k.trace(k.Eng.Now(), fmt.Sprintf("core %d lent from pid %d to pid %d", coreID, from.PID, to.PID))

@@ -17,9 +17,9 @@
 // and a journal is a directory of segment files seg-NNNNNN.wal, rotated
 // when the active segment passes the size threshold. New segments are
 // created via write-to-temp + rename, so rotation is atomic: a crash
-// between the two leaves only an ignorable .tmp. Within a segment,
-// appends model an in-place file append, which is where a crash can tear
-// the final record.
+// between the two leaves only an ignorable .tmp. Within a segment, an
+// append writes only the new record, at the end of the segment's file,
+// which is where a crash can tear the final record.
 //
 // Replay is strict everywhere strictness is safe and tolerant in the one
 // place it must not be: a record with a bad checksum, an out-of-order
@@ -33,6 +33,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -77,9 +78,9 @@ type Journal struct {
 	dir      string
 	segBytes int
 
-	seg     int    // active segment number (1-based)
-	active  []byte // active segment contents, mirroring the durable file
-	started bool   // active segment file exists on the store
+	seg  int    // active segment number (1-based)
+	ino  uint64 // active segment file's inode; 0 until an append creates it
+	size int    // active segment file's length
 
 	next    uint64 // next LSN to assign
 	records int    // records durable across all segments
@@ -170,42 +171,41 @@ func isSegment(name string) bool {
 	return strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".wal")
 }
 
-// EncodeRecord renders one record in wire format. Encoding is canonical:
-// Parse of the result yields exactly (lsn, kind, body), and re-encoding a
-// parsed record reproduces the input bytes.
+// EncodeRecord renders one record in wire format, in one buffer of the
+// record's length. Encoding is canonical: Parse of the result yields
+// exactly (lsn, kind, body), and re-encoding a parsed record reproduces
+// the input bytes.
 func EncodeRecord(lsn uint64, kind uint8, body []byte) []byte {
-	p := wire.NewEncoder(prefixBytes + len(body))
-	p.U8(recVersion)
-	p.U8(kind)
-	p.U64(lsn)
-	payload := append(p.Bytes(), body...)
+	e := wire.NewEncoder(headerBytes + prefixBytes + len(body))
+	e.U32(uint32(prefixBytes + len(body)))
+	e.U32(0) // the payload's checksum, filled in below
+	e.U8(recVersion)
+	e.U8(kind)
+	e.U64(lsn)
+	rec := append(e.Bytes(), body...)
 	h := fnv.New32a()
-	h.Write(payload)
-	e := wire.NewEncoder(headerBytes + len(payload))
-	e.U32(uint32(len(payload)))
-	e.U32(h.Sum32())
-	return append(e.Bytes(), payload...)
+	h.Write(rec[headerBytes:])
+	binary.LittleEndian.PutUint32(rec[4:], h.Sum32())
+	return rec
 }
 
-// Append commits one record and returns its LSN. The active segment file
-// is (re)written in full — the simulated store's version of an in-place
-// append — and a new segment is cut first when the active one is past the
-// rotation threshold.
+// Append commits one record and returns its LSN. Only the record's bytes
+// are written, at the end of the active segment's file; a new segment is
+// cut first when the record would take the active one past the rotation
+// threshold.
 func (j *Journal) Append(kind uint8, body []byte) (uint64, error) {
 	if len(body) > MaxBody {
 		return 0, fmt.Errorf("wal: record body %d bytes exceeds cap %d", len(body), MaxBody)
 	}
 	rec := EncodeRecord(j.next, kind, body)
-	if j.started && len(j.active)+len(rec) > j.segBytes {
+	if j.ino != 0 && j.size+len(rec) > j.segBytes {
 		// Seal the active segment (its file is already complete) and cut
 		// a new one.
 		j.sealed++
 		j.seg++
-		j.active = nil
-		j.started = false
+		j.ino, j.size = 0, 0
 	}
-	j.active = append(j.active, rec...)
-	if err := j.writeActive(); err != nil {
+	if err := j.write(rec); err != nil {
 		return 0, err
 	}
 	lsn := j.next
@@ -221,32 +221,33 @@ func (j *Journal) Append(kind uint8, body []byte) (uint64, error) {
 // Open will drop the tear and repair the segment.
 func (j *Journal) AppendTorn(kind uint8, body []byte) error {
 	rec := EncodeRecord(j.next, kind, body)
-	cut := len(rec) / 2
-	if cut < 1 {
-		cut = 1
-	}
-	j.active = append(j.active, rec[:cut]...)
-	return j.writeActive()
+	return j.write(rec[:max(len(rec)/2, 1)])
 }
 
-func (j *Journal) writeActive() error {
-	path := j.dir + "/" + segName(j.seg)
-	if !j.started {
-		// First write of a fresh segment goes through temp + rename so
-		// rotation is atomic on the store.
-		tmp := path + ".tmp"
-		if errno := j.fsys.WriteFile(tmp, j.active, 0644, fs.Root); errno != kernel.OK {
-			return fmt.Errorf("wal: write %s: errno %d", tmp, errno)
+// write appends p to the active segment's file. The first write of a
+// fresh segment goes through temp + rename, so rotation is atomic on the
+// store; later writes land in place at the end of the file it created.
+func (j *Journal) write(p []byte) error {
+	if j.ino != 0 {
+		if errno := j.fsys.WriteInode(j.ino, uint64(j.size), p); errno != kernel.OK {
+			return fmt.Errorf("wal: write %s: errno %d", segName(j.seg), errno)
 		}
-		if errno := j.fsys.Rename("/", tmp, path, fs.Root); errno != kernel.OK {
-			return fmt.Errorf("wal: rename %s: errno %d", path, errno)
-		}
-		j.started = true
+		j.size += len(p)
 		return nil
 	}
-	if errno := j.fsys.WriteFile(path, j.active, 0644, fs.Root); errno != kernel.OK {
-		return fmt.Errorf("wal: write %s: errno %d", path, errno)
+	path := j.dir + "/" + segName(j.seg)
+	tmp := path + ".tmp"
+	if errno := j.fsys.WriteFile(tmp, p, 0644, fs.Root); errno != kernel.OK {
+		return fmt.Errorf("wal: write %s: errno %d", tmp, errno)
 	}
+	st, errno := j.fsys.Stat("/", tmp, fs.Root)
+	if errno != kernel.OK {
+		return fmt.Errorf("wal: stat %s: errno %d", tmp, errno)
+	}
+	if errno := j.fsys.Rename("/", tmp, path, fs.Root); errno != kernel.OK {
+		return fmt.Errorf("wal: rename %s: errno %d", path, errno)
+	}
+	j.ino, j.size = st.Ino, len(p)
 	return nil
 }
 
@@ -262,7 +263,7 @@ func (j *Journal) Bytes() int { return j.bytes }
 // Segments returns the segment count, including the active one if it has
 // been started.
 func (j *Journal) Segments() int {
-	if j.started {
+	if j.ino != 0 {
 		return j.sealed + 1
 	}
 	return j.sealed

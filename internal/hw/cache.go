@@ -46,32 +46,43 @@ const (
 // mark an invalid way (~128 GiB; BG/P nodes carry 2-4 GB).
 const MaxMemSize = (1<<32 - 1) * L1LineSize
 
-// tagPageSets is how many sets share one tag page: 16 KiB of tags at 16
-// ways.
-const tagPageSets = 256
+// tagPageSets is how many sets share one tag page: 2 KiB of tags at
+// tagWays ways.
+const tagPageSets = 32
+
+// tagWays is the associativity of both cache levels, so one page type
+// holds the tags of either.
+const tagWays = 16
+
+// A cache geometry whose levels do not both have tagWays ways does not
+// compile.
+var _ = [1]int{}[L1Ways^tagWays|L3Ways^tagWays]
+
+// tagPage holds the tags of tagPageSets consecutive sets: way w of the
+// page's set s at s*tagWays+w.
+type tagPage [tagPageSets * tagWays]uint32
 
 // cacheArray is the tag store of one cache level. Way w of set s holds
-// pages[s/tagPageSets][s%tagPageSets*ways+w], and victim[s] is set s's
+// pages[s/tagPageSets][s%tagPageSets*tagWays+w], and victim[s] is set s's
 // round-robin fill pointer, as on the real part — deterministic. A page is
 // allocated by the first fill into one of its sets: an absent page holds
 // only invalid ways, so probing it is a miss.
 type cacheArray struct {
-	ways   uint64
-	pages  [][]uint32
+	pages  []*tagPage
 	victim []uint8
 }
 
-func newCacheArray(sets, ways int) cacheArray {
-	return cacheArray{ways: uint64(ways), pages: make([][]uint32, (sets+tagPageSets-1)/tagPageSets), victim: make([]uint8, sets)}
+func newCacheArray(sets int) cacheArray {
+	return cacheArray{pages: make([]*tagPage, (sets+tagPageSets-1)/tagPageSets), victim: make([]uint8, sets)}
 }
 
 // probe reports whether set holds line.
 func (a *cacheArray) probe(set, line uint64) bool {
-	page, base := a.pages[set/tagPageSets], set%tagPageSets*a.ways
+	page, base := a.pages[set/tagPageSets], set%tagPageSets*tagWays
 	if page == nil {
 		return false
 	}
-	for _, t := range page[base : base+a.ways] {
+	for _, t := range page[base : base+tagWays] {
 		if t == uint32(line+1) {
 			return true
 		}
@@ -84,22 +95,21 @@ func (a *cacheArray) probe(set, line uint64) bool {
 func (a *cacheArray) fill(set, line uint64) {
 	page := a.pages[set/tagPageSets]
 	if page == nil {
-		page = make([]uint32, tagPageSets*a.ways)
+		page = new(tagPage)
 		a.pages[set/tagPageSets] = page
 	}
-	v := uint64(a.victim[set])
-	page[set%tagPageSets*a.ways+v] = uint32(line + 1)
-	if v++; v == a.ways {
-		v = 0
-	}
-	a.victim[set] = uint8(v)
+	v := a.victim[set]
+	page[set%tagPageSets*tagWays+uint64(v)] = uint32(line + 1)
+	a.victim[set] = (v + 1) % tagWays
 }
 
 // flush invalidates every way and rewinds every fill pointer. It keeps the
 // pages it clears, so a flush costs what was touched since construction.
 func (a *cacheArray) flush() {
 	for _, page := range a.pages {
-		clear(page)
+		if page != nil {
+			clear(page[:])
+		}
 	}
 	clear(a.victim)
 }
@@ -132,7 +142,7 @@ const (
 // working set and its results buffer, plus DDR refresh collisions — not
 // from a tunable jitter dial.
 //
-// Each level's tags live in pages of 256 sets, allocated by the first fill
+// Each level's tags live in pages of 32 sets, allocated by the first fill
 // into one of their sets; the L1's pages hold all cores' sets, core c's
 // from set c*L1Sets. A tag holds the full line number plus one, so it does
 // not depend on the L3 mapping and a zeroed way is invalid: an absent page
@@ -170,8 +180,8 @@ type CacheSim struct {
 // NewCacheSim builds the hierarchy for a chip with cores cores.
 func NewCacheSim(cores int) *CacheSim {
 	cs := &CacheSim{
-		l1:        newCacheArray(cores*L1Sets, L1Ways),
-		l3:        newCacheArray(L3Sets, L3Ways),
+		l1:        newCacheArray(cores * L1Sets),
+		l3:        newCacheArray(L3Sets),
 		parityArm: make([]bool, cores),
 		L1Hits:    make([]uint64, cores),
 		L1Misses:  make([]uint64, cores),

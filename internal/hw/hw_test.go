@@ -346,38 +346,47 @@ func cacheStreamDigest(m L3Mapping, seed uint64) uint64 {
 	return s.h.Sum64()
 }
 
+// sparseRegionSets is the size of the set regions the sparse stream
+// confines itself to. It is the stream's own constant, not the tag page
+// size: the stream, and so its pinned digests, must not change with how
+// many sets a page holds.
+const sparseRegionSets = 256
+
 // sparseStreamDigest digests a seeded stream confined to three of the
-// L3's sixteen tag pages, none adjacent to another. A store-only run
-// into the cold cache from one core comes first: store misses install no
-// L1 line, so that core's loads of the same lines that follow miss L1 and
-// hit L3. After a FlushAll the stream fills a second page nothing has
-// touched, including a conflict run deeper than the ways in one of its
-// sets, and after a reset a third, with the first page mixed in again.
-// Every line sits where a line-spanning access stays in its own page.
+// L3's sixteen 256-set regions, none adjacent to another. A store-only
+// run into the cold cache from one core comes first: store misses install
+// no L1 line, so that core's loads of the same lines that follow miss L1
+// and hit L3. After a FlushAll the stream fills a second region nothing
+// has touched, including a conflict run deeper than the ways in one of
+// its sets, and after a reset a third, with the first region mixed in
+// again. Every line sits where a line-spanning access stays in its own
+// region.
 func sparseStreamDigest(m L3Mapping, seed uint64) uint64 {
 	s := newCacheStream(m, seed)
-	page := func(l uint64) uint64 { return s.cs.l3index(l) / tagPageSets }
-	var pages []uint64
-	for len(pages) < 3 {
-		pg, near := uint64(s.rng.Intn(L3Sets/tagPageSets)), false
-		for _, q := range pages {
-			near = near || (pg-q+1)%(L3Sets/tagPageSets) <= 2
+	region := func(l uint64) uint64 { return s.cs.l3index(l) / sparseRegionSets }
+	var regions []uint64
+	for len(regions) < 3 {
+		rg, near := uint64(s.rng.Intn(L3Sets/sparseRegionSets)), false
+		for _, q := range regions {
+			near = near || (rg-q+1)%(L3Sets/sparseRegionSets) <= 2
 		}
 		if !near {
-			pages = append(pages, pg)
+			regions = append(regions, rg)
 		}
 	}
-	inPage := func(pg uint64) func(uint64) bool {
-		return func(l uint64) bool { return page(l) == pg && page(l+1) == pg }
+	inRegion := func(rg uint64) func(uint64) bool {
+		return func(l uint64) bool { return region(l) == rg && region(l+1) == rg }
 	}
 	// absent panics if the stream's next fills would not be the first
-	// into tag page pg of arr.
-	absent := func(arr *cacheArray, pg uint64) {
-		if arr.pages[pg] != nil {
-			panic(fmt.Sprintf("sparse stream: tag page %d exists before its first fill", pg))
+	// into any tag page of region rg of arr.
+	absent := func(arr *cacheArray, rg uint64) {
+		for pg := rg * sparseRegionSets / tagPageSets; pg < (rg+1)*sparseRegionSets/tagPageSets; pg++ {
+			if arr.pages[pg] != nil {
+				panic(fmt.Sprintf("sparse stream: tag page %d of region %d exists before its first fill", pg, rg))
+			}
 		}
 	}
-	a := s.lines(48, inPage(pages[0]))
+	a := s.lines(48, inRegion(regions[0]))
 	core := s.rng.Intn(CoresPerChip)
 	for _, pa := range a {
 		s.access(core, PAddr(pa), true)
@@ -390,18 +399,18 @@ func sparseStreamDigest(m L3Mapping, seed uint64) uint64 {
 	s.counters()
 	s.cs.FlushAll()
 
-	absent(&s.cs.l3, pages[1])
-	b := s.lines(64, inPage(pages[1]))
+	absent(&s.cs.l3, regions[1])
+	b := s.lines(64, inRegion(regions[1]))
 	s.mix(1000, b)
-	target := pages[1]*tagPageSets + uint64(s.rng.Intn(tagPageSets))
+	target := regions[1]*sparseRegionSets + uint64(s.rng.Intn(sparseRegionSets))
 	s.hammer(s.rng.Intn(CoresPerChip), s.lines(L3Ways+7, func(l uint64) bool {
-		return s.cs.l3index(l) == target && page(l+1) == pages[1]
+		return s.cs.l3index(l) == target && region(l+1) == regions[1]
 	}), 4)
 	s.counters()
 	s.reset()
 
-	absent(&s.cs.l3, pages[2])
-	s.mix(1000, append(s.lines(64, inPage(pages[2])), a...))
+	absent(&s.cs.l3, regions[2])
+	s.mix(1000, append(s.lines(64, inRegion(regions[2])), a...))
 	s.counters()
 	return s.h.Sum64()
 }

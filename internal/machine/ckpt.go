@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"bgcnk/internal/ckpt"
 	"bgcnk/internal/fs"
@@ -21,20 +20,25 @@ func CkptPath(jobID int) string { return fmt.Sprintf("%s/job%06d.img", CkptDir, 
 
 // ckptState is the machine's checkpoint bookkeeping. The simulation's
 // event engine is single-threaded, so captures from different ranks
-// never race; pending simply accumulates per-node states between a
-// barrier capture and the rank-0 seal.
+// never race; pending accumulates per-node states between a barrier
+// capture and the rank-0 seal. pending and captured are indexed by node
+// and allocated once, when checkpoints are armed; count is how many
+// nodes have a capture.
 type ckptState struct {
-	armed   bool
-	jobID   int
-	epoch   uint32
-	pending map[int]ckpt.NodeState
+	armed    bool
+	jobID    int
+	epoch    uint32
+	pending  []ckpt.NodeState
+	captured []bool
+	count    int
 }
 
 // ArmCheckpoints enables checkpointing for jobID and prepares the
 // checkpoint directory on every ION filesystem. The application decides
 // when to capture: CaptureNode takes the epoch it has reached.
 func (m *Machine) ArmCheckpoints(jobID int) {
-	m.ck = ckptState{armed: true, jobID: jobID, pending: make(map[int]ckpt.NodeState)}
+	m.ck = ckptState{armed: true, jobID: jobID,
+		pending: make([]ckpt.NodeState, len(m.Chips)), captured: make([]bool, len(m.Chips))}
 	for _, fsys := range m.IONFS {
 		fsys.MustMkdirAll(CkptDir)
 	}
@@ -53,7 +57,8 @@ func (m *Machine) CaptureNode(ctx kernel.Context, epoch uint32) {
 	}
 	node := m.nodeOf(ctx)
 	pid := ctx.PID()
-	ns := ckpt.NodeState{Node: int32(node), Counters: m.Chips[node].UPC.Snapshot()}
+	ns := &m.ck.pending[node]
+	*ns = ckpt.NodeState{Node: int32(node), Counters: m.Chips[node].UPC.Snapshot()}
 	switch m.Cfg.Kind {
 	case KindCNK:
 		k := m.CNKs[node]
@@ -74,7 +79,10 @@ func (m *Machine) CaptureNode(ctx kernel.Context, epoch uint32) {
 			ns.Files = toFileStates(p.OpenFiles())
 		}
 	}
-	m.ck.pending[node] = ns
+	if !m.ck.captured[node] {
+		m.ck.captured[node] = true
+		m.ck.count++
+	}
 	m.ck.epoch = epoch
 }
 
@@ -90,8 +98,8 @@ func threadRegs(threads map[uint32]*kernel.Thread, stackTop hw.VAddr, epoch uint
 }
 
 // SealCheckpoint assembles the pending node captures into a complete
-// image (nodes sorted) and clears the pending buffer; it returns nil when
-// no checkpoint schedule is armed. Rank 0 calls this after the
+// image (in node order) and clears the pending buffer; it returns nil
+// when no checkpoint schedule is armed. Rank 0 calls this after the
 // post-capture barrier, when every node's capture is guaranteed present.
 func (m *Machine) SealCheckpoint() *ckpt.Image {
 	if !m.ck.armed {
@@ -108,17 +116,22 @@ func (m *Machine) SealCheckpoint() *ckpt.Image {
 		JobID: int32(m.ck.jobID),
 		Epoch: m.ck.epoch,
 		Kind:  uint8(m.Cfg.Kind),
+		Nodes: make([]ckpt.NodeState, 0, m.ck.count),
 	}
-	nodes := make([]int, 0, len(m.ck.pending))
-	for n := range m.ck.pending {
-		nodes = append(nodes, n)
+	for n, ok := range m.ck.captured {
+		if ok {
+			img.Nodes = append(img.Nodes, m.ck.pending[n])
+		}
 	}
-	sort.Ints(nodes)
-	for _, n := range nodes {
-		img.Nodes = append(img.Nodes, m.ck.pending[n])
-	}
-	m.ck.pending = make(map[int]ckpt.NodeState)
+	m.ck.clearPending()
 	return img
+}
+
+// clearPending drops every pending capture and keeps the buffers.
+func (ck *ckptState) clearPending() {
+	clear(ck.pending)
+	clear(ck.captured)
+	ck.count = 0
 }
 
 // RestoreNode rolls the calling rank's node back to its state in img:
@@ -194,11 +207,8 @@ func (m *Machine) RestoreCost(ctx kernel.Context) sim.Cycles {
 // mirroring ClearJobs semantics (job state goes, machine configuration
 // stays).
 func (m *Machine) clearCkptJobState() {
-	armed, jobID := m.ck.armed, m.ck.jobID
-	m.ck = ckptState{armed: armed, jobID: jobID}
-	if armed {
-		m.ck.pending = make(map[int]ckpt.NodeState)
-	}
+	m.ck.clearPending()
+	m.ck.epoch = 0
 }
 
 // disarmCheckpoints forgets the checkpoint schedule entirely (Reboot

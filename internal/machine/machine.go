@@ -312,18 +312,13 @@ func (m *Machine) CounterSnapshot(node int) upc.Snapshot {
 	return m.Chips[node].UPC.Snapshot()
 }
 
-// CounterSnapshots returns every node's counters, indexed by node.
-func (m *Machine) CounterSnapshots() []upc.Snapshot {
-	out := make([]upc.Snapshot, len(m.Chips))
-	for n, ch := range m.Chips {
-		out[n] = ch.UPC.Snapshot()
-	}
-	return out
-}
-
 // MergedCounters returns the machine-wide counter sum.
 func (m *Machine) MergedCounters() upc.Snapshot {
-	return upc.Merge(m.CounterSnapshots()...)
+	var sum upc.Snapshot
+	for _, ch := range m.Chips {
+		ch.UPC.AddTo(&sum)
+	}
+	return sum
 }
 
 // IONStats returns each I/O node's aggregation summary, indexed by tree;

@@ -130,9 +130,13 @@ type PhysRange struct {
 }
 
 // TLBEntries renders the layout as pinned TLB entries for address space
-// pid.
+// pid, in one slice of the entry count.
 func (p *ProcLayout) TLBEntries(pid uint32) []hw.TLBEntry {
-	var es []hw.TLBEntry
+	n := 0
+	for _, r := range p.Regions() {
+		n += len(r.Tiles)
+	}
+	es := make([]hw.TLBEntry, 0, n)
 	for _, r := range p.Regions() {
 		for _, t := range r.Tiles {
 			es = append(es, hw.TLBEntry{

@@ -34,17 +34,22 @@ func Delta(before, after Snapshot) Snapshot {
 // Merge sums snapshots element-wise (e.g. across the chips of a machine).
 func Merge(snaps ...Snapshot) Snapshot {
 	var m Snapshot
-	for _, s := range snaps {
-		for sl := 0; sl < NumSlots; sl++ {
-			for c := 0; c < int(NumCounters); c++ {
-				m.Vals[sl][c] += s.Vals[sl][c]
-			}
-			for n := 0; n < MaxSyscalls; n++ {
-				m.Sys[sl][n] += s.Sys[sl][n]
-			}
-		}
+	for i := range snaps {
+		m.add(&snaps[i])
 	}
 	return m
+}
+
+// add adds every counter of o into s.
+func (s *Snapshot) add(o *Snapshot) {
+	for sl := 0; sl < NumSlots; sl++ {
+		for c := 0; c < int(NumCounters); c++ {
+			s.Vals[sl][c] += o.Vals[sl][c]
+		}
+		for n := 0; n < MaxSyscalls; n++ {
+			s.Sys[sl][n] += o.Sys[sl][n]
+		}
+	}
 }
 
 // Core reads counter c for one core (ChipScope for the chip slot).

@@ -208,6 +208,15 @@ func (s *Set) Snapshot() Snapshot {
 	return Snapshot{Vals: s.vals, Sys: s.sys}
 }
 
+// AddTo adds every counter of s into sum, as Merge of the two would; a
+// nil set adds nothing.
+func (s *Set) AddTo(sum *Snapshot) {
+	if s != nil {
+		sn := s.Snapshot()
+		sum.add(&sn)
+	}
+}
+
 // Load overwrites every counter with the values in sn. Checkpoint restore
 // uses this to roll the UPC block back to its value at the snapshot's
 // quiesce point, exactly as the real unit's counters are reloaded from a

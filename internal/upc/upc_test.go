@@ -75,6 +75,12 @@ func TestMerge(t *testing.T) {
 	if got := m.SyscallCount(5); got != 1 {
 		t.Fatalf("merged syscall #5 = %d, want 1", got)
 	}
+	var sum Snapshot
+	a.AddTo(&sum)
+	b.AddTo(&sum)
+	if sum != m {
+		t.Fatal("AddTo of both sets differs from Merge of their snapshots")
+	}
 }
 
 func TestTextAndJSONRendering(t *testing.T) {
@@ -110,7 +116,9 @@ func TestNilReceivers(t *testing.T) {
 	s.Syscall(1, 3)
 	s.Load(Snapshot{Vals: [NumSlots][NumCounters]uint64{{1}}})
 	s.Reset()
-	if s.Get(0, TLBHit) != 0 || s.Get(ChipScope, TorusBytes) != 0 || !s.Snapshot().IsZero() {
+	var sum Snapshot
+	s.AddTo(&sum)
+	if s.Get(0, TLBHit) != 0 || s.Get(ChipScope, TorusBytes) != 0 || !s.Snapshot().IsZero() || !sum.IsZero() {
 		t.Fatal("nil set counted")
 	}
 }

@@ -61,10 +61,17 @@ gate -run 'Fuzz' ./internal/fs/ ./internal/ciod/ ./internal/ctrlsys/ ./internal/
 # bool byte other than 0 or 1, trailing bytes); every format must encode
 # to digests pinned before the formats shared the codec; replay must
 # accept every body the node writes, up to the WAL's body cap; and a
-# completion whose reserved last byte is not 0 must be rejected.
-echo "== durable formats: wire codec + pinned encodings + large journal bodies"
+# completion whose reserved last byte is not 0 must be rejected. A
+# checkpoint image must marshal in one allocation of exactly its
+# encoding's length, and the journal, which appends each record in place,
+# must leave segment files whose bytes match digests pinned while it
+# still rewrote the whole segment per record, across rotations and a
+# torn final append, and replay them.
+echo "== durable formats: wire codec + pinned encodings + large journal bodies + exact-size images + pinned segments"
 go test ./internal/wire/
 gate -run 'TestPinnedEncodings|TestJournalReplaysLargeBodies|TestCompletionReservedByte' ./internal/ctrlsys/
+gate -run 'TestMarshalExactSize' ./internal/ckpt/
+gate -run 'TestPinnedSegmentBytes' ./internal/ctrlsys/wal/
 
 # Kernels: CNK and the FWK share the core handoff (kernel.CPU), the
 # process bookkeeping (kernel.Process, JobSpec and Job), the thread
@@ -203,15 +210,16 @@ gate -run 'TestGolden/degrade' ./internal/experiments/
 # results at 1, 2, and 8 workers — from the raw pool up through the
 # rendered experiment artifacts. The global barrier and the combine route
 # are one rendezvous (barrier.Network): both must resume their
-# participants in participant order on every run, and one script of
-# rounds broken by a node death must match its pinned rows on each; the
-# collective tree's receives (any tag, by tag, and with a deadline met,
-# expired or sim.Forever) must match theirs. All under -race.
+# participants in participant order on every run, one script of rounds
+# broken by a node death must match its pinned rows on each, and a
+# completed round must allocate nothing on the host; the collective
+# tree's receives (any tag, by tag, and with a deadline met, expired or
+# sim.Forever) must match theirs. All under -race.
 echo "== sim fast path: pinned event-queue references + queue-order model + pinned battery + replica worker invariance + rendezvous order and pins + tree receives"
 gate -race -run 'TestDifferential|TestDeterminismBattery' ./internal/sim/ ./internal/machine/
 gate -race -run 'TestReplicaWorkerInvariance' ./internal/sim/replica/
 gate -race -run 'TestRenderWorkerInvariance' ./internal/experiments/
-gate -race -count=5 -run 'TestBarrierResumesInParticipantOrder|TestCombineResumesInParticipantOrder|TestPinnedRendezvous|TestPinnedTreeReceives' ./internal/barrier/ ./internal/collective/
+gate -race -count=5 -run 'TestBarrierResumesInParticipantOrder|TestCombineResumesInParticipantOrder|TestPinnedRendezvous|TestRoundsAllocateNothing|TestPinnedTreeReceives' ./internal/barrier/ ./internal/collective/
 
 # Coroutine switch contracts: the iter.Pull handoff must keep kill/unwind,
 # shutdown order, the pinned workload tables (runRandomCoros among them),
@@ -223,7 +231,7 @@ echo "== coroutine switch: kill/unwind + pinned coros + in-place parks + alloc-f
 gate -race -count=10 -run 'TestCoro|TestShutdown|TestEngineShutdown|TestDifferential|TestPark' ./internal/sim/
 
 # Cache model contracts: the tag pages, each allocated by the first fill
-# into one of its 256 sets and kept and cleared by a flush, must replay
+# into one of its 32 sets and kept and cleared by a flush, must replay
 # the pinned CacheSim digests (dense and sparse streams, both L3
 # mappings, store misses and refresh stalls read from the UPC unit) and
 # reject lines beyond the tag width; a chip must build in a
@@ -251,10 +259,11 @@ gate -run 'TestGolden/tracescale' ./internal/experiments/
 # the root experiment benchmarks, the sim engine and coroutine switch,
 # the hw cache model and TLB, the torus send path, the CIOD request
 # marshal and shipped write+read round trip, the checkpoint-image codec,
-# the control-system boot, drain and journal-body codec, the obs trace
-# codec and JSON export, and the fs inode and descriptor paths.
+# the control-system boot, drain and journal-body codec, the journal's
+# append, the obs trace codec and JSON export, and the fs inode and
+# descriptor paths.
 echo "== go test -bench (one iteration of every benchmark)"
-go test -run '^$' -bench . -benchtime 1x . ./internal/sim/ ./internal/hw/ ./internal/torus/ ./internal/ciod/ ./internal/ckpt/ ./internal/ctrlsys/ ./internal/obs/ ./internal/fs/
+go test -run '^$' -bench . -benchtime 1x . ./internal/sim/ ./internal/hw/ ./internal/torus/ ./internal/ciod/ ./internal/ckpt/ ./internal/ctrlsys/ ./internal/ctrlsys/wal/ ./internal/obs/ ./internal/fs/
 
 # perfbench is a nested module, so ./... above skips it: vet it and run
 # its tests, which include the workloads' pinned model digests.
