@@ -32,7 +32,7 @@ func BenchmarkShipRoundTrip(b *testing.B) {
 	payload := bytes.Repeat([]byte{0x5a}, 1024)
 	ready, rounds, bad := false, 0, 0
 	r.eng.Go("cn0", func(c *sim.Coro) {
-		call := func(req *Request) *Reply {
+		call := func(req *Request) Reply {
 			req.PID, req.TID = 1, 1
 			return cl.Call(c, req)
 		}

@@ -113,7 +113,7 @@ func TestStatWireRoundTrip(t *testing.T) {
 
 // shipped runs one client coroutine against a live CIOD server and returns
 // the replies of the requested calls.
-func shipped(t *testing.T, reqs []*Request) []*Reply {
+func shipped(t *testing.T, reqs []*Request) []Reply {
 	t.Helper()
 	eng := sim.NewEngine()
 	tree := collective.NewTree(eng, collective.DefaultConfig(), []int{0})
@@ -121,7 +121,7 @@ func shipped(t *testing.T, reqs []*Request) []*Reply {
 	filesystem.MustMkdirAll("/gpfs/job")
 	NewServer(eng, tree.ION(), filesystem)
 	cl := NewClient(tree.CN(0))
-	var reps []*Reply
+	var reps []Reply
 	eng.Go("cn", func(c *sim.Coro) {
 		for _, r := range reqs {
 			reps = append(reps, cl.Call(c, r))
@@ -197,7 +197,7 @@ func TestProxyCredentialsEnforced(t *testing.T) {
 	filesystem.Chmod("/", "/secure", 0700, fs.Root)
 	NewServer(eng, tree.ION(), filesystem)
 	cl := NewClient(tree.CN(0))
-	var rep *Reply
+	var rep Reply
 	eng.Go("cn", func(c *sim.Coro) {
 		cl.Call(c, &Request{Op: OpProcStart, PID: 1, UID: 1000, GID: 1000})
 		rep = cl.Call(c, &Request{Op: OpOpen, PID: 1, TID: 1, Path: "/secure/f", Flags: kernel.OCreat | kernel.OWronly, Mode: 0644})
@@ -253,7 +253,7 @@ func TestLoopbackMatchesServerSemantics(t *testing.T) {
 	eng := sim.NewEngine()
 	filesystem := fs.New()
 	lb := NewLoopback(eng, filesystem)
-	var reps []*Reply
+	var reps []Reply
 	eng.Go("cn", func(c *sim.Coro) {
 		reps = append(reps, lb.Call(c, &Request{Op: OpProcStart, PID: 1, UID: 0}))
 		reps = append(reps, lb.Call(c, &Request{Op: OpOpen, PID: 1, TID: 1, Path: "/f", Flags: kernel.OCreat | kernel.OWronly, Mode: 0644}))

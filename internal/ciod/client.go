@@ -79,7 +79,10 @@ func (cl *Client) AttachION(n *ion.Node) { cl.ion = n }
 // mistaken for the current one; stale replies simply age in the inbox),
 // resends back off exponentially, and exhaustion surfaces EIO — the errno
 // the application would see from a dead I/O path on the real machine.
-func (cl *Client) Call(c *sim.Coro, req *Request) *Reply {
+// Every attempt sends the one marshalled message; once the call resends
+// it, the request gives up its wire buffer, which the messages still in
+// flight may yet be read from (see Recycle).
+func (cl *Client) Call(c *sim.Coro, req *Request) Reply {
 	cl.upc.Inc(upc.ChipScope, upc.FunctionShip)
 	if cl.obs != nil {
 		start := c.Now()
@@ -95,6 +98,7 @@ func (cl *Client) Call(c *sim.Coro, req *Request) *Reply {
 	}
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
+			req.wire = nil
 			cl.upc.Inc(upc.ChipScope, upc.CIODRetry)
 			c.Sleep(retryBackoff << (a - 1))
 		}
@@ -119,12 +123,12 @@ func (cl *Client) Call(c *sim.Coro, req *Request) *Reply {
 				cl.upc.Inc(upc.ChipScope, upc.CIODTimeout)
 				continue
 			}
-			return &Reply{Errno: kernel.EIO}
+			return Reply{Errno: kernel.EIO}
 		}
 		return rep
 	}
 	cl.faults.Report(ras.CIODGiveUp, "ciod-client", OpName(req.Op)+" retries exhausted, surfacing EIO")
-	return &Reply{Errno: kernel.EIO}
+	return Reply{Errno: kernel.EIO}
 }
 
 // Loopback is a Transport that executes against a local filesystem with a
@@ -143,22 +147,21 @@ func NewLoopback(eng *sim.Engine, f *fs.FS) *Loopback {
 }
 
 // Call implements Transport.
-func (l *Loopback) Call(c *sim.Coro, req *Request) *Reply {
+func (l *Loopback) Call(c *sim.Coro, req *Request) Reply {
 	c.Sleep(l.Delay)
 	key := proxyKey{node: 0, pid: req.PID}
 	switch req.Op {
 	case OpProcStart:
 		l.srv.prox[key] = l.srv.newProxy(req.PID, req.UID, req.GID)
-		return &Reply{}
+		return Reply{}
 	case OpProcExit:
 		delete(l.srv.prox, key)
-		return &Reply{}
+		return Reply{}
 	}
 	p, ok := l.srv.prox[key]
 	if !ok {
-		return &Reply{Errno: kernel.ESRCH}
+		return Reply{Errno: kernel.ESRCH}
 	}
 	l.srv.Calls++
-	rep := Execute(c, p.client, l.srv.files(p), req)
-	return &rep
+	return Execute(c, p.client, l.srv.files(p), req)
 }

@@ -39,7 +39,7 @@ func FuzzMarshal(f *testing.F) {
 	f.Add(encodeNames([]string{"gpfs", "lib", ""}))
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		if req, err := UnmarshalRequest(wire); err == nil {
-			again, err2 := UnmarshalRequest(MarshalRequest(req))
+			again, err2 := UnmarshalRequest(MarshalRequest(&req))
 			if err2 != nil {
 				t.Fatalf("re-decode of accepted request failed: %v", err2)
 			}
@@ -48,7 +48,7 @@ func FuzzMarshal(f *testing.F) {
 			}
 		}
 		if rep, err := UnmarshalReply(wire); err == nil {
-			again, err2 := UnmarshalReply(MarshalReply(rep))
+			again, err2 := UnmarshalReply(MarshalReply(&rep))
 			if err2 != nil {
 				t.Fatalf("re-decode of accepted reply failed: %v", err2)
 			}
@@ -89,7 +89,7 @@ func TestMarshalRoundTripExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("op %s: %v", OpName(op), err)
 		}
-		if !reflect.DeepEqual(req, got) {
+		if !reflect.DeepEqual(*req, got) {
 			t.Fatalf("op %s round trip:\n%+v\nvs\n%+v", OpName(op), req, got)
 		}
 	}

@@ -348,3 +348,50 @@ func TestIONPathDeterministic(t *testing.T) {
 		t.Fatalf("runs diverged:\n%s / %s\nvs\n%s / %s", s1, st1, s2, st2)
 	}
 }
+
+// TestWireBufferOwnership pins who owns a write's wire buffer. A request
+// whose payload lies in its wire buffer marshals into that buffer, byte
+// for byte what a fresh buffer would hold; a call sent once keeps the
+// buffer, for Recycle to hand back to its thread; a resent call gives it
+// up to the messages in flight.
+func TestWireBufferOwnership(t *testing.T) {
+	payload := []byte("one copy per hop")
+	withWire := func() *Request {
+		wire := make([]byte, requestFixed+len(payload))
+		copy(wire[requestFixed:], payload)
+		return &Request{Op: OpWrite, PID: 1, TID: 1, wire: wire, Data: wire[requestFixed:]}
+	}
+	req := withWire()
+	msg := MarshalRequest(req)
+	if len(msg) != len(req.wire) || &msg[0] != &req.wire[0] {
+		t.Error("a request with a wire buffer was marshalled into a new one")
+	}
+	fresh := *req
+	fresh.wire = nil
+	if !bytes.Equal(msg, MarshalRequest(&fresh)) {
+		t.Error("marshalling in place changed the wire bytes")
+	}
+
+	for _, drop := range []float64{0, 1} {
+		r := newIONRig(1, nil)
+		inj := ras.NewInjector(r.eng, ras.NewLog(), ras.Plan{Seed: 1, CIODDrop: drop})
+		r.srv.SetFaults(inj.Node(-1), 20_000)
+		cl := r.clients[0]
+		cl.AttachFaults(inj.Node(0))
+		req := withWire()
+		r.eng.Go("cn0", func(c *sim.Coro) {
+			cl.Call(c, &Request{Op: OpProcStart, PID: 1})
+			cl.Call(c, &Request{Op: OpOpen, PID: 1, TID: 1, Path: "/gpfs/w", Flags: kernel.OCreat | kernel.OWronly, Mode: 0644})
+			cl.Call(c, req)
+		})
+		r.eng.RunUntilIdle()
+		r.eng.Shutdown()
+		resent := r.units[0].Get(upc.ChipScope, upc.CIODRetry) > 0
+		if resent != (drop == 1) {
+			t.Fatalf("reply loss %v: resent %v", drop, resent)
+		}
+		if kept := req.wire != nil; kept == resent {
+			t.Errorf("reply loss %v: the call kept its wire buffer %v after resending %v", drop, kept, resent)
+		}
+	}
+}

@@ -7,6 +7,17 @@
 // which performs the real call against the I/O node's filesystem and ships
 // the results back. The FWK runs the same decode, executor and store on
 // its own filesystem client, so both kernels share one file-call path.
+//
+// A shipped call copies each payload byte once per hop, and allocates
+// nothing per call beyond what the model keeps or ships. A write's
+// payload is loaded from user memory straight into the calling thread's
+// wire buffer, behind room for the request header, so marshalling writes
+// only the header (Decode, MarshalRequest). The tree delivers the
+// sender's slice itself, the daemon decodes the request in place and
+// holds it by value, and the I/O node's cache or filesystem copies the
+// payload into its own blocks or pages. A thread reuses its wire buffer
+// for its next call once no message carrying it can be read again
+// (Recycle).
 package ciod
 
 import (
@@ -73,6 +84,13 @@ type Request struct {
 	// Data is a write's payload. A decoded request's Data lies inside
 	// the received message (see UnmarshalRequest).
 	Data []byte
+
+	// wire, when not nil, is the buffer Data lies in, right behind
+	// requestFixed bytes of room for the header: Decode loads a write's
+	// payload there, and MarshalRequest fills the room in place. A
+	// client that resends the request clears it, since the buffer then
+	// belongs to the messages in flight (see Recycle).
+	wire []byte
 }
 
 // Reply is the result shipped back.
@@ -91,7 +109,7 @@ type Reply struct {
 // network to a Server) and Loopback (directly against a filesystem, for
 // unit tests of the CN kernel).
 type Transport interface {
-	Call(c *sim.Coro, req *Request) *Reply
+	Call(c *sim.Coro, req *Request) Reply
 }
 
 // --- wire marshalling (encoding/binary, big-endian like the hardware) ---
@@ -155,10 +173,19 @@ func (d *dec) bytes() []byte {
 	return v[:len(v):len(v)]
 }
 
-// MarshalRequest renders the request in wire format, in one buffer of
-// the exact length.
+// MarshalRequest renders the request in wire format. A write Decode
+// loaded already lies in its wire buffer behind room for the header, so
+// only the header is written, into that room, and the buffer is the
+// message: the payload is not copied again. Any other request is
+// rendered into one new buffer of the exact length.
 func MarshalRequest(r *Request) []byte {
-	e := &enc{b: make([]byte, 0, requestFixed+len(r.Path)+len(r.Path2)+len(r.Data))}
+	hdr := requestFixed + len(r.Path) + len(r.Path2)
+	b := r.wire
+	if len(b) != hdr+len(r.Data) || len(r.Data) == 0 || &b[hdr] != &r.Data[0] {
+		b = make([]byte, hdr+len(r.Data))
+		copy(b[hdr:], r.Data)
+	}
+	e := &enc{b: b[:0]}
 	e.u8(r.Op)
 	e.u32(r.PID)
 	e.u32(r.TID)
@@ -173,16 +200,16 @@ func MarshalRequest(r *Request) []byte {
 	e.u64(r.Size)
 	e.str(r.Path)
 	e.str(r.Path2)
-	e.bytes(r.Data)
-	return e.b
+	e.u32(uint32(len(r.Data)))
+	return b
 }
 
 // UnmarshalRequest parses wire format. The request's Data aliases b, so
 // b must not change while the request is in use; whatever keeps the
 // payload (the I/O node's cache, the filesystem) copies it.
-func UnmarshalRequest(b []byte) (*Request, error) {
+func UnmarshalRequest(b []byte) (Request, error) {
 	d := &dec{b: b}
-	r := &Request{
+	r := Request{
 		Op: d.u8(), PID: d.u32(), TID: d.u32(), UID: d.u32(), GID: d.u32(),
 		FD: d.i32(), FD2: d.i32(), Flags: d.u64(), Mode: d.u16(),
 		Off: d.i64(), Whence: d.i32(), Size: d.u64(),
@@ -205,9 +232,9 @@ func MarshalReply(r *Reply) []byte {
 // UnmarshalReply parses a reply. The reply's Data aliases b, so b must
 // not change while the reply is in use; the kernel copies it into user
 // memory.
-func UnmarshalReply(b []byte) (*Reply, error) {
+func UnmarshalReply(b []byte) (Reply, error) {
 	d := &dec{b: b}
-	r := &Reply{Ret: d.u64(), Errno: kernel.Errno(d.i32()), Str: d.str(), Data: d.bytes()}
+	r := Reply{Ret: d.u64(), Errno: kernel.Errno(d.i32()), Str: d.str(), Data: d.bytes()}
 	return r, d.err
 }
 

@@ -110,18 +110,34 @@ func (s *Server) sortedKeys() []proxyKey {
 // sortedTIDs returns the proxy's thread IDs in ascending order.
 func (p *ioproxy) sortedTIDs() []uint32 { return slices.Sorted(maps.Keys(p.threads)) }
 
+// proxyThread is one ioproxy thread. Its calls wait in queue, and the
+// batch being served moves to batch; both arrays are kept and reused by
+// every later call, so serving a call allocates neither.
 type proxyThread struct {
 	queue []pendingCall
+	batch []pendingCall
 	coro  *sim.Coro
 	// dead tells the proxy coroutine to exit: its process left or the
 	// daemon crashed. Any reply it produces after dying is discarded.
 	dead bool
 }
 
+// pendingCall is one routed call, held by value; its request's Data lies
+// inside the received message.
 type pendingCall struct {
-	req  *Request
+	req  Request
 	from int
 	tag  uint32
+}
+
+// pop removes and returns the queue's first call, moving the rest to the
+// front of the array so the next route appends into it again.
+func (t *proxyThread) pop() pendingCall {
+	call := t.queue[0]
+	n := copy(t.queue, t.queue[1:])
+	t.queue[n] = pendingCall{}
+	t.queue = t.queue[:n]
+	return call
 }
 
 // NewServer starts CIOD on the given tree endpoint, serving filesystem f.
@@ -164,10 +180,13 @@ func (s *Server) dispatcher(c *sim.Coro) {
 			s.ion.Release()
 			continue
 		}
-		s.route(req, msg.From, msg.Tag)
+		s.route(&req, msg.From, msg.Tag)
 	}
 }
 
+// route answers a lifecycle call at once and queues any other on the
+// proxy thread of the caller's process and thread, starting the thread
+// on its first call. The queue keeps a copy of req.
 func (s *Server) route(req *Request, from int, tag uint32) {
 	key := proxyKey{node: from, pid: req.PID}
 	switch req.Op {
@@ -207,7 +226,7 @@ func (s *Server) route(req *Request, from int, tag uint32) {
 			s.proxyLoop(c, p, t)
 		})
 	}
-	t.queue = append(t.queue, pendingCall{req: req, from: from, tag: tag})
+	t.queue = append(t.queue, pendingCall{req: *req, from: from, tag: tag})
 	t.coro.Wake()
 }
 
@@ -222,29 +241,27 @@ func (s *Server) proxyLoop(c *sim.Coro, p *ioproxy, t *proxyThread) {
 		if t.dead {
 			return
 		}
-		call := t.queue[0]
-		t.queue = t.queue[1:]
 		// Request coalescing: adjacent queued writes to the same
 		// descriptor merge into one batch that pays a single costExecute
 		// plus a small per-extra cost, instead of a full syscall each —
 		// the fan-in's bandwidth win. The unarmed node batches one call.
-		batch := []pendingCall{call}
-		if call.req.Op == OpWrite {
+		batch := append(t.batch[:0], t.pop())
+		if op, fd := batch[0].req.Op, batch[0].req.FD; op == OpWrite {
 			for len(batch) < s.ion.CoalesceMax() && len(t.queue) > 0 {
-				nxt := t.queue[0]
-				if nxt.req.Op != OpWrite || nxt.req.FD != call.req.FD {
+				if nxt := &t.queue[0].req; nxt.Op != OpWrite || nxt.FD != fd {
 					break
 				}
-				batch = append(batch, nxt)
-				t.queue = t.queue[1:]
+				batch = append(batch, t.pop())
 			}
 		}
+		t.batch = batch
 		execStart := c.Now()
 		c.Sleep(costExecute + costCoalescedWrite*sim.Cycles(len(batch)-1))
 		if len(batch) > 1 {
 			s.ion.Counters().Add(upc.ChipScope, upc.IONCoalesce, uint64(len(batch)-1))
 		}
-		for _, pc := range batch {
+		for i := range batch {
+			pc := &batch[i]
 			if t.dead {
 				// The daemon died mid-batch: the rest of the batch was
 				// conceptually still queued, so it gets the same EIO flush
@@ -253,7 +270,7 @@ func (s *Server) proxyLoop(c *sim.Coro, p *ioproxy, t *proxyThread) {
 				s.ion.Release()
 				continue
 			}
-			rep := Execute(c, p.client, s.files(p), pc.req)
+			rep := Execute(c, p.client, s.files(p), &pc.req)
 			s.Calls++
 			if t.dead {
 				// Died during execution; the reply has nowhere to go (the
@@ -278,6 +295,7 @@ func (s *Server) proxyLoop(c *sim.Coro, p *ioproxy, t *proxyThread) {
 				s.ion.Crash()
 			}
 		}
+		clear(batch) // let the served messages go
 		s.obs.Emit(obs.CatIO, "ciod:execute", s.obsNode, int(p.pid), execStart, c.Now(), uint64(len(batch)))
 		if t.dead {
 			return

@@ -34,11 +34,17 @@ type Out struct {
 
 // Decode turns file system call num, made by t with args, into a request
 // for t's process and thread, and names the user buffer its reply goes
-// to. A write's payload grows as each piece of the user buffer
-// translates (paper IV-A: "a write system call sends a message
+// to. A call that is not a file call is ENOSYS.
+//
+// A write's payload is loaded into t's wire buffer behind room for the
+// request header (paper IV-A: "a write system call sends a message
 // containing the file descriptor number, length of the buffer, and the
-// buffer data"), so a write from unmapped memory allocates nothing. A
-// call that is not a file call is ENOSYS.
+// buffer data"), so MarshalRequest writes only the header and the
+// payload is copied once on the compute node. The buffer grows as each
+// piece of the user buffer translates, so a write from unmapped memory
+// allocates nothing, and one that fits the buffer kept from t's last
+// call allocates nothing either. The request holds the buffer until the
+// caller hands it back with Recycle; a failed load leaves it with t.
 func Decode(t *kernel.Thread, num kernel.Sys, args []uint64) (*Request, Out, kernel.Errno) {
 	req := &Request{PID: t.PID(), TID: t.TID()}
 	loadPath := func(i int) (string, kernel.Errno) {
@@ -63,11 +69,22 @@ func Decode(t *kernel.Thread, num kernel.Sys, args []uint64) (*Request, Out, ker
 	case kernel.SysWrite:
 		req.Op = OpWrite
 		req.FD = int32(kernel.Arg(args, 0))
-		if kernel.Arg(args, 2) > maxIO(t) {
+		count := kernel.Arg(args, 2)
+		if count > maxIO(t) {
 			errno = kernel.EFAULT
 			break
 		}
-		req.Data, errno = t.LoadNew(hw.VAddr(kernel.Arg(args, 1)), uint32(kernel.Arg(args, 2)))
+		if count == 0 {
+			break
+		}
+		var wire []byte
+		wire, errno = t.LoadInto(t.Wire, requestFixed, hw.VAddr(kernel.Arg(args, 1)), uint32(count))
+		if errno != kernel.OK {
+			keepWire(t, wire)
+			break
+		}
+		t.Wire = nil
+		req.wire, req.Data = wire, wire[requestFixed:]
 	case kernel.SysLseek:
 		req.Op = OpLseek
 		req.FD = int32(kernel.Arg(args, 0))
@@ -125,6 +142,27 @@ func Decode(t *kernel.Thread, num kernel.Sys, args []uint64) (*Request, Out, ker
 	return req, out, errno
 }
 
+// Recycle gives t back the wire buffer of its finished call req for its
+// next call. The buffer may be reused only once no message carrying it
+// can be read again, that is after the reply to a call that was sent
+// once: a resent call has given its buffer up (Client.Call clears it),
+// so it stays with the messages in flight and t's next write takes a
+// fresh one. t keeps a buffer only while it is no larger than
+// copyInChunk, so one large write does not pin its size to the thread.
+func Recycle(t *kernel.Thread, req *Request) {
+	if req.wire != nil {
+		keepWire(t, req.wire)
+	}
+}
+
+// keepWire makes b t's wire buffer for its next call, unless b is larger
+// than copyInChunk.
+func keepWire(t *kernel.Thread, b []byte) {
+	if cap(b) <= copyInChunk {
+		t.Wire = b[:0]
+	}
+}
+
 // Store copies the reply to a request of op into t's user memory at out
 // and returns the call's result: a read's bytes (no more than out holds),
 // a stat's payload (none when out names no buffer), the getcwd string
@@ -166,7 +204,7 @@ func Store(t *kernel.Thread, op uint8, out Out, rep *Reply) (uint64, kernel.Errn
 // the range is full or the file ends; the rest of the range keeps what
 // it held.
 func CopyIn(t *kernel.Thread, fd int32, off int64, va hw.VAddr, length uint64,
-	call func(*Request) *Reply, store func(hw.VAddr, []byte) kernel.Errno) kernel.Errno {
+	call func(*Request) Reply, store func(hw.VAddr, []byte) kernel.Errno) kernel.Errno {
 	rep := call(&Request{Op: OpLseek, PID: t.PID(), TID: t.TID(), FD: fd, Off: off, Whence: int32(kernel.SeekSet)})
 	if rep.Errno != kernel.OK {
 		return rep.Errno

@@ -132,7 +132,10 @@ func TestMarshalExactSize(t *testing.T) {
 
 // TestWriteCheckpointCorpus regenerates the committed seed corpus under
 // testdata/fuzz/FuzzCheckpointImage. Skipped unless GEN_CORPUS=1; rerun
-// after changing the wire format or the seed set.
+// after changing the wire format or the seed set. It leaves
+// seed_old_counter_dims alone: that file is the typical image as it was
+// marshalled when the counter block had 39 counters, kept so the corpus
+// still reaches the counter-dimension rejection.
 func TestWriteCheckpointCorpus(t *testing.T) {
 	if os.Getenv("GEN_CORPUS") == "" {
 		t.Skip("set GEN_CORPUS=1 to regenerate the committed fuzz corpus")

@@ -103,20 +103,40 @@ func RegionDigest(name string, vbase, size uint64) uint64 {
 
 // Marshal encodes the image into one buffer of the encoding's length.
 func (img *Image) Marshal() []byte {
-	e := wire.NewEncoder(img.wireSize())
+	return MarshalNodes(img.JobID, img.Epoch, img.Kind, img.Nodes, nil)
+}
+
+// MarshalNodes encodes, into one buffer of the encoding's length, the
+// image with the given job ID, epoch and kind whose nodes are those of
+// nodes that keep marks, in order; a nil keep marks them all. It lets a
+// caller holding node states in a node-indexed buffer marshal the image
+// without first copying them into an Image.
+func MarshalNodes(jobID int32, epoch uint32, kind uint8, nodes []NodeState, keep []bool) []byte {
+	kept := func(i int) bool { return keep == nil || keep[i] }
+	size, count := headerBytes, 0
+	for i := range nodes {
+		if kept(i) {
+			size += nodes[i].wireSize()
+			count++
+		}
+	}
+	e := wire.NewEncoder(size)
 	e.U32(imageMagic)
 	e.U8(imageVersion)
-	e.I32(img.JobID)
-	e.U32(img.Epoch)
-	e.U8(img.Kind)
+	e.I32(jobID)
+	e.U32(epoch)
+	e.U8(kind)
 	// Counter-block dimensions are part of the format: an image written
 	// by a kernel with a different UPC layout must not decode silently.
 	e.U8(upc.NumSlots)
 	e.U8(uint8(upc.NumCounters))
 	e.U8(upc.MaxSyscalls)
-	e.U32(uint32(len(img.Nodes)))
-	for i := range img.Nodes {
-		n := &img.Nodes[i]
+	e.U32(uint32(count))
+	for i := range nodes {
+		if !kept(i) {
+			continue
+		}
+		n := &nodes[i]
 		e.I32(n.Node)
 		e.U32(uint32(len(n.Regions)))
 		for _, r := range n.Regions {
@@ -142,16 +162,12 @@ func (img *Image) Marshal() []byte {
 	return e.Bytes()
 }
 
-// wireSize returns the length of the image's encoding: the fixed header,
-// then each node's fixed part, its tables and its file paths.
-func (img *Image) wireSize() int {
-	n := headerBytes + len(img.Nodes)*nodeBytes
-	for i := range img.Nodes {
-		ns := &img.Nodes[i]
-		n += len(ns.Regions)*regionBytes + len(ns.Threads)*threadBytes + len(ns.Files)*fileBytes
-		for _, f := range ns.Files {
-			n += min(len(f.Path), MaxPath)
-		}
+// wireSize returns the length of the node's encoding: its fixed part,
+// its tables and its file paths.
+func (ns *NodeState) wireSize() int {
+	n := nodeBytes + len(ns.Regions)*regionBytes + len(ns.Threads)*threadBytes + len(ns.Files)*fileBytes
+	for _, f := range ns.Files {
+		n += min(len(f.Path), MaxPath)
 	}
 	return n
 }
@@ -160,12 +176,13 @@ func (img *Image) wireSize() int {
 // minimum sizes against which Unmarshal checks each table's count before
 // allocating it.
 const (
-	headerBytes       = 21
-	regionBytes       = 24
-	threadBytes       = 20
-	fileBytes         = 24 // with an empty path
-	counterBlockBytes = upc.NumSlots * (int(upc.NumCounters) + upc.MaxSyscalls) * 8
-	nodeBytes         = 16 + counterBlockBytes // with empty tables
+	headerBytes = 21
+	regionBytes = 24
+	threadBytes = 20
+	fileBytes   = 24 // with an empty path
+	// CounterBlockBytes is the length of EncodeCounters' output.
+	CounterBlockBytes = upc.NumSlots * (int(upc.NumCounters) + upc.MaxSyscalls) * 8
+	nodeBytes         = 16 + CounterBlockBytes // with empty tables
 )
 
 // Unmarshal decodes and validates a checkpoint image. It rejects bad

@@ -12,7 +12,7 @@ import (
 // ESRCH for a process it has already been told about: that means the
 // daemon crashed and respawned, losing its ioproxies, so CNK re-ships
 // OpProcStart and retries the original call once.
-func (k *Kernel) ioCall(t *kernel.Thread, p *Proc, req *ciod.Request) *ciod.Reply {
+func (k *Kernel) ioCall(t *kernel.Thread, p *Proc, req *ciod.Request) ciod.Reply {
 	rep := k.cfg.IO.Call(t.Coro(), req)
 	if rep.Errno == kernel.ESRCH && p.ioStarted &&
 		req.Op != ciod.OpProcStart && req.Op != ciod.OpProcExit {
@@ -34,7 +34,8 @@ func (k *Kernel) ioCall(t *kernel.Thread, p *Proc, req *ciod.Request) *ciod.Repl
 // not yielded during the wait (paper VI-C: "I/O function shipping is
 // made trivial by not yielding the core to another thread during an I/O
 // system call") — the thread simply parks, and no kernel context switch
-// happens.
+// happens. Once the reply is in, the thread takes its wire buffer back
+// for its next call.
 func (k *Kernel) shipIO(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64) (uint64, kernel.Errno) {
 	if k.cfg.IO == nil {
 		return 0, kernel.ENOSYS
@@ -45,7 +46,9 @@ func (k *Kernel) shipIO(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64
 		return 0, errno
 	}
 	req.UID, req.GID = p.UID, p.GID
-	return ciod.Store(t, req.Op, out, k.ioCall(t, p, req))
+	rep := k.ioCall(t, p, req)
+	ciod.Recycle(t, req)
+	return ciod.Store(t, req.Op, out, &rep)
 }
 
 // mmapCopyIn reads a whole file through the function-ship path into the
@@ -55,6 +58,6 @@ func (k *Kernel) mmapCopyIn(t *kernel.Thread, p *Proc, va hw.VAddr, length uint6
 	if k.cfg.IO == nil {
 		return kernel.ENOSYS
 	}
-	ship := func(req *ciod.Request) *ciod.Reply { return k.ioCall(t, p, req) }
+	ship := func(req *ciod.Request) ciod.Reply { return k.ioCall(t, p, req) }
 	return ciod.CopyIn(t, fd, off, va, length, ship, t.Store)
 }

@@ -53,7 +53,9 @@ type Message struct {
 	From int    // sender endpoint ID
 	Tag  uint32 // request/reply matching tag
 	// Data is the slice the sender passed to Send, not a copy: the
-	// receiver shares its backing array and must copy what it keeps.
+	// receiver shares its backing array, must not change it, and must
+	// copy what it keeps. The sender may reuse the array once no copy of
+	// the message can be read again (see Endpoint.Send).
 	Data []byte
 }
 
@@ -75,6 +77,43 @@ type Tree struct {
 	// obs, when non-nil, receives one msg span per tree send
 	// (serialization start to delivery); emitting charges no cycles.
 	obs *obs.Recorder
+
+	// free recycles delivery records.
+	free []*delivery
+}
+
+// delivery is one message in flight on the tree, from Send until it
+// lands in dst's inbox. Records are recycled through Tree.free and bind
+// their arrived method once, so scheduling a delivery allocates nothing.
+type delivery struct {
+	tree   *Tree
+	dst    *Endpoint
+	msg    Message
+	arrive func() // d.arrived
+}
+
+// newDelivery takes a record from the free list, or allocates one, for
+// msg on its way to dst.
+func (t *Tree) newDelivery(dst *Endpoint, msg Message) *delivery {
+	var d *delivery
+	if k := len(t.free); k > 0 {
+		d = t.free[k-1]
+		t.free = t.free[:k-1]
+	} else {
+		d = &delivery{tree: t}
+		d.arrive = d.arrived
+	}
+	d.dst, d.msg = dst, msg
+	return d
+}
+
+// arrived lands the message and returns the record to the free list,
+// dropping what it references.
+func (d *delivery) arrived() {
+	dst, msg := d.dst, d.msg
+	d.dst, d.msg = nil, Message{}
+	d.tree.free = append(d.tree.free, d)
+	dst.deliver(msg)
 }
 
 // AttachObs wires the machine-wide span recorder to every endpoint of
@@ -182,9 +221,15 @@ func (e *Endpoint) sendCost(n int) sim.Cycles {
 // paid on the link (DMA-like). On a shared uplink a CN→ION message is
 // charged, counted and traced with the mux header's bytes added.
 //
-// Send keeps data itself, not a copy, and delivers it as Message.Data,
-// so the sender must not modify data after Send: every caller passes a
-// freshly marshalled message, and a retry re-sends it unchanged.
+// Send keeps data itself, not a copy, and delivers it as Message.Data.
+// The sender must not modify data while any copy of the message can
+// still be read. A reply to a message sent once shows that its one copy
+// was consumed; a resent message may still wait in flight or in a queue
+// after another copy was answered, so its buffer is never reused. A
+// daemon's replies are freshly marshalled; a compute node's write lives
+// in its thread's wire buffer, which ciod.Recycle lets the thread reuse
+// only after the reply to a call sent once. A retry re-sends the
+// message unchanged.
 func (e *Endpoint) Send(to int, tag uint32, data []byte) {
 	var dst *Endpoint
 	if e.ion {
@@ -226,7 +271,7 @@ func (e *Endpoint) Send(to int, tag uint32, data []byte) {
 	e.upc.Add(upc.ChipScope, upc.CollPacket, uint64(packets(n)))
 	e.upc.Add(upc.ChipScope, upc.CollBytes, uint64(n))
 	e.tree.obs.Emit(obs.CatMsg, "coll:send", e.id, 0, e.tree.eng.Now(), arrive, uint64(n))
-	e.tree.eng.At(arrive, func() { dst.deliver(msg) })
+	e.tree.eng.At(arrive, e.tree.newDelivery(dst, msg).arrive)
 }
 
 func (e *Endpoint) deliver(m Message) {

@@ -191,30 +191,46 @@ func getAttempt(d *wire.Decoder) Attempt {
 // reserved byte, written as 0 and rejected on replay otherwise, which
 // keeps the journal's bytes as pinned.
 func marshalJobResult(r *JobResult) []byte {
-	var e wire.Encoder
-	putJob(&e, r.Job)
+	e := wire.NewEncoder(jobResultBytes(r))
+	putJobResult(e, r)
+	return e.Bytes()
+}
+
+// jobResultBytes is the length of r's encoding, in putJobResult's order.
+func jobResultBytes(r *JobResult) int {
+	const fixed = 32 + // the job, with its name's length
+		4 + 49 + // nodes, the boot result
+		8 + 8 + 4 + // run, teardown, the exit-code count
+		12 + ckpt.CounterBlockBytes + // the counter dimensions and block
+		8 + 8 + 4 + 4 + // RAS events and hash, the error's length, the attempt count
+		4 + 8 + 8 + 1 + 1 // restarts, wasted, restart overhead, budget flag, reserved byte
+	return fixed + len(r.Job.Name) + 4*len(r.ExitCodes) + len(r.Err) + attemptBytes*len(r.Attempts)
+}
+
+// putJobResult writes r's encoding.
+func putJobResult(e *wire.Encoder, r *JobResult) {
+	putJob(e, r.Job)
 	e.I32(int32(r.Nodes))
-	putBootResult(&e, r.Boot)
+	putBootResult(e, r.Boot)
 	e.U64(uint64(r.Run))
 	e.U64(uint64(r.Teardown))
 	e.U32(uint32(len(r.ExitCodes)))
 	for _, c := range r.ExitCodes {
 		e.I32(int32(c))
 	}
-	putCounters(&e, &r.Counters)
+	putCounters(e, &r.Counters)
 	e.U64(r.RASEvents)
 	e.U64(r.RASHash)
 	e.Str(r.Err)
 	e.U32(uint32(len(r.Attempts)))
 	for _, a := range r.Attempts {
-		putAttempt(&e, a)
+		putAttempt(e, a)
 	}
 	e.I32(int32(r.Restarts))
 	e.U64(uint64(r.Wasted))
 	e.U64(uint64(r.RestartOverhead))
 	e.Bool(r.BudgetExhausted)
 	e.U8(0) // reserved
-	return e.Bytes()
 }
 
 func unmarshalJobResult(b []byte) (*JobResult, error) {
@@ -257,8 +273,10 @@ type resumePoint struct {
 }
 
 func marshalResume(rp *resumePoint) []byte {
-	var e wire.Encoder
-	e.Blob(marshalJobResult(&rp.res))
+	n := jobResultBytes(&rp.res)
+	e := wire.NewEncoder(4 + n + 8 + 4 + 4 + len(rp.image))
+	e.U32(uint32(n)) // the result, as a blob
+	putJobResult(e, &rp.res)
 	e.U64(rp.rasHash)
 	e.I32(int32(rp.next))
 	e.Blob(rp.image)
@@ -282,9 +300,11 @@ func unmarshalResume(b []byte) (*resumePoint, error) {
 
 // completeBody pairs the job ID with its full result.
 func completeBody(id int, r *JobResult) []byte {
-	var e wire.Encoder
+	n := jobResultBytes(r)
+	e := wire.NewEncoder(4 + 4 + n)
 	e.I32(int32(id))
-	e.Blob(marshalJobResult(r))
+	e.U32(uint32(n)) // the result, as a blob
+	putJobResult(e, r)
 	return e.Bytes()
 }
 
@@ -302,7 +322,7 @@ func decodeComplete(b []byte) (int, *JobResult, error) {
 // ckptCommitRaw pairs the job ID with an already-marshalled resume
 // point (the bytes the resilience loop's commit hook handed over).
 func ckptCommitRaw(id int, rp []byte) []byte {
-	var e wire.Encoder
+	e := wire.NewEncoder(4 + 4 + len(rp))
 	e.I32(int32(id))
 	e.Blob(rp)
 	return e.Bytes()

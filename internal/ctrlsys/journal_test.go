@@ -131,6 +131,31 @@ func TestPinnedEncodings(t *testing.T) {
 	}
 }
 
+// TestJournalBodiesExactSize checks that the bodies carrying a job's
+// result, the completion and the checkpoint commit with its resume
+// point, are each marshalled in one allocation of exactly their length,
+// so the 4 KB counter block is never copied into a grown buffer.
+func TestJournalBodiesExactSize(t *testing.T) {
+	done, rp := restartedResult(), pinResume()
+	resume := marshalResume(rp)
+	for _, c := range []struct {
+		name    string
+		marshal func() []byte
+	}{
+		{"result", func() []byte { return marshalJobResult(done) }},
+		{"complete", func() []byte { return completeBody(5, done) }},
+		{"resume", func() []byte { return marshalResume(rp) }},
+		{"ckpt-commit", func() []byte { return ckptCommitRaw(5, resume) }},
+	} {
+		if b := c.marshal(); len(b) != cap(b) {
+			t.Errorf("%s: len %d, cap %d", c.name, len(b), cap(b))
+		}
+		if n := testing.AllocsPerRun(10, func() { c.marshal() }); n != 1 {
+			t.Errorf("%s: %v allocations, want 1", c.name, n)
+		}
+	}
+}
+
 // TestJournalReplaysLargeBodies: replay must accept every body the node
 // writes, and the WAL's body cap (wal.MaxBody) is the only bound on one.
 // A completion whose error text is 5 000 bytes and a checkpoint commit

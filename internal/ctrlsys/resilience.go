@@ -333,8 +333,8 @@ func jobApp(m *machine.Machine, job Job, resume *ckpt.Image, resumeBlob []byte, 
 					return
 				}
 				if env.Rank == 0 {
-					if img := m.SealCheckpoint(); img != nil {
-						writeImage(img.Marshal())
+					if blob := m.SealCheckpoint(); blob != nil {
+						writeImage(blob)
 					}
 				}
 			}

@@ -124,7 +124,7 @@ func (c *Client) Open(path string, flags uint64, mode Mode) (int, kernel.Errno) 
 		return -1, kernel.EACCES
 	}
 	if flags&kernel.OTrunc != 0 && n.typ == TypeFile && flags&3 != kernel.ORdonly {
-		truncate(n, 0)
+		n.resize(0)
 		n.mtime = c.FS.now()
 	}
 	of := &OpenFile{node: n, Flags: flags, refs: 1,
@@ -168,10 +168,7 @@ func (c *Client) Read(fd int, buf []byte) (int, kernel.Errno) {
 	if of.node.typ == TypeDir {
 		return 0, kernel.EISDIR
 	}
-	if of.Offset >= uint64(len(of.node.data)) {
-		return 0, kernel.OK // EOF
-	}
-	n := copy(buf, of.node.data[of.Offset:])
+	n := of.node.readAt(buf, of.Offset) // 0 at or past EOF
 	of.Offset += uint64(n)
 	return n, kernel.OK
 }
@@ -189,14 +186,10 @@ func (c *Client) Write(fd int, buf []byte) (int, kernel.Errno) {
 	}
 	n := of.node
 	if of.Flags&kernel.OAppend != 0 {
-		of.Offset = uint64(len(n.data))
+		of.Offset = n.size
 	}
-	end := of.Offset + uint64(len(buf))
-	if end > uint64(len(n.data)) {
-		truncate(n, end)
-	}
-	copy(n.data[of.Offset:end], buf)
-	of.Offset = end
+	n.writeAt(buf, of.Offset)
+	of.Offset += uint64(len(buf))
 	n.mtime = c.FS.now()
 	return len(buf), kernel.OK
 }
@@ -239,7 +232,7 @@ func (c *Client) Lseek(fd int, off int64, whence int) (uint64, kernel.Errno) {
 	case kernel.SeekCur:
 		base = int64(of.Offset)
 	case kernel.SeekEnd:
-		base = int64(len(of.node.data))
+		base = int64(of.node.size)
 	default:
 		return 0, kernel.EINVAL
 	}

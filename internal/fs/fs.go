@@ -70,13 +70,22 @@ type inode struct {
 	gid     uint32
 	mtime   uint64
 	nlink   uint32
-	data    []byte            // TypeFile
+	size    uint64            // TypeFile: length in bytes
+	pages   []*[pageSize]byte // TypeFile: the bytes; see pageSize
 	target  string            // TypeSymlink
 	entries map[string]*inode // TypeDir
 }
 
+// pageSize is the unit a regular file keeps its bytes in. A page is
+// allocated when the first byte lands in it, so growing a file copies
+// nothing; a page the file has never written is a hole and reads as
+// zero, as does a page index at or past len(pages). Every byte at or past
+// size is zero: a shrink zeroes the tail of the page that straddles the
+// new end and drops the pages after it.
+const pageSize = 4096
+
 func (n *inode) stat() Stat {
-	size := uint64(len(n.data))
+	size := n.size
 	if n.typ == TypeSymlink {
 		size = uint64(len(n.target))
 	}
@@ -422,17 +431,68 @@ func (f *FS) Truncate(cwd, path string, size uint64, c Cred) kernel.Errno {
 	if !access(n, c, 2) {
 		return kernel.EACCES
 	}
-	truncate(n, size)
+	n.resize(size)
 	n.mtime = f.now()
 	return kernel.OK
 }
 
-func truncate(n *inode, size uint64) {
-	if size <= uint64(len(n.data)) {
-		n.data = n.data[:size]
-		return
+// resize sets the file's length: a shrink zeroes the bytes of the
+// straddling page past the new end and drops every page after it, and a
+// grow only moves the end, since bytes past the old end are already zero.
+func (n *inode) resize(size uint64) {
+	if size < n.size {
+		keep := (size + pageSize - 1) / pageSize
+		if off := size % pageSize; off != 0 && keep <= uint64(len(n.pages)) && n.pages[keep-1] != nil {
+			clear(n.pages[keep-1][off:])
+		}
+		if keep < uint64(len(n.pages)) {
+			clear(n.pages[keep:])
+			n.pages = n.pages[:keep]
+		}
 	}
-	n.data = append(n.data, make([]byte, size-uint64(len(n.data)))...)
+	n.size = size
+}
+
+// readAt copies the file's bytes from off into p, up to the end of the
+// file, and returns how many it copied. Holes read as zero.
+func (n *inode) readAt(p []byte, off uint64) int {
+	if off >= n.size {
+		return 0
+	}
+	p = p[:min(uint64(len(p)), n.size-off)]
+	for done := 0; done < len(p); {
+		i, po := off/pageSize, off%pageSize
+		var c int
+		if i < uint64(len(n.pages)) && n.pages[i] != nil {
+			c = copy(p[done:], n.pages[i][po:])
+		} else {
+			c = min(len(p)-done, int(pageSize-po))
+			clear(p[done : done+c])
+		}
+		done += c
+		off += uint64(c)
+	}
+	return len(p)
+}
+
+// writeAt stores p at off, extending the file past its end as needed
+// and allocating each page the bytes land in that the file lacks.
+func (n *inode) writeAt(p []byte, off uint64) {
+	if end := off + uint64(len(p)); end > n.size {
+		n.size = end
+	}
+	for len(p) > 0 {
+		i, po := off/pageSize, off%pageSize
+		if i >= uint64(len(n.pages)) {
+			n.pages = append(n.pages, make([]*[pageSize]byte, i+1-uint64(len(n.pages)))...)
+		}
+		if n.pages[i] == nil {
+			n.pages[i] = new([pageSize]byte)
+		}
+		c := copy(n.pages[i][po:], p)
+		p = p[c:]
+		off += uint64(c)
+	}
 }
 
 // Inode-addressed access, used by the I/O node's write-back buffer cache.
@@ -459,7 +519,7 @@ func (f *FS) InodeSize(ino uint64) (uint64, kernel.Errno) {
 	if errno != kernel.OK {
 		return 0, errno
 	}
-	return uint64(len(n.data)), kernel.OK
+	return n.size, kernel.OK
 }
 
 // ReadInode reads up to count bytes at off; short at EOF, empty past it.
@@ -468,14 +528,12 @@ func (f *FS) ReadInode(ino, off uint64, count int) ([]byte, kernel.Errno) {
 	if errno != kernel.OK {
 		return nil, errno
 	}
-	if off >= uint64(len(n.data)) {
+	if off >= n.size {
 		return nil, kernel.OK
 	}
-	end := off + uint64(count)
-	if end > uint64(len(n.data)) {
-		end = uint64(len(n.data))
-	}
-	return append([]byte(nil), n.data[off:end]...), kernel.OK
+	out := make([]byte, min(uint64(count), n.size-off))
+	n.readAt(out, off)
+	return out, kernel.OK
 }
 
 // WriteInode writes the slices of data one after another at off,
@@ -488,15 +546,9 @@ func (f *FS) WriteInode(ino, off uint64, data ...[]byte) kernel.Errno {
 	if errno != kernel.OK {
 		return errno
 	}
-	end := off
 	for _, p := range data {
-		end += uint64(len(p))
-	}
-	if end > uint64(len(n.data)) {
-		truncate(n, end)
-	}
-	for _, p := range data {
-		off += uint64(copy(n.data[off:], p))
+		n.writeAt(p, off)
+		off += uint64(len(p))
 	}
 	n.mtime = f.now()
 	return kernel.OK
@@ -509,7 +561,7 @@ func (f *FS) TruncateInode(ino, size uint64) kernel.Errno {
 	if errno != kernel.OK {
 		return errno
 	}
-	truncate(n, size)
+	n.resize(size)
 	n.mtime = f.now()
 	return kernel.OK
 }
@@ -553,7 +605,8 @@ func (f *FS) WriteFile(path string, data []byte, mode Mode, c Cred) kernel.Errno
 	} else if n.typ != TypeFile {
 		return kernel.EISDIR
 	}
-	n.data = append([]byte(nil), data...)
+	n.resize(0)
+	n.writeAt(data, 0)
 	n.mtime = f.now()
 	return kernel.OK
 }
@@ -567,5 +620,7 @@ func (f *FS) ReadFile(path string, c Cred) ([]byte, kernel.Errno) {
 	if n.typ != TypeFile {
 		return nil, kernel.EISDIR
 	}
-	return append([]byte(nil), n.data...), kernel.OK
+	out := make([]byte, n.size)
+	n.readAt(out, 0)
+	return out, kernel.OK
 }

@@ -2,6 +2,7 @@ package fs
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -456,6 +457,14 @@ func TestFDExhaustion(t *testing.T) {
 	}
 }
 
+// TestPropertyWriteReadAnyOffset writes and reads back at random
+// offsets through a descriptor, then runs seeded random mixes of every
+// way a file's bytes change or are read against a flat []byte model:
+// WriteInode with several slices, TruncateInode shrinking and growing
+// across 4 KiB boundaries, writes past the end that leave holes,
+// WriteFile and ReadFile, and Client.Write and Read after a SEEK_END
+// seek. After each step the file's size (InodeSize, stat and fstat)
+// and a read of a random span must match the model.
 func TestPropertyWriteReadAnyOffset(t *testing.T) {
 	f := New()
 	c := NewClient(f, Root)
@@ -482,6 +491,122 @@ func TestPropertyWriteReadAnyOffset(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewPCG(1, 2))
+	bytesOf := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(rng.IntN(255) + 1) // never 0, so a hole shows
+		}
+		return b
+	}
+	// writeAt and resize are the model's write and truncate.
+	writeAt := func(model []byte, off int, p []byte) []byte {
+		if end := off + len(p); end > len(model) {
+			model = append(model, make([]byte, end-len(model))...)
+		}
+		copy(model[off:], p)
+		return model
+	}
+	resize := func(model []byte, size int) []byte {
+		if size <= len(model) {
+			return model[:size]
+		}
+		return append(model, make([]byte, size-len(model))...)
+	}
+	// span is an offset and length anywhere in the first five pages and
+	// a little past them.
+	span := func() (int, int) { return rng.IntN(5*4096 + 100), rng.IntN(3 * 4096) }
+	for round := 0; round < 40; round++ {
+		f := New()
+		model := bytesOf(rng.IntN(9000))
+		if errno := f.WriteFile("/m", model, 0644, Root); errno != kernel.OK {
+			t.Fatal(errno)
+		}
+		st, _ := f.Stat("/", "/m", Root)
+		c := NewClient(f, Root)
+		fd, errno := c.Open("/m", kernel.ORdwr, 0)
+		if errno != kernel.OK {
+			t.Fatal(errno)
+		}
+		for step := 0; step < 60; step++ {
+			var op string
+			switch rng.IntN(6) {
+			case 0:
+				off, n := span()
+				p := bytesOf(n)
+				cut1, cut2 := rng.IntN(n+1), rng.IntN(n+1)
+				cut1, cut2 = min(cut1, cut2), max(cut1, cut2)
+				op = fmt.Sprintf("WriteInode(%d, %d bytes in 3 slices)", off, n)
+				if errno := f.WriteInode(st.Ino, uint64(off), p[:cut1], p[cut1:cut2], p[cut2:]); errno != kernel.OK {
+					t.Fatalf("%s: %v", op, errno)
+				}
+				model = writeAt(model, off, p)
+			case 1:
+				// Shrink to inside a page, then grow back past the page
+				// boundary: the regrown bytes must read as zero.
+				small := rng.IntN(len(model) + 1)
+				big := small + rng.IntN(2*4096)
+				op = fmt.Sprintf("TruncateInode(%d) then (%d)", small, big)
+				f.TruncateInode(st.Ino, uint64(small))
+				model = resize(model, small)
+				f.TruncateInode(st.Ino, uint64(big))
+				model = resize(model, big)
+			case 2:
+				model = bytesOf(rng.IntN(3 * 4096))
+				op = fmt.Sprintf("WriteFile(%d bytes)", len(model))
+				if errno := f.WriteFile("/m", model, 0644, Root); errno != kernel.OK {
+					t.Fatalf("%s: %v", op, errno)
+				}
+				model = append([]byte(nil), model...)
+			case 3:
+				delta := rng.IntN(6000) - 3000
+				if len(model)+delta < 0 {
+					delta = -len(model)
+				}
+				p := bytesOf(rng.IntN(5000))
+				op = fmt.Sprintf("Lseek(%d, SEEK_END) + Write(%d)", delta, len(p))
+				pos, errno := c.Lseek(fd, int64(delta), kernel.SeekEnd)
+				if errno != kernel.OK || int(pos) != len(model)+delta {
+					t.Fatalf("%s: lseek to %d, %v; want %d", op, pos, errno, len(model)+delta)
+				}
+				if n, errno := c.Write(fd, p); errno != kernel.OK || n != len(p) {
+					t.Fatalf("%s: wrote %d, %v", op, n, errno)
+				}
+				model = writeAt(model, int(pos), p)
+			case 4:
+				off, n := span()
+				op = fmt.Sprintf("Lseek(%d) + Read(%d)", off, n)
+				c.Lseek(fd, int64(off), kernel.SeekSet)
+				buf := make([]byte, n)
+				got, errno := c.Read(fd, buf)
+				want := model[min(off, len(model)):min(off+n, len(model))]
+				if errno != kernel.OK || string(buf[:got]) != string(want) {
+					t.Fatalf("step %d %s: read %d bytes, %v; want %d", step, op, got, errno, len(want))
+				}
+			case 5:
+				op = "ReadFile"
+				got, errno := f.ReadFile("/m", Root)
+				if errno != kernel.OK || string(got) != string(model) {
+					t.Fatalf("step %d ReadFile: %d bytes, %v; want %d", step, len(got), errno, len(model))
+				}
+			}
+			size, _ := f.InodeSize(st.Ino)
+			pst, _ := f.Stat("/", "/m", Root)
+			fst, _ := c.Fstat(fd)
+			if size != uint64(len(model)) || pst.Size != size || fst.Size != size {
+				t.Fatalf("round %d step %d after %s: InodeSize %d, stat %d, fstat %d; want %d",
+					round, step, op, size, pst.Size, fst.Size, len(model))
+			}
+			off, n := span()
+			got, errno := f.ReadInode(st.Ino, uint64(off), n)
+			want := model[min(off, len(model)):min(off+n, len(model))]
+			if errno != kernel.OK || string(got) != string(want) {
+				t.Fatalf("round %d step %d after %s: ReadInode(%d, %d) gave %d bytes, %v; want %d",
+					round, step, op, off, n, len(got), errno, len(want))
+			}
+		}
 	}
 }
 

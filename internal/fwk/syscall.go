@@ -117,13 +117,15 @@ func (k *Kernel) call(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64) 
 // or NFS-modelled filesystem) through the ioproxy's executor: the same
 // decode from user memory, execution and store back as a call CNK ships.
 // Only the stat buffer differs: the FWK stores the file size alone, as a
-// big-endian u64.
+// big-endian u64. Nothing is shipped, so the thread takes its wire
+// buffer back as soon as the call has run.
 func (p *Proc) fileCall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint64, kernel.Errno) {
 	req, out, errno := ciod.Decode(t, num, args)
 	if errno != kernel.OK {
 		return 0, errno
 	}
 	rep := p.execute(t.Coro(), req)
+	ciod.Recycle(t, req)
 	if rep.Errno == kernel.OK && (req.Op == ciod.OpStat || req.Op == ciod.OpFstat) {
 		rep.Data = binary.BigEndian.AppendUint64(nil, rep.Ret)
 	}
@@ -141,9 +143,6 @@ func (p *Proc) execute(c *sim.Coro, req *ciod.Request) ciod.Reply {
 // so it stores in kernel mode: the mapping may be read-only for the
 // user, but the kernel populates it).
 func (k *Kernel) mmapFile(t *kernel.Thread, p *Proc, va hw.VAddr, length uint64, fd int32, off int64) kernel.Errno {
-	run := func(req *ciod.Request) *ciod.Reply {
-		rep := p.execute(t.Coro(), req)
-		return &rep
-	}
+	run := func(req *ciod.Request) ciod.Reply { return p.execute(t.Coro(), req) }
 	return ciod.CopyIn(t, fd, off, va, length, run, t.StoreKernel)
 }

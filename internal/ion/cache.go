@@ -1,6 +1,8 @@
 package ion
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"bgcnk/internal/fs"
@@ -49,6 +51,9 @@ type Cache struct {
 
 	blocks     map[blockKey]*block
 	head, tail *block
+	// files indexes the cached blocks by inode, each file's in ascending
+	// block order, so a flush or truncate visits only its own blocks.
+	files map[uint64][]*block
 	// sizes tracks each touched file's effective size: the fs size at
 	// first touch, extended by cached writes, reset by truncate. Reads,
 	// O_APPEND positioning and fstat all see this size — POSIX semantics
@@ -63,7 +68,7 @@ func NewCache(fsys *fs.FS, capBlocks int) *Cache {
 		capBlocks = DefaultCacheBlocks
 	}
 	return &Cache{fsys: fsys, cap: capBlocks, ctr: &upc.Set{},
-		blocks: make(map[blockKey]*block), sizes: make(map[uint64]uint64)}
+		blocks: make(map[blockKey]*block), files: make(map[uint64][]*block), sizes: make(map[uint64]uint64)}
 }
 
 // Size returns the file's effective size: the backing size overlaid with
@@ -140,15 +145,19 @@ func (ca *Cache) Write(co *sim.Coro, ino, off uint64, data []byte) {
 // backing fs is resized immediately.
 func (ca *Cache) Truncate(co *sim.Coro, ino, size uint64) {
 	ca.Size(ino)
-	for _, key := range ca.inoBlocks(ino) {
-		start := key.idx * BlockSize
-		b := ca.blocks[key]
-		switch {
-		case start >= size:
+	bs := ca.files[ino]
+	keep := blockAt(bs, (size+BlockSize-1)/BlockSize)
+	if keep < len(bs) {
+		for _, b := range bs[keep:] {
 			ca.unlink(b)
-			delete(ca.blocks, key)
-		case start+BlockSize > size:
-			zero(b.data[size-start:])
+			delete(ca.blocks, b.key)
+		}
+		clear(bs[keep:])
+		ca.files[ino] = bs[:keep]
+	}
+	if keep > 0 {
+		if b := bs[keep-1]; (b.key.idx+1)*BlockSize > size {
+			clear(b.data[size-b.key.idx*BlockSize:])
 		}
 	}
 	if errno := ca.fsys.TruncateInode(ino, size); errno != kernel.OK {
@@ -164,8 +173,8 @@ func (ca *Cache) Truncate(co *sim.Coro, ino, size uint64) {
 // to co; a nil co flushes for free (barrier quiesce, service-side).
 func (ca *Cache) Flush(co *sim.Coro, ino uint64) {
 	var dirty []*block
-	for _, k := range ca.inoBlocks(ino) {
-		if b := ca.blocks[k]; b.dirty {
+	for _, b := range ca.files[ino] {
+		if b.dirty {
 			dirty = append(dirty, b)
 		}
 	}
@@ -261,6 +270,7 @@ func (ca *Cache) DirtyBlocks() int {
 // triggers.
 func (ca *Cache) Clear() {
 	ca.blocks = make(map[blockKey]*block)
+	ca.files = make(map[uint64][]*block)
 	ca.sizes = make(map[uint64]uint64)
 	ca.head, ca.tail = nil, nil
 }
@@ -293,6 +303,8 @@ func (ca *Cache) touch(co *sim.Coro, ino, idx uint64) *block {
 	}
 	b := &block{key: key, data: append(data, make([]byte, BlockSize-len(data))...)}
 	ca.blocks[key] = b
+	bs := ca.files[ino]
+	ca.files[ino] = slices.Insert(bs, blockAt(bs, idx), b)
 	ca.pushFront(b)
 	for len(ca.blocks) > ca.cap {
 		ca.evict(co)
@@ -314,22 +326,19 @@ func (ca *Cache) evict(co *sim.Coro) {
 	}
 	ca.unlink(v)
 	delete(ca.blocks, v.key)
+	bs := ca.files[v.key.ino]
+	i := blockAt(bs, v.key.idx)
+	ca.files[v.key.ino] = slices.Delete(bs, i, i+1)
 	if v.dirty {
 		ca.writeRun(co, []*block{v}, ca.Size(v.key.ino))
 	}
 }
 
-// inoBlocks returns the file's cached block keys in ascending index
-// order (map iteration sorted out of simulated time's way).
-func (ca *Cache) inoBlocks(ino uint64) []blockKey {
-	var keys []blockKey
-	for k := range ca.blocks {
-		if k.ino == ino {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].idx < keys[j].idx })
-	return keys
+// blockAt returns the position in bs, one file's blocks in ascending
+// order, of the first block whose index is idx or more.
+func blockAt(bs []*block, idx uint64) int {
+	i, _ := slices.BinarySearchFunc(bs, idx, func(b *block, idx uint64) int { return cmp.Compare(b.key.idx, idx) })
+	return i
 }
 
 func (ca *Cache) pushFront(b *block) {
@@ -356,10 +365,4 @@ func (ca *Cache) unlink(b *block) {
 		ca.tail = b.prev
 	}
 	b.prev, b.next = nil, nil
-}
-
-func zero(p []byte) {
-	for i := range p {
-		p[i] = 0
-	}
 }

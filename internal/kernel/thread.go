@@ -93,6 +93,13 @@ type Thread struct {
 	// pendingSigs are asynchronous signals awaiting delivery at the next
 	// interruption point.
 	pendingSigs []SigInfo
+
+	// Wire is the thread's file-call buffer, kept from one call to the
+	// next: ciod.Decode loads a write's payload into it behind room for
+	// the request header, and ciod.Recycle hands it back once no message
+	// carrying it can be read again. Nil before the first write and
+	// after a call whose buffer stays with messages still in flight.
+	Wire []byte
 }
 
 // Coro exposes the coroutine to the owning kernel.
@@ -198,10 +205,10 @@ func (t *Thread) RegisterSignal(sig Signal, h SigHandler) Errno {
 
 // access performs the translation, permission, guard, and cache work for
 // one memory operation, chunked by mapping, and returns buf. When buf is
-// non-nil it moves bytes between buf and physical memory; a read into a
-// buf shorter than size grows it by each piece once that piece has
-// translated, so a buf that starts empty holds only what was loaded.
-func (t *Thread) access(va hw.VAddr, size uint32, write bool, buf []byte) ([]byte, Errno) {
+// non-nil it moves bytes between buf[at:] and physical memory; a read
+// into a buf shorter than at+size grows it by each piece once that piece
+// has translated, so a buf that starts short holds only what was loaded.
+func (t *Thread) access(va hw.VAddr, size uint32, write bool, buf []byte, at int) ([]byte, Errno) {
 	if size == 0 {
 		return buf, OK
 	}
@@ -239,17 +246,18 @@ func (t *Thread) access(va hw.VAddr, size uint32, write bool, buf []byte) ([]byt
 			t.os.MemEvent(t, ev, cur, write)
 		}
 		if buf != nil {
+			lo, hi := at+int(off), at+int(off+n)
 			if write {
-				chip.Mem.Write(pa, buf[off:off+n])
+				chip.Mem.Write(pa, buf[lo:hi])
 			} else {
-				if end := int(off + n); len(buf) < end {
-					// Double the capacity, up to size: a load in 4 KiB
+				if len(buf) < hi {
+					// Double the capacity, up to at+size: a load in 4 KiB
 					// pieces (the FWK's) allocates about twice its size
 					// in all, not the five times append's 1.25x would.
-					grow := min(int(size), max(end, 2*cap(buf))) - len(buf)
-					buf = slices.Grow(buf, grow)[:end]
+					grow := min(at+int(size), max(hi, 2*cap(buf))) - len(buf)
+					buf = slices.Grow(buf, grow)[:hi]
 				}
-				chip.Mem.Read(pa, buf[off:off+n])
+				chip.Mem.Read(pa, buf[lo:hi])
 			}
 		}
 		off += n
@@ -280,28 +288,33 @@ func (t *Thread) StoreKernel(va hw.VAddr, buf []byte) Errno {
 
 // Load implements Context.
 func (t *Thread) Load(va hw.VAddr, buf []byte) Errno {
-	_, errno := t.access(va, uint32(len(buf)), false, buf)
+	_, errno := t.access(va, uint32(len(buf)), false, buf, 0)
 	return errno
 }
 
-// LoadNew loads size bytes at va into a new buffer that grows as each
-// piece of the range translates: a load from unmapped memory allocates
-// nothing, one that faults partway allocates about what it loaded, and
-// one that translates in one piece allocates once. The buffer starts
-// empty but not nil, since a nil one would move no data.
-func (t *Thread) LoadNew(va hw.VAddr, size uint32) ([]byte, Errno) {
-	return t.access(va, size, false, []byte{})
+// LoadInto loads size bytes at va into buf[at:at+size] and returns buf.
+// A buf too short for a piece is extended, once that piece has
+// translated, to end after it; what buf holds before at is left as it
+// is. So a load from unmapped memory allocates nothing, and neither does
+// one that fits buf's capacity; one that faults partway allocates about
+// what it loaded, and one that translates in one piece allocates once.
+// buf may be nil.
+func (t *Thread) LoadInto(buf []byte, at int, va hw.VAddr, size uint32) ([]byte, Errno) {
+	if buf == nil {
+		buf = []byte{} // a nil buf moves no data
+	}
+	return t.access(va, size, false, buf, at)
 }
 
 // Store implements Context.
 func (t *Thread) Store(va hw.VAddr, buf []byte) Errno {
-	_, errno := t.access(va, uint32(len(buf)), true, buf)
+	_, errno := t.access(va, uint32(len(buf)), true, buf, 0)
 	return errno
 }
 
 // Touch implements Context.
 func (t *Thread) Touch(va hw.VAddr, size uint32, write bool) Errno {
-	_, errno := t.access(va, size, write, nil)
+	_, errno := t.access(va, size, write, nil, 0)
 	return errno
 }
 

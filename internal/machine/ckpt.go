@@ -21,16 +21,15 @@ func CkptPath(jobID int) string { return fmt.Sprintf("%s/job%06d.img", CkptDir, 
 // ckptState is the machine's checkpoint bookkeeping. The simulation's
 // event engine is single-threaded, so captures from different ranks
 // never race; pending accumulates per-node states between a barrier
-// capture and the rank-0 seal. pending and captured are indexed by node
-// and allocated once, when checkpoints are armed; count is how many
-// nodes have a capture.
+// capture and the rank-0 seal, which marshals them from there. pending
+// and captured are indexed by node and allocated once, when checkpoints
+// are armed.
 type ckptState struct {
 	armed    bool
 	jobID    int
 	epoch    uint32
 	pending  []ckpt.NodeState
 	captured []bool
-	count    int
 }
 
 // ArmCheckpoints enables checkpointing for jobID and prepares the
@@ -79,10 +78,7 @@ func (m *Machine) CaptureNode(ctx kernel.Context, epoch uint32) {
 			ns.Files = toFileStates(p.OpenFiles())
 		}
 	}
-	if !m.ck.captured[node] {
-		m.ck.captured[node] = true
-		m.ck.count++
-	}
+	m.ck.captured[node] = true
 	m.ck.epoch = epoch
 }
 
@@ -97,11 +93,13 @@ func threadRegs(threads map[uint32]*kernel.Thread, stackTop hw.VAddr, epoch uint
 	return out
 }
 
-// SealCheckpoint assembles the pending node captures into a complete
-// image (in node order) and clears the pending buffer; it returns nil
-// when no checkpoint schedule is armed. Rank 0 calls this after the
-// post-capture barrier, when every node's capture is guaranteed present.
-func (m *Machine) SealCheckpoint() *ckpt.Image {
+// SealCheckpoint marshals the pending node captures into a complete
+// image, nodes in node order, straight from the node-indexed capture
+// buffer, and clears the buffer; it returns nil when no checkpoint
+// schedule is armed. Rank 0 calls this after the post-capture barrier,
+// when every node's capture is guaranteed present, and writes the bytes
+// out.
+func (m *Machine) SealCheckpoint() []byte {
 	if !m.ck.armed {
 		return nil
 	}
@@ -112,26 +110,15 @@ func (m *Machine) SealCheckpoint() *ckpt.Image {
 	for _, n := range m.IONs {
 		n.Cache().FlushAll(nil)
 	}
-	img := &ckpt.Image{
-		JobID: int32(m.ck.jobID),
-		Epoch: m.ck.epoch,
-		Kind:  uint8(m.Cfg.Kind),
-		Nodes: make([]ckpt.NodeState, 0, m.ck.count),
-	}
-	for n, ok := range m.ck.captured {
-		if ok {
-			img.Nodes = append(img.Nodes, m.ck.pending[n])
-		}
-	}
+	blob := ckpt.MarshalNodes(int32(m.ck.jobID), m.ck.epoch, uint8(m.Cfg.Kind), m.ck.pending, m.ck.captured)
 	m.ck.clearPending()
-	return img
+	return blob
 }
 
 // clearPending drops every pending capture and keeps the buffers.
 func (ck *ckptState) clearPending() {
 	clear(ck.pending)
 	clear(ck.captured)
-	ck.count = 0
 }
 
 // RestoreNode rolls the calling rank's node back to its state in img:

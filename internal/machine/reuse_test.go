@@ -10,6 +10,7 @@ package machine
 import (
 	"testing"
 
+	"bgcnk/internal/ckpt"
 	"bgcnk/internal/hw"
 	"bgcnk/internal/kernel"
 	"bgcnk/internal/ras"
@@ -128,7 +129,7 @@ func TestRebootedMachineMatchesFresh(t *testing.T) {
 			if err := a.Reboot(); err != nil {
 				t.Fatal(err)
 			}
-			if img := a.SealCheckpoint(); img != nil {
+			if img := sealed(t, a); img != nil {
 				t.Errorf("rebooted machine still remembers a checkpoint schedule: sealed %+v", img)
 			}
 			second := runReuseJob(t, a)
@@ -176,7 +177,7 @@ func TestRecoveredMachineMatchesFresh(t *testing.T) {
 			if err := a.Run(capture, kernel.JobParams{}, 0); err != nil {
 				t.Fatal(err)
 			}
-			img := a.SealCheckpoint()
+			img := sealed(t, a)
 			if img == nil || len(img.Nodes) != cfg.Nodes {
 				t.Fatalf("sealed image %+v, want %d nodes", img, cfg.Nodes)
 			}
@@ -204,7 +205,7 @@ func TestRecoveredMachineMatchesFresh(t *testing.T) {
 			}
 			// The schedule survived ClearJobs, and the restore moved the
 			// epoch to the image's.
-			if got := a.SealCheckpoint(); got == nil || got.JobID != 7 || got.Epoch != img.Epoch || len(got.Nodes) != 0 {
+			if got := sealed(t, a); got == nil || got.JobID != 7 || got.Epoch != img.Epoch || len(got.Nodes) != 0 {
 				t.Errorf("post-recovery seal %+v, want job 7 at epoch %d with no captures", got, img.Epoch)
 			}
 
@@ -212,7 +213,7 @@ func TestRecoveredMachineMatchesFresh(t *testing.T) {
 			if err := a.Reboot(); err != nil {
 				t.Fatal(err)
 			}
-			if got := a.SealCheckpoint(); got != nil {
+			if got := sealed(t, a); got != nil {
 				t.Errorf("rebooted machine still seals checkpoints: %+v", got)
 			}
 
@@ -252,7 +253,7 @@ func TestClearJobsKeepsCheckpointSchedule(t *testing.T) {
 
 	// Both captures are pending, unsealed, when the job state goes.
 	m.ClearJobs()
-	img := m.SealCheckpoint()
+	img := sealed(t, m)
 	if img == nil {
 		t.Fatal("ClearJobs dropped the armed checkpoint schedule")
 	}
@@ -265,14 +266,14 @@ func TestClearJobsKeepsCheckpointSchedule(t *testing.T) {
 	if err := m.Run(app, kernel.JobParams{}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if img := m.SealCheckpoint(); img == nil || img.JobID != 3 || img.Epoch != 1 || len(img.Nodes) != 2 {
+	if img := sealed(t, m); img == nil || img.JobID != 3 || img.Epoch != 1 || len(img.Nodes) != 2 {
 		t.Fatalf("sealed image %+v, want job 3 at epoch 1 with 2 nodes", img)
 	}
 
 	if err := m.Reboot(); err != nil {
 		t.Fatal(err)
 	}
-	if img := m.SealCheckpoint(); img != nil {
+	if img := sealed(t, m); img != nil {
 		t.Errorf("Reboot kept the checkpoint schedule armed: sealed %+v", img)
 	}
 }
@@ -303,4 +304,19 @@ func TestClearJobsResetsNumbering(t *testing.T) {
 	if pid != firstPID {
 		t.Errorf("relaunch after ClearJobs got PID %d, fresh launch got %d", pid, firstPID)
 	}
+}
+
+// sealed decodes what m.SealCheckpoint marshals: nil when no schedule is
+// armed, else the image.
+func sealed(t *testing.T, m *Machine) *ckpt.Image {
+	t.Helper()
+	blob := m.SealCheckpoint()
+	if blob == nil {
+		return nil
+	}
+	img, err := ckpt.Unmarshal(blob)
+	if err != nil {
+		t.Fatalf("sealed image does not decode: %v", err)
+	}
+	return img
 }

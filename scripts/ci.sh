@@ -62,14 +62,15 @@ gate -run 'Fuzz' ./internal/fs/ ./internal/ciod/ ./internal/ctrlsys/ ./internal/
 # to digests pinned before the formats shared the codec; replay must
 # accept every body the node writes, up to the WAL's body cap; and a
 # completion whose reserved last byte is not 0 must be rejected. A
-# checkpoint image must marshal in one allocation of exactly its
-# encoding's length, and the journal, which appends each record in place,
+# checkpoint image, and each journal body that carries a job's result,
+# must marshal in one allocation of exactly its encoding's length, and
+# the journal, which appends each record in place,
 # must leave segment files whose bytes match digests pinned while it
 # still rewrote the whole segment per record, across rotations and a
 # torn final append, and replay them.
 echo "== durable formats: wire codec + pinned encodings + large journal bodies + exact-size images + pinned segments"
 go test ./internal/wire/
-gate -run 'TestPinnedEncodings|TestJournalReplaysLargeBodies|TestCompletionReservedByte' ./internal/ctrlsys/
+gate -run 'TestPinnedEncodings|TestJournalReplaysLargeBodies|TestCompletionReservedByte|TestJournalBodiesExactSize' ./internal/ctrlsys/
 gate -run 'TestMarshalExactSize' ./internal/ckpt/
 gate -run 'TestPinnedSegmentBytes' ./internal/ctrlsys/wal/
 
@@ -157,11 +158,18 @@ gate -run 'TestGolden/crashes' ./internal/experiments/
 # I/O-node contracts: armed and unarmed I/O nodes share one CIOD serve
 # path, so every reply of a fixed script of shipped calls must match its
 # pinned row in both modes, and an ion_crash must kill the daemon in both
-# (under -race); neither the tree nor the decoders copy a payload, so a
-# delivered message must be the sender's slice, a decoded payload must
-# lie inside its message with its capacity clipped (nil when empty), an
-# ION cache read inside one block must be that block's bytes with its
-# capacity clipped and one across blocks a fresh slice, a write-back of
+# (under -race); a shipped call copies each payload byte once per hop
+# and reuses its thread's wire buffer only after the reply to a call sent
+# once, so a CNK rank's writes and reads under heavy reply loss, resends
+# included, must match their pinned rows with and without an ION, and one
+# more shipped lseek, write, lseek and read must make no more host
+# allocations than pinned (under -race); neither the tree nor the
+# decoders copy a payload, so a delivered message must be the sender's
+# slice, a decoded payload must lie inside its message with its capacity
+# clipped (nil when empty), an ION cache read inside one block must be
+# that block's bytes with its capacity clipped and one across blocks a
+# fresh slice, a file kept in pages must read back as a flat byte model
+# under every write, truncate, hole and whole-file path, a write-back of
 # several block slices must equal one write of their concatenation, and
 # the ION cache must lose no write to a second proxy's fill of the same
 # block, to a write that lands during an eviction's write-back or to a
@@ -175,8 +183,9 @@ gate -run 'TestGolden/crashes' ./internal/experiments/
 # must replay cycle-exactly; and the ioscale sweep must match its golden
 # byte-for-byte.
 echo "== I/O-node aggregation: pinned replies + payload ownership + determinism + ion_crash + ioscale golden"
-gate -race -run 'TestPinnedReplies|TestIONCrashFlushesEIOAndDropsCache|TestDecodedDataAliasesWire' ./internal/ciod/
-gate -race -run 'TestDeliveredDataIsSendersSlice|TestWriteInodeSeveralSlices|TestReadAliasesOneBlock|TestConcurrentFillKeepsWrite|TestWriteDuringEvictionSurvives|TestFillEvictedByAnotherFillRefills|TestFlushSkipsTruncatedBlocks' ./internal/collective/ ./internal/fs/ ./internal/ion/
+gate -race -run 'TestPinnedReplies|TestIONCrashFlushesEIOAndDropsCache|TestDecodedDataAliasesWire|TestWireBufferOwnership' ./internal/ciod/
+gate -race -run 'TestPinnedResentWrites|TestShippedCallsAllocate' ./internal/machine/
+gate -race -run 'TestDeliveredDataIsSendersSlice|TestPropertyWriteReadAnyOffset|TestWriteInodeSeveralSlices|TestReadAliasesOneBlock|TestConcurrentFillKeepsWrite|TestWriteDuringEvictionSurvives|TestFillEvictedByAnotherFillRefills|TestFlushSkipsTruncatedBlocks' ./internal/collective/ ./internal/fs/ ./internal/ion/
 gate -race -run 'TestIONMachineDeterminism|TestIONRebootMatchesFresh|TestIONOffChangesNothing|TestSealCheckpointFlushesIONCache' ./internal/machine/
 gate -race -run 'TestRestartDeterminismThroughIONCache' ./internal/ctrlsys/
 gate -run 'TestFaultMatrix/.*/ion_crash' ./internal/machine/
