@@ -74,14 +74,19 @@ func (cl *Client) AttachFaults(f *ras.NodeFaults) { cl.faults = f }
 // disposes of the message.
 func (cl *Client) AttachION(n *ion.Node) { cl.ion = n }
 
-// Call implements Transport. With a fault source attached, each attempt
-// uses a fresh tag (so a late reply to an abandoned attempt can never be
-// mistaken for the current one; stale replies simply age in the inbox),
-// resends back off exponentially, and exhaustion surfaces EIO — the errno
-// the application would see from a dead I/O path on the real machine.
-// Every attempt sends the one marshalled message; once the call resends
-// it, the request gives up its wire buffer, which the messages still in
-// flight may yet be read from (see Recycle).
+// Call implements Transport. The request is marshalled into its wire
+// buffer, which keeps room for a read's reply (replyRoom). A client
+// without a fault source sends that buffer itself, once, and the reply
+// comes back in it: the request gives the buffer up, and with it a
+// payload Decode loaded there (see Resendable). With a fault source
+// attached, each attempt travels in a copy of its own, so a resend
+// carries the original bytes whatever an earlier attempt's buffer came
+// to hold; each attempt uses a fresh tag (so a late reply to an
+// abandoned attempt can never be mistaken for the current one; stale
+// replies simply age in the inbox), resends back off exponentially, and
+// exhaustion surfaces EIO — the errno the application would see from a
+// dead I/O path on the real machine. The reply's Data lies in the buffer
+// it came back in, which Recycle hands to the calling thread.
 func (cl *Client) Call(c *sim.Coro, req *Request) Reply {
 	cl.upc.Inc(upc.ChipScope, upc.FunctionShip)
 	if cl.obs != nil {
@@ -91,14 +96,20 @@ func (cl *Client) Call(c *sim.Coro, req *Request) Reply {
 		}()
 	}
 	c.Sleep(costMarshal)
-	data := MarshalRequest(req)
+	room := replyRoom(req)
+	data := marshalRequest(req, room)
 	attempts, timeout := 1, sim.Forever
 	if cl.faults != nil {
 		attempts, timeout = callAttempts, callTimeout
+	} else {
+		// Sent once, data itself travels: the request no longer holds it.
+		if len(req.Data) > 0 && &data[len(data)-len(req.Data)] == &req.Data[0] {
+			req.spent = true
+		}
+		req.wire = nil
 	}
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			req.wire = nil
 			cl.upc.Inc(upc.ChipScope, upc.CIODRetry)
 			c.Sleep(retryBackoff << (a - 1))
 		}
@@ -109,13 +120,17 @@ func (cl *Client) Call(c *sim.Coro, req *Request) Reply {
 		if waited := c.Now(); waited > creditStart {
 			cl.obs.Emit(obs.CatStall, "ion:credit", cl.node, int(req.PID), creditStart, waited, 0)
 		}
-		cl.ep.Send(-1, tag, data)
-		msg, ok := cl.ep.RecvTagTimeout(c, tag, timeout)
+		msg := data
+		if cl.faults != nil {
+			msg = append(make([]byte, 0, max(len(data), room)), data...)
+		}
+		cl.ep.Send(-1, tag, msg)
+		got, ok := cl.ep.RecvTagTimeout(c, tag, timeout)
 		if !ok {
 			cl.upc.Inc(upc.ChipScope, upc.CIODTimeout)
 			continue
 		}
-		rep, err := UnmarshalReply(msg.Data)
+		rep, err := UnmarshalReply(got.Data)
 		if err != nil {
 			// A truncated reply is indistinguishable from a lost one at
 			// this layer: resend if the client retries.
@@ -125,6 +140,7 @@ func (cl *Client) Call(c *sim.Coro, req *Request) Reply {
 			}
 			return Reply{Errno: kernel.EIO}
 		}
+		rep.wire = got.Data
 		return rep
 	}
 	cl.faults.Report(ras.CIODGiveUp, "ciod-client", OpName(req.Op)+" retries exhausted, surfacing EIO")

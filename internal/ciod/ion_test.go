@@ -349,49 +349,110 @@ func TestIONPathDeterministic(t *testing.T) {
 	}
 }
 
-// TestWireBufferOwnership pins who owns a write's wire buffer. A request
-// whose payload lies in its wire buffer marshals into that buffer, byte
-// for byte what a fresh buffer would hold; a call sent once keeps the
-// buffer, for Recycle to hand back to its thread; a resent call gives it
-// up to the messages in flight.
+// TestWireBufferOwnership pins who owns a file call's wire buffer. A
+// request marshals into its wire buffer, byte for byte what a fresh
+// buffer would hold, whether its payload lies there already or it has
+// none. A call sent once travels in that buffer and gets its reply back
+// in it, and the request gives the buffer up, a write its payload with
+// it. A client with a fault source sends each attempt in a copy of its
+// own, so the request's buffer keeps its bytes through every resend.
 func TestWireBufferOwnership(t *testing.T) {
 	payload := []byte("one copy per hop")
-	withWire := func() *Request {
-		wire := make([]byte, requestFixed+len(payload))
+	write := func() *Request {
+		wire := make([]byte, requestFixed+len(payload), 256)
 		copy(wire[requestFixed:], payload)
 		return &Request{Op: OpWrite, PID: 1, TID: 1, wire: wire, Data: wire[requestFixed:]}
 	}
-	req := withWire()
-	msg := MarshalRequest(req)
-	if len(msg) != len(req.wire) || &msg[0] != &req.wire[0] {
-		t.Error("a request with a wire buffer was marshalled into a new one")
+	read := func() *Request {
+		return &Request{Op: OpRead, PID: 1, TID: 1, Size: 64, wire: make([]byte, 0, 256)}
 	}
-	fresh := *req
-	fresh.wire = nil
-	if !bytes.Equal(msg, MarshalRequest(&fresh)) {
-		t.Error("marshalling in place changed the wire bytes")
+	// array is the first byte of b's backing array, whatever b's length.
+	array := func(b []byte) *byte { return &b[:cap(b)][0] }
+	marshalled := func(req *Request) []byte {
+		fresh := *req
+		fresh.wire = nil
+		return MarshalRequest(&fresh)
 	}
 
-	for _, drop := range []float64{0, 1} {
-		r := newIONRig(1, nil)
-		inj := ras.NewInjector(r.eng, ras.NewLog(), ras.Plan{Seed: 1, CIODDrop: drop})
-		r.srv.SetFaults(inj.Node(-1), 20_000)
-		cl := r.clients[0]
-		cl.AttachFaults(inj.Node(0))
-		req := withWire()
-		r.eng.Go("cn0", func(c *sim.Coro) {
-			cl.Call(c, &Request{Op: OpProcStart, PID: 1})
-			cl.Call(c, &Request{Op: OpOpen, PID: 1, TID: 1, Path: "/gpfs/w", Flags: kernel.OCreat | kernel.OWronly, Mode: 0644})
-			cl.Call(c, req)
-		})
-		r.eng.RunUntilIdle()
-		r.eng.Shutdown()
-		resent := r.units[0].Get(upc.ChipScope, upc.CIODRetry) > 0
-		if resent != (drop == 1) {
-			t.Fatalf("reply loss %v: resent %v", drop, resent)
+	for _, req := range []*Request{write(), read()} {
+		msg := MarshalRequest(req)
+		if array(msg) != array(req.wire) {
+			t.Errorf("%s: marshalled into a new buffer, not its wire buffer", OpName(req.Op))
 		}
-		if kept := req.wire != nil; kept == resent {
-			t.Errorf("reply loss %v: the call kept its wire buffer %v after resending %v", drop, kept, resent)
+		if !bytes.Equal(msg, marshalled(req)) {
+			t.Errorf("%s: marshalling in place changed the wire bytes", OpName(req.Op))
 		}
+	}
+
+	// Sent once: the reply comes back in the buffer the request went in.
+	r := newIONRig(1, nil)
+	cl := r.clients[0]
+	w, rd := write(), read()
+	wireW, wireR := array(w.wire), array(rd.wire)
+	var repW, repR Reply
+	r.eng.Go("cn0", func(c *sim.Coro) {
+		cl.Call(c, &Request{Op: OpProcStart, PID: 1})
+		cl.Call(c, &Request{Op: OpOpen, PID: 1, TID: 1, Path: "/gpfs/w", Flags: kernel.OCreat | kernel.ORdwr, Mode: 0644})
+		repW = cl.Call(c, w)
+		cl.Call(c, &Request{Op: OpLseek, PID: 1, TID: 1, Whence: kernel.SeekSet})
+		repR = cl.Call(c, rd)
+	})
+	r.eng.RunUntilIdle()
+	r.eng.Shutdown()
+	if repW.Errno != kernel.OK || repW.Ret != uint64(len(payload)) || string(repR.Data) != string(payload) {
+		t.Fatalf("write %+v, read %q %v", repW.Errno, repR.Data, repR.Errno)
+	}
+	for _, tc := range []struct {
+		req        *Request
+		rep        Reply
+		wire       *byte
+		resendable bool
+	}{{w, repW, wireW, false}, {rd, repR, wireR, true}} {
+		op := OpName(tc.req.Op)
+		if tc.rep.wire == nil || array(tc.rep.wire) != tc.wire {
+			t.Errorf("%s sent once: the reply did not come back in the request's buffer", op)
+		}
+		if tc.req.wire != nil || tc.req.Resendable() != tc.resendable {
+			t.Errorf("%s sent once: the request kept its buffer %v, resendable %v; want false, %v",
+				op, tc.req.wire != nil, tc.req.Resendable(), tc.resendable)
+		}
+	}
+
+	// With a fault source: a daemon that never answers sees every
+	// attempt, each in a copy of its own holding the request's bytes.
+	eng := sim.NewEngine()
+	tree := collective.NewTree(eng, collective.DefaultConfig(), []int{0})
+	inj := ras.NewInjector(eng, ras.NewLog(), ras.Plan{Seed: 1})
+	cl = NewClient(tree.CN(0))
+	u := new(upc.Set)
+	cl.AttachUPC(u)
+	cl.AttachFaults(inj.Node(0))
+	var seen [][]byte
+	eng.Go("mute ciod", func(c *sim.Coro) {
+		for {
+			seen = append(seen, tree.ION().Recv(c).Data)
+		}
+	})
+	w = write()
+	want := marshalled(w)
+	var rep Reply
+	eng.Go("cn0", func(c *sim.Coro) { rep = cl.Call(c, w) })
+	eng.RunUntilIdle()
+	eng.Shutdown()
+	if rep.Errno != kernel.EIO || len(seen) != callAttempts || u.Get(upc.ChipScope, upc.CIODRetry) != callAttempts-1 {
+		t.Fatalf("unanswered call: %v after %d attempts, %d retries", rep.Errno, len(seen), u.Get(upc.ChipScope, upc.CIODRetry))
+	}
+	arrays := map[*byte]bool{array(w.wire): true}
+	for i, msg := range seen {
+		if arrays[array(msg)] {
+			t.Errorf("attempt %d travelled in the request's buffer or an earlier attempt's", i)
+		}
+		arrays[array(msg)] = true
+		if !bytes.Equal(msg, want) {
+			t.Errorf("attempt %d carried other bytes than the request's", i)
+		}
+	}
+	if !bytes.Equal(w.wire, want) || !w.Resendable() {
+		t.Errorf("the request's buffer lost its bytes (resendable %v)", w.Resendable())
 	}
 }

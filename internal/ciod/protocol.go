@@ -9,15 +9,19 @@
 // its own filesystem client, so both kernels share one file-call path.
 //
 // A shipped call copies each payload byte once per hop, and allocates
-// nothing per call beyond what the model keeps or ships. A write's
-// payload is loaded from user memory straight into the calling thread's
-// wire buffer, behind room for the request header, so marshalling writes
-// only the header (Decode, MarshalRequest). The tree delivers the
-// sender's slice itself, the daemon decodes the request in place and
-// holds it by value, and the I/O node's cache or filesystem copies the
-// payload into its own blocks or pages. A thread reuses its wire buffer
-// for its next call once no message carrying it can be read again
-// (Recycle).
+// nothing per call beyond what the model keeps. Decode hands every
+// request the calling thread's wire buffer, a write's payload loaded
+// there from user memory behind room for the header, and MarshalRequest
+// renders the request into it, a write's header only; the ship path also
+// keeps room there for a read's reply. The tree delivers the sender's
+// slice itself, the daemon decodes the request in place and holds it by
+// value beside its message, the I/O node's cache or filesystem copies the
+// payload into its own blocks or pages, and once the daemon has finished
+// reading the message it renders the reply into it. So a call sent once
+// comes back in the thread's own buffer, which the thread takes back once
+// Store has copied the reply out (Recycle). A client with a fault source
+// may resend, so it sends each attempt in a copy of its own, and the
+// request keeps its bytes.
 package ciod
 
 import (
@@ -85,13 +89,22 @@ type Request struct {
 	// the received message (see UnmarshalRequest).
 	Data []byte
 
-	// wire, when not nil, is the buffer Data lies in, right behind
-	// requestFixed bytes of room for the header: Decode loads a write's
-	// payload there, and MarshalRequest fills the room in place. A
-	// client that resends the request clears it, since the buffer then
-	// belongs to the messages in flight (see Recycle).
-	wire []byte
+	// wire is the calling thread's wire buffer, which Decode hands every
+	// request it builds and MarshalRequest renders the request into when
+	// it can hold it; a write's payload already lies there behind
+	// requestFixed bytes of room for the header. A client that sends the
+	// buffer itself clears wire, since the reply comes back in it, and
+	// sets spent when the payload went with it (see Resendable).
+	wire  []byte
+	spent bool
 }
+
+// Resendable reports whether r still holds every byte it marshals to, so
+// that it may be shipped again. It does until a client sends a payload
+// Decode loaded in r's own wire buffer, which only a client without a
+// fault source does: the reply comes back in that buffer, so the payload
+// is gone.
+func (r *Request) Resendable() bool { return !r.spent }
 
 // Reply is the result shipped back.
 type Reply struct {
@@ -102,6 +115,12 @@ type Reply struct {
 	// UnmarshalReply).
 	Data []byte
 	Str  string
+
+	// wire is the buffer the reply came back in, which Recycle gives the
+	// calling thread: the message Client.Call received or, for a call
+	// Execute ran where it was made, the request's own wire buffer.
+	// UnmarshalReply leaves it nil.
+	wire []byte
 }
 
 // Transport is what the compute-node kernel uses to ship a request and
@@ -173,16 +192,26 @@ func (d *dec) bytes() []byte {
 	return v[:len(v):len(v)]
 }
 
-// MarshalRequest renders the request in wire format. A write Decode
+// MarshalRequest renders the request in wire format: into its wire
+// buffer when that can hold the request, and otherwise into one new
+// buffer of the exact length, byte for byte the same. A write Decode
 // loaded already lies in its wire buffer behind room for the header, so
-// only the header is written, into that room, and the buffer is the
-// message: the payload is not copied again. Any other request is
-// rendered into one new buffer of the exact length.
-func MarshalRequest(r *Request) []byte {
+// only the header is written and the payload is not copied again.
+func MarshalRequest(r *Request) []byte { return marshalRequest(r, 0) }
+
+// marshalRequest is MarshalRequest, except that a request whose payload
+// does not already lie in its wire buffer goes into a buffer of capacity
+// at least room, allocated when the wire buffer is smaller, so that a
+// reply of room bytes can come back in it (see replyRoom).
+func marshalRequest(r *Request, room int) []byte {
 	hdr := requestFixed + len(r.Path) + len(r.Path2)
+	n := hdr + len(r.Data)
 	b := r.wire
-	if len(b) != hdr+len(r.Data) || len(r.Data) == 0 || &b[hdr] != &r.Data[0] {
-		b = make([]byte, hdr+len(r.Data))
+	if len(r.Data) == 0 || len(b) != n || &b[hdr] != &r.Data[0] {
+		if cap(b) < max(n, room) {
+			b = make([]byte, n, max(n, room))
+		}
+		b = b[:n]
 		copy(b[hdr:], r.Data)
 	}
 	e := &enc{b: b[:0]}
@@ -204,6 +233,18 @@ func MarshalRequest(r *Request) []byte {
 	return b
 }
 
+// replyRoom is the capacity a shipped request's message keeps for its
+// reply: a read's, when it fits a buffer the thread keeps (copyInChunk).
+// Every other reply fits its request's own length, but for a readdir or
+// getcwd payload, which the daemon renders into a buffer of its own when
+// the message cannot hold it.
+func replyRoom(r *Request) int {
+	if r.Op != OpRead || r.Size > copyInChunk-replyFixed {
+		return 0
+	}
+	return replyFixed + int(r.Size)
+}
+
 // UnmarshalRequest parses wire format. The request's Data aliases b, so
 // b must not change while the request is in use; whatever keeps the
 // payload (the I/O node's cache, the filesystem) copies it.
@@ -218,10 +259,20 @@ func UnmarshalRequest(b []byte) (Request, error) {
 	return r, d.err
 }
 
-// MarshalReply renders a reply in wire format, in one buffer of the
-// exact length.
-func MarshalReply(r *Reply) []byte {
-	e := &enc{b: make([]byte, 0, replyFixed+len(r.Str)+len(r.Data))}
+// MarshalReply renders a reply in wire format, in one new buffer of the
+// exact length. The daemon renders each reply into the message it
+// answers instead, when that can hold it (marshalReply).
+func MarshalReply(r *Reply) []byte { return marshalReply(nil, r) }
+
+// marshalReply renders r into msg, the message its request came in, when
+// msg's capacity can hold the reply, and otherwise into one new buffer of
+// the exact length. The caller must have finished reading msg, and r's
+// Data must not lie in it.
+func marshalReply(msg []byte, r *Reply) []byte {
+	if n := replyFixed + len(r.Str) + len(r.Data); cap(msg) < n {
+		msg = make([]byte, 0, n)
+	}
+	e := &enc{b: msg[:0]}
 	e.u64(r.Ret)
 	e.i32(int32(r.Errno))
 	e.str(r.Str)

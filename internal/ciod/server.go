@@ -122,12 +122,21 @@ type proxyThread struct {
 	dead bool
 }
 
-// pendingCall is one routed call, held by value; its request's Data lies
-// inside the received message.
+// pendingCall is one routed call, held by value beside msg, the message
+// it came in: the request's Data lies inside msg, and the reply is
+// rendered into msg once the call is done with it (answer).
 type pendingCall struct {
 	req  Request
+	msg  []byte
 	from int
 	tag  uint32
+}
+
+// answer sends rep to pc's caller, rendered into the message pc came in
+// when that can hold it. The daemon has finished reading the message by
+// then: the call has run, or never will.
+func (s *Server) answer(pc *pendingCall, rep *Reply) {
+	s.ep.Send(pc.from, pc.tag, marshalReply(pc.msg, rep))
 }
 
 // pop removes and returns the queue's first call, moving the rest to the
@@ -175,24 +184,26 @@ func (s *Server) dispatcher(c *sim.Coro) {
 		}
 		c.Sleep(costDispatch)
 		req, err := UnmarshalRequest(msg.Data)
+		pc := pendingCall{req: req, msg: msg.Data, from: msg.From, tag: msg.Tag}
 		if err != nil {
-			s.ep.Send(msg.From, msg.Tag, MarshalReply(&Reply{Errno: kernel.EINVAL}))
+			s.answer(&pc, &Reply{Errno: kernel.EINVAL})
 			s.ion.Release()
 			continue
 		}
-		s.route(&req, msg.From, msg.Tag)
+		s.route(&pc)
 	}
 }
 
 // route answers a lifecycle call at once and queues any other on the
 // proxy thread of the caller's process and thread, starting the thread
-// on its first call. The queue keeps a copy of req.
-func (s *Server) route(req *Request, from int, tag uint32) {
-	key := proxyKey{node: from, pid: req.PID}
+// on its first call. The queue keeps a copy of pc.
+func (s *Server) route(pc *pendingCall) {
+	req := &pc.req
+	key := proxyKey{node: pc.from, pid: req.PID}
 	switch req.Op {
 	case OpProcStart:
 		s.addProxy(key, s.newProxy(req.PID, req.UID, req.GID))
-		s.ep.Send(from, tag, MarshalReply(&Reply{}))
+		s.answer(pc, &Reply{})
 		s.ion.Release()
 		return
 	case OpProcExit:
@@ -205,13 +216,13 @@ func (s *Server) route(req *Request, from int, tag uint32) {
 			s.failProxy(p)
 		}
 		delete(s.prox, key)
-		s.ep.Send(from, tag, MarshalReply(&Reply{}))
+		s.answer(pc, &Reply{})
 		s.ion.Release()
 		return
 	}
 	p, ok := s.prox[key]
 	if !ok {
-		s.ep.Send(from, tag, MarshalReply(&Reply{Errno: kernel.ESRCH}))
+		s.answer(pc, &Reply{Errno: kernel.ESRCH})
 		s.ion.Release()
 		return
 	}
@@ -226,7 +237,7 @@ func (s *Server) route(req *Request, from int, tag uint32) {
 			s.proxyLoop(c, p, t)
 		})
 	}
-	t.queue = append(t.queue, pendingCall{req: *req, from: from, tag: tag})
+	t.queue = append(t.queue, *pc)
 	t.coro.Wake()
 }
 
@@ -266,7 +277,7 @@ func (s *Server) proxyLoop(c *sim.Coro, p *ioproxy, t *proxyThread) {
 				// The daemon died mid-batch: the rest of the batch was
 				// conceptually still queued, so it gets the same EIO flush
 				// a crash gives queued calls.
-				s.ep.Send(pc.from, pc.tag, MarshalReply(&Reply{Errno: kernel.EIO}))
+				s.answer(pc, &Reply{Errno: kernel.EIO})
 				s.ion.Release()
 				continue
 			}
@@ -279,7 +290,7 @@ func (s *Server) proxyLoop(c *sim.Coro, p *ioproxy, t *proxyThread) {
 				continue
 			}
 			if !s.faults.ReplyDrop() {
-				s.ep.Send(pc.from, pc.tag, MarshalReply(&rep))
+				s.answer(pc, &rep)
 			}
 			s.ion.Release()
 			if s.faults.CrashDue() {
@@ -308,8 +319,8 @@ func (s *Server) proxyLoop(c *sim.Coro, p *ioproxy, t *proxyThread) {
 func (s *Server) failProxy(p *ioproxy) {
 	for _, tid := range p.sortedTIDs() {
 		t := p.threads[tid]
-		for _, call := range t.queue {
-			s.ep.Send(call.from, call.tag, MarshalReply(&Reply{Errno: kernel.EIO}))
+		for i := range t.queue {
+			s.answer(&t.queue[i], &Reply{Errno: kernel.EIO})
 			s.ion.Release()
 		}
 		t.retire()
@@ -474,8 +485,16 @@ func flush(c *sim.Coro, cl *fs.Client, files FileData, fd int) kernel.Errno {
 // process's own. Regular-file bytes and sizes come from files, and stat
 // and fstat flush the file first, so every answer is POSIX over unflushed
 // data. A read's count is cut to what an int holds before anything
-// converts it, since a count from the wire may be any 64-bit value.
+// converts it, since a count from the wire may be any 64-bit value. A
+// call run where it was made answers in its request's own wire buffer:
+// the reply carries the buffer back, for Recycle.
 func Execute(c *sim.Coro, cl *fs.Client, files FileData, r *Request) Reply {
+	rep := execute(c, cl, files, r)
+	rep.wire = r.wire
+	return rep
+}
+
+func execute(c *sim.Coro, cl *fs.Client, files FileData, r *Request) Reply {
 	switch r.Op {
 	case OpOpen:
 		fd, errno := cl.Open(r.Path, r.Flags, fs.Mode(r.Mode))

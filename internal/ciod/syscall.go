@@ -36,17 +36,19 @@ type Out struct {
 // for t's process and thread, and names the user buffer its reply goes
 // to. A call that is not a file call is ENOSYS.
 //
-// A write's payload is loaded into t's wire buffer behind room for the
-// request header (paper IV-A: "a write system call sends a message
-// containing the file descriptor number, length of the buffer, and the
-// buffer data"), so MarshalRequest writes only the header and the
-// payload is copied once on the compute node. The buffer grows as each
-// piece of the user buffer translates, so a write from unmapped memory
-// allocates nothing, and one that fits the buffer kept from t's last
-// call allocates nothing either. The request holds the buffer until the
-// caller hands it back with Recycle; a failed load leaves it with t.
+// Every request takes t's wire buffer, for MarshalRequest to render it
+// into. A write's payload is loaded there behind room for the request
+// header (paper IV-A: "a write system call sends a message containing
+// the file descriptor number, length of the buffer, and the buffer
+// data"), so MarshalRequest writes only the header and the payload is
+// copied once on the compute node. The buffer grows as each piece of the
+// user buffer translates, so a write from unmapped memory allocates
+// nothing, and one that fits the buffer kept from t's last call
+// allocates nothing either. The request holds the buffer until its reply
+// hands it back through Recycle; a failed decode leaves it with t.
 func Decode(t *kernel.Thread, num kernel.Sys, args []uint64) (*Request, Out, kernel.Errno) {
-	req := &Request{PID: t.PID(), TID: t.TID()}
+	req := &Request{PID: t.PID(), TID: t.TID(), wire: t.Wire}
+	t.Wire = nil
 	loadPath := func(i int) (string, kernel.Errno) {
 		return t.LoadCString(hw.VAddr(kernel.Arg(args, i)), maxPath)
 	}
@@ -77,14 +79,10 @@ func Decode(t *kernel.Thread, num kernel.Sys, args []uint64) (*Request, Out, ker
 		if count == 0 {
 			break
 		}
-		var wire []byte
-		wire, errno = t.LoadInto(t.Wire, requestFixed, hw.VAddr(kernel.Arg(args, 1)), uint32(count))
-		if errno != kernel.OK {
-			keepWire(t, wire)
-			break
+		req.wire, errno = t.LoadInto(req.wire, requestFixed, hw.VAddr(kernel.Arg(args, 1)), uint32(count))
+		if errno == kernel.OK {
+			req.Data = req.wire[requestFixed:]
 		}
-		t.Wire = nil
-		req.wire, req.Data = wire, wire[requestFixed:]
 	case kernel.SysLseek:
 		req.Op = OpLseek
 		req.FD = int32(kernel.Arg(args, 0))
@@ -139,21 +137,21 @@ func Decode(t *kernel.Thread, num kernel.Sys, args []uint64) (*Request, Out, ker
 	default:
 		errno = kernel.ENOSYS
 	}
+	if errno != kernel.OK {
+		keepWire(t, req.wire)
+	}
 	return req, out, errno
 }
 
-// Recycle gives t back the wire buffer of its finished call req for its
-// next call. The buffer may be reused only once no message carrying it
-// can be read again, that is after the reply to a call that was sent
-// once: a resent call has given its buffer up (Client.Call clears it),
-// so it stays with the messages in flight and t's next write takes a
-// fresh one. t keeps a buffer only while it is no larger than
-// copyInChunk, so one large write does not pin its size to the thread.
-func Recycle(t *kernel.Thread, req *Request) {
-	if req.wire != nil {
-		keepWire(t, req.wire)
-	}
-}
+// Recycle gives t the buffer its finished call's reply rep came back in,
+// for its next call, once Store has copied rep out: the buffer the call's
+// request went in, when the daemon could render the reply there, or, for
+// a call run where it was made, the request's own. No message carrying
+// the buffer can be read again by then, since a client sends a buffer
+// once and the daemon writes a reply into a message only once it has
+// finished reading it. t keeps a buffer only while it is no larger than
+// copyInChunk, so one large call does not pin its size to the thread.
+func Recycle(t *kernel.Thread, rep *Reply) { keepWire(t, rep.wire) }
 
 // keepWire makes b t's wire buffer for its next call, unless b is larger
 // than copyInChunk.

@@ -11,10 +11,13 @@ import (
 // ioCall ships one request, transparently reconnecting if CIOD answers
 // ESRCH for a process it has already been told about: that means the
 // daemon crashed and respawned, losing its ioproxies, so CNK re-ships
-// OpProcStart and retries the original call once.
+// OpProcStart and retries the original call once. Only a request that
+// still holds its bytes is retried (Resendable): a client that can lose
+// a reply, as every client of a daemon that can crash does, ships each
+// attempt in a copy, so its request always does.
 func (k *Kernel) ioCall(t *kernel.Thread, p *Proc, req *ciod.Request) ciod.Reply {
 	rep := k.cfg.IO.Call(t.Coro(), req)
-	if rep.Errno == kernel.ESRCH && p.ioStarted &&
+	if rep.Errno == kernel.ESRCH && p.ioStarted && req.Resendable() &&
 		req.Op != ciod.OpProcStart && req.Op != ciod.OpProcExit {
 		k.trace(k.Eng.Now(), fmt.Sprintf("ciod forgot pid %d (daemon restart); re-shipping proc start", p.PID))
 		start := k.cfg.IO.Call(t.Coro(), &ciod.Request{
@@ -34,8 +37,8 @@ func (k *Kernel) ioCall(t *kernel.Thread, p *Proc, req *ciod.Request) ciod.Reply
 // not yielded during the wait (paper VI-C: "I/O function shipping is
 // made trivial by not yielding the core to another thread during an I/O
 // system call") — the thread simply parks, and no kernel context switch
-// happens. Once the reply is in, the thread takes its wire buffer back
-// for its next call.
+// happens. Once the reply is stored, the thread takes the buffer it came
+// back in for its next call.
 func (k *Kernel) shipIO(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64) (uint64, kernel.Errno) {
 	if k.cfg.IO == nil {
 		return 0, kernel.ENOSYS
@@ -47,8 +50,9 @@ func (k *Kernel) shipIO(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64
 	}
 	req.UID, req.GID = p.UID, p.GID
 	rep := k.ioCall(t, p, req)
-	ciod.Recycle(t, req)
-	return ciod.Store(t, req.Op, out, &rep)
+	ret, errno := ciod.Store(t, req.Op, out, &rep)
+	ciod.Recycle(t, &rep)
+	return ret, errno
 }
 
 // mmapCopyIn reads a whole file through the function-ship path into the

@@ -53,9 +53,10 @@ type Message struct {
 	From int    // sender endpoint ID
 	Tag  uint32 // request/reply matching tag
 	// Data is the slice the sender passed to Send, not a copy: the
-	// receiver shares its backing array, must not change it, and must
-	// copy what it keeps. The sender may reuse the array once no copy of
-	// the message can be read again (see Endpoint.Send).
+	// receiver shares its backing array and must copy what it keeps.
+	// Either side may write into the array only once nothing can read
+	// the message again, as the I/O daemon does when it answers a file
+	// call in the message that carried it (see Endpoint.Send).
 	Data []byte
 }
 
@@ -221,15 +222,15 @@ func (e *Endpoint) sendCost(n int) sim.Cycles {
 // paid on the link (DMA-like). On a shared uplink a CN→ION message is
 // charged, counted and traced with the mux header's bytes added.
 //
-// Send keeps data itself, not a copy, and delivers it as Message.Data.
-// The sender must not modify data while any copy of the message can
-// still be read. A reply to a message sent once shows that its one copy
-// was consumed; a resent message may still wait in flight or in a queue
-// after another copy was answered, so its buffer is never reused. A
-// daemon's replies are freshly marshalled; a compute node's write lives
-// in its thread's wire buffer, which ciod.Recycle lets the thread reuse
-// only after the reply to a call sent once. A retry re-sends the
-// message unchanged.
+// Send keeps data itself, not a copy, and delivers it as Message.Data,
+// capacity included. Whoever holds the slice may write into it only once
+// nothing can read the message again, and no buffer is sent twice. A
+// compute node's file call travels in its thread's wire buffer, and the
+// daemon renders the reply into that message once it has finished
+// reading it, so the reply comes back in the buffer it was sent in,
+// which ciod.Recycle gives back to the thread. A client that may resend
+// sends each attempt in a copy of its own, so that a resend carries the
+// original bytes.
 func (e *Endpoint) Send(to int, tag uint32, data []byte) {
 	var dst *Endpoint
 	if e.ion {

@@ -476,8 +476,13 @@ func (n *inode) readAt(p []byte, off uint64) int {
 }
 
 // writeAt stores p at off, extending the file past its end as needed
-// and allocating each page the bytes land in that the file lacks.
+// and allocating each page the bytes land in that the file lacks. An
+// empty p changes nothing: a write of no bytes past the end leaves the
+// size alone, as POSIX asks.
 func (n *inode) writeAt(p []byte, off uint64) {
+	if len(p) == 0 {
+		return
+	}
 	if end := off + uint64(len(p)); end > n.size {
 		n.size = end
 	}

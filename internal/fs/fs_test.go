@@ -503,6 +503,9 @@ func TestPropertyWriteReadAnyOffset(t *testing.T) {
 	}
 	// writeAt and resize are the model's write and truncate.
 	writeAt := func(model []byte, off int, p []byte) []byte {
+		if len(p) == 0 {
+			return model
+		}
 		if end := off + len(p); end > len(model) {
 			model = append(model, make([]byte, end-len(model))...)
 		}

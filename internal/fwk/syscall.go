@@ -117,19 +117,20 @@ func (k *Kernel) call(t *kernel.Thread, p *Proc, num kernel.Sys, args []uint64) 
 // or NFS-modelled filesystem) through the ioproxy's executor: the same
 // decode from user memory, execution and store back as a call CNK ships.
 // Only the stat buffer differs: the FWK stores the file size alone, as a
-// big-endian u64. Nothing is shipped, so the thread takes its wire
-// buffer back as soon as the call has run.
+// big-endian u64. Nothing is marshalled: the reply carries the
+// request's wire buffer back, and the thread takes it for its next call.
 func (p *Proc) fileCall(t *kernel.Thread, num kernel.Sys, args []uint64) (uint64, kernel.Errno) {
 	req, out, errno := ciod.Decode(t, num, args)
 	if errno != kernel.OK {
 		return 0, errno
 	}
 	rep := p.execute(t.Coro(), req)
-	ciod.Recycle(t, req)
 	if rep.Errno == kernel.OK && (req.Op == ciod.OpStat || req.Op == ciod.OpFstat) {
 		rep.Data = binary.BigEndian.AppendUint64(nil, rep.Ret)
 	}
-	return ciod.Store(t, req.Op, out, &rep)
+	ret, errno := ciod.Store(t, req.Op, out, &rep)
+	ciod.Recycle(t, &rep)
+	return ret, errno
 }
 
 // execute runs one request on the process's client, straight through

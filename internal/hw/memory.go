@@ -65,9 +65,7 @@ func (m *Memory) Read(pa PAddr, dst []byte) {
 		if c := m.chunk(idx, false); c != nil {
 			copy(dst[:n], c[in:in+n])
 		} else {
-			for i := range dst[:n] {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		}
 		dst = dst[n:]
 		off += n

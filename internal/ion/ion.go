@@ -21,6 +21,8 @@
 package ion
 
 import (
+	"slices"
+
 	"bgcnk/internal/fs"
 	"bgcnk/internal/sim"
 	"bgcnk/internal/upc"
@@ -66,11 +68,15 @@ type Node struct {
 	cfg   Config
 	cache *Cache
 
-	free      int       // ingress credits not held by an in-flight call
-	waiters   []*waiter // arrival order; grants rotate round-robin by CN
-	lastGrant int       // CN id granted most recently
-	depth     int       // credits currently held
-	maxDepth  int       // high-water mark of depth
+	free      int      // ingress credits not held by an in-flight call
+	waiters   []waiter // arrival order; grants rotate round-robin by CN
+	lastGrant int      // CN id granted most recently
+	depth     int      // credits currently held
+	maxDepth  int      // high-water mark of depth
+	// granted holds each waiter handed a credit that has not yet woken
+	// to take it. A waiter takes its credit only from here, so one that
+	// Reset dropped never reads as granted, whatever wakes it.
+	granted []*sim.Coro
 
 	// ctr is the ION's own counter set (admits, coalesces, cache traffic).
 	// CN-side stall counters land on the stalling chip's unit instead.
@@ -78,9 +84,8 @@ type Node struct {
 }
 
 type waiter struct {
-	c       *sim.Coro
-	cn      int
-	granted bool
+	c  *sim.Coro
+	cn int
 }
 
 // NewNode builds an ION over cache (which the caller constructs via
@@ -130,10 +135,9 @@ func (n *Node) Acquire(c *sim.Coro, cn int, u *upc.Set) {
 		return
 	}
 	start := c.Now()
-	w := &waiter{c: c, cn: cn}
-	n.waiters = append(n.waiters, w)
+	n.waiters = append(n.waiters, waiter{c: c, cn: cn})
 	u.Inc(upc.ChipScope, upc.IONStall)
-	for !w.granted {
+	for !n.takeGrant(c) {
 		c.Park(sim.Forever)
 	}
 	u.Add(upc.ChipScope, upc.IONStallCycles, uint64(c.Now()-start))
@@ -159,21 +163,32 @@ func (n *Node) Release() {
 		panic("ion: Release without Acquire")
 	}
 	n.depth--
-	w := n.nextWaiter()
-	if w == nil {
+	w, ok := n.nextWaiter()
+	if !ok {
 		n.free++
 		return
 	}
 	n.lastGrant = w.cn
-	w.granted = true
+	n.granted = append(n.granted, w.c)
 	w.c.Wake()
 }
 
+// takeGrant removes c's credit from granted and reports whether it was
+// there.
+func (n *Node) takeGrant(c *sim.Coro) bool {
+	i := slices.Index(n.granted, c)
+	if i < 0 {
+		return false
+	}
+	n.granted = slices.Delete(n.granted, i, i+1)
+	return true
+}
+
 // nextWaiter pops the first-arrived waiter of the CN that follows
-// lastGrant in cyclic node order; nil if nobody waits.
-func (n *Node) nextWaiter() *waiter {
+// lastGrant in cyclic node order; ok is false if nobody waits.
+func (n *Node) nextWaiter() (w waiter, ok bool) {
 	if len(n.waiters) == 0 {
-		return nil
+		return waiter{}, false
 	}
 	// Two-pass selection: find the winning CN in cyclic order after
 	// lastGrant, then that CN's earliest-arrived waiter.
@@ -185,11 +200,11 @@ func (n *Node) nextWaiter() *waiter {
 	}
 	for i, w := range n.waiters {
 		if w.cn == winCN {
-			n.waiters = append(n.waiters[:i], n.waiters[i+1:]...)
-			return w
+			n.waiters = slices.Delete(n.waiters, i, i+1)
+			return w, true
 		}
 	}
-	return nil
+	return waiter{}, false
 }
 
 // rrBefore reports whether CN a precedes CN b in the cyclic round-robin
@@ -227,7 +242,10 @@ func (n *Node) Reset(fsys *fs.FS) {
 		return
 	}
 	n.free = n.cfg.QueueDepth
-	n.waiters = nil
+	clear(n.waiters)
+	n.waiters = n.waiters[:0]
+	clear(n.granted)
+	n.granted = n.granted[:0]
 	n.lastGrant = -1
 	n.depth = 0
 	n.maxDepth = 0

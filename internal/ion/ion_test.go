@@ -170,6 +170,44 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// A waiter that Reset dropped is never admitted, whatever wakes it: a
+// waiter takes a credit only once a Release has handed it one, not
+// because it is no longer listed.
+func TestResetDroppedWaiterNeverGranted(t *testing.T) {
+	eng := sim.NewEngine()
+	defer eng.Shutdown()
+	n := newTestNode(1)
+	admitted := map[string]bool{}
+	acquire := func(name string, cn int) *sim.Coro {
+		return eng.Go(name, func(c *sim.Coro) {
+			n.Acquire(c, cn, nil)
+			admitted[name] = true
+		})
+	}
+	acquire("holder", 0)
+	dropped := acquire("dropped", 1)
+	eng.RunUntilIdle()
+	if !admitted["holder"] || admitted["dropped"] {
+		t.Fatalf("before reset: admitted %v, want the holder only", admitted)
+	}
+	n.Reset(nil)
+	// The next job takes the credit and returns it, and something pokes
+	// the dropped waiter.
+	eng.Go("next", func(c *sim.Coro) {
+		n.Acquire(c, 2, nil)
+		admitted["next"] = true
+		n.Release()
+	})
+	dropped.Wake()
+	eng.RunUntilIdle()
+	if !admitted["next"] || admitted["dropped"] {
+		t.Fatalf("after reset: admitted %v, want the holder and the next job only", admitted)
+	}
+	if st := n.Stats(); st.Depth != 0 || st.Admitted != 1 {
+		t.Fatalf("stats after reset = %+v, want one admit and no credit held", st)
+	}
+}
+
 func TestReleaseWithoutAcquirePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

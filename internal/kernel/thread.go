@@ -95,10 +95,11 @@ type Thread struct {
 	pendingSigs []SigInfo
 
 	// Wire is the thread's file-call buffer, kept from one call to the
-	// next: ciod.Decode loads a write's payload into it behind room for
-	// the request header, and ciod.Recycle hands it back once no message
-	// carrying it can be read again. Nil before the first write and
-	// after a call whose buffer stays with messages still in flight.
+	// next: ciod.Decode hands it to every request, a write's payload
+	// loaded into it behind room for the request header, and
+	// ciod.Recycle gives the thread the buffer the reply came back in.
+	// Nil before the first call and after a call whose reply came back
+	// in no buffer the thread may keep.
 	Wire []byte
 }
 

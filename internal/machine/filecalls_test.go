@@ -669,3 +669,52 @@ func TestPinnedFileCalls(t *testing.T) {
 		})
 	}
 }
+
+// TestZeroLengthWriteKeepsSize checks that a write of no bytes past the
+// end of a file leaves its size alone, as POSIX asks, on every machine of
+// the file-call script: the unarmed I/O node and the FWK write by inode
+// straight through the filesystem, the armed one through its cache. An
+// empty file and a 5-byte one are each seeked to 100 and written 0
+// bytes, then fstat and a seek to the end must read the old size.
+func TestZeroLengthWriteKeepsSize(t *testing.T) {
+	for _, mc := range fileCallMachines {
+		t.Run(mc.name, func(t *testing.T) {
+			m, err := New(mc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Shutdown()
+			var got []string
+			app := func(ctx kernel.Context, env *Env) {
+				base := m.HeapBase(ctx)
+				path, data, out := base, base+1024, base+4096
+				ctx.Store(data, []byte("hello"))
+				for i, size := range []uint64{0, 5} {
+					ctx.StoreCString(path, fmt.Sprintf("/gpfs/zero%d", i))
+					fd, errno := ctx.Syscall(kernel.SysOpen, uint64(path), kernel.OCreat|kernel.ORdwr, 0644)
+					if errno != kernel.OK {
+						t.Errorf("open: %v", errno)
+						return
+					}
+					ctx.Syscall(kernel.SysWrite, fd, uint64(data), size)
+					ctx.Syscall(kernel.SysLseek, fd, 100, uint64(kernel.SeekSet))
+					n, errno := ctx.Syscall(kernel.SysWrite, fd, uint64(data), 0)
+					if n != 0 || errno != kernel.OK {
+						t.Errorf("write of 0 bytes at 100: %d, %v", n, errno)
+					}
+					st, errno := ctx.Syscall(kernel.SysFstat, fd, uint64(out))
+					end, errno2 := ctx.Syscall(kernel.SysLseek, fd, 0, uint64(kernel.SeekEnd))
+					got = append(got, fmt.Sprintf("%d bytes: fstat %d %v, end %d %v", size, st, errno, end, errno2))
+					ctx.Syscall(kernel.SysClose, fd)
+				}
+			}
+			if err := m.Run(app, kernel.JobParams{}, 0); err != nil {
+				t.Fatal(err)
+			}
+			want := []string{"0 bytes: fstat 0 OK, end 0 OK", "5 bytes: fstat 5 OK, end 5 OK"}
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("after a write of 0 bytes at 100:\n got  %q\n want %q", got, want)
+			}
+		})
+	}
+}

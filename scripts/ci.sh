@@ -158,12 +158,17 @@ gate -run 'TestGolden/crashes' ./internal/experiments/
 # I/O-node contracts: armed and unarmed I/O nodes share one CIOD serve
 # path, so every reply of a fixed script of shipped calls must match its
 # pinned row in both modes, and an ion_crash must kill the daemon in both
-# (under -race); a shipped call copies each payload byte once per hop
-# and reuses its thread's wire buffer only after the reply to a call sent
-# once, so a CNK rank's writes and reads under heavy reply loss, resends
-# included, must match their pinned rows with and without an ION, and one
+# (under -race); a shipped call copies each payload byte once per hop,
+# travels in its thread's wire buffer and, sent once, gets its reply back
+# in it, while a client that may resend sends each attempt in a copy of
+# its own, so every request must marshal into its buffer byte for byte,
+# a CNK rank's writes and reads under heavy reply loss, resends
+# included, must match their pinned rows with and without an ION, one
 # more shipped lseek, write, lseek and read must make no more host
-# allocations than pinned (under -race); neither the tree nor the
+# allocations than pinned, and a write of no bytes past the end of a
+# file must leave its size alone on every kernel and I/O node (under
+# -race); an ingress-credit waiter that a reset dropped must never be
+# admitted, whatever wakes it (under -race); neither the tree nor the
 # decoders copy a payload, so a delivered message must be the sender's
 # slice, a decoded payload must lie inside its message with its capacity
 # clipped (nil when empty), an ION cache read inside one block must be
@@ -184,8 +189,8 @@ gate -run 'TestGolden/crashes' ./internal/experiments/
 # byte-for-byte.
 echo "== I/O-node aggregation: pinned replies + payload ownership + determinism + ion_crash + ioscale golden"
 gate -race -run 'TestPinnedReplies|TestIONCrashFlushesEIOAndDropsCache|TestDecodedDataAliasesWire|TestWireBufferOwnership' ./internal/ciod/
-gate -race -run 'TestPinnedResentWrites|TestShippedCallsAllocate' ./internal/machine/
-gate -race -run 'TestDeliveredDataIsSendersSlice|TestPropertyWriteReadAnyOffset|TestWriteInodeSeveralSlices|TestReadAliasesOneBlock|TestConcurrentFillKeepsWrite|TestWriteDuringEvictionSurvives|TestFillEvictedByAnotherFillRefills|TestFlushSkipsTruncatedBlocks' ./internal/collective/ ./internal/fs/ ./internal/ion/
+gate -race -run 'TestPinnedResentWrites|TestShippedCallsAllocate|TestZeroLengthWriteKeepsSize' ./internal/machine/
+gate -race -run 'TestDeliveredDataIsSendersSlice|TestPropertyWriteReadAnyOffset|TestWriteInodeSeveralSlices|TestReadAliasesOneBlock|TestConcurrentFillKeepsWrite|TestWriteDuringEvictionSurvives|TestFillEvictedByAnotherFillRefills|TestFlushSkipsTruncatedBlocks|TestResetDroppedWaiterNeverGranted' ./internal/collective/ ./internal/fs/ ./internal/ion/
 gate -race -run 'TestIONMachineDeterminism|TestIONRebootMatchesFresh|TestIONOffChangesNothing|TestSealCheckpointFlushesIONCache' ./internal/machine/
 gate -race -run 'TestRestartDeterminismThroughIONCache' ./internal/ctrlsys/
 gate -run 'TestFaultMatrix/.*/ion_crash' ./internal/machine/
